@@ -16,7 +16,7 @@ orbit to a computable arc). Pure absence of evidence yields Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -99,11 +99,23 @@ class SystemView:
             return self.fam.limit
         return self.fam.member(n)
 
+    def steps(self, horizon: int) -> list[MapDescriptor]:
+        """Step table: entry n is the map applied at step n, for n <= horizon.
+
+        Built once per view and grown to the largest horizon asked for, so
+        sweeps stop building a descriptor per step. Entry 0 is unused.
+        """
+        table = self._cache.setdefault("steps", [None])
+        for n in range(len(table), horizon + 1):
+            table.append(self.step_map(n))
+        return table
+
     def orbit(self, x: Point, horizon: int) -> list[Point]:
         """Scalar orbit sweep: states[n] is the point after n steps."""
+        steps = self.steps(horizon)
         states = [x]
         for n in range(1, horizon + 1):
-            states.append(apply(self.step_map(n), states[-1]))
+            states.append(apply(steps[n], states[-1]))
         return states
 
     @property
@@ -130,8 +142,7 @@ class SystemView:
         if not self.fam.steps_isometric or not isinstance(self.fam.limit, Rotation):
             return None
         amounts = []
-        for n in range(1, horizon + 1):
-            m = self.fam.member(n)
+        for m in self.steps(horizon)[1 : horizon + 1]:
             if not isinstance(m, Rotation):
                 return None
             amounts.append(m.amount)
@@ -188,7 +199,10 @@ class CheckConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CheckConfig":
-        return cls(**{k: doc[k] for k in doc})
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SpaceError(f"unknown check config keys: {unknown}")
+        return cls(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +237,35 @@ def _dist_arrays(kind: SpaceKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int) -> np.ndarray:
     """Vectorized orbit sweep on coordinate arrays, shape (horizon+1, len)."""
     kind = sys.space.kind
+    steps = sys.steps(horizon)
     rows = np.empty((horizon + 1, coords.shape[0]), dtype=float)
     rows[0] = coords
     for n in range(1, horizon + 1):
-        rows[n] = apply_batch(sys.step_map(n), rows[n - 1], kind)
+        rows[n] = apply_batch(steps[n], rows[n - 1], kind)
     return rows
+
+
+def _sweep_groups(
+    sys: SystemView, groups: list[list[Point]], horizon: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One orbit sweep over the distinct start points of several groups.
+
+    Returns the orbit matrix and, for each group, the column of each of its
+    points. Starts are deduplicated by their exact float bits, so 0.0 and
+    -0.0 keep separate columns. Element-wise maps make every column
+    bit-identical to a sweep of that start alone.
+    """
+    coords = _coords([p for g in groups for p in g], sys.space.kind)
+    _, first, inverse = np.unique(
+        coords.view(np.int64), return_index=True, return_inverse=True
+    )
+    orbits = orbit_matrix(sys, coords[first], horizon)
+    inverse = inverse.reshape(-1)
+    cols, lo = [], 0
+    for g in groups:
+        cols.append(inverse[lo : lo + len(g)])
+        lo += len(g)
+    return orbits, cols
 
 
 # All binary-space thresholds used by checkers sit far above the 1/12
@@ -252,9 +290,10 @@ def _bin_orbit_ints(sys: SystemView, x: Point, horizon: int) -> tuple[np.ndarray
 
 
 def _region_chain(sys: SystemView, start: Region, horizon: int) -> list[Region] | None:
+    steps = sys.steps(horizon)
     chain = [start]
     for n in range(1, horizon + 1):
-        nxt = step_region(chain[-1], sys.step_map(n))
+        nxt = step_region(chain[-1], steps[n])
         if nxt is None:
             return None
         chain.append(nxt)
@@ -266,7 +305,7 @@ def _supports_regions(sys: SystemView, horizon: int) -> bool:
         return False
     cutoff = sys.constant_tail_from()
     depth = min(horizon, 64) if cutoff is None else min(horizon, cutoff)
-    probe = [sys.step_map(n) for n in range(1, depth + 1)] + [sys.fam.limit]
+    probe = sys.steps(depth)[1 : depth + 1] + [sys.fam.limit]
     return family_supports_regions(sys.space, probe)
 
 
@@ -385,11 +424,13 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     for rung in rungs:
         worst_sep = 0.0
         worst_pair: tuple[Point, Point, int] | None = None
-        for c in centers:
-            partners = [p for p in _ball_points(space, c, rung, cfg.ball_count) if p != c]
-            if not partners:
-                continue
-            if space.kind is SpaceKind.BINARY_SEQ:
+        groups = [
+            [c] + partners
+            for c in centers
+            if (partners := [p for p in _ball_points(space, c, rung, cfg.ball_count) if p != c])
+        ]
+        if space.kind is SpaceKind.BINARY_SEQ:
+            for c, *partners in groups:
                 cv, cd = _bin_orbit_ints(sys, c, N)
                 for p in partners:
                     pv, pdep = _bin_orbit_ints(sys, p, N)
@@ -397,10 +438,10 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
                     t = int(np.argmax(series))
                     if series[t] > worst_sep:
                         worst_sep, worst_pair = float(series[t]), (c, p, t)
-            else:
-                cols = _coords([c] + partners, space.kind)
-                orbits = orbit_matrix(sys, cols, N)
-                seps = _dist_arrays(space.kind, orbits[:, 1:], orbits[:, :1])
+        elif groups:
+            orbits, cols = _sweep_groups(sys, groups, N)
+            for (c, *partners), idx in zip(groups, cols):
+                seps = _dist_arrays(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
                 flat = int(np.argmax(seps))
                 t, j = divmod(flat, seps.shape[1])
                 if seps[t, j] > worst_sep:
@@ -428,28 +469,41 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     return V.inconclusive({"horizon": N, "rungs": rungs}, "no conclusive rung at this horizon")
 
 
-def _diam_series_for_ball(
-    sys: SystemView, center: Point, radius: float, cfg: CheckConfig, use_regions: bool
-) -> tuple[np.ndarray, list[Region] | None]:
-    """Orbit-diameter series of a ball, exact via regions when possible."""
+def _diam_series_for_balls(
+    sys: SystemView, balls: list[tuple[Point, float]], cfg: CheckConfig, use_regions: bool
+):
+    """Orbit-diameter series of each (center, radius) ball, in order.
+
+    Yields (series, chain): exact via region chains when possible, otherwise
+    from the sampled clouds of all remaining balls, swept together.
+    """
     N = cfg.horizon
     if use_regions:
-        chain = _region_chain(sys, ball_region(sys.space, center, radius), N)
-        if chain is not None:
+        for i, (c, r) in enumerate(balls):
+            chain = _region_chain(sys, ball_region(sys.space, c, r), N)
+            if chain is None:
+                # a chain fails on a step map, never on its start region
+                balls = balls[i:]
+                break
             kind, a, b = _chain_arrays(chain)
-            return _chain_diameters(kind, a, b), chain
-    pts = _ball_points(sys.space, center, radius, cfg.ball_count)
+            yield _chain_diameters(kind, a, b), chain
+        else:
+            return
+    clouds = [_ball_points(sys.space, c, r, cfg.ball_count) for c, r in balls]
     if sys.space.kind is SpaceKind.BINARY_SEQ:
-        encoded = [_bin_orbit_ints(sys, p, N) for p in pts]
-        out = np.zeros(N + 1)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                out = np.maximum(
-                    out, _bin_series_ints(*encoded[i], *encoded[j])
-                )
-        return out, None
-    orbits = orbit_matrix(sys, _coords(pts, sys.space.kind), N)
-    return _cloud_diam_series(sys.space.kind, orbits), None
+        for pts in clouds:
+            encoded = [_bin_orbit_ints(sys, p, N) for p in pts]
+            out = np.zeros(N + 1)
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    out = np.maximum(
+                        out, _bin_series_ints(*encoded[i], *encoded[j])
+                    )
+            yield out, None
+        return
+    orbits, cols = _sweep_groups(sys, clouds, N)
+    for idx in cols:
+        yield _cloud_diam_series(sys.space.kind, orbits[:, idx]), None
 
 
 def _collapse_step(chain: list[Region]) -> int | None:
@@ -466,10 +520,11 @@ def _sensitivity_scan(sys: SystemView, cfg: CheckConfig):
     ladder.
     """
     use_regions = _supports_regions(sys, cfg.horizon)
-    for c in grid_points(sys.space, cfg):
-        for r in _sens_rungs(sys.space, cfg):
-            series, chain = _diam_series_for_ball(sys, c, r, cfg, use_regions)
-            yield c, r, series, chain
+    balls = [(c, r) for c in grid_points(sys.space, cfg) for r in _sens_rungs(sys.space, cfg)]
+    for (c, r), (series, chain) in zip(
+        balls, _diam_series_for_balls(sys, balls, cfg, use_regions)
+    ):
+        yield c, r, series, chain
 
 
 def _refute_ball(
@@ -509,12 +564,12 @@ def _constant_after_collapse(
 ) -> bool:
     """True when the collapsed point provably stays a point forever.
 
-    The chain already witnesses collapse up to the horizon; forever needs the
-    step maps to be eventually constant with the collapsed orbit landing on a
-    fixed point of the limit.
+    The chain already witnesses collapse up to the horizon; forever needs
+    every step after the horizon to be the limit map, and the collapsed point
+    to be a fixed point of the limit.
     """
     cutoff = sys.constant_tail_from()
-    if cutoff is None:
+    if cutoff is None or horizon < cutoff - 1:
         return False
     p = region_midpoint(chain[-1])
     return apply(sys.fam.limit, p) == p
@@ -647,11 +702,12 @@ def _compute_hit_data(sys: SystemView, cfg: CheckConfig) -> _HitData:
                 hits[u, v] = col < cfg.eps
         return _HitData(centers, hits, None, cfg.eps)
 
-    for u, c in enumerate(centers):
-        pts = _ball_points(space, c, cfg.eps, cfg.ball_count)
-        orbits = orbit_matrix(sys, _coords(pts, space.kind), N)
+    clouds = [_ball_points(space, c, cfg.eps, cfg.ball_count) for c in centers]
+    orbits, cols = _sweep_groups(sys, clouds, N)
+    for u, idx in enumerate(cols):
+        cloud = orbits[:, idx]
         for v, vc in enumerate(centers):
-            d = _dist_arrays(space.kind, orbits, np.full(1, _point_coord(vc)))
+            d = _dist_arrays(space.kind, cloud, np.full(1, _point_coord(vc)))
             hits[u, v] = d.min(axis=1) < cfg.eps
     return _HitData(centers, hits, None, cfg.eps)
 
@@ -839,8 +895,11 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
             conv_K = max(conv_K, K if K <= N // 2 else 0)
     else:
         full = sample_grid(sys.space, cfg.grid_resolution)
-        for u, c in enumerate(data.centers):
-            pts = _ball_points(sys.space, c, cfg.eps, cfg.ball_count)
+        clouds = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in data.centers]
+        if sys.space.kind is not SpaceKind.BINARY_SEQ:
+            orbits, cols = _sweep_groups(sys, clouds, N)
+            gcols = _coords(list(full), sys.space.kind)
+        for u, pts in enumerate(clouds):
             if sys.space.kind is SpaceKind.BINARY_SEQ:
                 encoded = [_bin_orbit_ints(sys, p, N) for p in pts]
                 defect = np.zeros(N + 1)
@@ -853,12 +912,11 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
                         )
                     defect = np.maximum(defect, best)
             else:
-                orbits = orbit_matrix(sys, _coords(pts, sys.space.kind), N)
-                gcols = _coords(list(full), sys.space.kind)
+                cloud = orbits[:, cols[u]]
                 defect = np.empty(N + 1)
                 for n in range(N + 1):
                     d = _dist_arrays(
-                        sys.space.kind, orbits[n][None, :], gcols[:, None]
+                        sys.space.kind, cloud[n][None, :], gcols[:, None]
                     )
                     defect[n] = float(d.min(axis=1).max())
             defects_final.append(float(defect[-1]))
@@ -1063,8 +1121,7 @@ def check_periodic(
 def _window_descriptor(sys: SystemView, n: int) -> MapDescriptor | None:
     """Canonical composition of maps 1..n, when the algebra supports it."""
     out: MapDescriptor | None = None
-    for i in range(1, n + 1):
-        step = sys.step_map(i)
+    for step in sys.steps(n)[1 : n + 1]:
         out = step if out is None else compose(step, out)
     if out is None:
         return None
@@ -1185,28 +1242,32 @@ class _TailStats:
     overall_min: float
 
 
-def _pair_tail_batch(sys: SystemView, x: Point, ys: list[Point], cfg: CheckConfig) -> list[_TailStats]:
-    """Tail stats of d(orbit(x), orbit(y)) for every y, one orbit sweep."""
-    N, W = cfg.horizon, cfg.tail_window
-    if sys.space.kind is SpaceKind.BINARY_SEQ:
-        xv, xd = _bin_orbit_ints(sys, x, N)
-        out = []
-        for y in ys:
-            yv, yd = _bin_orbit_ints(sys, y, N)
-            series = _bin_series_ints(xv, xd, yv, yd)
-            tail = series[N - W :]
-            out.append(
-                _TailStats(
-                    float(tail.min()),
-                    float(tail.max()),
-                    int(N - W + int(tail.argmin())),
-                    float(series.min()),
-                )
+class _PairSweep:
+    """Orbits of every point in some groups, swept once, giving the distance
+    series from any one of those points to a whole group."""
+
+    def __init__(self, sys: SystemView, groups: list[list[Point]], horizon: int):
+        self.sys, self.groups, self.horizon = sys, groups, horizon
+        if sys.space.kind is not SpaceKind.BINARY_SEQ:
+            self.orbits, self.cols = _sweep_groups(sys, groups, horizon)
+
+    def series(self, g: int, i: int, h: int) -> np.ndarray:
+        """d(orbit of point i of group g, orbit of each point of group h),
+        shape (horizon+1, len(group h))."""
+        sys, N = self.sys, self.horizon
+        if sys.space.kind is SpaceKind.BINARY_SEQ:
+            xv, xd = _bin_orbit_ints(sys, self.groups[g][i], N)
+            return np.stack(
+                [_bin_series_ints(xv, xd, *_bin_orbit_ints(sys, y, N)) for y in self.groups[h]],
+                axis=1,
             )
-        return out
-    cols = _coords([x] + ys, sys.space.kind)
-    orbits = orbit_matrix(sys, cols, N)
-    series = _dist_arrays(sys.space.kind, orbits[:, 1:], orbits[:, :1])
+        x = self.cols[g][i : i + 1]
+        return _dist_arrays(sys.space.kind, self.orbits[:, self.cols[h]], self.orbits[:, x])
+
+
+def _pair_tail_batch(series: np.ndarray, cfg: CheckConfig) -> list[_TailStats]:
+    """Tail stats of each column of a pair-distance series matrix."""
+    N, W = cfg.horizon, cfg.tail_window
     tail = series[N - W :]
     mins = tail.min(axis=0)
     maxs = tail.max(axis=0)
@@ -1214,8 +1275,12 @@ def _pair_tail_batch(sys: SystemView, x: Point, ys: list[Point], cfg: CheckConfi
     overall = series.min(axis=0)
     return [
         _TailStats(float(mins[j]), float(maxs[j]), int(N - W + args[j]), float(overall[j]))
-        for j in range(len(ys))
+        for j in range(series.shape[1])
     ]
+
+
+def _pair_stats(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> _TailStats:
+    return _pair_tail_batch(_PairSweep(sys, [[x], [y]], cfg.horizon).series(0, 0, 1), cfg)[0]
 
 
 def _proximal_decide(
@@ -1239,7 +1304,7 @@ def _proximal_decide(
             "isometric steps keep the pair closer than eps forever",
         )
     if stats is None:
-        stats = _pair_tail_batch(sys, x, [y], cfg)[0]
+        stats = _pair_stats(sys, x, y, cfg)
     if stats.tail_min < cfg.eps:
         return V.holds(
             {"pair": pair, "tail_min": stats.tail_min, "time": stats.min_time},
@@ -1272,7 +1337,7 @@ def _li_yorke_decide(
             "a constant pair distance cannot both vanish and exceed delta",
         )
     if stats is None:
-        stats = _pair_tail_batch(sys, x, [y], cfg)[0]
+        stats = _pair_stats(sys, x, y, cfg)
     parts = {
         "pair": pair,
         "tail_min": stats.tail_min,
@@ -1308,14 +1373,36 @@ class PairPredicate(str, Enum):
 def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
     """Every eps-ball on the grid contains a partner for x under the predicate."""
     cfg.validate(sys.space)
-    decide = _proximal_decide if predicate is PairPredicate.PROXIMAL else _li_yorke_decide
-    need_series = not sys.steps_isometric
+    return _cell_densities(sys, [x], cfg, predicate)[0]
+
+
+def _cell_densities(
+    sys: SystemView, xs: list[Point], cfg: CheckConfig, predicate: PairPredicate
+) -> list[Verdict]:
+    """cell_density for each x, with one sweep over every x and every pool."""
     centers = grid_points(sys.space, cfg)
+    pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in centers]
+    # isometric steps decide every pair symbolically, without orbits
+    sweep = None if sys.steps_isometric else _PairSweep(sys, [xs] + pools, cfg.horizon)
+    return [
+        _cell_density(sys, x, i, centers, pools, sweep, cfg, predicate)
+        for i, x in enumerate(xs)
+    ]
+
+
+def _cell_density(
+    sys: SystemView, x: Point, i: int, centers: list[Point], pools: list[list[Point]],
+    sweep: _PairSweep | None, cfg: CheckConfig, predicate: PairPredicate,
+) -> Verdict:
+    """Cell density of x, point i of the sweep's first group; pool k is group k + 1."""
+    decide = _proximal_decide if predicate is PairPredicate.PROXIMAL else _li_yorke_decide
     found: list[dict] = []
     unfilled: list[tuple[Point, Verdict | None]] = []
-    for c in centers:
-        pool = _ball_points(sys.space, c, cfg.eps, cfg.ball_count)
-        stats = _pair_tail_batch(sys, x, pool, cfg) if need_series else [None] * len(pool)
+    for k, (c, pool) in enumerate(zip(centers, pools)):
+        if sweep is None:
+            stats = [None] * len(pool)
+        else:
+            stats = _pair_tail_batch(sweep.series(0, i, k + 1), cfg)
         best: Verdict | None = None
         partner = None
         for y, st in zip(pool, stats):

@@ -91,6 +91,12 @@ class PiecewiseLinear:
         if any(not (0.0 <= y <= 1.0) for _, y in bps):
             raise SpaceError("breakpoint y values must lie in [0, 1]")
         object.__setattr__(self, "breakpoints", bps)
+        # derived once; plain attributes, so == and hash still see only fields
+        ys = tuple(y for _, y in bps)
+        object.__setattr__(self, "_xs", tuple(xs))
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_xs_array", np.array(xs))
+        object.__setattr__(self, "_ys_array", np.array(ys))
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -98,11 +104,11 @@ class PiecewiseLinear:
 
     @property
     def xs(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.breakpoints)
+        return self._xs
 
     @property
     def ys(self) -> tuple[float, ...]:
-        return tuple(y for _, y in self.breakpoints)
+        return self._ys
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,8 @@ class Lookup:
         if self.rule not in ("linear", "nearest"):
             raise SpaceError(f"unknown interpolation rule: {self.rule!r}")
         object.__setattr__(self, "values", vals)
+        # plain attribute, so == and hash still see only the fields
+        object.__setattr__(self, "_values_array", np.array(vals))
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -258,13 +266,13 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
         raise SpaceError(f"descriptor {type(m).__name__} is not a circle map")
     if kind is SpaceKind.UNIT_INTERVAL:
         if isinstance(m, PiecewiseLinear):
-            return np.interp(arr, m.xs, m.ys)
+            return np.interp(arr, m._xs_array, m._ys_array)
         if isinstance(m, Lookup):
-            grid = np.linspace(0.0, 1.0, len(m.values))
+            values = m._values_array
+            n = len(values)
             if m.rule == "linear":
-                return np.interp(arr, grid, m.values)
-            idx = np.clip(np.rint(arr * (len(m.values) - 1)).astype(int), 0, len(m.values) - 1)
-            return np.asarray(m.values)[idx]
+                return np.interp(arr, np.linspace(0.0, 1.0, n), values)
+            return values[np.clip(np.rint(arr * (n - 1)).astype(int), 0, n - 1)]
         if isinstance(m, Compose):
             return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
         raise SpaceError(f"descriptor {type(m).__name__} is not an interval map")

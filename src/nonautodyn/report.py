@@ -32,10 +32,10 @@ from .checkers import (
     Mode,
     PairPredicate,
     SystemView,
-    _diam_series_for_ball,
+    _cell_densities,
+    _diam_series_for_balls,
     _rotation_displacements,
     _supports_regions,
-    cell_density,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
@@ -93,9 +93,8 @@ def _run_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
 def _run_cell_density_all(predicate: PairPredicate):
     def run(sys: SystemView, cfg: CheckConfig) -> Verdict:
-        verdicts = [
-            (x, cell_density(sys, x, cfg, predicate)) for x in grid_points(sys.space, cfg)
-        ]
+        xs = grid_points(sys.space, cfg)
+        verdicts = list(zip(xs, _cell_densities(sys, xs, cfg, predicate)))
         bad = [(x, v) for x, v in verdicts if not v.holds]
         if not bad:
             return V.holds(
@@ -119,22 +118,23 @@ def _run_cell_density_all(predicate: PairPredicate):
 
 def _run_proximal_pairs(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Dense proximal pairs: every ordered pair of grid balls holds one."""
-    from .checkers import _ball_points, _pair_tail_batch, _proximal_decide
+    from .checkers import _PairSweep, _ball_points, _pair_tail_batch, _proximal_decide
 
     centers = grid_points(sys.space, cfg)
-    need_series = not sys.steps_isometric
+    pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count)[:5] for c in centers]
+    # isometric steps decide every pair symbolically, without orbits
+    sweep = None if sys.steps_isometric else _PairSweep(sys, pools, cfg.horizon)
     missing: list[tuple[int, int]] = []
     refutable = 0
-    for i, c1 in enumerate(centers):
-        pool1 = _ball_points(sys.space, c1, cfg.eps, cfg.ball_count)[:5]
-        for j, c2 in enumerate(centers):
-            pool2 = _ball_points(sys.space, c2, cfg.eps, cfg.ball_count)[:5]
+    for i, pool1 in enumerate(pools):
+        for j, pool2 in enumerate(pools):
             found = False
             all_refuted = True
-            for x in pool1:
-                stats = (
-                    _pair_tail_batch(sys, x, pool2, cfg) if need_series else [None] * len(pool2)
-                )
+            for k, x in enumerate(pool1):
+                if sweep is None:
+                    stats = [None] * len(pool2)
+                else:
+                    stats = _pair_tail_batch(sweep.series(i, k, j), cfg)
                 for y, st in zip(pool2, stats):
                     v = _proximal_decide(sys, x, y, cfg, st)
                     if v.holds:
@@ -492,9 +492,9 @@ def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tup
         **{**cfg.to_json(), "horizon": diam_horizon,
            "tail_window": min(cfg.tail_window, diam_horizon)}
     )
-    series, _ = _diam_series_for_ball(
-        sys_F, x0, cfg.eps, diam_cfg, _supports_regions(sys_F, diam_horizon)
-    )
+    series, _ = next(_diam_series_for_balls(
+        sys_F, [(x0, cfg.eps)], diam_cfg, _supports_regions(sys_F, diam_horizon)
+    ))
     summary = {
         "deviation_x": point_to_json(x0),
         "deviation_records": [r.to_json() for r in records],

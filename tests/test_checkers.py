@@ -23,7 +23,7 @@ from nonautodyn.checkers import (
     li_yorke_check,
     proximal_check,
 )
-from nonautodyn.family import TENT, autonomous_family, make_builtin_family
+from nonautodyn.family import TENT, autonomous_family, family_from_config, make_builtin_family
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -68,6 +68,10 @@ class TestConfigValidation:
         cfg = CheckConfig(horizon=10, tail_window=20)
         with pytest.raises(SpaceError):
             cfg.validate(PhaseSpace.circle())
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(SpaceError, match="tail_windw"):
+            CheckConfig.from_json({"horizon": 10, "tail_windw": 5})
 
     def test_binary_needs_resolving_words(self):
         cfg = CheckConfig(horizon=10, tail_window=5, eps=0.05, delta=0.5)
@@ -146,6 +150,33 @@ class TestTransitivity:
         v = check_transitivity(F(INV), SMALL)
         assert v.refuted
         assert v.witness["rule"] == "displacement-confinement"
+
+    def test_collapse_rule_waits_for_the_constant_tail(self):
+        # step 1 flattens [0, 1/2] to 0, steps 2-9 are the identity and step
+        # 10 sends everything to 0.25, so the collapsed ball at 0 does reach
+        # the ball at 0.25; the limit (tent) only takes over from step 11
+        def pl(*bps):
+            return {"type": "piecewise_linear", "breakpoints": [list(b) for b in bps]}
+
+        fam = family_from_config(
+            {
+                "space": {"kind": "unit_interval"},
+                "custom": {
+                    "steps": [pl((0, 0), (0.5, 0), (1, 1))]
+                    + [pl((0, 0), (1, 1))] * 8
+                    + [pl((0, 0.25), (1, 0.25))],
+                    "limit": pl((0, 0), (0.5, 1), (1, 0)),
+                },
+            }
+        )
+        assert fam.eventually_constant_from == 11
+        for horizon in (5, 9):
+            cfg = CheckConfig(
+                horizon=horizon, grid_resolution=5, ball_count=5, eps=0.1,
+                delta=0.25, tail_window=horizon,
+            )
+            v = check_transitivity(F(fam), cfg)
+            assert not v.refuted, v.witness
 
 
 class TestWeakMixing:

@@ -56,6 +56,14 @@ def test_malformed_spec_is_config_error(tmp_path, capsys):
     assert main(["run", str(bad)]) == EXIT_CONFIG
 
 
+def test_misspelled_check_key_is_config_error(spec_file, capsys):
+    doc = json.loads(spec_file.read_text())
+    doc["check"]["tail_windw"] = doc["check"].pop("tail_window")
+    spec_file.write_text(json.dumps(doc))
+    assert main(["run", str(spec_file)]) == EXIT_CONFIG
+    assert "tail_windw" in capsys.readouterr().err
+
+
 def test_unknown_example_id(capsys):
     assert main(["reproduce", "not-a-scenario"]) == EXIT_CONFIG
 
