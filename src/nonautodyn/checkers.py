@@ -15,7 +15,6 @@ orbit to a computable arc). Pure absence of evidence yields Inconclusive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -34,15 +33,7 @@ from .descriptors import (
     pl_fixed_points,
 )
 from .family import MapFamily
-from .regions import (
-    ArcRegion,
-    Region,
-    ball_region,
-    family_supports_regions,
-    region_is_point,
-    region_midpoint,
-    step_region,
-)
+from .regions import RegionChains, ball_region, family_supports_regions, region_chains
 from .space import (
     TWO_PI,
     BinaryWord,
@@ -289,17 +280,6 @@ def _bin_orbit_ints(sys: SystemView, x: Point, horizon: int) -> tuple[np.ndarray
     return vals, deps
 
 
-def _region_chain(sys: SystemView, start: Region, horizon: int) -> list[Region] | None:
-    steps = sys.steps(horizon)
-    chain = [start]
-    for n in range(1, horizon + 1):
-        nxt = step_region(chain[-1], steps[n])
-        if nxt is None:
-            return None
-        chain.append(nxt)
-    return chain
-
-
 def _supports_regions(sys: SystemView, horizon: int) -> bool:
     if sys.space.kind is SpaceKind.BINARY_SEQ:
         return False
@@ -309,47 +289,12 @@ def _supports_regions(sys: SystemView, horizon: int) -> bool:
     return family_supports_regions(sys.space, probe)
 
 
-def _chain_arrays(chain: list[Region]) -> tuple[str, np.ndarray, np.ndarray]:
-    if isinstance(chain[0], ArcRegion):
-        return (
-            "arc",
-            np.array([r.start for r in chain]),
-            np.array([r.length for r in chain]),
-        )
-    return (
-        "interval",
-        np.array([r.lo for r in chain]),
-        np.array([r.hi for r in chain]),
-    )
-
-
-def _chain_point_distance(kind: str, a: np.ndarray, b: np.ndarray, v: float) -> np.ndarray:
-    """Vectorized distance from the point v to each region of a chain."""
-    if kind == "arc":
-        starts, lengths = a, b
-        z = np.mod(v - starts, TWO_PI)
-        inside = z <= lengths
-        to_start = np.minimum(z, TWO_PI - z)
-        w = np.mod(z - lengths, TWO_PI)
-        to_end = np.minimum(w, TWO_PI - w)
-        out = np.minimum(to_start, to_end)
-        out[inside] = 0.0
-        out[lengths >= TWO_PI] = 0.0
-        return out
-    los, his = a, b
-    return np.maximum(np.maximum(los - v, v - his), 0.0)
-
-
-def _chain_diameters(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if kind == "arc":
-        return np.minimum(b, math.pi)
-    return b - a
-
-
-def _chain_covering_defect(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if kind == "arc":
-        return np.where(b >= TWO_PI, 0.0, (TWO_PI - b) / 2.0)
-    return np.maximum(a, 1.0 - b)
+def _ball_chains(
+    sys: SystemView, balls: list[tuple[Point, float]], horizon: int
+) -> RegionChains | None:
+    """Region chains of the (center, radius) balls through steps 1..horizon."""
+    starts = [ball_region(sys.space, c, r) for c, r in balls]
+    return region_chains(starts, sys.steps(horizon)[1 : horizon + 1])
 
 
 def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
@@ -474,21 +419,17 @@ def _diam_series_for_balls(
 ):
     """Orbit-diameter series of each (center, radius) ball, in order.
 
-    Yields (series, chain): exact via region chains when possible, otherwise
-    from the sampled clouds of all remaining balls, swept together.
+    Yields (series, collapse): exact via region chains when possible, with
+    the ball's collapse step and point when it collapses; otherwise from the
+    sampled clouds of all balls, swept together, with collapse None.
     """
     N = cfg.horizon
-    if use_regions:
-        for i, (c, r) in enumerate(balls):
-            chain = _region_chain(sys, ball_region(sys.space, c, r), N)
-            if chain is None:
-                # a chain fails on a step map, never on its start region
-                balls = balls[i:]
-                break
-            kind, a, b = _chain_arrays(chain)
-            yield _chain_diameters(kind, a, b), chain
-        else:
-            return
+    chains = _ball_chains(sys, balls, N) if use_regions else None
+    if chains is not None:
+        diams = np.ascontiguousarray(chains.diameters().T)
+        for j in range(len(balls)):
+            yield diams[j], chains.collapse(j)
+        return
     clouds = [_ball_points(sys.space, c, r, cfg.ball_count) for c, r in balls]
     if sys.space.kind is SpaceKind.BINARY_SEQ:
         for pts in clouds:
@@ -506,37 +447,30 @@ def _diam_series_for_balls(
         yield _cloud_diam_series(sys.space.kind, orbits[:, idx]), None
 
 
-def _collapse_step(chain: list[Region]) -> int | None:
-    for n, r in enumerate(chain):
-        if region_is_point(r):
-            return n
-    return None
-
-
 def _sensitivity_scan(sys: SystemView, cfg: CheckConfig):
     """Shared sweep for the sensitivity checkers.
 
-    Yields (center, radius, diam_series, chain) over the grid and the radius
-    ladder.
+    Yields (center, radius, diam_series, collapse) over the grid and the
+    radius ladder.
     """
     use_regions = _supports_regions(sys, cfg.horizon)
     balls = [(c, r) for c in grid_points(sys.space, cfg) for r in _sens_rungs(sys.space, cfg)]
-    for (c, r), (series, chain) in zip(
+    for (c, r), (series, collapse) in zip(
         balls, _diam_series_for_balls(sys, balls, cfg, use_regions)
     ):
-        yield c, r, series, chain
+        yield c, r, series, collapse
 
 
 def _refute_ball(
     sys: SystemView, cfg: CheckConfig, center: Point, radius: float,
-    series: np.ndarray, chain: list[Region] | None, what: str
+    series: np.ndarray, collapse: tuple[int, Point] | None, what: str
 ) -> Verdict | None:
     """Symbolic refutation for a ball whose diameter never clears delta."""
     if float(np.max(series[1:])) > cfg.delta - cfg.tol:
         return None
-    if chain is not None:
-        step = _collapse_step(chain)
-        if step is not None and _constant_after_collapse(sys, chain, step, cfg.horizon):
+    if collapse is not None:
+        step, p = collapse
+        if _constant_after_collapse(sys, p, cfg.horizon):
             return V.refuted(
                 {
                     "ball_center": point_to_json(center),
@@ -559,19 +493,16 @@ def _refute_ball(
     return None
 
 
-def _constant_after_collapse(
-    sys: SystemView, chain: list[Region], step: int, horizon: int
-) -> bool:
-    """True when the collapsed point provably stays a point forever.
+def _constant_after_collapse(sys: SystemView, p: Point, horizon: int) -> bool:
+    """True when the point p a region chain collapsed to provably stays put.
 
     The chain already witnesses collapse up to the horizon; forever needs
-    every step after the horizon to be the limit map, and the collapsed point
-    to be a fixed point of the limit.
+    every step after the horizon to be the limit map, and p to be a fixed
+    point of the limit.
     """
     cutoff = sys.constant_tail_from()
     if cutoff is None or horizon < cutoff - 1:
         return False
-    p = region_midpoint(chain[-1])
     return apply(sys.fam.limit, p) == p
 
 
@@ -579,23 +510,23 @@ def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every grid point, every ladder radius: some time with ball diameter > delta."""
     cfg.validate(sys.space)
     times: list[dict] = []
-    failing: list[tuple[Point, float, np.ndarray, list[Region] | None]] = []
-    for c, r, series, chain in _sensitivity_scan(sys, cfg):
+    failing: list[tuple[Point, float, np.ndarray, tuple[int, Point] | None]] = []
+    for c, r, series, collapse in _sensitivity_scan(sys, cfg):
         hits = np.nonzero(series[1:] > cfg.delta)[0]
         if hits.size:
             times.append(
                 {"center": point_to_json(c), "radius": r, "separation_time": int(hits[0]) + 1}
             )
         else:
-            failing.append((c, r, series, chain))
+            failing.append((c, r, series, collapse))
     if not failing:
         worst = max(t["separation_time"] for t in times)
         return V.holds(
             {"separation_times": times, "max_separation_time": worst, "delta": cfg.delta},
             f"every sampled neighborhood reaches diameter {cfg.delta:g} by n={worst}",
         )
-    for c, r, series, chain in failing:
-        refutation = _refute_ball(sys, cfg, c, r, series, chain, "sensitivity")
+    for c, r, series, collapse in failing:
+        refutation = _refute_ball(sys, cfg, c, r, series, collapse, "sensitivity")
         if refutation is not None:
             return refutation
     c, r, series, _ = failing[0]
@@ -616,22 +547,22 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     cfg.validate(sys.space)
     N = cfg.horizon
     entries: list[dict] = []
-    failing: list[tuple[Point, float, np.ndarray, list[Region] | None]] = []
-    for c, r, series, chain in _sensitivity_scan(sys, cfg):
+    failing: list[tuple[Point, float, np.ndarray, tuple[int, Point] | None]] = []
+    for c, r, series, collapse in _sensitivity_scan(sys, cfg):
         below = np.nonzero(series <= cfg.delta)[0]
         K = int(below[-1]) + 1 if below.size else 1
         if K <= N // 2 and K <= N:
             entries.append({"center": point_to_json(c), "radius": r, "K": K})
         else:
-            failing.append((c, r, series, chain))
+            failing.append((c, r, series, collapse))
     if not failing:
         worst = max(e["K"] for e in entries)
         return V.holds(
             {"persistence_starts": entries, "max_K": worst, "delta": cfg.delta},
             f"every sampled ball stays spread past delta from K <= {worst}",
         )
-    for c, r, series, chain in failing:
-        refutation = _refute_ball(sys, cfg, c, r, series, chain, "cofinite sensitivity")
+    for c, r, series, collapse in failing:
+        refutation = _refute_ball(sys, cfg, c, r, series, collapse, "cofinite sensitivity")
         if refutation is not None:
             return refutation
     c, r, series, _ = failing[0]
@@ -650,7 +581,7 @@ class _HitData:
 
     centers: list[Point]
     hits: np.ndarray  # bool, shape (U, V, N+1)
-    chains: list[list[Region]] | None
+    chains: RegionChains | None
     radius: float
 
 
@@ -671,22 +602,12 @@ def _compute_hit_data(sys: SystemView, cfg: CheckConfig) -> _HitData:
     use_regions = _supports_regions(sys, N)
     hits = np.zeros((G, G, N + 1), dtype=bool)
 
-    if use_regions:
-        chains: list[list[Region]] | None = []
-        ok = True
-        for c in centers:
-            chain = _region_chain(sys, ball_region(space, c, cfg.eps), N)
-            if chain is None:
-                ok = False
-                break
-            chains.append(chain)
-        if ok:
-            for u, chain in enumerate(chains):
-                kind, a, b = _chain_arrays(chain)
-                for v, vc in enumerate(centers):
-                    d = _chain_point_distance(kind, a, b, _point_coord(vc))
-                    hits[u, v] = d < cfg.eps
-            return _HitData(centers, hits, chains, cfg.eps)
+    chains = _ball_chains(sys, [(c, cfg.eps) for c in centers], N) if use_regions else None
+    if chains is not None:
+        coords = _coords(centers, space.kind)
+        for u in range(G):
+            hits[u] = (chains.distances(u, coords) < cfg.eps).T
+        return _HitData(centers, hits, chains, cfg.eps)
 
     if space.kind is SpaceKind.BINARY_SEQ:
         enc_centers = [_bin_encode(c) for c in centers]
@@ -718,11 +639,10 @@ def _prove_pair_miss(
     """Proof that ball u can never meet the eps-ball around center v."""
     uc, vc = data.centers[u], data.centers[v]
     # collapse rule: the ball degenerates to an eventually fixed point
-    if data.chains is not None:
-        chain = data.chains[u]
-        step = _collapse_step(chain)
-        if step is not None and _constant_after_collapse(sys, chain, step, cfg.horizon):
-            p = region_midpoint(chain[-1])
+    collapse = data.chains.collapse(u) if data.chains is not None else None
+    if collapse is not None:
+        step, p = collapse
+        if _constant_after_collapse(sys, p, cfg.horizon):
             gap = distance(sys.space, p, vc)
             if gap >= cfg.eps:
                 return {
@@ -882,18 +802,9 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     conv_fail = None
     defects_final: list[float] = []
     if data.chains is not None:
-        for u, chain in enumerate(data.chains):
-            kind, a, b = _chain_arrays(chain)
-            defect = _chain_covering_defect(kind, a, b)
-            defects_final.append(float(defect[-1]))
-            bad = np.nonzero(defect >= cfg.eps)[0]
-            K = int(bad[-1]) + 1 if bad.size else 0
-            if K > N // 2:
-                convergence_ok = False
-                if conv_fail is None:
-                    conv_fail = u
-            conv_K = max(conv_K, K if K <= N // 2 else 0)
+        defects = np.ascontiguousarray(data.chains.covering_defects().T)
     else:
+        defects = []
         full = sample_grid(sys.space, cfg.grid_resolution)
         clouds = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in data.centers]
         if sys.space.kind is not SpaceKind.BINARY_SEQ:
@@ -919,14 +830,16 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
                         sys.space.kind, cloud[n][None, :], gcols[:, None]
                     )
                     defect[n] = float(d.min(axis=1).max())
-            defects_final.append(float(defect[-1]))
-            bad = np.nonzero(defect >= cfg.eps)[0]
-            K = int(bad[-1]) + 1 if bad.size else 0
-            if K > N // 2:
-                convergence_ok = False
-                if conv_fail is None:
-                    conv_fail = u
-            conv_K = max(conv_K, K if K <= N // 2 else 0)
+            defects.append(defect)
+    for u, defect in enumerate(defects):
+        defects_final.append(float(defect[-1]))
+        bad = np.nonzero(defect >= cfg.eps)[0]
+        K = int(bad[-1]) + 1 if bad.size else 0
+        if K > N // 2:
+            convergence_ok = False
+            if conv_fail is None:
+                conv_fail = u
+        conv_K = max(conv_K, K if K <= N // 2 else 0)
 
     tests = {
         "hit_persistence": {"passed": persistence_ok, "K": worst_K},
@@ -1283,36 +1196,42 @@ def _pair_stats(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> _TailS
     return _pair_tail_batch(_PairSweep(sys, [[x], [y]], cfg.horizon).series(0, 0, 1), cfg)[0]
 
 
+def _with_pair(v: Verdict, x: Point, y: Point) -> Verdict:
+    """A pair verdict with the pair (x, y) added to its witness."""
+    return Verdict(v.outcome, {"pair": [point_to_json(x), point_to_json(y)], **v.witness},
+                   v.narrative)
+
+
 def _proximal_decide(
     sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None
 ) -> Verdict:
-    pair = [point_to_json(x), point_to_json(y)]
+    """Proximality verdict on (x, y); its witness omits the pair until
+    _with_pair adds it, so verdicts that are dropped cost no serialization."""
     if x == y:
         return V.holds(
-            {"pair": pair, "tail_min": 0.0, "time": cfg.horizon},
+            {"tail_min": 0.0, "time": cfg.horizon},
             "identical points stay at distance zero",
         )
     if sys.steps_isometric:
         d0 = distance(sys.space, x, y)
         if d0 >= cfg.eps:
             return V.refuted(
-                {"pair": pair, "distance": d0, "rule": "isometric-steps"},
+                {"distance": d0, "rule": "isometric-steps"},
                 "isometric steps keep the pair distance constant, never below eps",
             )
         return V.holds(
-            {"pair": pair, "tail_min": d0, "time": cfg.horizon},
+            {"tail_min": d0, "time": cfg.horizon},
             "isometric steps keep the pair closer than eps forever",
         )
     if stats is None:
         stats = _pair_stats(sys, x, y, cfg)
     if stats.tail_min < cfg.eps:
         return V.holds(
-            {"pair": pair, "tail_min": stats.tail_min, "time": stats.min_time},
+            {"tail_min": stats.tail_min, "time": stats.min_time},
             f"pair distance falls to {stats.tail_min:.3g} inside the tail window",
         )
     return V.inconclusive(
         {
-            "pair": pair,
             "tail_min": stats.tail_min,
             "overall_min": stats.overall_min,
             "horizon": cfg.horizon,
@@ -1324,22 +1243,21 @@ def _proximal_decide(
 def _li_yorke_decide(
     sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None
 ) -> Verdict:
-    pair = [point_to_json(x), point_to_json(y)]
+    """Li-Yorke verdict on (x, y); like _proximal_decide, without the pair."""
     if x == y:
         return V.refuted(
-            {"pair": pair, "tail_max": 0.0},
+            {"tail_max": 0.0},
             "identical points have zero spread forever",
         )
     if sys.steps_isometric:
         d0 = distance(sys.space, x, y)
         return V.refuted(
-            {"pair": pair, "distance": d0, "rule": "isometric-steps"},
+            {"distance": d0, "rule": "isometric-steps"},
             "a constant pair distance cannot both vanish and exceed delta",
         )
     if stats is None:
         stats = _pair_stats(sys, x, y, cfg)
     parts = {
-        "pair": pair,
         "tail_min": stats.tail_min,
         "tail_max": stats.tail_max,
         "eps": cfg.eps,
@@ -1356,13 +1274,13 @@ def _li_yorke_decide(
 def proximal_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
     """Tail-window minimum of the pair distance as a liminf proxy."""
     cfg.validate(sys.space)
-    return _proximal_decide(sys, x, y, cfg, None)
+    return _with_pair(_proximal_decide(sys, x, y, cfg, None), x, y)
 
 
 def li_yorke_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
     """Tail min below eps and tail max above delta, components reported."""
     cfg.validate(sys.space)
-    return _li_yorke_decide(sys, x, y, cfg, None)
+    return _with_pair(_li_yorke_decide(sys, x, y, cfg, None), x, y)
 
 
 class PairPredicate(str, Enum):
@@ -1396,8 +1314,8 @@ def _cell_density(
 ) -> Verdict:
     """Cell density of x, point i of the sweep's first group; pool k is group k + 1."""
     decide = _proximal_decide if predicate is PairPredicate.PROXIMAL else _li_yorke_decide
-    found: list[dict] = []
-    unfilled: list[tuple[Point, Verdict | None]] = []
+    found: list[tuple[Point, Point]] = []
+    unfilled: list[tuple[Point, Verdict | None, Point | None]] = []
     for k, (c, pool) in enumerate(zip(centers, pools)):
         if sweep is None:
             stats = [None] * len(pool)
@@ -1415,29 +1333,31 @@ def _cell_density(
             if best is None or (v.refuted and not best.refuted):
                 best, partner = v, y
         if best is not None and best.holds:
-            found.append({"center": point_to_json(c), "partner": point_to_json(partner)})
+            found.append((c, partner))
         else:
-            unfilled.append((c, best))
+            unfilled.append((c, best, partner))
     if not unfilled:
+        witnesses = [
+            {"center": point_to_json(c), "partner": point_to_json(y)} for c, y in found[:8]
+        ]
         return V.holds(
-            {"balls": len(centers), "witnesses": found[:8], "predicate": predicate.value},
+            {"balls": len(centers), "witnesses": witnesses, "predicate": predicate.value},
             f"every {cfg.eps:g}-ball contains a {predicate.value} partner",
         )
-    refutations = [(c, v) for c, v in unfilled if v is not None and v.refuted]
+    refutations = [(c, v, y) for c, v, y in unfilled if v is not None and v.refuted]
     if sys.steps_isometric and len(refutations) == len(unfilled):
-        c, v = refutations[0]
+        c, v, y = refutations[0]
         return V.refuted(
             {
                 "ball_center": point_to_json(c),
-                "sample_verdict": v.to_json(),
+                "sample_verdict": _with_pair(v, x, y).to_json(),
                 "predicate": predicate.value,
             },
             "isometric steps exclude such partners in some balls",
         )
-    c, v = unfilled[0]
     return V.inconclusive(
         {
-            "unfilled_balls": [point_to_json(c) for c, _ in unfilled[:8]],
+            "unfilled_balls": [point_to_json(c) for c, _, _ in unfilled[:8]],
             "unfilled_count": len(unfilled),
             "predicate": predicate.value,
         },

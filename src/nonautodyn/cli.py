@@ -7,7 +7,8 @@ Subcommands:
   bound <spec.json> --n --k deviation and window-bound checks
   check <prop> <spec.json>  run one property in both modes
 
-Exit codes: 0 completed, 2 inconsistency detected, 3 config error.
+Exit codes: 0 completed, 2 inconsistency detected, 3 config error,
+4 a checker failed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .space import SpaceError
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
 EXIT_CONFIG = 3
+EXIT_CHECKER_FAILED = 4
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
@@ -71,6 +73,12 @@ def _emit_report(report: ComparisonReport, spec: ScenarioSpec) -> None:
     for fmt in spec.formats:
         for p in emit(report, fmt, out_dir):
             print(f"wrote {p}")
+
+
+def _exit_code(report: ComparisonReport) -> int:
+    if report.any_checker_failed:
+        return EXIT_CHECKER_FAILED
+    return EXIT_INCONSISTENT if report.any_inconsistent else EXIT_OK
 
 
 def _print_rows(report: ComparisonReport) -> None:
@@ -112,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _print_rows(report)
     if spec.output_dir or args.out:
         _emit_report(report, spec)
-    return EXIT_INCONSISTENT if report.any_inconsistent else EXIT_OK
+    return _exit_code(report)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -122,7 +130,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     _print_rows(report)
     if args.out:
         _emit_report(report, spec)
-    return EXIT_INCONSISTENT if report.any_inconsistent else EXIT_OK
+    return _exit_code(report)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -165,7 +173,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ):
         print(json.dumps(verdict_record(row.property, mode, spec.check, verdict),
                          sort_keys=True))
-    return EXIT_INCONSISTENT if report.any_inconsistent else EXIT_OK
+    return _exit_code(report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -372,13 +372,43 @@ def zero_slope_pieces(pl: PiecewiseLinear) -> list[tuple[float, float]]:
     return flat
 
 
+def _pl_eval_batch(pl: PiecewiseLinear, x: np.ndarray) -> np.ndarray:
+    """_pl_eval on an array, with the same formula and branches, so every
+    value is bit-identical (np.interp rounds differently)."""
+    xs, ys = pl._xs_array, pl._ys_array
+    i = np.searchsorted(xs, x, side="right") - 1
+    j = np.minimum(i, len(xs) - 2)
+    x0, y0 = xs[j], ys[j]
+    out = np.where(x == x0, y0, y0 + (ys[j + 1] - y0) * (x - x0) / (xs[j + 1] - x0))
+    return np.where(i >= len(xs) - 1, ys[-1], out)
+
+
+def _first_equal(vals: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row, the first entry equal to target: Python's min and max keep
+    the first of tied values, which decides the sign of a zero."""
+    first = np.argmax(vals == target[:, None], axis=1)
+    return np.take_along_axis(vals, first[:, None], axis=1)[:, 0]
+
+
+def pl_image_batch(
+    pl: PiecewiseLinear, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact image intervals of [lo[i], hi[i]] under a continuous PL map.
+
+    Each image spans the values at both ends and at the breakpoints strictly
+    inside.
+    """
+    ends = _pl_eval_batch(pl, np.stack([lo, hi], axis=1))
+    inside = (lo[:, None] < pl._xs_array) & (pl._xs_array < hi[:, None])
+    lows = np.concatenate([ends, np.where(inside, pl._ys_array, np.inf)], axis=1)
+    highs = np.concatenate([ends, np.where(inside, pl._ys_array, -np.inf)], axis=1)
+    return _first_equal(lows, lows.min(axis=1)), _first_equal(highs, highs.max(axis=1))
+
+
 def pl_image(pl: PiecewiseLinear, lo: float, hi: float) -> tuple[float, float]:
     """Exact image interval of [lo, hi] under a continuous PL map."""
-    vals = [_pl_eval(pl, lo), _pl_eval(pl, hi)]
-    for x, y in pl.breakpoints:
-        if lo < x < hi:
-            vals.append(y)
-    return (min(vals), max(vals))
+    lows, highs = pl_image_batch(pl, np.array([lo]), np.array([hi]))
+    return (float(lows[0]), float(highs[0]))
 
 
 def pl_fixed_points(pl: PiecewiseLinear) -> list[float]:

@@ -6,6 +6,8 @@ interval maps) sends such a region to another one that this module computes
 in closed form. Checkers use these exact images instead of sampled point
 clouds whenever the family supports it: a collapsed region (zero width) is a
 proof of collapse, and a region covering the space is a proof of a hit.
+`region_chains` steps many regions at once, as arrays; the one-region
+functions here wrap it.
 
 Binary-sequence maps are not covered; callers fall back to sampling there.
 """
@@ -14,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from .descriptors import (
     MapDescriptor,
     as_piecewise_linear,
     circle_canonical,
-    pl_image,
+    pl_image_batch,
 )
 from .space import (
     TWO_PI,
@@ -30,7 +34,6 @@ from .space import (
     Point,
     SpaceError,
     SpaceKind,
-    circle_distance,
     reduce_angle,
 )
 
@@ -80,68 +83,131 @@ def ball_region(space: PhaseSpace, center: Point, radius: float) -> Region:
     raise SpaceError("regions are defined on continuum spaces only")
 
 
+@dataclass(frozen=True)
+class RegionChains:
+    """Forward images of B start regions through N steps, as arrays.
+
+    Row n holds the images under steps 1..n and column j the chain of start
+    region j: arc starts and lengths, or interval lows and highs, each of
+    shape (N+1, B).
+    """
+
+    kind: str  # "arc" or "interval"
+    a: np.ndarray
+    b: np.ndarray
+
+    def diameters(self) -> np.ndarray:
+        if self.kind == "arc":
+            return np.minimum(self.b, math.pi)
+        return self.b - self.a
+
+    def covering_defects(self) -> np.ndarray:
+        """sup over the space of the distance to each region."""
+        if self.kind == "arc":
+            return np.where(self.b >= TWO_PI, 0.0, (TWO_PI - self.b) / 2.0)
+        return np.maximum(self.a, 1.0 - self.b)
+
+    def distances(self, j: int, coords: np.ndarray) -> np.ndarray:
+        """Distance from each point coordinate to each region of chain j,
+        shape (N+1, len(coords)); 0 where contained."""
+        a, b = self.a[:, j, None], self.b[:, j, None]
+        if self.kind == "arc":
+            z = np.mod(coords - a, TWO_PI)
+            w = np.mod(z - b, TWO_PI)
+            out = np.minimum(np.minimum(z, TWO_PI - z), np.minimum(w, TWO_PI - w))
+            return np.where((z <= b) | (b >= TWO_PI), 0.0, out)
+        return np.maximum(np.maximum(a - coords, coords - b), 0.0)
+
+    def midpoint(self, j: int) -> Point:
+        """Midpoint of the last region of chain j."""
+        a, b = float(self.a[-1, j]), float(self.b[-1, j])
+        return CircleAngle(a + b / 2.0) if self.kind == "arc" else IntervalPoint((a + b) / 2.0)
+
+    def collapse(self, j: int) -> tuple[int, Point] | None:
+        """First step at which chain j is a single point, with the midpoint
+        of its last region; None when it never collapses."""
+        a, b = self.a[:, j], self.b[:, j]
+        points = np.flatnonzero((b if self.kind == "arc" else b - a) == 0.0)
+        return (int(points[0]), self.midpoint(j)) if points.size else None
+
+
+def _step_arcs(
+    slope: int, offset: float, start: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arc images under theta -> slope*theta + offset, reduced as reduce_angle
+    does. Full arcs keep their start; their length stays 2pi since slope >= 1."""
+    r = np.fmod(float(slope) * start + offset, TWO_PI)
+    np.add(r, TWO_PI, out=r, where=r < 0.0)
+    np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
+    return np.where(length >= TWO_PI, start, r), np.minimum(float(slope) * length, TWO_PI)
+
+
+def region_chains(
+    starts: list[Region], steps: Sequence[MapDescriptor]
+) -> RegionChains | None:
+    """Exact images of every start region under steps[0], then steps[1], ...
+
+    Each step is flattened once for all regions. Returns None at the first
+    step without an exact image; that depends on the step alone, never on
+    the regions. The starts are all arcs or all intervals.
+    """
+    arcs = isinstance(starts[0], ArcRegion)
+    a = np.empty((len(steps) + 1, len(starts)))
+    b = np.empty_like(a)
+    if arcs:
+        a[0], b[0] = [r.start for r in starts], [r.length for r in starts]
+    else:
+        a[0], b[0] = [r.lo for r in starts], [r.hi for r in starts]
+    prev = flat = None
+    for n, m in enumerate(steps, 1):
+        if m is not prev:
+            prev, flat = m, circle_canonical(m) if arcs else as_piecewise_linear(m)
+        if flat is None:
+            return None
+        if arcs:
+            a[n], b[n] = _step_arcs(*flat, a[n - 1], b[n - 1])
+        else:
+            a[n], b[n] = pl_image_batch(flat, a[n - 1], b[n - 1])
+            # the check IntervalRegion makes; rounding could leave [0, 1]
+            if a[n].min() < 0.0 or b[n].max() > 1.0:
+                raise SpaceError(f"bad interval regions {a[n]}, {b[n]} at step {n}")
+    return RegionChains("arc" if arcs else "interval", a, b)
+
+
 def step_region(region: Region, m: MapDescriptor) -> Region | None:
     """Exact image of the region under one map, or None when unsupported."""
-    if isinstance(region, ArcRegion):
-        canon = circle_canonical(m)
-        if canon is None:
-            return None
-        slope, offset = canon
-        if region.full:
-            return region
-        return ArcRegion(slope * region.start + offset, slope * region.length)
-    pl = as_piecewise_linear(m)
-    if pl is None:
+    chains = region_chains([region], [m])
+    if chains is None:
         return None
-    lo, hi = pl_image(pl, region.lo, region.hi)
-    return IntervalRegion(lo, hi)
+    a, b = float(chains.a[1, 0]), float(chains.b[1, 0])
+    return ArcRegion(a, b) if chains.kind == "arc" else IntervalRegion(a, b)
 
 
-def region_width(region: Region) -> float:
-    if isinstance(region, ArcRegion):
-        return region.length
-    return region.hi - region.lo
+def _as_chain(region: Region) -> RegionChains:
+    """The region alone, as a chain through no steps."""
+    return region_chains([region], [])
 
 
 def region_diameter(region: Region) -> float:
     """Largest pairwise distance between points of the region."""
-    if isinstance(region, ArcRegion):
-        return min(region.length, math.pi)
-    return region.hi - region.lo
+    return float(_as_chain(region).diameters()[0, 0])
 
 
 def region_is_point(region: Region) -> bool:
-    return region_width(region) == 0.0
-
-
-def region_covers_space(region: Region) -> bool:
-    if isinstance(region, ArcRegion):
-        return region.full
-    return region.lo == 0.0 and region.hi == 1.0
+    return _as_chain(region).collapse(0) is not None
 
 
 def region_contains(region: Region, p: Point) -> bool:
-    if isinstance(region, ArcRegion):
-        if not isinstance(p, CircleAngle):
-            raise SpaceError("arc region probed with a non-circle point")
-        if region.full:
-            return True
-        return reduce_angle(p.theta - region.start) <= region.length
-    if not isinstance(p, IntervalPoint):
-        raise SpaceError("interval region probed with a non-interval point")
-    return region.lo <= p.x <= region.hi
+    return region_distance(region, p) == 0.0
 
 
 def region_distance(region: Region, p: Point) -> float:
     """Distance from a point to the region (0 when contained)."""
-    if region_contains(region, p):
-        return 0.0
-    if isinstance(region, ArcRegion):
-        end = reduce_angle(region.start + region.length)
-        return min(circle_distance(p.theta, region.start), circle_distance(p.theta, end))
-    if p.x < region.lo:
-        return region.lo - p.x
-    return p.x - region.hi
+    want = CircleAngle if isinstance(region, ArcRegion) else IntervalPoint
+    if not isinstance(p, want):
+        raise SpaceError(f"{type(region).__name__} probed with a {type(p).__name__}")
+    coord = p.theta if want is CircleAngle else p.x
+    return float(_as_chain(region).distances(0, np.array([coord]))[0, 0])
 
 
 def region_covering_defect(region: Region) -> float:
@@ -150,23 +216,11 @@ def region_covering_defect(region: Region) -> float:
     This is the Hausdorff distance between the region and the whole space,
     since the region is a subset.
     """
-    if isinstance(region, ArcRegion):
-        if region.full:
-            return 0.0
-        return (TWO_PI - region.length) / 2.0
-    return max(region.lo, 1.0 - region.hi)
+    return float(_as_chain(region).covering_defects()[0, 0])
 
 
 def region_midpoint(region: Region) -> Point:
-    if isinstance(region, ArcRegion):
-        return CircleAngle(region.start + region.length / 2.0)
-    return IntervalPoint((region.lo + region.hi) / 2.0)
-
-
-def region_to_json(region: Region) -> dict:
-    if isinstance(region, ArcRegion):
-        return {"kind": "arc", "start": region.start, "length": region.length}
-    return {"kind": "interval", "lo": region.lo, "hi": region.hi}
+    return _as_chain(region).midpoint(0)
 
 
 def family_supports_regions(space: PhaseSpace, probe: list[MapDescriptor]) -> bool:

@@ -365,6 +365,11 @@ class ComparisonReport:
     def any_inconsistent(self) -> bool:
         return any(not r.consistent for r in self.rows)
 
+    @property
+    def any_checker_failed(self) -> bool:
+        verdicts = [v for r in self.rows for v in (r.verdict_nonautonomous, r.verdict_limit)]
+        return any("error" in v.witness for v in verdicts)
+
     def to_json(self) -> dict:
         return _jsonable(
             {
@@ -406,6 +411,9 @@ def _applicable(rule: PropertyRule, profile: HypothesisProfile) -> tuple[bool, s
 
 
 def _consistent(rule: PropertyRule, vF: Verdict, vf: Verdict, applicable: bool) -> tuple[bool, str]:
+    errors = [v.witness["error"] for v in (vF, vf) if "error" in v.witness]
+    if errors:
+        return False, f"a checker failed: {errors[0]}"
     if not applicable:
         return True, "rule not applicable; no constraint"
     if vF.inconclusive or vf.inconclusive:

@@ -1,10 +1,18 @@
 """CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from nonautodyn.cli import EXIT_CONFIG, EXIT_INCONSISTENT, EXIT_OK, main
+from nonautodyn import report
+from nonautodyn.cli import (
+    EXIT_CHECKER_FAILED,
+    EXIT_CONFIG,
+    EXIT_INCONSISTENT,
+    EXIT_OK,
+    main,
+)
 
 
 @pytest.fixture
@@ -111,3 +119,23 @@ def test_inconsistency_exit_code():
     )
     assert not row.consistent
     assert EXIT_INCONSISTENT == 2
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_crashed_checker_exits_4(spec_file, monkeypatch, capsys, command):
+    def boom(sys, cfg):
+        raise RuntimeError("boom")
+
+    rule = report.PROPERTY_BY_NAME["sensitivity"]
+    monkeypatch.setitem(
+        report.PROPERTY_BY_NAME, "sensitivity", dataclasses.replace(rule, runner=boom)
+    )
+    argv = ["run", str(spec_file)] if command == "run" else ["check", "sensitivity", str(spec_file)]
+    assert main(argv) == EXIT_CHECKER_FAILED
+    assert "[XXX] sensitivity" in capsys.readouterr().out
+
+    spec = report.ScenarioSpec.from_json(json.loads(spec_file.read_text()))
+    row = report.run_comparison(spec).rows[0]
+    assert row.verdict_nonautonomous.witness == {"error": "RuntimeError: boom"}
+    assert not row.consistent
+    assert "a checker failed" in row.note
