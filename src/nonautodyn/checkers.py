@@ -23,6 +23,7 @@ import numpy as np
 from . import verdict as V
 from .descriptors import (
     MapDescriptor,
+    OdometerAdd,
     PiecewiseLinear,
     Rotation,
     apply,
@@ -39,16 +40,18 @@ from .space import (
     BinaryWord,
     CircleAngle,
     IntervalPoint,
+    MAX_WORD_BITS,
     PhaseSpace,
     Point,
     SpaceError,
     SpaceKind,
     ball_sample,
+    coord_distances,
+    coord_point,
     distance,
-    encode_word,
+    point_coords,
     point_to_json,
     sample_grid,
-    word_distance_batch,
 )
 from .verdict import Verdict
 
@@ -113,8 +116,6 @@ class SystemView:
     def steps_isometric(self) -> bool:
         """Every step map is known to be an isometry (symbolic knowledge)."""
         if self.mode is Mode.AUTONOMOUS_LIMIT:
-            from .descriptors import OdometerAdd
-
             return isinstance(self.fam.limit, (Rotation, OdometerAdd))
         return self.fam.steps_isometric
 
@@ -167,6 +168,11 @@ class CheckConfig:
             )
         if not (0 < self.tail_window <= self.horizon):
             raise SpaceError("tail window must lie within the horizon")
+        if space.kind is SpaceKind.BINARY_SEQ and space.word_length > MAX_WORD_BITS:
+            raise SpaceError(
+                f"word_length={space.word_length} exceeds the {MAX_WORD_BITS} coordinates "
+                "a packed word holds"
+            )
         if space.kind is SpaceKind.BINARY_SEQ and 1.0 / self.eps >= space.word_length:
             raise SpaceError(
                 f"eps={self.eps} needs words longer than {1.0 / self.eps:.0f}, "
@@ -212,24 +218,12 @@ def grid_points(space: PhaseSpace, cfg: CheckConfig) -> list[Point]:
     return pts
 
 
-def _coords(points: list[Point], kind: SpaceKind) -> np.ndarray:
-    if kind is SpaceKind.CIRCLE:
-        return np.array([p.theta for p in points], dtype=float)
-    return np.array([p.x for p in points], dtype=float)
-
-
-def _dist_arrays(kind: SpaceKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b)
-    if kind is SpaceKind.CIRCLE:
-        return np.minimum(d, TWO_PI - d)
-    return d
-
-
 def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int) -> np.ndarray:
-    """Vectorized orbit sweep on coordinate arrays, shape (horizon+1, len)."""
+    """Vectorized orbit sweep of a coordinate array (``space.point_coords``),
+    shape (horizon+1, len)."""
     kind = sys.space.kind
     steps = sys.steps(horizon)
-    rows = np.empty((horizon + 1, coords.shape[0]), dtype=float)
+    rows = np.empty((horizon + 1, coords.shape[0]), dtype=coords.dtype)
     rows[0] = coords
     for n in range(1, horizon + 1):
         rows[n] = apply_batch(steps[n], rows[n - 1], kind)
@@ -242,13 +236,13 @@ def _sweep_groups(
     """One orbit sweep over the distinct start points of several groups.
 
     Returns the orbit matrix and, for each group, the column of each of its
-    points. Starts are deduplicated by their exact float bits, so 0.0 and
-    -0.0 keep separate columns. Element-wise maps make every column
-    bit-identical to a sweep of that start alone.
+    points. Starts are deduplicated by their exact bytes, so 0.0 and -0.0
+    keep separate columns. Element-wise maps make every column bit-identical
+    to a sweep of that start alone.
     """
-    coords = _coords([p for g in groups for p in g], sys.space.kind)
+    coords = point_coords([p for g in groups for p in g], sys.space.kind)
     _, first, inverse = np.unique(
-        coords.view(np.int64), return_index=True, return_inverse=True
+        coords.view(f"V{coords.dtype.itemsize}"), return_index=True, return_inverse=True
     )
     orbits = orbit_matrix(sys, coords[first], horizon)
     inverse = inverse.reshape(-1)
@@ -259,30 +253,7 @@ def _sweep_groups(
     return orbits, cols
 
 
-# All binary-space thresholds used by checkers sit far above the 1/12
-# resolution floor of the shared integer word frame (see space.encode_word).
-_bin_encode = encode_word
-_bin_series_ints = word_distance_batch
-
-
-def _bin_orbit_ints(sys: SystemView, x: Point, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit encoded as (frame values, trusted depths), cached per system."""
-    key = ("orbit_ints", x, horizon)
-    hit = sys._cache.get(key)
-    if hit is not None:
-        return hit
-    orb = sys.orbit(x, horizon)
-    vals = np.empty(horizon + 1, dtype=np.int64)
-    deps = np.empty(horizon + 1, dtype=np.int64)
-    for n, w in enumerate(orb):
-        vals[n], deps[n] = _bin_encode(w)
-    sys._cache[key] = (vals, deps)
-    return vals, deps
-
-
 def _supports_regions(sys: SystemView, horizon: int) -> bool:
-    if sys.space.kind is SpaceKind.BINARY_SEQ:
-        return False
     cutoff = sys.constant_tail_from()
     depth = min(horizon, 64) if cutoff is None else min(horizon, cutoff)
     probe = sys.steps(depth)[1 : depth + 1] + [sys.fam.limit]
@@ -303,7 +274,7 @@ def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
     out = np.zeros(orbits.shape[0])
     for i in range(n_cols):
         for j in range(i + 1, n_cols):
-            out = np.maximum(out, _dist_arrays(kind, orbits[:, i], orbits[:, j]))
+            out = np.maximum(out, coord_distances(kind, orbits[:, i], orbits[:, j]))
     return out
 
 
@@ -374,19 +345,10 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             for c in centers
             if (partners := [p for p in _ball_points(space, c, rung, cfg.ball_count) if p != c])
         ]
-        if space.kind is SpaceKind.BINARY_SEQ:
-            for c, *partners in groups:
-                cv, cd = _bin_orbit_ints(sys, c, N)
-                for p in partners:
-                    pv, pdep = _bin_orbit_ints(sys, p, N)
-                    series = _bin_series_ints(cv, cd, pv, pdep)
-                    t = int(np.argmax(series))
-                    if series[t] > worst_sep:
-                        worst_sep, worst_pair = float(series[t]), (c, p, t)
-        elif groups:
+        if groups:
             orbits, cols = _sweep_groups(sys, groups, N)
             for (c, *partners), idx in zip(groups, cols):
-                seps = _dist_arrays(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
+                seps = coord_distances(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
                 flat = int(np.argmax(seps))
                 t, j = divmod(flat, seps.shape[1])
                 if seps[t, j] > worst_sep:
@@ -431,17 +393,6 @@ def _diam_series_for_balls(
             yield diams[j], chains.collapse(j)
         return
     clouds = [_ball_points(sys.space, c, r, cfg.ball_count) for c, r in balls]
-    if sys.space.kind is SpaceKind.BINARY_SEQ:
-        for pts in clouds:
-            encoded = [_bin_orbit_ints(sys, p, N) for p in pts]
-            out = np.zeros(N + 1)
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    out = np.maximum(
-                        out, _bin_series_ints(*encoded[i], *encoded[j])
-                    )
-            yield out, None
-        return
     orbits, cols = _sweep_groups(sys, clouds, N)
     for idx in cols:
         yield _cloud_diam_series(sys.space.kind, orbits[:, idx]), None
@@ -602,34 +553,18 @@ def _compute_hit_data(sys: SystemView, cfg: CheckConfig) -> _HitData:
     use_regions = _supports_regions(sys, N)
     hits = np.zeros((G, G, N + 1), dtype=bool)
 
+    coords = point_coords(centers, space.kind)
     chains = _ball_chains(sys, [(c, cfg.eps) for c in centers], N) if use_regions else None
     if chains is not None:
-        coords = _coords(centers, space.kind)
         for u in range(G):
             hits[u] = (chains.distances(u, coords) < cfg.eps).T
         return _HitData(centers, hits, chains, cfg.eps)
 
-    if space.kind is SpaceKind.BINARY_SEQ:
-        enc_centers = [_bin_encode(c) for c in centers]
-        for u, c in enumerate(centers):
-            pts = _ball_points(space, c, cfg.eps, cfg.ball_count)
-            encoded = [_bin_orbit_ints(sys, p, N) for p in pts]
-            for v, (vv, vd) in enumerate(enc_centers):
-                col = np.full(N + 1, np.inf)
-                for ov, od in encoded:
-                    col = np.minimum(
-                        col, _bin_series_ints(ov, od, np.int64(vv), np.int64(vd))
-                    )
-                hits[u, v] = col < cfg.eps
-        return _HitData(centers, hits, None, cfg.eps)
-
     clouds = [_ball_points(space, c, cfg.eps, cfg.ball_count) for c in centers]
     orbits, cols = _sweep_groups(sys, clouds, N)
     for u, idx in enumerate(cols):
-        cloud = orbits[:, idx]
-        for v, vc in enumerate(centers):
-            d = _dist_arrays(space.kind, cloud, np.full(1, _point_coord(vc)))
-            hits[u, v] = d.min(axis=1) < cfg.eps
+        d = coord_distances(space.kind, orbits[:, idx, None], coords)
+        hits[u] = (d.min(axis=1) < cfg.eps).T
     return _HitData(centers, hits, None, cfg.eps)
 
 
@@ -657,7 +592,7 @@ def _prove_pair_miss(
         disp, tail = conf
         need = cfg.eps + data.radius + cfg.tol
         base = _point_coord(vc) - _point_coord(uc)
-        gaps = _dist_arrays(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
+        gaps = coord_distances(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
         future = max(0.0, float(gaps[-1]) - tail)
         if float(gaps.min()) >= need and future >= need:
             return {
@@ -757,9 +692,8 @@ def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, data: _HitData
     centers = data.centers
     G = len(centers)
     slack = 2.0 * (cfg.eps + data.radius) + cfg.tol
-    dmat = np.array(
-        [[distance(sys.space, centers[i], centers[j]) for j in range(G)] for i in range(G)]
-    )
+    coords = point_coords(centers, sys.space.kind)
+    dmat = coord_distances(sys.space.kind, coords[:, None], coords)
     hi = int(np.argmax(dmat))
     u1, u2 = divmod(hi, G)
     if dmat[u1, u2] - 0.0 <= slack:  # targets at spacing 0: v1 = v2
@@ -804,33 +738,16 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     if data.chains is not None:
         defects = np.ascontiguousarray(data.chains.covering_defects().T)
     else:
-        defects = []
-        full = sample_grid(sys.space, cfg.grid_resolution)
+        full = point_coords(sample_grid(sys.space, cfg.grid_resolution), sys.space.kind)
         clouds = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in data.centers]
-        if sys.space.kind is not SpaceKind.BINARY_SEQ:
-            orbits, cols = _sweep_groups(sys, clouds, N)
-            gcols = _coords(list(full), sys.space.kind)
-        for u, pts in enumerate(clouds):
-            if sys.space.kind is SpaceKind.BINARY_SEQ:
-                encoded = [_bin_orbit_ints(sys, p, N) for p in pts]
-                defect = np.zeros(N + 1)
-                for g in full:
-                    gv, gd = _bin_encode(g)
-                    best = np.full(N + 1, np.inf)
-                    for ov, od in encoded:
-                        best = np.minimum(
-                            best, _bin_series_ints(ov, od, np.int64(gv), np.int64(gd))
-                        )
-                    defect = np.maximum(defect, best)
-            else:
-                cloud = orbits[:, cols[u]]
-                defect = np.empty(N + 1)
-                for n in range(N + 1):
-                    d = _dist_arrays(
-                        sys.space.kind, cloud[n][None, :], gcols[:, None]
-                    )
-                    defect[n] = float(d.min(axis=1).max())
-            defects.append(defect)
+        orbits, cols = _sweep_groups(sys, clouds, N)
+        # per time row: the grid point farthest from its nearest cloud point
+        defects = [
+            coord_distances(sys.space.kind, orbits[:, None, idx], full[:, None])
+            .min(axis=2)
+            .max(axis=1)
+            for idx in cols
+        ]
     for u, defect in enumerate(defects):
         defects_final.append(float(defect[-1]))
         bad = np.nonzero(defect >= cfg.eps)[0]
@@ -888,35 +805,17 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
     starts = grid_points(space, cfg)
     targets = list(sample_grid(space, cfg.grid_resolution))
 
-    uncovered: list[tuple[Point, Point]] = []
+    uncovered: list[tuple[int, Point]] = []
     visit_times: list[int] = []
-    orbits_by_start: dict[int, list[Point] | np.ndarray] = {}
-    if space.kind is SpaceKind.BINARY_SEQ:
-        enc_targets = [_bin_encode(t) for t in targets]
-        for i, x in enumerate(starts):
-            orbits_by_start[i] = sys.orbit(x, N)
-            ov, od = _bin_orbit_ints(sys, x, N)
-            for t, (tv, td) in zip(targets, enc_targets):
-                series = _bin_series_ints(ov, od, np.int64(tv), np.int64(td))
-                hit = np.nonzero(series <= cfg.eps)[0]
-                if hit.size:
-                    visit_times.append(int(hit[0]))
-                else:
-                    uncovered.append((x, t))
-    else:
-        cols = _coords(starts, space.kind)
-        orbits = orbit_matrix(sys, cols, N)
-        tcols = _coords(targets, space.kind)
-        for i, x in enumerate(starts):
-            orbits_by_start[i] = orbits[:, i]
-            d = _dist_arrays(space.kind, orbits[:, i][:, None], tcols[None, :])
-            ok = d <= cfg.eps
-            any_ok = ok.any(axis=0)
-            if any_ok.all():
-                visit_times.append(int(ok.argmax(axis=0).max()))
-            else:
-                j = int(np.argmin(any_ok))
-                uncovered.append((x, targets[j]))
+    orbits = orbit_matrix(sys, point_coords(starts, space.kind), N)
+    tcols = point_coords(targets, space.kind)
+    for i in range(len(starts)):
+        ok = coord_distances(space.kind, orbits[:, i, None], tcols) <= cfg.eps
+        any_ok = ok.any(axis=0)
+        if any_ok.all():
+            visit_times.append(int(ok.argmax(axis=0).max()))
+        else:
+            uncovered.append((i, targets[int(np.argmin(any_ok))]))
 
     if not uncovered:
         worst = max(visit_times)
@@ -927,32 +826,22 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
     # symbolic refutations
     cutoff = sys.constant_tail_from()
-    for x, t in uncovered:
-        i = starts.index(x)
-        orb = orbits_by_start[i]
+    for i, t in uncovered:
+        x, orb = starts[i], orbits[:, i]
         # eventually-fixed orbit: once the step maps are the constant limit,
         # an orbit that lands on a fixed point of the limit stays there forever
         if cutoff is not None:
             stuck_at = None
             for m in range(max(0, cutoff - 1), N + 1):
-                if space.kind is SpaceKind.BINARY_SEQ:
-                    p = orb[m]
-                else:
-                    coord = float(orb[m])
-                    p = CircleAngle(coord) if space.kind is SpaceKind.CIRCLE else IntervalPoint(coord)
+                p = coord_point(orb[m], space.kind)
                 if apply(sys.fam.limit, p) == p:
                     stuck_at = (m, p)
                     break
             if stuck_at is not None:
                 m, p = stuck_at
-                if space.kind is SpaceKind.BINARY_SEQ:
-                    gap = min(distance(space, s, t) for s in orb[: m + 1])
-                else:
-                    gap = float(
-                        _dist_arrays(
-                            space.kind, np.asarray(orb[: m + 1]), np.full(1, _point_coord(t))
-                        ).min()
-                    )
+                gap = float(
+                    coord_distances(space.kind, orb[: m + 1], point_coords([t], space.kind)).min()
+                )
                 if gap > cfg.eps:
                     return V.refuted(
                         {
@@ -969,7 +858,7 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
         if conf is not None:
             disp, tail = conf
             base = _point_coord(t) - _point_coord(x)
-            gaps = _dist_arrays(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
+            gaps = coord_distances(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
             future = max(0.0, float(gaps[-1]) - tail)
             if float(gaps.min()) > cfg.eps + cfg.tol and future > cfg.eps + cfg.tol:
                 return V.refuted(
@@ -984,7 +873,7 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
                 )
     return V.inconclusive(
         {
-            "non_covered_starts": [point_to_json(x) for x, _ in uncovered[:8]],
+            "non_covered_starts": [point_to_json(starts[i]) for i, _ in uncovered[:8]],
             "uncovered_count": len(uncovered),
             "horizon": N,
         },
@@ -1082,7 +971,7 @@ def check_dense_periodicity(
     conf = _rotation_displacements(sys, P * R)
     if conf is not None:
         disp, tail = conf
-        gaps = _dist_arrays(SpaceKind.CIRCLE, np.mod(disp, TWO_PI), np.zeros(1))
+        gaps = coord_distances(SpaceKind.CIRCLE, np.mod(disp, TWO_PI), np.zeros(1))
         if float(gaps.min()) > cfg.tol + tail:
             return V.refuted(
                 {
@@ -1095,12 +984,17 @@ def check_dense_periodicity(
 
     candidates = _periodic_candidates(sys, cfg, P)
     centers = grid_points(sys.space, cfg)
+    if candidates is not None:
+        kind = sys.space.kind
+        near = coord_distances(
+            kind, point_coords(centers, kind)[:, None], point_coords(candidates, kind)
+        ) < cfg.eps
     witnesses: list[dict] = []
-    unfilled: list[Point] = []
-    for c in centers:
+    unfilled: list[int] = []
+    for g, c in enumerate(centers):
         pool: list[Point] = []
         if candidates is not None:
-            pool = [p for p in candidates if distance(sys.space, p, c) < cfg.eps]
+            pool = [candidates[j] for j in np.flatnonzero(near[g])]
         pool.extend(_ball_points(sys.space, c, cfg.eps, cfg.ball_count))
         found = None
         for p in pool:
@@ -1111,7 +1005,7 @@ def check_dense_periodicity(
         if found is not None:
             witnesses.append(found)
         else:
-            unfilled.append(c)
+            unfilled.append(g)
     if not unfilled:
         return V.holds(
             {"balls": len(centers), "witnesses": witnesses[:8], "max_period": P},
@@ -1120,12 +1014,11 @@ def check_dense_periodicity(
     if candidates is not None:
         # the candidate solver is exhaustive for periods <= P, so an empty
         # ball is a genuine counterexample at this period horizon
-        for c in unfilled:
-            near = [p for p in candidates if distance(sys.space, p, c) < cfg.eps]
-            if not near:
+        for g in unfilled:
+            if not near[g].any():
                 return V.refuted(
                     {
-                        "ball_center": point_to_json(c),
+                        "ball_center": point_to_json(centers[g]),
                         "radius": cfg.eps,
                         "max_period": P,
                         "rule": "no-candidate-solutions",
@@ -1134,7 +1027,7 @@ def check_dense_periodicity(
                 )
     return V.inconclusive(
         {
-            "unfilled_balls": [point_to_json(c) for c in unfilled[:8]],
+            "unfilled_balls": [point_to_json(centers[g]) for g in unfilled[:8]],
             "unfilled_count": len(unfilled),
             "max_period": P,
         },
@@ -1156,26 +1049,32 @@ class _TailStats:
 
 
 class _PairSweep:
-    """Orbits of every point in some groups, swept once, giving the distance
-    series from any one of those points to a whole group."""
+    """Orbits of every point in some groups, swept once, giving the pair
+    evidence from any one of those points to a whole group. Isometric steps
+    keep every pair distance at its time-0 value, so their sweep stops at
+    row 0."""
 
-    def __init__(self, sys: SystemView, groups: list[list[Point]], horizon: int):
-        self.sys, self.groups, self.horizon = sys, groups, horizon
-        if sys.space.kind is not SpaceKind.BINARY_SEQ:
-            self.orbits, self.cols = _sweep_groups(sys, groups, horizon)
+    def __init__(self, sys: SystemView, groups: list[list[Point]], cfg: CheckConfig):
+        self.kind, self.cfg, self.isometric = sys.space.kind, cfg, sys.steps_isometric
+        horizon = 0 if self.isometric else cfg.horizon
+        self.orbits, self.cols = _sweep_groups(sys, groups, horizon)
+        self._source: tuple[int, int] | None = None
+        self._pairs: list[tuple[_TailStats | None, float]] = []
 
-    def series(self, g: int, i: int, h: int) -> np.ndarray:
-        """d(orbit of point i of group g, orbit of each point of group h),
-        shape (horizon+1, len(group h))."""
-        sys, N = self.sys, self.horizon
-        if sys.space.kind is SpaceKind.BINARY_SEQ:
-            xv, xd = _bin_orbit_ints(sys, self.groups[g][i], N)
-            return np.stack(
-                [_bin_series_ints(xv, xd, *_bin_orbit_ints(sys, y, N)) for y in self.groups[h]],
-                axis=1,
-            )
-        x = self.cols[g][i : i + 1]
-        return _dist_arrays(sys.space.kind, self.orbits[:, self.cols[h]], self.orbits[:, x])
+    def pairs(self, g: int, i: int, h: int) -> list[tuple[_TailStats | None, float]]:
+        """(tail stats, time-0 distance) from point i of group g to each point
+        of group h; the stats are None on isometric steps. The evidence from
+        one point to every column is computed at once and kept until the
+        next point is asked for."""
+        if self._source != (g, i):
+            x = self.cols[g][i : i + 1]
+            series = coord_distances(self.kind, self.orbits, self.orbits[:, x])
+            if self.isometric:
+                stats = [None] * series.shape[1]
+            else:
+                stats = _pair_tail_batch(series, self.cfg)
+            self._source, self._pairs = (g, i), list(zip(stats, series[0].tolist()))
+        return [self._pairs[j] for j in self.cols[h]]
 
 
 def _pair_tail_batch(series: np.ndarray, cfg: CheckConfig) -> list[_TailStats]:
@@ -1193,7 +1092,7 @@ def _pair_tail_batch(series: np.ndarray, cfg: CheckConfig) -> list[_TailStats]:
 
 
 def _pair_stats(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> _TailStats:
-    return _pair_tail_batch(_PairSweep(sys, [[x], [y]], cfg.horizon).series(0, 0, 1), cfg)[0]
+    return _PairSweep(sys, [[x], [y]], cfg).pairs(0, 0, 1)[0][0]
 
 
 def _with_pair(v: Verdict, x: Point, y: Point) -> Verdict:
@@ -1203,17 +1102,20 @@ def _with_pair(v: Verdict, x: Point, y: Point) -> Verdict:
 
 
 def _proximal_decide(
-    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None
+    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None,
+    d0: float | None = None,
 ) -> Verdict:
     """Proximality verdict on (x, y); its witness omits the pair until
-    _with_pair adds it, so verdicts that are dropped cost no serialization."""
+    _with_pair adds it, so verdicts that are dropped cost no serialization.
+    d0 is d(x, y) when the caller has measured it already."""
     if x == y:
         return V.holds(
             {"tail_min": 0.0, "time": cfg.horizon},
             "identical points stay at distance zero",
         )
     if sys.steps_isometric:
-        d0 = distance(sys.space, x, y)
+        if d0 is None:
+            d0 = distance(sys.space, x, y)
         if d0 >= cfg.eps:
             return V.refuted(
                 {"distance": d0, "rule": "isometric-steps"},
@@ -1241,7 +1143,8 @@ def _proximal_decide(
 
 
 def _li_yorke_decide(
-    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None
+    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None,
+    d0: float | None = None,
 ) -> Verdict:
     """Li-Yorke verdict on (x, y); like _proximal_decide, without the pair."""
     if x == y:
@@ -1250,7 +1153,8 @@ def _li_yorke_decide(
             "identical points have zero spread forever",
         )
     if sys.steps_isometric:
-        d0 = distance(sys.space, x, y)
+        if d0 is None:
+            d0 = distance(sys.space, x, y)
         return V.refuted(
             {"distance": d0, "rule": "isometric-steps"},
             "a constant pair distance cannot both vanish and exceed delta",
@@ -1300,8 +1204,7 @@ def _cell_densities(
     """cell_density for each x, with one sweep over every x and every pool."""
     centers = grid_points(sys.space, cfg)
     pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in centers]
-    # isometric steps decide every pair symbolically, without orbits
-    sweep = None if sys.steps_isometric else _PairSweep(sys, [xs] + pools, cfg.horizon)
+    sweep = _PairSweep(sys, [xs] + pools, cfg)
     return [
         _cell_density(sys, x, i, centers, pools, sweep, cfg, predicate)
         for i, x in enumerate(xs)
@@ -1310,23 +1213,19 @@ def _cell_densities(
 
 def _cell_density(
     sys: SystemView, x: Point, i: int, centers: list[Point], pools: list[list[Point]],
-    sweep: _PairSweep | None, cfg: CheckConfig, predicate: PairPredicate,
+    sweep: _PairSweep, cfg: CheckConfig, predicate: PairPredicate,
 ) -> Verdict:
     """Cell density of x, point i of the sweep's first group; pool k is group k + 1."""
     decide = _proximal_decide if predicate is PairPredicate.PROXIMAL else _li_yorke_decide
     found: list[tuple[Point, Point]] = []
     unfilled: list[tuple[Point, Verdict | None, Point | None]] = []
     for k, (c, pool) in enumerate(zip(centers, pools)):
-        if sweep is None:
-            stats = [None] * len(pool)
-        else:
-            stats = _pair_tail_batch(sweep.series(0, i, k + 1), cfg)
         best: Verdict | None = None
         partner = None
-        for y, st in zip(pool, stats):
+        for y, (st, d0) in zip(pool, sweep.pairs(0, i, k + 1)):
             if predicate is PairPredicate.LI_YORKE and y == x:
                 continue
-            v = decide(sys, x, y, cfg, st)
+            v = decide(sys, x, y, cfg, st, d0)
             if v.holds:
                 best, partner = v, y
                 break

@@ -32,6 +32,7 @@ from .space import (
     SpaceKind,
     circle_distance,
     distance,
+    low_bits,
     reduce_angle,
     sample_grid,
 )
@@ -255,7 +256,7 @@ def apply(m: MapDescriptor, x: Point) -> Point:
 
 
 def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarray:
-    """Vectorized evaluation on coordinate arrays (continuum spaces only)."""
+    """Vectorized evaluation on a coordinate array (see ``space.point_coords``)."""
     if kind is SpaceKind.CIRCLE:
         if isinstance(m, Rotation):
             return np.mod(arr + m.amount, TWO_PI)
@@ -276,7 +277,30 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
         if isinstance(m, Compose):
             return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
         raise SpaceError(f"descriptor {type(m).__name__} is not an interval map")
-    raise SpaceError("batch evaluation is only defined for continuum spaces")
+    if isinstance(m, OdometerAdd):
+        # add one with carry; a carry out of the word's last coordinate vanishes
+        out = arr.copy()
+        v = arr["value"]
+        out["value"] = np.where(v == low_bits(arr["length"]), 0, v + 1)
+        return out
+    if isinstance(m, Delete):
+        i = m.index
+        hit = i <= arr["eff"]
+        if not hit.any():
+            return arr
+        if (hit & (arr["eff"] <= 1)).any():
+            raise ResolutionError(
+                f"cannot delete coordinate {i} of a word with effective length 1"
+            )
+        v = arr["value"]
+        out = arr.copy()
+        out["value"] = np.where(hit, (v & low_bits(i - 1)) | ((v >> i) << (i - 1)), v)
+        out["length"] -= hit
+        out["eff"] -= hit
+        return out
+    if isinstance(m, Compose):
+        return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
+    raise SpaceError(f"descriptor {type(m).__name__} is not a binary sequence map")
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,11 @@ from .space import (
     Point,
     SpaceError,
     SpaceKind,
+    coord_distances,
     distance,
-    encode_word,
+    point_coords,
     point_to_json,
     sample_grid,
-    word_distance_batch,
 )
 from .verdict import Verdict
 
@@ -464,23 +464,14 @@ def surjectivity_check(
     space: PhaseSpace, m: MapDescriptor, grid_resolution: int = 64, eps: float = 0.05
 ) -> Verdict:
     """Holds when the image of the grid is eps-dense in the grid itself."""
-    grid = sample_grid(space, grid_resolution)
+    grid = list(sample_grid(space, grid_resolution))
     image = [apply(m, x) for x in grid]
-    if space.kind is SpaceKind.BINARY_SEQ:
-        gv = np.array([encode_word(p)[0] for p in grid], dtype=np.int64)
-        gd = np.array([encode_word(p)[1] for p in grid], dtype=np.int64)
-        iv = np.array([encode_word(p)[0] for p in image], dtype=np.int64)
-        idp = np.array([encode_word(p)[1] for p in image], dtype=np.int64)
-        dmat = word_distance_batch(gv[:, None], gd[:, None], iv[None, :], idp[None, :])
-    else:
-        gc = np.array([p.theta if space.kind is SpaceKind.CIRCLE else p.x for p in grid])
-        ic = np.array([p.theta if space.kind is SpaceKind.CIRCLE else p.x for p in image])
-        dmat = np.abs(gc[:, None] - ic[None, :])
-        if space.kind is SpaceKind.CIRCLE:
-            dmat = np.minimum(dmat, 2.0 * math.pi - dmat)
+    dmat = coord_distances(
+        space.kind, point_coords(grid, space.kind)[:, None], point_coords(image, space.kind)[None, :]
+    )
     best = dmat.min(axis=1)
     worst_i = int(best.argmax())
-    worst_p, worst_d = list(grid)[worst_i], float(best[worst_i])
+    worst_p, worst_d = grid[worst_i], float(best[worst_i])
     if worst_d <= eps:
         return V.holds(
             {"covering_defect": worst_d, "grid_resolution": grid_resolution},

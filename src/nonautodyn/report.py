@@ -118,35 +118,35 @@ def _run_cell_density_all(predicate: PairPredicate):
 
 def _run_proximal_pairs(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Dense proximal pairs: every ordered pair of grid balls holds one."""
-    from .checkers import _PairSweep, _ball_points, _pair_tail_batch, _proximal_decide
+    from .checkers import _PairSweep, _ball_points, _proximal_decide
 
     centers = grid_points(sys.space, cfg)
     pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count)[:5] for c in centers]
-    # isometric steps decide every pair symbolically, without orbits
-    sweep = None if sys.steps_isometric else _PairSweep(sys, pools, cfg.horizon)
+    sweep = _PairSweep(sys, pools, cfg)
+    G = len(pools)
     missing: list[tuple[int, int]] = []
     refutable = 0
     for i, pool1 in enumerate(pools):
-        for j, pool2 in enumerate(pools):
-            found = False
-            all_refuted = True
-            for k, x in enumerate(pool1):
-                if sweep is None:
-                    stats = [None] * len(pool2)
-                else:
-                    stats = _pair_tail_batch(sweep.series(i, k, j), cfg)
-                for y, st in zip(pool2, stats):
-                    v = _proximal_decide(sys, x, y, cfg, st)
+        # a ball pair (i, j) needs one proximal pair; it is refutable when
+        # every sampled pair is refuted. Each x of ball i is swept against
+        # every ball j before the next x, so its evidence is computed once.
+        found = [False] * G
+        all_refuted = [True] * G
+        for k, x in enumerate(pool1):
+            for j, pool2 in enumerate(pools):
+                if found[j]:
+                    continue
+                for y, (st, d0) in zip(pool2, sweep.pairs(i, k, j)):
+                    v = _proximal_decide(sys, x, y, cfg, st, d0)
                     if v.holds:
-                        found = True
+                        found[j] = True
                         break
                     if not v.refuted:
-                        all_refuted = False
-                if found:
-                    break
-            if not found:
+                        all_refuted[j] = False
+        for j in range(G):
+            if not found[j]:
                 missing.append((i, j))
-                if all_refuted:
+                if all_refuted[j]:
                     refutable += 1
     if not missing:
         return V.holds(

@@ -357,36 +357,62 @@ def ball_sample(space: PhaseSpace, center: Point, radius: float, count: int) -> 
     return PointCloud(_dedupe(pts), space.kind)
 
 
-# Binary words compare through a fixed 12-coordinate integer frame (matching
-# the enumeration cap): coordinate j sits at bit 12-j of the frame value, and
-# distances deeper than coordinate 12 report the 1/12 resolution floor.
-WORD_FRAME = MAX_ENUM_BITS
-_WORD_MSB = np.full(1 << WORD_FRAME, -1, dtype=np.int64)
-for _v in range(1, 1 << WORD_FRAME):
-    _WORD_MSB[_v] = _v.bit_length() - 1
+# Coordinate arrays: one float per continuum point, one packed record per
+# binary word. A packed word holds coordinate j at bit j-1 of ``value``, with
+# ``length`` = len(bits) and ``eff`` = effective_length, so every coordinate
+# of a word up to MAX_WORD_BITS long is exact.
+MAX_WORD_BITS = 63
+WORD_DTYPE = np.dtype([("value", "<i8"), ("length", "<i2"), ("eff", "<i2")])
+_LOW_BITS = np.int64(2**MAX_WORD_BITS - 1)
 
 
-def encode_word(w: BinaryWord) -> tuple[int, int]:
-    """(frame value, trusted depth) of a word's leading coordinates."""
-    cap = min(WORD_FRAME, w.effective_length, len(w.bits))
-    v = 0
-    for j in range(cap):
-        v = (v << 1) | w.bits[j]
-    v <<= WORD_FRAME - cap
-    return v, cap
+def low_bits(n):
+    """Mask of the n low bits, for 0 <= n <= MAX_WORD_BITS (arrays too)."""
+    return _LOW_BITS >> (MAX_WORD_BITS - n)
 
 
-def word_distance_batch(xv, xd, yv, yd) -> np.ndarray:
-    """Vectorized word distances between encoded arrays (or scalars).
+def _pack(w: BinaryWord) -> tuple[int, int, int]:
+    if len(w.bits) > MAX_WORD_BITS:
+        raise SpaceError(f"words longer than {MAX_WORD_BITS} coordinates cannot be packed")
+    return sum(b << j for j, b in enumerate(w.bits)), len(w.bits), w.effective_length
 
-    Distances at or beyond the frame depth report the resolution floor
-    1/depth, matching the flagged upper bound of ``distance_info``.
-    """
-    cap = np.minimum(xd, yd)
-    xor = (xv ^ yv) >> (WORD_FRAME - cap)
-    msb = _WORD_MSB[xor]
-    k = np.where(xor > 0, cap - msb, cap)
-    return 1.0 / k
+
+def point_coords(points: Iterable[Point], kind: SpaceKind) -> np.ndarray:
+    """1-D coordinate array of points: angles, interval values, or packed words."""
+    if kind is SpaceKind.CIRCLE:
+        return np.array([p.theta for p in points], dtype=float)
+    if kind is SpaceKind.UNIT_INTERVAL:
+        return np.array([p.x for p in points], dtype=float)
+    return np.array([_pack(p) for p in points], dtype=WORD_DTYPE)
+
+
+def coord_point(c, kind: SpaceKind) -> Point:
+    """The point that one element of a coordinate array stands for."""
+    if kind is SpaceKind.CIRCLE:
+        return CircleAngle(float(c))
+    if kind is SpaceKind.UNIT_INTERVAL:
+        return IntervalPoint(float(c))
+    value = int(c["value"])
+    return BinaryWord(tuple((value >> j) & 1 for j in range(int(c["length"]))), int(c["eff"]))
+
+
+def coord_distances(kind: SpaceKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise distances between broadcastable coordinate arrays, equal
+    to ``distance`` on the points they stand for."""
+    if kind is SpaceKind.BINARY_SEQ:
+        cap = np.minimum(a["eff"], b["eff"])
+        diff = (a["value"] ^ b["value"]) & low_bits(cap)
+        # diff & -diff is 2**(k-1) for the first differing coordinate k,
+        # and frexp reads k off it exactly
+        k = np.where(diff != 0, np.frexp(diff & -diff)[1], cap)
+        same = (
+            (a["value"] == b["value"]) & (a["length"] == b["length"]) & (a["eff"] == b["eff"])
+        )
+        return np.where(same, 0.0, 1.0 / k)
+    d = np.abs(a - b)
+    if kind is SpaceKind.CIRCLE:
+        return np.minimum(d, TWO_PI - d)
+    return d
 
 
 def point_to_json(p: Point) -> dict:

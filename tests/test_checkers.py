@@ -78,6 +78,12 @@ class TestConfigValidation:
         with pytest.raises(SpaceError):
             cfg.validate(PhaseSpace.binary_seq(8))
 
+    def test_binary_words_fit_a_packed_word(self):
+        cfg = CheckConfig(horizon=10, tail_window=5, eps=0.2, delta=0.5)
+        cfg.validate(PhaseSpace.binary_seq(63))
+        with pytest.raises(SpaceError, match="word_length=64"):
+            cfg.validate(PhaseSpace.binary_seq(64))
+
 
 class TestEquicontinuity:
     def test_alternating_rotations_hold(self):
@@ -426,3 +432,14 @@ class TestBinaryGrid:
         assert len(pts) == 16
         assert all(isinstance(p, BinaryWord) and len(p.bits) == 24 for p in pts)
         assert all(p.effective_length == 24 for p in pts)
+
+    def test_odometer_equicontinuity_resolves_past_twelve_coordinates(self):
+        # eps = 0.06 needs coordinate 17; a 12-coordinate frame read pairs
+        # that agree that far as 1/12 apart and refuted the isometry
+        fam = make_builtin_family("odometer-deletion", word_length=24)
+        cfg = CheckConfig(
+            horizon=50, grid_resolution=4, ball_count=5, eps=0.06, delta=0.5, tail_window=20
+        )
+        v = check_equicontinuity(SystemView(fam, Mode.AUTONOMOUS_LIMIT), cfg)
+        assert v.holds
+        assert v.witness["max_separation"] <= cfg.eps

@@ -72,6 +72,22 @@ def test_misspelled_check_key_is_config_error(spec_file, capsys):
     assert "tail_windw" in capsys.readouterr().err
 
 
+def test_overlong_binary_word_is_config_error(tmp_path, capsys):
+    doc = {
+        "family": {"builtin": "odometer-deletion", "params": {"word_length": 64}},
+        "check": {
+            "horizon": 20, "grid_resolution": 4, "ball_count": 3, "eps": 0.2,
+            "delta": 0.5, "tail_window": 10, "max_period": 4, "repetitions": 2,
+        },
+        "properties": ["equicontinuity"],
+        "label": "long-words",
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "word_length=64" in capsys.readouterr().err
+
+
 def test_unknown_example_id(capsys):
     assert main(["reproduce", "not-a-scenario"]) == EXIT_CONFIG
 

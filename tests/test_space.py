@@ -19,13 +19,14 @@ from nonautodyn.space import (
     SpaceKind,
     ball_sample,
     distance,
+    coord_distances,
+    coord_point,
     distance_info,
-    encode_word,
     hausdorff_distance,
+    point_coords,
     point_from_json,
     point_to_json,
     sample_grid,
-    word_distance_batch,
 )
 
 CIRCLE = PhaseSpace.circle()
@@ -187,18 +188,61 @@ class TestBallSample:
         assert a == b
 
 
-def test_word_encoding_matches_scalar_distance():
-    rng = np.random.default_rng(42)
-    space = PhaseSpace.binary_seq(12)
-    words = [
-        BinaryWord(tuple(int(b) for b in rng.integers(0, 2, 12)), 12) for _ in range(40)
-    ]
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            xv, xd = encode_word(words[i])
-            yv, yd = encode_word(words[j])
-            got = float(word_distance_batch(np.int64(xv), np.int64(xd), np.int64(yv), np.int64(yd)))
-            assert got == distance(space, words[i], words[j])
+@st.composite
+def _word(draw, max_len=63):
+    length = draw(st.integers(1, max_len))
+    bits = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    return BinaryWord(tuple(bits), draw(st.integers(1, length)))
+
+
+@st.composite
+def _word_pair(draw):
+    """Two words that are identical, share a prefix, or are independent;
+    lengths and effective lengths may differ."""
+    x = draw(_word())
+    how = draw(st.sampled_from(["identical", "prefix", "independent"]))
+    if how == "identical":
+        return x, BinaryWord(x.bits, x.effective_length)
+    if how == "independent":
+        return x, draw(_word())
+    length = draw(st.integers(1, 63))
+    keep = draw(st.integers(0, min(length, len(x.bits))))
+    rest = draw(st.lists(st.integers(0, 1), min_size=length - keep, max_size=length - keep))
+    return x, BinaryWord(x.bits[:keep] + tuple(rest), draw(st.integers(1, length)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_pair())
+def test_packed_distance_matches_scalar_distance(pair):
+    x, y = pair
+    space = PhaseSpace.binary_seq(63)
+    a, b = point_coords([x], SpaceKind.BINARY_SEQ), point_coords([y], SpaceKind.BINARY_SEQ)
+    want = distance_info(space, x, y).value
+    assert float(coord_distances(SpaceKind.BINARY_SEQ, a, b)[0]) == want
+    assert float(coord_distances(SpaceKind.BINARY_SEQ, b, a)[0]) == want
+    assert coord_point(a[0], SpaceKind.BINARY_SEQ) == x
+
+
+def test_packed_distance_resolves_every_coordinate():
+    space = PhaseSpace.binary_seq(63)
+    base = BinaryWord((0,) * 63, 63)
+    words = [base] + [BinaryWord(tuple(int(j == k) for j in range(63)), 63) for k in range(63)]
+    got = coord_distances(
+        SpaceKind.BINARY_SEQ,
+        point_coords([base], SpaceKind.BINARY_SEQ),
+        point_coords(words, SpaceKind.BINARY_SEQ),
+    )
+    assert got.tolist() == [distance(space, base, w) for w in words]
+    assert got.tolist() == [0.0] + [1.0 / k for k in range(1, 64)]
+
+
+def test_continuum_coordinate_distances_match_scalar():
+    angles = [CircleAngle(t) for t in (0.0, 1.0, math.pi, 4.0, TWO_PI - 1e-9)]
+    xs = [IntervalPoint(v) for v in (0.0, 0.3, 1.0)]
+    for space, pts in ((CIRCLE, angles), (INTERVAL, xs)):
+        c = point_coords(pts, space.kind)
+        got = coord_distances(space.kind, c[:, None], c)
+        assert got.tolist() == [[distance(space, p, q) for q in pts] for p in pts]
 
 
 def test_point_json_round_trip():

@@ -5,11 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonautodyn.checkers import Mode, SystemView, _coords, _sweep_groups, orbit_matrix
-from nonautodyn.family import family_from_config, make_builtin_family
+from nonautodyn.checkers import Mode, SystemView, _sweep_groups, orbit_matrix
+from nonautodyn.descriptors import Compose, Delete, OdometerAdd
+from nonautodyn.family import autonomous_family, family_from_config, make_builtin_family
 from nonautodyn.report import ScenarioSpec, run_comparison
-from nonautodyn.space import CircleAngle, IntervalPoint
+from nonautodyn.space import (
+    BinaryWord,
+    CircleAngle,
+    IntervalPoint,
+    PhaseSpace,
+    ResolutionError,
+    SpaceKind,
+    coord_point,
+    point_coords,
+)
 
 HORIZON = 200
 
@@ -83,7 +95,7 @@ def test_batched_sweep_matches_single_columns(name, mode):
     sys = SystemView(FAMILIES[name], mode)
     groups = _groups(FAMILIES[name])
     orbits, cols = _sweep_groups(sys, groups, HORIZON)
-    starts = [_coords(g, sys.space.kind) for g in groups]
+    starts = [point_coords(g, sys.space.kind) for g in groups]
     assert orbits.shape == (HORIZON + 1, len({_bits(c) for s in starts for c in s}))
     for coords, idx in zip(starts, cols):
         assert len(idx) == len(coords)
@@ -115,3 +127,68 @@ def test_nearest_lookup_report_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1580d11ee44a2705fd9982f0442443fbf3d382905f04101fa7037023cae049a9"
     )
+
+
+@st.composite
+def _binary_start(draw):
+    """A word (sometimes all ones, for the carry out of the word), its
+    effective length, and a deletion index that may exceed it."""
+    length = draw(st.integers(1, 63))
+    if draw(st.booleans()):
+        bits = (1,) * length
+    else:
+        bits = tuple(draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)))
+    word = BinaryWord(bits, draw(st.integers(1, length)))
+    return word, draw(st.integers(1, length + 3))
+
+
+def _scalar_orbit(sys, word, horizon):
+    try:
+        return sys.orbit(word, horizon)
+    except ResolutionError:
+        return None
+
+
+def _packed_orbit(sys, word, horizon):
+    try:
+        rows = orbit_matrix(sys, point_coords([word], SpaceKind.BINARY_SEQ), horizon)
+    except ResolutionError:
+        return None
+    return [coord_point(c, SpaceKind.BINARY_SEQ) for c in rows[:, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_binary_start(), st.integers(1, 70))
+def test_packed_binary_orbits_decode_to_scalar_orbits(start, horizon):
+    word, index = start
+    space = PhaseSpace.binary_seq(len(word.bits))
+    for m in (OdometerAdd(), Delete(index), Compose(OdometerAdd(), Delete(index))):
+        sys = SystemView(autonomous_family(space, m), Mode.AUTONOMOUS_LIMIT)
+        assert _packed_orbit(sys, word, horizon) == _scalar_orbit(sys, word, horizon)
+
+
+def test_packed_binary_edge_cases():
+    space = PhaseSpace.binary_seq(4)
+    odometer = SystemView(autonomous_family(space, OdometerAdd()), Mode.AUTONOMOUS_LIMIT)
+    ones = BinaryWord((1, 1, 1, 1), 3)
+    assert _packed_orbit(odometer, ones, 1)[1] == BinaryWord((0, 0, 0, 0), 3)
+    beyond = SystemView(autonomous_family(space, Delete(3)), Mode.AUTONOMOUS_LIMIT)
+    word = BinaryWord((1, 0, 1, 1), 2)
+    assert _packed_orbit(beyond, word, 2) == [word] * 3
+    first = SystemView(autonomous_family(space, Delete(1)), Mode.AUTONOMOUS_LIMIT)
+    short = BinaryWord((1, 0), 1)
+    with pytest.raises(ResolutionError):
+        first.orbit(short, 1)
+    with pytest.raises(ResolutionError):
+        orbit_matrix(first, point_coords([short], SpaceKind.BINARY_SEQ), 1)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_odometer_deletion_packed_sweep_matches_scalar_orbits(mode):
+    fam = make_builtin_family("odometer-deletion", word_length=24)
+    sys = SystemView(fam, mode)
+    words = [BinaryWord(tuple((v >> j) & 1 for j in range(24)), 24) for v in (0, 5, 2**24 - 1)]
+    orbits, (cols,) = _sweep_groups(sys, [words + words[:1]], 60)
+    assert orbits.shape == (61, 3) and cols[0] == cols[3]
+    for w, j in zip(words, cols):
+        assert [coord_point(c, SpaceKind.BINARY_SEQ) for c in orbits[:, j]] == sys.orbit(w, 60)
