@@ -58,7 +58,7 @@ from .family import (
     summability_estimate,
     surjectivity_check,
 )
-from .orbit import CompositionWindow, Trajectory, limit_iterate, omega, omega_window, trajectory
+from .orbit import Trajectory, limit_iterate, omega, omega_window, trajectory
 from .bounds import (
     BoundLedger,
     ConvergenceProfile,
@@ -105,7 +105,7 @@ __all__ = [
     "feeble_open_check", "isometry_shrinking_check", "make_builtin_family",
     "profile_hypotheses", "summability_estimate", "surjectivity_check",
     # orbit
-    "CompositionWindow", "Trajectory", "limit_iterate", "omega", "omega_window", "trajectory",
+    "Trajectory", "limit_iterate", "omega", "omega_window", "trajectory",
     # bounds
     "BoundLedger", "ConvergenceProfile", "DeviationRecord", "HypothesisNotMetError",
     "collective_convergence_profile", "deviation_check", "deviation_series",

@@ -20,10 +20,11 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .descriptors import apply
+import numpy as np
+
 from .family import MapFamily, isometry_shrinking_check, term
-from .orbit import limit_iterate, omega, omega_window
-from .space import Point, SpaceError, distance, point_to_json, sample_grid
+from .orbit import Mode, SystemView, orbit_matrix
+from .space import Point, SpaceError, coord_distances, point_coords, point_to_json, sample_grid
 
 
 class HypothesisNotMetError(SpaceError):
@@ -103,6 +104,39 @@ class DeviationRecord:
         }
 
 
+def _views(fam: MapFamily) -> tuple[SystemView, SystemView]:
+    return SystemView(fam, Mode.NON_AUTONOMOUS), SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+
+
+def _coords(fam: MapFamily, points: list[Point]) -> np.ndarray:
+    fam.space.require(*points)
+    return point_coords(points, fam.space.kind)
+
+
+def _window_gaps(
+    sys_F: SystemView, sys_f: SystemView, coords: np.ndarray, n: int, k: int
+) -> np.ndarray:
+    """d(omega^n_{n+j}(x), f^j(x)) for j = 0..k (rows) and every start x in
+    the coordinate array (columns), from one sweep of each system."""
+    window = orbit_matrix(sys_F, coords, k, n)
+    return coord_distances(sys_F.space.kind, window, orbit_matrix(sys_f, coords, k))
+
+
+def _record(
+    x: Point, n: int, k: int, measured: float, ledger: BoundLedger, tol: float
+) -> DeviationRecord:
+    bound = ledger.window_sum(n, k)
+    return DeviationRecord(
+        x=x,
+        n=n,
+        k=k,
+        measured=measured,
+        bound=bound,
+        holds=measured <= bound + tol,
+        bound_exact=ledger.window_exact(n, k),
+    )
+
+
 def deviation_check(
     fam: MapFamily, x: Point, k: int, tol: float = 1e-9, ledger: BoundLedger | None = None
 ) -> DeviationRecord:
@@ -111,17 +145,8 @@ def deviation_check(
         raise SpaceError("deviation check needs k >= 1")
     if ledger is None:
         ledger = BoundLedger.for_family(fam, k)
-    measured = distance(fam.space, omega(fam, x, k), limit_iterate(fam, x, k))
-    bound = ledger.prefix(k)
-    return DeviationRecord(
-        x=x,
-        n=0,
-        k=k,
-        measured=measured,
-        bound=bound,
-        holds=measured <= bound + tol,
-        bound_exact=ledger.window_exact(0, k),
-    )
+    measured = float(_window_gaps(*_views(fam), _coords(fam, [x]), 0, k)[k, 0])
+    return _record(x, 0, k, measured, ledger, tol)
 
 
 def shifted_deviation_check(
@@ -133,18 +158,10 @@ def shifted_deviation_check(
         raise SpaceError("shifted deviation check needs k >= 1 and n >= 0")
     if ledger is None:
         ledger = BoundLedger.for_family(fam, n + k)
-    mid = omega(fam, x, n)
-    measured = distance(fam.space, omega(fam, x, n + k), limit_iterate(fam, mid, k))
-    bound = ledger.window_sum(n, k)
-    return DeviationRecord(
-        x=x,
-        n=n,
-        k=k,
-        measured=measured,
-        bound=bound,
-        holds=measured <= bound + tol,
-        bound_exact=ledger.window_exact(n, k),
-    )
+    sys_F, sys_f = _views(fam)
+    mid = orbit_matrix(sys_F, _coords(fam, [x]), n)[-1]
+    measured = float(_window_gaps(sys_F, sys_f, mid, n, k)[k, 0])
+    return _record(x, n, k, measured, ledger, tol)
 
 
 @dataclass(frozen=True)
@@ -203,7 +220,8 @@ def collective_convergence_profile(
     """
     if n_max < 1 or k_max < 1:
         raise SpaceError("profile needs n_max >= 1 and k_max >= 1")
-    grid = list(sample_grid(fam.space, grid_resolution))
+    coords = point_coords(sample_grid(fam.space, grid_resolution), fam.space.kind)
+    sys_F, sys_f = _views(fam)
     ledger = BoundLedger.for_family(fam, n_max + k_max)
     n_values = tuple(range(1, n_max + 1))
     k_values = tuple(range(1, k_max + 1))
@@ -211,19 +229,8 @@ def collective_convergence_profile(
     bounds: list[tuple[float, ...]] = []
     holds: list[tuple[bool, ...]] = []
     for n in n_values:
-        window_pts = list(grid)
-        limit_pts = list(grid)
-        worst_by_k = []
-        bound_by_k = []
-        for k in k_values:
-            step = fam.member(n + k)
-            window_pts = [apply(step, p) for p in window_pts]
-            limit_pts = [apply(fam.limit, p) for p in limit_pts]
-            worst = max(
-                distance(fam.space, a, b) for a, b in zip(window_pts, limit_pts)
-            )
-            worst_by_k.append(worst)
-            bound_by_k.append(ledger.window_sum(n, k))
+        worst_by_k = _window_gaps(sys_F, sys_f, coords, n, k_max)[1:].max(axis=1).tolist()
+        bound_by_k = [ledger.window_sum(n, k) for k in k_values]
         matrix.append(tuple(worst_by_k))
         bounds.append(tuple(bound_by_k))
         holds.append(tuple(e <= b + tol for e, b in zip(worst_by_k, bound_by_k)))
@@ -266,29 +273,18 @@ def isometry_bound_check(
     if ledger is None:
         ledger = BoundLedger.for_family(fam, n + k)
     grid = list(sample_grid(fam.space, grid_resolution))
-    gaps = [
-        (distance(fam.space, omega_window(fam, x, n, k), limit_iterate(fam, x, k)), x)
-        for x in grid
-    ]
-    measured, worst_x = max(gaps, key=lambda t: t[0])
-    bound = ledger.window_sum(n, k)
-    return DeviationRecord(
-        x=worst_x,
-        n=n,
-        k=k,
-        measured=measured,
-        bound=bound,
-        holds=measured <= bound + tol,
-        bound_exact=ledger.window_exact(n, k),
-    )
+    gaps = _window_gaps(*_views(fam), point_coords(grid, fam.space.kind), n, k)[k]
+    worst = int(gaps.argmax())
+    return _record(grid[worst], n, k, float(gaps[worst]), ledger, tol)
 
 
 def deviation_series(
     fam: MapFamily, x: Point, k_max: int, tol: float = 1e-9
 ) -> list[DeviationRecord]:
-    """deviation_check for every k up to k_max, sharing one ledger."""
+    """deviation_check for every k up to k_max, from one sweep and one ledger."""
     ledger = BoundLedger.for_family(fam, k_max)
-    return [deviation_check(fam, x, k, tol, ledger) for k in range(1, k_max + 1)]
+    gaps = _window_gaps(*_views(fam), _coords(fam, [x]), 0, k_max)[:, 0].tolist()
+    return [_record(x, 0, k, gaps[k], ledger, tol) for k in range(1, k_max + 1)]
 
 
 def write_deviation_csv(records: list[DeviationRecord], path: str | Path) -> None:

@@ -15,7 +15,7 @@ orbit to a computable arc). Pure absence of evidence yields Inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -23,17 +23,14 @@ import numpy as np
 from . import verdict as V
 from .descriptors import (
     MapDescriptor,
-    OdometerAdd,
     PiecewiseLinear,
-    Rotation,
     apply,
-    apply_batch,
     circle_canonical,
     circle_map_fixed_points,
     compose,
     pl_fixed_points,
 )
-from .family import MapFamily
+from .orbit import Mode, SystemView, orbit_matrix
 from .regions import RegionChains, ball_region, family_supports_regions, region_chains
 from .space import (
     TWO_PI,
@@ -56,11 +53,6 @@ from .space import (
 from .verdict import Verdict
 
 
-class Mode(str, Enum):
-    NON_AUTONOMOUS = "non_autonomous"
-    AUTONOMOUS_LIMIT = "autonomous_limit"
-
-
 def verdict_record(property_name: str, mode: "Mode", cfg: "CheckConfig", verdict: Verdict) -> dict:
     """Standalone serialization of one checker run."""
     return {
@@ -71,74 +63,6 @@ def verdict_record(property_name: str, mode: "Mode", cfg: "CheckConfig", verdict
         "config": cfg.to_json(),
         "narrative": verdict.narrative,
     }
-
-
-@dataclass(frozen=True, eq=False)
-class SystemView:
-    """One of the two systems under comparison: (X, F) or (X, f)."""
-
-    fam: MapFamily
-    mode: Mode
-    #: memo for expensive intermediates (orbits, hit tables); results are
-    #: pure functions of (fam, mode, config), so caching is transparent
-    _cache: dict = field(default_factory=dict)
-
-    @property
-    def space(self) -> PhaseSpace:
-        return self.fam.space
-
-    def step_map(self, n: int) -> MapDescriptor:
-        """The map applied at step n (1-based)."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            return self.fam.limit
-        return self.fam.member(n)
-
-    def steps(self, horizon: int) -> list[MapDescriptor]:
-        """Step table: entry n is the map applied at step n, for n <= horizon.
-
-        Built once per view and grown to the largest horizon asked for, so
-        sweeps stop building a descriptor per step. Entry 0 is unused.
-        """
-        table = self._cache.setdefault("steps", [None])
-        for n in range(len(table), horizon + 1):
-            table.append(self.step_map(n))
-        return table
-
-    def orbit(self, x: Point, horizon: int) -> list[Point]:
-        """Scalar orbit sweep: states[n] is the point after n steps."""
-        steps = self.steps(horizon)
-        states = [x]
-        for n in range(1, horizon + 1):
-            states.append(apply(steps[n], states[-1]))
-        return states
-
-    @property
-    def steps_isometric(self) -> bool:
-        """Every step map is known to be an isometry (symbolic knowledge)."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            return isinstance(self.fam.limit, (Rotation, OdometerAdd))
-        return self.fam.steps_isometric
-
-    def constant_tail_from(self) -> int | None:
-        """Index from which every step map equals the limit, if known."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            return 1
-        return self.fam.eventually_constant_from
-
-    def rotation_amounts(self, horizon: int) -> list[float] | None:
-        """Step rotation amounts for rotation-only systems, else None."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            if isinstance(self.fam.limit, Rotation):
-                return [self.fam.limit.amount] * horizon
-            return None
-        if not self.fam.steps_isometric or not isinstance(self.fam.limit, Rotation):
-            return None
-        amounts = []
-        for m in self.steps(horizon)[1 : horizon + 1]:
-            if not isinstance(m, Rotation):
-                return None
-            amounts.append(m.amount)
-        return amounts
 
 
 @dataclass(frozen=True)
@@ -196,9 +120,16 @@ class CheckConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CheckConfig":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise SpaceError(f"unknown check config keys: {unknown}")
+        for key, value in doc.items():
+            # eps, delta and tol take any real number; the rest are integers
+            real = isinstance(defaults[key], float)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+                what = "a real number" if real else "an integer"
+                raise SpaceError(f"check config {key!r} must be {what}, got {value!r}")
         return cls(**doc)
 
 
@@ -216,18 +147,6 @@ def grid_points(space: PhaseSpace, cfg: CheckConfig) -> list[Point]:
             for p in pts
         ]
     return pts
-
-
-def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int) -> np.ndarray:
-    """Vectorized orbit sweep of a coordinate array (``space.point_coords``),
-    shape (horizon+1, len)."""
-    kind = sys.space.kind
-    steps = sys.steps(horizon)
-    rows = np.empty((horizon + 1, coords.shape[0]), dtype=coords.dtype)
-    rows[0] = coords
-    for n in range(1, horizon + 1):
-        rows[n] = apply_batch(steps[n], rows[n - 1], kind)
-    return rows
 
 
 def _sweep_groups(
@@ -311,8 +230,20 @@ def _rotation_displacements(sys: SystemView, horizon: int) -> tuple[np.ndarray, 
     return disp, float(tail(horizon))
 
 
-def _point_coord(p: Point) -> float:
-    return p.theta if isinstance(p, CircleAngle) else p.x
+def _confinement_gaps(
+    sys: SystemView, horizon: int, source: Point, target: Point
+) -> tuple[float, float, float] | None:
+    """Displacement confinement of a rotation system: how close the orbit
+    of source comes to target. Returns the least gap up to the horizon, a
+    lower bound on every later gap, and the displacement tail bound; None
+    unless _rotation_displacements confines the displacement."""
+    conf = _rotation_displacements(sys, horizon)
+    if conf is None:
+        return None
+    disp, tail = conf
+    base = target.theta - source.theta
+    gaps = coord_distances(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
+    return float(gaps.min()), max(0.0, float(gaps[-1]) - tail), tail
 
 
 def _ball_points(space: PhaseSpace, center: Point, radius: float, count: int) -> list[Point]:
@@ -587,19 +518,12 @@ def _prove_pair_miss(
                     "gap": gap,
                 }
     # displacement confinement for rotation families with a summable tail
-    conf = _rotation_displacements(sys, cfg.horizon)
+    conf = _confinement_gaps(sys, cfg.horizon, uc, vc)
     if conf is not None:
-        disp, tail = conf
+        min_gap, future, tail = conf
         need = cfg.eps + data.radius + cfg.tol
-        base = _point_coord(vc) - _point_coord(uc)
-        gaps = coord_distances(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
-        future = max(0.0, float(gaps[-1]) - tail)
-        if float(gaps.min()) >= need and future >= need:
-            return {
-                "rule": "displacement-confinement",
-                "min_gap": float(gaps.min()),
-                "tail_bound": tail,
-            }
+        if min_gap >= need and future >= need:
+            return {"rule": "displacement-confinement", "min_gap": min_gap, "tail_bound": tail}
     return None
 
 
@@ -854,18 +778,15 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
                         },
                         "an orbit freezes at a fixed point and misses a cell forever",
                     )
-        conf = _rotation_displacements(sys, N)
+        conf = _confinement_gaps(sys, N, x, t)
         if conf is not None:
-            disp, tail = conf
-            base = _point_coord(t) - _point_coord(x)
-            gaps = coord_distances(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
-            future = max(0.0, float(gaps[-1]) - tail)
-            if float(gaps.min()) > cfg.eps + cfg.tol and future > cfg.eps + cfg.tol:
+            min_gap, future, tail = conf
+            if min_gap > cfg.eps + cfg.tol and future > cfg.eps + cfg.tol:
                 return V.refuted(
                     {
                         "start": point_to_json(x),
                         "missed_target": point_to_json(t),
-                        "min_gap": float(gaps.min()),
+                        "min_gap": min_gap,
                         "tail_bound": tail,
                         "rule": "displacement-confinement",
                     },
@@ -884,6 +805,42 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # recurrence checkers
 
+def _periods(
+    sys: SystemView, points: list[Point], P: int, R: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return distances d(omega_n(x), x) for n = 0..P*R (rows) and each
+    point x (columns), from one sweep, and each point's least period: the
+    least n <= P whose returns at every multiple n*k, k <= R, lie within tol,
+    or 0 when there is none."""
+    kind = sys.space.kind
+    coords = point_coords(points, kind)
+    returns = coord_distances(kind, orbit_matrix(sys, coords, P * R), coords)
+    multiples = np.arange(1, P + 1)[:, None] * np.arange(1, R + 1)
+    closed = (returns[multiples] <= tol).all(axis=1)
+    return returns, np.where(closed.any(axis=0), closed.argmax(axis=0) + 1, 0)
+
+
+def _periodic_verdict(
+    x: Point, returns: np.ndarray, period: int, P: int, R: int, tol: float
+) -> Verdict:
+    """check_periodic's verdict on x from its column of _periods."""
+    if period:
+        return V.holds(
+            {
+                "point": point_to_json(x),
+                "period": int(period),
+                "revisit_gaps": returns[period * np.arange(1, R + 1)].tolist(),
+                "repetitions": R,
+            },
+            f"orbit returns within {tol:g} at every multiple of {period}",
+        )
+    closest = float(returns[1 : P + 1].min())
+    return V.refuted(
+        {"point": point_to_json(x), "max_period": P, "min_recurrence_gap": closest},
+        f"no period up to {P}; closest return misses by {closest:.3g}",
+    )
+
+
 def check_periodic(
     sys: SystemView, x: Point, cfg: CheckConfig,
     max_period: int | None = None, repetitions: int | None = None,
@@ -896,27 +853,47 @@ def check_periodic(
     cfg.validate(sys.space)
     P = max_period if max_period is not None else cfg.max_period
     R = repetitions if repetitions is not None else cfg.repetitions
-    orbit = sys.orbit(x, P * R)
-    gaps = [distance(sys.space, orbit[n], x) for n in range(1, P + 1)]
-    for n in range(1, P + 1):
-        revisits = [distance(sys.space, orbit[n * k], x) for k in range(1, R + 1)]
-        if all(g <= cfg.tol for g in revisits):
-            return V.holds(
-                {
-                    "point": point_to_json(x),
-                    "period": n,
-                    "revisit_gaps": revisits,
-                    "repetitions": R,
-                },
-                f"orbit returns within {cfg.tol:g} at every multiple of {n}",
-            )
+    returns, periods = _periods(sys, [x], P, R, cfg.tol)
+    return _periodic_verdict(x, returns[:, 0], periods[0], P, R, cfg.tol)
+
+
+def _refute_periodicity(
+    sys: SystemView, cfg: CheckConfig, P: int, R: int, **witness
+) -> Verdict | None:
+    """No point is periodic with period <= P: a rotation system whose window
+    displacements stay away from zero. The witness gains any extra keys."""
+    conf = _rotation_displacements(sys, P * R)
+    if conf is None:
+        return None
+    disp, tail = conf
+    gaps = coord_distances(SpaceKind.CIRCLE, np.mod(disp, TWO_PI), np.zeros(1))
+    if float(gaps.min()) <= cfg.tol + tail:
+        return None
     return V.refuted(
-        {
-            "point": point_to_json(x),
-            "max_period": P,
-            "min_recurrence_gap": min(gaps),
-        },
-        f"no period up to {P}; closest return misses by {min(gaps):.3g}",
+        {"rule": "nonzero-displacement", "min_displacement": float(gaps.min()), **witness},
+        "every window rotates by a provably nonzero angle, so no point is periodic",
+    )
+
+
+def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
+    """Existence of periodic points, sampled over the grid in one sweep."""
+    cfg.validate(sys.space)
+    P, R = cfg.max_period, cfg.repetitions
+    refutation = _refute_periodicity(sys, cfg, P, R)
+    if refutation is not None:
+        return refutation
+    grid = grid_points(sys.space, cfg)
+    returns, periods = _periods(sys, grid, P, R, cfg.tol)
+    if periods.any():
+        j = int(np.flatnonzero(periods)[0])
+        v = _periodic_verdict(grid[j], returns[:, j], periods[j], P, R, cfg.tol)
+        return V.holds(
+            {"witness": v.witness, "sampled": len(grid)},
+            f"a sampled point is periodic with period {v.witness['period']}",
+        )
+    return V.refuted(
+        {"sampled": len(grid), "min_recurrence_gap": float(returns[1 : P + 1].min())},
+        "no sampled point returns to itself at this period horizon",
     )
 
 
@@ -966,21 +943,9 @@ def check_dense_periodicity(
     P = max_period if max_period is not None else cfg.max_period
     R = repetitions if repetitions is not None else cfg.repetitions
 
-    # global refutation: a rotation system whose displacements stay away
-    # from zero has no periodic points at all
-    conf = _rotation_displacements(sys, P * R)
-    if conf is not None:
-        disp, tail = conf
-        gaps = coord_distances(SpaceKind.CIRCLE, np.mod(disp, TWO_PI), np.zeros(1))
-        if float(gaps.min()) > cfg.tol + tail:
-            return V.refuted(
-                {
-                    "rule": "nonzero-displacement",
-                    "min_displacement": float(gaps.min()),
-                    "max_period": P,
-                },
-                "every window rotates by a provably nonzero angle, so no point is periodic",
-            )
+    refutation = _refute_periodicity(sys, cfg, P, R, max_period=P)
+    if refutation is not None:
+        return refutation
 
     candidates = _periodic_candidates(sys, cfg, P)
     centers = grid_points(sys.space, cfg)
@@ -996,19 +961,17 @@ def check_dense_periodicity(
         if candidates is not None:
             pool = [candidates[j] for j in np.flatnonzero(near[g])]
         pool.extend(_ball_points(sys.space, c, cfg.eps, cfg.ball_count))
-        found = None
-        for p in pool:
-            v = check_periodic(sys, p, cfg, P, R)
-            if v.holds:
-                found = {"center": point_to_json(c), **v.witness}
-                break
-        if found is not None:
-            witnesses.append(found)
-        else:
+        # one sweep per ball keeps the peak memory at one pool's orbits
+        returns, periods = _periods(sys, pool, P, R, cfg.tol)
+        if not periods.any():
             unfilled.append(g)
+        elif len(witnesses) < 8:
+            j = int(np.flatnonzero(periods)[0])
+            v = _periodic_verdict(pool[j], returns[:, j], periods[j], P, R, cfg.tol)
+            witnesses.append({"center": point_to_json(c), **v.witness})
     if not unfilled:
         return V.holds(
-            {"balls": len(centers), "witnesses": witnesses[:8], "max_period": P},
+            {"balls": len(centers), "witnesses": witnesses, "max_period": P},
             f"every {cfg.eps:g}-ball contains a point of period <= {P}",
         )
     if candidates is not None:
@@ -1262,3 +1225,99 @@ def _cell_density(
         },
         f"{len(unfilled)} balls produced no {predicate.value} partner at this horizon",
     )
+
+
+def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
+    """Cell density of every grid point under the predicate."""
+    xs = grid_points(sys.space, cfg)
+    verdicts = list(zip(xs, _cell_densities(sys, xs, cfg, predicate)))
+    bad = [(x, v) for x, v in verdicts if not v.holds]
+    if not bad:
+        return V.holds(
+            {"points": len(verdicts), "predicate": predicate.value},
+            f"the {predicate.value} cell of every sampled point is dense",
+        )
+    x, v = next(((x, v) for x, v in bad if v.refuted), bad[0])
+    if v.refuted:
+        return V.refuted(
+            {"point": point_to_json(x), "cell_verdict": v.to_json()},
+            f"a sampled point has a provably non-dense {predicate.value} cell",
+        )
+    return V.inconclusive(
+        {"point": point_to_json(x), "cell_verdict": v.to_json()},
+        f"density of some {predicate.value} cells is unresolved",
+    )
+
+
+def check_proximal_cell_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
+    """Every sampled point has a dense proximal cell."""
+    cfg.validate(sys.space)
+    return _cell_density_all(sys, cfg, PairPredicate.PROXIMAL)
+
+
+def check_li_yorke_cell_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
+    """Every sampled point has a dense Li-Yorke cell."""
+    cfg.validate(sys.space)
+    return _cell_density_all(sys, cfg, PairPredicate.LI_YORKE)
+
+
+def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
+    """Dense proximal pairs: every ordered pair of grid balls holds one."""
+    cfg.validate(sys.space)
+    centers = grid_points(sys.space, cfg)
+    pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count)[:5] for c in centers]
+    sweep = _PairSweep(sys, pools, cfg)
+    G = len(pools)
+    missing: list[tuple[int, int]] = []
+    refutable = 0
+    for i, pool1 in enumerate(pools):
+        # a ball pair (i, j) needs one proximal pair; it is refutable when
+        # every sampled pair is refuted. Each x of ball i is swept against
+        # every ball j before the next x, so its evidence is computed once.
+        found = [False] * G
+        all_refuted = [True] * G
+        for k, x in enumerate(pool1):
+            for j, pool2 in enumerate(pools):
+                if found[j]:
+                    continue
+                for y, (st, d0) in zip(pool2, sweep.pairs(i, k, j)):
+                    v = _proximal_decide(sys, x, y, cfg, st, d0)
+                    if v.holds:
+                        found[j] = True
+                        break
+                    if not v.refuted:
+                        all_refuted[j] = False
+        for j in range(G):
+            if not found[j]:
+                missing.append((i, j))
+                if all_refuted[j]:
+                    refutable += 1
+    if not missing:
+        return V.holds(
+            {"ball_pairs": len(centers) ** 2},
+            "every sampled pair of balls contains a proximal pair",
+        )
+    i, j = missing[0]
+    ball_pair = [point_to_json(centers[i]), point_to_json(centers[j])]
+    if sys.steps_isometric and refutable == len(missing):
+        return V.refuted(
+            {"ball_pair": ball_pair, "rule": "isometric-steps"},
+            "isometric steps keep all sampled cross-ball pairs separated",
+        )
+    return V.inconclusive(
+        {"missing_count": len(missing), "ball_pair": ball_pair},
+        f"{len(missing)} ball pairs produced no proximal pair at this horizon",
+    )
+
+
+def ball_diameter_series(
+    sys: SystemView, center: Point, radius: float, cfg: CheckConfig, horizon: int
+) -> np.ndarray:
+    """Orbit diameter of the ball around center for n = 0..horizon: exact
+    from its region chain when the steps allow it, else from cfg.ball_count
+    sampled points."""
+    if horizon != cfg.horizon:
+        cfg = replace(cfg, horizon=horizon, tail_window=min(cfg.tail_window, horizon))
+    use_regions = _supports_regions(sys, horizon)
+    series, _ = next(_diam_series_for_balls(sys, [(center, radius)], cfg, use_regions))
+    return series

@@ -1,22 +1,108 @@
-"""Orbit computation: forward compositions, windowed compositions, limit iterates.
+"""The orbit kernel: every sequence of map applications runs through
+``orbit_matrix``.
 
 Orbits index from 0 with the identity, so states[n] is the point after maps
-1..n have been applied. Windowed composition applies maps n+1..n+k, which
-makes the semigroup identity
+1..n have been applied. A sweep may start after step n, applying maps
+n+1..n+k, which makes the semigroup identity
 
     omega(fam, x, n + k) == omega_window(fam, omega(fam, x, n), n, k)
 
 hold bit-exactly: both sides perform the same float operations in the same
 order. Evaluation is forward-only; no inverse maps are ever computed.
+
+The scalar functions below (``omega``, ``omega_window``, ``limit_iterate``,
+``trajectory``, ``limit_trajectory``) sweep one column through the kernel.
+Binary words are packed (``space.point_coords``), so words longer than
+``space.MAX_WORD_BITS`` coordinates raise ``SpaceError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 
-from .descriptors import apply
+import numpy as np
+
+from .descriptors import MapDescriptor, OdometerAdd, Rotation, apply_batch
 from .family import MapFamily
-from .space import Point, SpaceError
+from .space import PhaseSpace, Point, SpaceError, coord_point, point_coords
+
+
+class Mode(str, Enum):
+    NON_AUTONOMOUS = "non_autonomous"
+    AUTONOMOUS_LIMIT = "autonomous_limit"
+
+
+@dataclass(frozen=True, eq=False)
+class SystemView:
+    """One of the two systems under comparison: (X, F) or (X, f)."""
+
+    fam: MapFamily
+    mode: Mode
+    #: memo for expensive intermediates (step tables, hit tables); results
+    #: are pure functions of (fam, mode, config), so caching is transparent
+    _cache: dict = field(default_factory=dict)
+
+    @property
+    def space(self) -> PhaseSpace:
+        return self.fam.space
+
+    def step_map(self, n: int) -> MapDescriptor:
+        """The map applied at step n (1-based)."""
+        if self.mode is Mode.AUTONOMOUS_LIMIT:
+            return self.fam.limit
+        return self.fam.member(n)
+
+    def steps(self, horizon: int) -> list[MapDescriptor]:
+        """Step table: entry n is the map applied at step n, for n <= horizon.
+
+        Built once per view and grown to the largest horizon asked for, so
+        sweeps stop building a descriptor per step. Entry 0 is unused.
+        """
+        table = self._cache.setdefault("steps", [None])
+        for n in range(len(table), horizon + 1):
+            table.append(self.step_map(n))
+        return table
+
+    @property
+    def steps_isometric(self) -> bool:
+        """Every step map is known to be an isometry (symbolic knowledge)."""
+        if self.mode is Mode.AUTONOMOUS_LIMIT:
+            return isinstance(self.fam.limit, (Rotation, OdometerAdd))
+        return self.fam.steps_isometric
+
+    def constant_tail_from(self) -> int | None:
+        """Index from which every step map equals the limit, if known."""
+        if self.mode is Mode.AUTONOMOUS_LIMIT:
+            return 1
+        return self.fam.eventually_constant_from
+
+    def rotation_amounts(self, horizon: int) -> list[float] | None:
+        """Step rotation amounts for rotation-only systems, else None."""
+        if self.mode is Mode.AUTONOMOUS_LIMIT:
+            if isinstance(self.fam.limit, Rotation):
+                return [self.fam.limit.amount] * horizon
+            return None
+        if not self.fam.steps_isometric or not isinstance(self.fam.limit, Rotation):
+            return None
+        amounts = []
+        for m in self.steps(horizon)[1 : horizon + 1]:
+            if not isinstance(m, Rotation):
+                return None
+            amounts.append(m.amount)
+        return amounts
+
+
+def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int, start: int = 0) -> np.ndarray:
+    """Vectorized orbit sweep of a coordinate array (``space.point_coords``),
+    shape (horizon+1, len). Row j is the state after steps start+1..start+j."""
+    kind = sys.space.kind
+    steps = sys.steps(start + horizon)
+    rows = np.empty((horizon + 1, coords.shape[0]), dtype=coords.dtype)
+    rows[0] = coords
+    for j in range(1, horizon + 1):
+        rows[j] = apply_batch(steps[start + j], rows[j - 1], kind)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -34,76 +120,45 @@ class Trajectory:
             raise SpaceError("trajectory must begin at its start point")
 
 
-@dataclass(frozen=True)
-class CompositionWindow:
-    """Evaluated window: points[j] is the image after maps n+1..n+j."""
+def _column(fam: MapFamily, mode: Mode, x: Point, k: int, start: int = 0) -> np.ndarray:
+    """The orbit of x through steps start+1..start+k, one row per state."""
+    if k < 0 or start < 0:
+        raise SpaceError("orbit indices must be nonnegative")
+    fam.space.require(x)
+    coords = point_coords([x], fam.space.kind)
+    return orbit_matrix(SystemView(fam, mode), coords, k, start)[:, 0]
 
-    base_index: int
-    length: int
-    points: tuple[Point, ...]
+
+def _last(fam: MapFamily, mode: Mode, x: Point, k: int, start: int = 0) -> Point:
+    return coord_point(_column(fam, mode, x, k, start)[-1], fam.space.kind)
+
+
+def _trajectory(fam: MapFamily, mode: Mode, x: Point, horizon: int) -> Trajectory:
+    rows = _column(fam, mode, x, horizon)
+    states = (x,) + tuple(coord_point(c, fam.space.kind) for c in rows[1:])
+    return Trajectory(x, states, horizon)
 
 
 def omega(fam: MapFamily, x: Point, n: int) -> Point:
     """Apply maps 1..n in order; n = 0 returns x unchanged."""
-    if n < 0:
-        raise SpaceError("orbit index must be nonnegative")
-    fam.space.require(x)
-    y = x
-    for i in range(1, n + 1):
-        y = apply(fam.member(i), y)
-    return y
+    return _last(fam, Mode.NON_AUTONOMOUS, x, n)
 
 
 def omega_window(fam: MapFamily, x: Point, n: int, k: int) -> Point:
     """Apply maps n+1..n+k in order; k = 0 returns x unchanged."""
-    if n < 0 or k < 0:
-        raise SpaceError("window indices must be nonnegative")
-    fam.space.require(x)
-    y = x
-    for i in range(n + 1, n + k + 1):
-        y = apply(fam.member(i), y)
-    return y
-
-
-def window(fam: MapFamily, x: Point, n: int, k: int) -> CompositionWindow:
-    """Windowed composition with every intermediate state recorded."""
-    if n < 0 or k < 0:
-        raise SpaceError("window indices must be nonnegative")
-    fam.space.require(x)
-    pts = [x]
-    for i in range(n + 1, n + k + 1):
-        pts.append(apply(fam.member(i), pts[-1]))
-    return CompositionWindow(n, k, tuple(pts))
+    return _last(fam, Mode.NON_AUTONOMOUS, x, k, n)
 
 
 def limit_iterate(fam: MapFamily, x: Point, k: int) -> Point:
     """k-fold application of the limit map."""
-    if k < 0:
-        raise SpaceError("iterate count must be nonnegative")
-    fam.space.require(x)
-    y = x
-    for _ in range(k):
-        y = apply(fam.limit, y)
-    return y
+    return _last(fam, Mode.AUTONOMOUS_LIMIT, x, k)
 
 
 def trajectory(fam: MapFamily, x: Point, horizon: int) -> Trajectory:
     """Forward orbit sweep; states[n] equals omega(fam, x, n) for every n."""
-    if horizon < 0:
-        raise SpaceError("horizon must be nonnegative")
-    fam.space.require(x)
-    states = [x]
-    for i in range(1, horizon + 1):
-        states.append(apply(fam.member(i), states[-1]))
-    return Trajectory(x, tuple(states), horizon)
+    return _trajectory(fam, Mode.NON_AUTONOMOUS, x, horizon)
 
 
 def limit_trajectory(fam: MapFamily, x: Point, horizon: int) -> Trajectory:
     """Forward orbit of the autonomous limit system."""
-    if horizon < 0:
-        raise SpaceError("horizon must be nonnegative")
-    fam.space.require(x)
-    states = [x]
-    for _ in range(horizon):
-        states.append(apply(fam.limit, states[-1]))
-    return Trajectory(x, tuple(states), horizon)
+    return _trajectory(fam, Mode.AUTONOMOUS_LIMIT, x, horizon)

@@ -30,17 +30,16 @@ from .bounds import (
 from .checkers import (
     CheckConfig,
     Mode,
-    PairPredicate,
     SystemView,
-    _cell_densities,
-    _diam_series_for_balls,
-    _rotation_displacements,
-    _supports_regions,
+    ball_diameter_series,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
+    check_li_yorke_cell_density,
     check_minimality,
-    check_periodic,
+    check_periodic_points,
+    check_proximal_cell_density,
+    check_proximal_pairs_density,
     check_sensitivity,
     check_topological_mixing,
     check_transitivity,
@@ -60,121 +59,6 @@ from . import verdict as V
 
 # ---------------------------------------------------------------------------
 # property registry
-
-def _run_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
-    """Existence of periodic points, sampled over the grid."""
-    conf = _rotation_displacements(sys, cfg.max_period * cfg.repetitions)
-    if conf is not None:
-        disp, tail = conf
-        from .space import TWO_PI
-
-        wrapped = np.mod(disp, TWO_PI)
-        gaps = np.minimum(wrapped, TWO_PI - wrapped)
-        if float(gaps.min()) > cfg.tol + tail:
-            return V.refuted(
-                {"rule": "nonzero-displacement", "min_displacement": float(gaps.min())},
-                "every window rotates by a provably nonzero angle, so no point is periodic",
-            )
-    verdicts = [(x, check_periodic(sys, x, cfg)) for x in grid_points(sys.space, cfg)]
-    for x, v in verdicts:
-        if v.holds:
-            return V.holds(
-                {"witness": v.witness, "sampled": len(verdicts)},
-                f"a sampled point is periodic with period {v.witness['period']}",
-            )
-    if all(v.refuted for _, v in verdicts):
-        gap = min(v.witness["min_recurrence_gap"] for _, v in verdicts)
-        return V.refuted(
-            {"sampled": len(verdicts), "min_recurrence_gap": gap},
-            "no sampled point returns to itself at this period horizon",
-        )
-    return V.inconclusive({"sampled": len(verdicts)}, "periodicity evidence mixed")
-
-
-def _run_cell_density_all(predicate: PairPredicate):
-    def run(sys: SystemView, cfg: CheckConfig) -> Verdict:
-        xs = grid_points(sys.space, cfg)
-        verdicts = list(zip(xs, _cell_densities(sys, xs, cfg, predicate)))
-        bad = [(x, v) for x, v in verdicts if not v.holds]
-        if not bad:
-            return V.holds(
-                {"points": len(verdicts), "predicate": predicate.value},
-                f"the {predicate.value} cell of every sampled point is dense",
-            )
-        x, v = bad[0]
-        if any(v.refuted for _, v in bad):
-            x, v = next((x, v) for x, v in bad if v.refuted)
-            return V.refuted(
-                {"point": point_to_json(x), "cell_verdict": v.to_json()},
-                f"a sampled point has a provably non-dense {predicate.value} cell",
-            )
-        return V.inconclusive(
-            {"point": point_to_json(x), "cell_verdict": v.to_json()},
-            f"density of some {predicate.value} cells is unresolved",
-        )
-
-    return run
-
-
-def _run_proximal_pairs(sys: SystemView, cfg: CheckConfig) -> Verdict:
-    """Dense proximal pairs: every ordered pair of grid balls holds one."""
-    from .checkers import _PairSweep, _ball_points, _proximal_decide
-
-    centers = grid_points(sys.space, cfg)
-    pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count)[:5] for c in centers]
-    sweep = _PairSweep(sys, pools, cfg)
-    G = len(pools)
-    missing: list[tuple[int, int]] = []
-    refutable = 0
-    for i, pool1 in enumerate(pools):
-        # a ball pair (i, j) needs one proximal pair; it is refutable when
-        # every sampled pair is refuted. Each x of ball i is swept against
-        # every ball j before the next x, so its evidence is computed once.
-        found = [False] * G
-        all_refuted = [True] * G
-        for k, x in enumerate(pool1):
-            for j, pool2 in enumerate(pools):
-                if found[j]:
-                    continue
-                for y, (st, d0) in zip(pool2, sweep.pairs(i, k, j)):
-                    v = _proximal_decide(sys, x, y, cfg, st, d0)
-                    if v.holds:
-                        found[j] = True
-                        break
-                    if not v.refuted:
-                        all_refuted[j] = False
-        for j in range(G):
-            if not found[j]:
-                missing.append((i, j))
-                if all_refuted[j]:
-                    refutable += 1
-    if not missing:
-        return V.holds(
-            {"ball_pairs": len(centers) ** 2},
-            "every sampled pair of balls contains a proximal pair",
-        )
-    if sys.steps_isometric and refutable == len(missing):
-        i, j = missing[0]
-        return V.refuted(
-            {
-                "ball_pair": [point_to_json(centers[i]), point_to_json(centers[j])],
-                "rule": "isometric-steps",
-            },
-            "isometric steps keep all sampled cross-ball pairs separated",
-        )
-    i, j = missing[0]
-    return V.inconclusive(
-        {
-            "missing_count": len(missing),
-            "ball_pair": [point_to_json(centers[i]), point_to_json(centers[j])],
-        },
-        f"{len(missing)} ball pairs produced no proximal pair at this horizon",
-    )
-
-
-def _run_li_yorke_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
-    return _run_cell_density_all(PairPredicate.LI_YORKE)(sys, cfg)
-
 
 @dataclass(frozen=True)
 class PropertyRule:
@@ -219,7 +103,7 @@ PROPERTY_RULES: tuple[PropertyRule, ...] = (
         needs_commuting=True, needs_summable=True, needs_feeble_open=True,
     ),
     PropertyRule(
-        "periodic_points", "periodic-point-transfer", _run_periodic_points,
+        "periodic_points", "periodic-point-transfer", check_periodic_points,
         one_directional=True,
     ),
     PropertyRule(
@@ -228,17 +112,17 @@ PROPERTY_RULES: tuple[PropertyRule, ...] = (
     ),
     PropertyRule(
         "proximal_cell_density", "proximal-cell-density-equivalence",
-        _run_cell_density_all(PairPredicate.PROXIMAL),
+        check_proximal_cell_density,
         needs_commuting=True, needs_summable=True,
     ),
     PropertyRule(
         "proximal_pairs_density", "proximal-pairs-density-equivalence",
-        _run_proximal_pairs,
+        check_proximal_pairs_density,
         needs_commuting=True, needs_summable=True,
     ),
     PropertyRule(
         "li_yorke_cell_density", "li-yorke-sensitivity-equivalence",
-        _run_li_yorke_density,
+        check_li_yorke_cell_density,
         needs_commuting=True, needs_summable=True, needs_feeble_open=True,
     ),
 )
@@ -496,13 +380,7 @@ def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tup
         fam, profile_n, profile_k, grid_resolution=min(cfg.grid_resolution, 32), eps=cfg.eps
     )
     diam_horizon = min(cfg.horizon, 400)
-    diam_cfg = cfg if cfg.horizon == diam_horizon else CheckConfig(
-        **{**cfg.to_json(), "horizon": diam_horizon,
-           "tail_window": min(cfg.tail_window, diam_horizon)}
-    )
-    series, _ = next(_diam_series_for_balls(
-        sys_F, [(x0, cfg.eps)], diam_cfg, _supports_regions(sys_F, diam_horizon)
-    ))
+    series = ball_diameter_series(sys_F, x0, cfg.eps, cfg, diam_horizon)
     summary = {
         "deviation_x": point_to_json(x0),
         "deviation_records": [r.to_json() for r in records],

@@ -14,7 +14,7 @@ from nonautodyn.bounds import (
     shifted_deviation_check,
 )
 from nonautodyn.family import TENT, autonomous_family, make_builtin_family
-from nonautodyn.space import CircleAngle, IntervalPoint, PhaseSpace
+from nonautodyn.space import CircleAngle, IntervalPoint, PhaseSpace, sample_grid
 
 ALT = make_builtin_family("alternating-rotation", alpha=1.1)
 INV = make_builtin_family("inverse-square-rotation")
@@ -66,6 +66,17 @@ class TestDeviation:
         for fam in (ALT, INV):
             for rec in deviation_series(fam, CircleAngle(0.37), 60):
                 assert rec.holds
+
+    @pytest.mark.parametrize("name", ["alternating-rotation", "perturbed-doubling",
+                                      "plateau-tent", "odometer-deletion"])
+    def test_series_matches_single_checks(self, name):
+        fam = make_builtin_family(name)
+        x = sample_grid(fam.space, 5).points[1]
+        ledger = BoundLedger.for_family(fam, 40)
+        series = deviation_series(fam, x, 40)
+        assert [r.k for r in series] == list(range(1, 41))
+        for rec in series:
+            assert rec == deviation_check(fam, x, rec.k, 1e-9, ledger)
 
     def test_bound_monotone_in_k(self):
         records = deviation_series(INV, CircleAngle(0.0), 30)

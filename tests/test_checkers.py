@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from nonautodyn import verdict as V
 from nonautodyn.checkers import (
     CheckConfig,
     Mode,
@@ -15,6 +16,7 @@ from nonautodyn.checkers import (
     check_equicontinuity,
     check_minimality,
     check_periodic,
+    check_periodic_points,
     check_sensitivity,
     check_topological_mixing,
     check_transitivity,
@@ -23,13 +25,18 @@ from nonautodyn.checkers import (
     li_yorke_check,
     proximal_check,
 )
+from nonautodyn.descriptors import apply
 from nonautodyn.family import TENT, autonomous_family, family_from_config, make_builtin_family
+from nonautodyn.report import CATALOG
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
     IntervalPoint,
     PhaseSpace,
     SpaceError,
+    ball_sample,
+    distance,
+    point_to_json,
     sample_grid,
 )
 
@@ -72,6 +79,19 @@ class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(SpaceError, match="tail_windw"):
             CheckConfig.from_json({"horizon": 10, "tail_windw": 5})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("horizon", "50"), ("horizon", 50.0), ("horizon", True), ("max_period", None),
+         ("tail_window", [5]), ("eps", "0.1"), ("delta", False), ("tol", None)],
+    )
+    def test_wrong_value_type_rejected(self, key, value):
+        with pytest.raises(SpaceError, match=key):
+            CheckConfig.from_json({"horizon": 10, "tail_window": 5, key: value})
+
+    def test_integer_reals_accepted(self):
+        cfg = CheckConfig.from_json({"horizon": 10, "tail_window": 5, "delta": 1, "tol": 0})
+        assert (cfg.delta, cfg.tol) == (1, 0)
 
     def test_binary_needs_resolving_words(self):
         cfg = CheckConfig(horizon=10, tail_window=5, eps=0.05, delta=0.5)
@@ -443,3 +463,55 @@ class TestBinaryGrid:
         v = check_equicontinuity(SystemView(fam, Mode.AUTONOMOUS_LIMIT), cfg)
         assert v.holds
         assert v.witness["max_separation"] <= cfg.eps
+
+
+# -- periodicity against the scalar loop --------------------------------------
+
+def _scalar_periodic(sys, x, cfg):
+    """Plain-Python check_periodic: an apply loop and scalar distances."""
+    P, R = cfg.max_period, cfg.repetitions
+    orbit = [x]
+    for n in range(1, P * R + 1):
+        orbit.append(apply(sys.step_map(n), orbit[-1]))
+    gaps = [distance(sys.space, orbit[n], x) for n in range(1, P + 1)]
+    for n in range(1, P + 1):
+        revisits = [distance(sys.space, orbit[n * k], x) for k in range(1, R + 1)]
+        if all(g <= cfg.tol for g in revisits):
+            return V.holds(
+                {"point": point_to_json(x), "period": n, "revisit_gaps": revisits,
+                 "repetitions": R},
+                f"orbit returns within {cfg.tol:g} at every multiple of {n}",
+            )
+    return V.refuted(
+        {"point": point_to_json(x), "max_period": P, "min_recurrence_gap": min(gaps)},
+        f"no period up to {P}; closest return misses by {min(gaps):.3g}",
+    )
+
+
+def _scalar_periodic_points(sys, cfg):
+    """Plain-Python periodic_points runner, grid points checked one by one."""
+    verdicts = [_scalar_periodic(sys, x, cfg) for x in grid_points(sys.space, cfg)]
+    for v in verdicts:
+        if v.holds:
+            return V.holds(
+                {"witness": v.witness, "sampled": len(verdicts)},
+                f"a sampled point is periodic with period {v.witness['period']}",
+            )
+    return V.refuted(
+        {"sampled": len(verdicts),
+         "min_recurrence_gap": min(v.witness["min_recurrence_gap"] for v in verdicts)},
+        "no sampled point returns to itself at this period horizon",
+    )
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_batched_periodic_verdicts_match_scalar_loop(name, mode):
+    spec = CATALOG[name]
+    sys, cfg = SystemView(spec.build_family(), mode), spec.check
+    grid = grid_points(sys.space, cfg)
+    for x in grid + list(ball_sample(sys.space, grid[1], cfg.eps, 5)):
+        assert check_periodic(sys, x, cfg) == _scalar_periodic(sys, x, cfg)
+    v = check_periodic_points(sys, cfg)
+    if v.witness.get("rule") != "nonzero-displacement":
+        assert v == _scalar_periodic_points(sys, cfg)

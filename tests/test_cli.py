@@ -72,6 +72,14 @@ def test_misspelled_check_key_is_config_error(spec_file, capsys):
     assert "tail_windw" in capsys.readouterr().err
 
 
+def test_string_check_value_is_config_error(spec_file, capsys):
+    doc = json.loads(spec_file.read_text())
+    doc["check"]["horizon"] = "50"
+    spec_file.write_text(json.dumps(doc))
+    assert main(["run", str(spec_file)]) == EXIT_CONFIG
+    assert "'horizon' must be an integer" in capsys.readouterr().err
+
+
 def test_overlong_binary_word_is_config_error(tmp_path, capsys):
     doc = {
         "family": {"builtin": "odometer-deletion", "params": {"word_length": 64}},

@@ -1,25 +1,39 @@
-"""Orbit composition identities and trajectory sweeps."""
+"""Orbit composition identities, trajectory sweeps, and the orbit kernel."""
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonautodyn.family import TENT, autonomous_family, make_builtin_family
+from nonautodyn.descriptors import (
+    AffineCircle,
+    Delete,
+    Lookup,
+    OdometerAdd,
+    PiecewiseLinear,
+    Rotation,
+    apply,
+)
+from nonautodyn.checkers import Mode, SystemView, orbit_matrix
+from nonautodyn.family import TENT, MapFamily, autonomous_family, make_builtin_family
 from nonautodyn.orbit import (
     limit_iterate,
     limit_trajectory,
     omega,
     omega_window,
     trajectory,
-    window,
 )
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
     IntervalPoint,
     PhaseSpace,
+    SpaceError,
     SpaceKind,
+    coord_point,
+    point_coords,
 )
 
 ALT = make_builtin_family("alternating-rotation", alpha=1.1)
@@ -61,12 +75,6 @@ class TestWindow:
     def test_perturbed_doubling_single_step(self):
         got = omega_window(PD, CircleAngle(0.0), 1, 1)
         assert got.theta == pytest.approx(0.5)  # f_2(0) = 2*0 + 1/2
-
-    def test_window_records_intermediates(self):
-        w = window(INV, CircleAngle(0.0), 1, 3)
-        assert w.base_index == 1 and w.length == 3
-        assert len(w.points) == 4
-        assert w.points[0] == CircleAngle(0.0)
 
     def test_semigroup_identity_bit_exact(self):
         rng = random.Random(99)
@@ -124,3 +132,99 @@ class TestTrajectory:
         t = limit_trajectory(PD, x, 8)
         for n in range(9):
             assert t.states[n] == limit_iterate(PD, x, n)
+
+
+class TestWrapperLimits:
+    def test_words_longer_than_a_packed_word_raise(self):
+        fam = make_builtin_family("odometer-deletion", word_length=64)
+        x = BinaryWord((0,) * 64, 64)
+        for run in (lambda: omega(fam, x, 3), lambda: trajectory(fam, x, 3),
+                    lambda: limit_iterate(fam, x, 3), lambda: omega_window(fam, x, 1, 2)):
+            with pytest.raises(SpaceError, match="cannot be packed"):
+                run()
+
+    def test_negative_indices_raise(self):
+        with pytest.raises(SpaceError):
+            omega(ALT, CircleAngle(0.1), -1)
+        with pytest.raises(SpaceError):
+            omega_window(ALT, CircleAngle(0.1), -1, 2)
+
+
+# -- the kernel against scalar apply, one step at a time ---------------------
+
+#: PL maps and linear-rule lookups round differently in np.interp than in
+#: scalar apply; the gap is bounded by a few ulps scaled by the step's slope
+ULPS = 4 * 2.0**-52
+
+
+def _pl(draw):
+    xs = sorted(set(draw(st.lists(st.floats(1e-6, 1 - 1e-6), max_size=5))))
+    ys = [draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
+          for _ in range(len(xs) + 2)]
+    if draw(st.booleans()) and len(ys) > 2:
+        ys[1] = ys[0]  # a flat piece
+    return PiecewiseLinear(tuple(zip([0.0] + xs + [1.0], ys)))
+
+
+def _lookup(draw, rule):
+    values = draw(st.lists(st.floats(0, 1), min_size=2, max_size=40))
+    return Lookup(tuple(values), rule)
+
+
+@st.composite
+def _steps(draw):
+    """A kind, a few step maps of that kind, and starts."""
+    kind = draw(st.sampled_from(["circle", "pl", "linear", "nearest", "binary"]))
+    count = draw(st.integers(1, 4))
+    if kind == "circle":
+        steps = [
+            draw(st.one_of(
+                st.builds(Rotation, st.floats(0, 7)),
+                st.builds(AffineCircle, st.integers(1, 4), st.floats(0, 7)),
+            ))
+            for _ in range(count)
+        ]
+        starts = [CircleAngle(t) for t in draw(st.lists(st.floats(0, 7), min_size=1, max_size=6))]
+        return PhaseSpace.circle(), steps, starts
+    if kind == "binary":
+        length = draw(st.integers(2, 63))
+        steps = [
+            draw(st.one_of(st.just(OdometerAdd()), st.builds(Delete, st.integers(length, 70))))
+            for _ in range(count)
+        ]
+        words = draw(st.lists(st.integers(0, 2**length - 1), min_size=1, max_size=6))
+        starts = [BinaryWord(tuple((v >> j) & 1 for j in range(length)), length) for v in words]
+        return PhaseSpace.binary_seq(length), steps, starts
+    if kind == "pl":
+        steps = [_pl(draw) for _ in range(count)]
+    else:
+        steps = [_lookup(draw, "nearest" if kind == "nearest" else "linear") for _ in range(count)]
+    points = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)), min_size=1, max_size=6
+    ))
+    return PhaseSpace.unit_interval(), steps, [IntervalPoint(x) for x in points]
+
+
+def _slope(m) -> float:
+    """Steepest slope of a PL map or a linear-rule lookup."""
+    if isinstance(m, Lookup):
+        m = PiecewiseLinear(tuple((i / (len(m.values) - 1), v) for i, v in enumerate(m.values)))
+    return max(abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(m.breakpoints, m.breakpoints[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps(), st.integers(1, 12))
+def test_kernel_rows_match_scalar_apply(case, horizon):
+    space, steps, starts = case
+    fam = MapFamily(space, lambda n: steps[(n - 1) % len(steps)], steps[0], "drawn")
+    rows = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), point_coords(starts, space.kind), horizon)
+    for n in range(1, horizon + 1):
+        m = steps[(n - 1) % len(steps)]
+        rounded = isinstance(m, PiecewiseLinear) or getattr(m, "rule", None) == "linear"
+        for j in range(len(starts)):
+            want = apply(m, coord_point(rows[n - 1, j], space.kind))
+            got = coord_point(rows[n, j], space.kind)
+            if rounded:
+                assert abs(got.x - want.x) <= ULPS * max(1.0, _slope(m))
+            else:
+                assert point_coords([got], space.kind).tobytes() == point_coords([want], space.kind).tobytes()
