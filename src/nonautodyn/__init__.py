@@ -58,7 +58,7 @@ from .family import (
     summability_estimate,
     surjectivity_check,
 )
-from .orbit import Trajectory, limit_iterate, omega, omega_window, trajectory
+from .orbit import Trajectory, limit_iterate, limit_trajectory, omega, omega_window, trajectory
 from .bounds import (
     BoundLedger,
     ConvergenceProfile,
@@ -88,6 +88,7 @@ from .checkers import (
     li_yorke_check,
     proximal_check,
 )
+from .report import reproduce
 from .verdict import Outcome, Verdict
 
 __all__ = [
@@ -105,7 +106,7 @@ __all__ = [
     "feeble_open_check", "isometry_shrinking_check", "make_builtin_family",
     "profile_hypotheses", "summability_estimate", "surjectivity_check",
     # orbit
-    "Trajectory", "limit_iterate", "omega", "omega_window", "trajectory",
+    "Trajectory", "limit_iterate", "limit_trajectory", "omega", "omega_window", "trajectory",
     # bounds
     "BoundLedger", "ConvergenceProfile", "DeviationRecord", "HypothesisNotMetError",
     "collective_convergence_profile", "deviation_check", "deviation_series",
@@ -116,6 +117,8 @@ __all__ = [
     "check_minimality", "check_periodic", "check_sensitivity",
     "check_topological_mixing", "check_transitivity", "check_weak_mixing",
     "li_yorke_check", "proximal_check",
+    # report
+    "reproduce",
     # verdicts
     "Outcome", "Verdict",
 ]

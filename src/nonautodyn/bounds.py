@@ -286,10 +286,3 @@ def deviation_series(
     gaps = _window_gaps(*_views(fam), _coords(fam, [x]), 0, k_max)[:, 0].tolist()
     return [_record(x, 0, k, gaps[k], ledger, tol) for k in range(1, k_max + 1)]
 
-
-def write_deviation_csv(records: list[DeviationRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "k", "measured", "bound", "holds"])
-        for r in records:
-            w.writerow([r.n, r.k, repr(r.measured), repr(r.bound), r.holds])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +105,9 @@ class CheckConfig:
             )
         if self.horizon < 1 or self.grid_resolution < 2 or self.ball_count < 1:
             raise SpaceError("horizon, grid resolution, and ball count must be positive")
+        _period_bounds(self, None, None)
+        if not self.tol >= 0.0:
+            raise SpaceError(f"tol must be nonnegative, got {self.tol}")
 
     def to_json(self) -> dict:
         return {
@@ -805,6 +809,18 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # recurrence checkers
 
+def _period_bounds(
+    cfg: CheckConfig, max_period: int | None, repetitions: int | None
+) -> tuple[int, int]:
+    """The period horizon P and the repetition count R, each from its
+    argument when one is given, else from cfg; both must be at least 1."""
+    P = cfg.max_period if max_period is None else max_period
+    R = cfg.repetitions if repetitions is None else repetitions
+    if P < 1 or R < 1:
+        raise SpaceError(f"max_period and repetitions must be at least 1, got {P} and {R}")
+    return P, R
+
+
 def _periods(
     sys: SystemView, points: list[Point], P: int, R: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -851,8 +867,7 @@ def check_periodic(
     produce identical verdicts in either mode.
     """
     cfg.validate(sys.space)
-    P = max_period if max_period is not None else cfg.max_period
-    R = repetitions if repetitions is not None else cfg.repetitions
+    P, R = _period_bounds(cfg, max_period, repetitions)
     returns, periods = _periods(sys, [x], P, R, cfg.tol)
     return _periodic_verdict(x, returns[:, 0], periods[0], P, R, cfg.tol)
 
@@ -940,8 +955,7 @@ def check_dense_periodicity(
 ) -> Verdict:
     """Every eps-ball on the grid contains a verified periodic point."""
     cfg.validate(sys.space)
-    P = max_period if max_period is not None else cfg.max_period
-    R = repetitions if repetitions is not None else cfg.repetitions
+    P, R = _period_bounds(cfg, max_period, repetitions)
 
     refutation = _refute_periodicity(sys, cfg, P, R, max_period=P)
     if refutation is not None:
@@ -1001,136 +1015,131 @@ def check_dense_periodicity(
 # ---------------------------------------------------------------------------
 # proximality checkers
 
-@dataclass(frozen=True)
-class _TailStats:
-    """Tail-window statistics of one pair-distance series."""
+class PairPredicate(str, Enum):
+    PROXIMAL = "proximal"
+    LI_YORKE = "li_yorke"
 
-    tail_min: float
-    tail_max: float
-    min_time: int
-    overall_min: float
+
+class _PairEvidence(NamedTuple):
+    """Evidence on the pairs (x, y) from one source point x, one entry per
+    partner y: the time-0 distance, and the minimum, maximum and time of the
+    minimum of the pair distance inside the tail window, and its minimum
+    over the whole horizon."""
+
+    d0: np.ndarray
+    tail_min: np.ndarray
+    tail_max: np.ndarray
+    min_time: np.ndarray
+    overall_min: np.ndarray
+
+    def at(self, j) -> "_PairEvidence":
+        """The evidence on the partners j names: one index or an index array."""
+        return _PairEvidence(*(a[j] for a in self))
 
 
 class _PairSweep:
     """Orbits of every point in some groups, swept once, giving the pair
-    evidence from any one of those points to a whole group. Isometric steps
-    keep every pair distance at its time-0 value, so their sweep stops at
-    row 0."""
+    evidence from any one of those points to every swept column. Isometric
+    steps keep every pair distance at its time-0 value, so their sweep stops
+    at row 0, which is then the whole tail window."""
 
     def __init__(self, sys: SystemView, groups: list[list[Point]], cfg: CheckConfig):
-        self.kind, self.cfg, self.isometric = sys.space.kind, cfg, sys.steps_isometric
-        horizon = 0 if self.isometric else cfg.horizon
+        self.kind, self.horizon, self.window = sys.space.kind, cfg.horizon, cfg.tail_window
+        horizon = 0 if sys.steps_isometric else cfg.horizon
         self.orbits, self.cols = _sweep_groups(sys, groups, horizon)
-        self._source: tuple[int, int] | None = None
-        self._pairs: list[tuple[_TailStats | None, float]] = []
 
-    def pairs(self, g: int, i: int, h: int) -> list[tuple[_TailStats | None, float]]:
-        """(tail stats, time-0 distance) from point i of group g to each point
-        of group h; the stats are None on isometric steps. The evidence from
-        one point to every column is computed at once and kept until the
-        next point is asked for."""
-        if self._source != (g, i):
-            x = self.cols[g][i : i + 1]
-            series = coord_distances(self.kind, self.orbits, self.orbits[:, x])
-            if self.isometric:
-                stats = [None] * series.shape[1]
-            else:
-                stats = _pair_tail_batch(series, self.cfg)
-            self._source, self._pairs = (g, i), list(zip(stats, series[0].tolist()))
-        return [self._pairs[j] for j in self.cols[h]]
-
-
-def _pair_tail_batch(series: np.ndarray, cfg: CheckConfig) -> list[_TailStats]:
-    """Tail stats of each column of a pair-distance series matrix."""
-    N, W = cfg.horizon, cfg.tail_window
-    tail = series[N - W :]
-    mins = tail.min(axis=0)
-    maxs = tail.max(axis=0)
-    args = tail.argmin(axis=0)
-    overall = series.min(axis=0)
-    return [
-        _TailStats(float(mins[j]), float(maxs[j]), int(N - W + args[j]), float(overall[j]))
-        for j in range(series.shape[1])
-    ]
-
-
-def _pair_stats(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> _TailStats:
-    return _PairSweep(sys, [[x], [y]], cfg).pairs(0, 0, 1)[0][0]
-
-
-def _with_pair(v: Verdict, x: Point, y: Point) -> Verdict:
-    """A pair verdict with the pair (x, y) added to its witness."""
-    return Verdict(v.outcome, {"pair": [point_to_json(x), point_to_json(y)], **v.witness},
-                   v.narrative)
-
-
-def _proximal_decide(
-    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None,
-    d0: float | None = None,
-) -> Verdict:
-    """Proximality verdict on (x, y); its witness omits the pair until
-    _with_pair adds it, so verdicts that are dropped cost no serialization.
-    d0 is d(x, y) when the caller has measured it already."""
-    if x == y:
-        return V.holds(
-            {"tail_min": 0.0, "time": cfg.horizon},
-            "identical points stay at distance zero",
+    def evidence(self, g: int, i: int) -> _PairEvidence:
+        """Evidence from point i of group g to every swept column."""
+        x = self.cols[g][i : i + 1]
+        series = coord_distances(self.kind, self.orbits, self.orbits[:, x])
+        tail = series[-(self.window + 1) :]
+        first = self.horizon + 1 - len(tail)  # the time of the tail's first row
+        return _PairEvidence(
+            series[0], tail.min(axis=0), tail.max(axis=0),
+            first + tail.argmin(axis=0), series.min(axis=0),
         )
+
+
+def _pool_matrix(cols: list[np.ndarray]) -> np.ndarray:
+    """The pools' column indices as the rows of one matrix. A shorter pool is
+    padded by repeating its own columns, which changes no any, all or first
+    index taken along a row."""
+    width = max(len(c) for c in cols)
+    return np.array([np.resize(c, width) for c in cols])
+
+
+def _pair_outcomes(
+    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, ev: _PairEvidence
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of each pair predicate: the (holds, refuted) flags of every
+    pair in the evidence; neither flag means inconclusive. A pair with
+    x == y, which is exactly where d0 == 0.0, stays at distance 0: it is
+    proximal and not Li-Yorke."""
+    if predicate is PairPredicate.PROXIMAL:
+        holds = ev.tail_min < cfg.eps
+        # isometric steps keep the pair at its time-0 distance forever
+        return holds, ~holds & sys.steps_isometric
+    same = ev.d0 == 0.0
     if sys.steps_isometric:
-        if d0 is None:
-            d0 = distance(sys.space, x, y)
-        if d0 >= cfg.eps:
+        # a constant pair distance cannot both vanish and exceed delta
+        return np.zeros_like(same), np.ones_like(same)
+    return (ev.tail_min < cfg.eps) & (ev.tail_max > cfg.delta), same
+
+
+def _pair_verdict(
+    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: Point, y: Point,
+    ev: _PairEvidence,
+) -> Verdict:
+    """The verdict on the pair (x, y), whose evidence is ev; its outcome
+    comes from _pair_outcomes, and this only formats its witness."""
+    holds, refuted = (bool(flag) for flag in _pair_outcomes(sys, cfg, predicate, ev))
+    d0, tail_min, tail_max = float(ev.d0), float(ev.tail_min), float(ev.tail_max)
+    pair = [point_to_json(x), point_to_json(y)]
+    if predicate is PairPredicate.PROXIMAL:
+        if d0 == 0.0:
+            return V.holds(
+                {"pair": pair, "tail_min": 0.0, "time": cfg.horizon},
+                "identical points stay at distance zero",
+            )
+        if refuted:
             return V.refuted(
-                {"distance": d0, "rule": "isometric-steps"},
+                {"pair": pair, "distance": d0, "rule": "isometric-steps"},
                 "isometric steps keep the pair distance constant, never below eps",
             )
-        return V.holds(
-            {"tail_min": d0, "time": cfg.horizon},
-            "isometric steps keep the pair closer than eps forever",
+        if holds:
+            return V.holds(
+                {"pair": pair, "tail_min": tail_min, "time": int(ev.min_time)},
+                "isometric steps keep the pair closer than eps forever"
+                if sys.steps_isometric
+                else f"pair distance falls to {tail_min:.3g} inside the tail window",
+            )
+        return V.inconclusive(
+            {
+                "pair": pair,
+                "tail_min": tail_min,
+                "overall_min": float(ev.overall_min),
+                "horizon": cfg.horizon,
+            },
+            "pair never approached within eps at this horizon",
         )
-    if stats is None:
-        stats = _pair_stats(sys, x, y, cfg)
-    if stats.tail_min < cfg.eps:
-        return V.holds(
-            {"tail_min": stats.tail_min, "time": stats.min_time},
-            f"pair distance falls to {stats.tail_min:.3g} inside the tail window",
-        )
-    return V.inconclusive(
-        {
-            "tail_min": stats.tail_min,
-            "overall_min": stats.overall_min,
-            "horizon": cfg.horizon,
-        },
-        "pair never approached within eps at this horizon",
-    )
-
-
-def _li_yorke_decide(
-    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, stats: _TailStats | None,
-    d0: float | None = None,
-) -> Verdict:
-    """Li-Yorke verdict on (x, y); like _proximal_decide, without the pair."""
-    if x == y:
+    if d0 == 0.0:
         return V.refuted(
-            {"tail_max": 0.0},
+            {"pair": pair, "tail_max": 0.0},
             "identical points have zero spread forever",
         )
-    if sys.steps_isometric:
-        if d0 is None:
-            d0 = distance(sys.space, x, y)
+    if refuted:
         return V.refuted(
-            {"distance": d0, "rule": "isometric-steps"},
+            {"pair": pair, "distance": d0, "rule": "isometric-steps"},
             "a constant pair distance cannot both vanish and exceed delta",
         )
-    if stats is None:
-        stats = _pair_stats(sys, x, y, cfg)
     parts = {
-        "tail_min": stats.tail_min,
-        "tail_max": stats.tail_max,
+        "pair": pair,
+        "tail_min": tail_min,
+        "tail_max": tail_max,
         "eps": cfg.eps,
         "delta": cfg.delta,
     }
-    if stats.tail_min < cfg.eps and stats.tail_max > cfg.delta:
+    if holds:
         return V.holds(parts, "the pair both approaches and separates inside the tail window")
     return V.inconclusive(
         {**parts, "horizon": cfg.horizon},
@@ -1138,21 +1147,23 @@ def _li_yorke_decide(
     )
 
 
+def _pair_check(
+    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, predicate: PairPredicate
+) -> Verdict:
+    cfg.validate(sys.space)
+    sweep = _PairSweep(sys, [[x, y]], cfg)
+    ev = sweep.evidence(0, 0).at(sweep.cols[0][1])
+    return _pair_verdict(sys, cfg, predicate, x, y, ev)
+
+
 def proximal_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
     """Tail-window minimum of the pair distance as a liminf proxy."""
-    cfg.validate(sys.space)
-    return _with_pair(_proximal_decide(sys, x, y, cfg, None), x, y)
+    return _pair_check(sys, x, y, cfg, PairPredicate.PROXIMAL)
 
 
 def li_yorke_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
     """Tail min below eps and tail max above delta, components reported."""
-    cfg.validate(sys.space)
-    return _with_pair(_li_yorke_decide(sys, x, y, cfg, None), x, y)
-
-
-class PairPredicate(str, Enum):
-    PROXIMAL = "proximal"
-    LI_YORKE = "li_yorke"
+    return _pair_check(sys, x, y, cfg, PairPredicate.LI_YORKE)
 
 
 def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
@@ -1168,58 +1179,52 @@ def _cell_densities(
     centers = grid_points(sys.space, cfg)
     pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in centers]
     sweep = _PairSweep(sys, [xs] + pools, cfg)
+    cols = _pool_matrix(sweep.cols[1:])
     return [
-        _cell_density(sys, x, i, centers, pools, sweep, cfg, predicate)
+        _cell_density(sys, x, sweep.evidence(0, i), centers, pools, cols, cfg, predicate)
         for i, x in enumerate(xs)
     ]
 
 
 def _cell_density(
-    sys: SystemView, x: Point, i: int, centers: list[Point], pools: list[list[Point]],
-    sweep: _PairSweep, cfg: CheckConfig, predicate: PairPredicate,
+    sys: SystemView, x: Point, ev: _PairEvidence, centers: list[Point],
+    pools: list[list[Point]], cols: np.ndarray, cfg: CheckConfig, predicate: PairPredicate,
 ) -> Verdict:
-    """Cell density of x, point i of the sweep's first group; pool k is group k + 1."""
-    decide = _proximal_decide if predicate is PairPredicate.PROXIMAL else _li_yorke_decide
-    found: list[tuple[Point, Point]] = []
-    unfilled: list[tuple[Point, Verdict | None, Point | None]] = []
-    for k, (c, pool) in enumerate(zip(centers, pools)):
-        best: Verdict | None = None
-        partner = None
-        for y, (st, d0) in zip(pool, sweep.pairs(0, i, k + 1)):
-            if predicate is PairPredicate.LI_YORKE and y == x:
-                continue
-            v = decide(sys, x, y, cfg, st, d0)
-            if v.holds:
-                best, partner = v, y
-                break
-            if best is None or (v.refuted and not best.refuted):
-                best, partner = v, y
-        if best is not None and best.holds:
-            found.append((c, partner))
-        else:
-            unfilled.append((c, best, partner))
-    if not unfilled:
+    """Cell density of x, whose evidence to every swept column is ev; row k of
+    cols holds the columns of pool k."""
+    holds, refuted = _pair_outcomes(sys, cfg, predicate, ev)
+    if predicate is PairPredicate.LI_YORKE:
+        # x is no Li-Yorke partner of itself, so it is skipped
+        other = ev.d0 != 0.0
+        holds, refuted = holds & other, refuted & other
+    holds, refuted = holds[cols], refuted[cols]
+    found = holds.any(axis=1)
+    if found.all():
         witnesses = [
-            {"center": point_to_json(c), "partner": point_to_json(y)} for c, y in found[:8]
+            {"center": point_to_json(c), "partner": point_to_json(pools[k][holds[k].argmax()])}
+            for k, c in enumerate(centers[:8])
         ]
         return V.holds(
             {"balls": len(centers), "witnesses": witnesses, "predicate": predicate.value},
             f"every {cfg.eps:g}-ball contains a {predicate.value} partner",
         )
-    refutations = [(c, v, y) for c, v, y in unfilled if v is not None and v.refuted]
-    if sys.steps_isometric and len(refutations) == len(unfilled):
-        c, v, y = refutations[0]
+    unfilled = np.flatnonzero(~found)
+    if sys.steps_isometric and refuted[unfilled].any(axis=1).all():
+        # the witness is the first refuted sample of the first unfilled ball
+        k = unfilled[0]
+        j = refuted[k].argmax()
+        v = _pair_verdict(sys, cfg, predicate, x, pools[k][j], ev.at(cols[k, j]))
         return V.refuted(
             {
-                "ball_center": point_to_json(c),
-                "sample_verdict": _with_pair(v, x, y).to_json(),
+                "ball_center": point_to_json(centers[k]),
+                "sample_verdict": v.to_json(),
                 "predicate": predicate.value,
             },
             "isometric steps exclude such partners in some balls",
         )
     return V.inconclusive(
         {
-            "unfilled_balls": [point_to_json(c) for c, _, _ in unfilled[:8]],
+            "unfilled_balls": [point_to_json(centers[k]) for k in unfilled[:8]],
             "unfilled_count": len(unfilled),
             "predicate": predicate.value,
         },
@@ -1267,31 +1272,25 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
     centers = grid_points(sys.space, cfg)
     pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count)[:5] for c in centers]
     sweep = _PairSweep(sys, pools, cfg)
-    G = len(pools)
+    cols = _pool_matrix(sweep.cols)
     missing: list[tuple[int, int]] = []
     refutable = 0
-    for i, pool1 in enumerate(pools):
+    for i, pool in enumerate(pools):
         # a ball pair (i, j) needs one proximal pair; it is refutable when
-        # every sampled pair is refuted. Each x of ball i is swept against
-        # every ball j before the next x, so its evidence is computed once.
-        found = [False] * G
-        all_refuted = [True] * G
-        for k, x in enumerate(pool1):
-            for j, pool2 in enumerate(pools):
-                if found[j]:
-                    continue
-                for y, (st, d0) in zip(pool2, sweep.pairs(i, k, j)):
-                    v = _proximal_decide(sys, x, y, cfg, st, d0)
-                    if v.holds:
-                        found[j] = True
-                        break
-                    if not v.refuted:
-                        all_refuted[j] = False
-        for j in range(G):
-            if not found[j]:
-                missing.append((i, j))
-                if all_refuted[j]:
-                    refutable += 1
+        # every sampled pair is refuted. Once every ball j has a proximal
+        # pair, no further x of ball i is swept.
+        found = np.zeros(len(pools), dtype=bool)
+        all_refuted = np.ones(len(pools), dtype=bool)
+        for k in range(len(pool)):
+            if found.all():
+                break
+            holds, refuted = _pair_outcomes(
+                sys, cfg, PairPredicate.PROXIMAL, sweep.evidence(i, k)
+            )
+            found |= holds[cols].any(axis=1)
+            all_refuted &= refuted[cols].all(axis=1)
+        missing.extend((i, int(j)) for j in np.flatnonzero(~found))
+        refutable += int(all_refuted[~found].sum())
     if not missing:
         return V.holds(
             {"ball_pairs": len(centers) ** 2},

@@ -64,14 +64,6 @@ from .verdict import Verdict
 TENT = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
 PLATEAU_HEAD = PiecewiseLinear(((0.0, 1.0), (0.5, 1.0), (1.0, 0.0)))
 
-BUILTIN_NAMES = (
-    "alternating-rotation",
-    "inverse-square-rotation",
-    "perturbed-doubling",
-    "plateau-tent",
-    "odometer-deletion",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class MapFamily:
@@ -244,27 +236,6 @@ def family_from_config(doc: dict) -> MapFamily:
         eventually_constant_from=len(steps) + 1,
         steps_isometric=iso,
     )
-
-
-def family_to_config(fam: MapFamily, probe_depth: int = 16) -> dict:
-    """Serializable description of a family (builtins by name, customs by table)."""
-    if fam.label in BUILTIN_NAMES:
-        doc: dict = {"builtin": fam.label}
-        if fam.label == "alternating-rotation":
-            doc["params"] = {"alpha": fam.limit.amount}
-        elif fam.label == "odometer-deletion":
-            doc["params"] = {"word_length": fam.space.word_length}
-        return doc
-    cutoff = fam.eventually_constant_from or probe_depth + 1
-    steps = [descriptor_to_json(fam.member(n)) for n in range(1, cutoff)]
-    return {
-        "space": fam.space.to_json(),
-        "custom": {
-            "steps": steps,
-            "limit": descriptor_to_json(fam.limit),
-            "label": fam.label,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +505,3 @@ def profile_hypotheses(
         shrinking=shrink or iso,
     )
 
-
-def verify_uniform_convergence(
-    fam: MapFamily, eps: float = 1e-3, horizon: int = 512, grid_resolution: int = 128
-) -> tuple[bool, int | None]:
-    """Check D(f_n, limit) falls below eps for some n within the horizon.
-
-    Returns (converged-at-desk-scale, first index achieving the bound).
-    """
-    for n in range(1, horizon + 1):
-        if term(fam, n, grid_resolution).value < eps:
-            return True, n
-    return False, None

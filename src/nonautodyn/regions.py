@@ -6,8 +6,7 @@ interval maps) sends such a region to another one that this module computes
 in closed form. Checkers use these exact images instead of sampled point
 clouds whenever the family supports it: a collapsed region (zero width) is a
 proof of collapse, and a region covering the space is a proof of a hit.
-`region_chains` steps many regions at once, as arrays; the one-region
-functions here wrap it.
+`region_chains` steps many regions at once, as arrays.
 
 Binary-sequence maps are not covered; callers fall back to sampling there.
 """
@@ -172,55 +171,6 @@ def region_chains(
             if a[n].min() < 0.0 or b[n].max() > 1.0:
                 raise SpaceError(f"bad interval regions {a[n]}, {b[n]} at step {n}")
     return RegionChains("arc" if arcs else "interval", a, b)
-
-
-def step_region(region: Region, m: MapDescriptor) -> Region | None:
-    """Exact image of the region under one map, or None when unsupported."""
-    chains = region_chains([region], [m])
-    if chains is None:
-        return None
-    a, b = float(chains.a[1, 0]), float(chains.b[1, 0])
-    return ArcRegion(a, b) if chains.kind == "arc" else IntervalRegion(a, b)
-
-
-def _as_chain(region: Region) -> RegionChains:
-    """The region alone, as a chain through no steps."""
-    return region_chains([region], [])
-
-
-def region_diameter(region: Region) -> float:
-    """Largest pairwise distance between points of the region."""
-    return float(_as_chain(region).diameters()[0, 0])
-
-
-def region_is_point(region: Region) -> bool:
-    return _as_chain(region).collapse(0) is not None
-
-
-def region_contains(region: Region, p: Point) -> bool:
-    return region_distance(region, p) == 0.0
-
-
-def region_distance(region: Region, p: Point) -> float:
-    """Distance from a point to the region (0 when contained)."""
-    want = CircleAngle if isinstance(region, ArcRegion) else IntervalPoint
-    if not isinstance(p, want):
-        raise SpaceError(f"{type(region).__name__} probed with a {type(p).__name__}")
-    coord = p.theta if want is CircleAngle else p.x
-    return float(_as_chain(region).distances(0, np.array([coord]))[0, 0])
-
-
-def region_covering_defect(region: Region) -> float:
-    """sup over the space of the distance to the region.
-
-    This is the Hausdorff distance between the region and the whole space,
-    since the region is a subset.
-    """
-    return float(_as_chain(region).covering_defects()[0, 0])
-
-
-def region_midpoint(region: Region) -> Point:
-    return _as_chain(region).midpoint(0)
 
 
 def family_supports_regions(space: PhaseSpace, probe: list[MapDescriptor]) -> bool:

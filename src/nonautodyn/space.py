@@ -20,9 +20,6 @@ TWO_PI = 2.0 * math.pi
 #: cap on exhaustive word enumeration, keeps grids at desk scale
 MAX_ENUM_BITS = 12
 
-#: default float tolerance for equality-style comparisons
-DEFAULT_TOL = 1e-9
-
 
 class SpaceError(ValueError):
     """Domain or type error raised by space operations."""
@@ -427,14 +424,3 @@ def point_to_json(p: Point) -> dict:
             "effective_length": p.effective_length,
         }
     raise SpaceError(f"not a point: {p!r}")
-
-
-def point_from_json(doc: dict) -> Point:
-    kind = doc["space"]
-    if kind == "circle":
-        return CircleAngle(float(doc["theta"]))
-    if kind == "unit_interval":
-        return IntervalPoint(float(doc["x"]))
-    if kind == "binary_seq":
-        return BinaryWord.from_string(doc["bits"], int(doc["effective_length"]))
-    raise SpaceError(f"unknown point kind: {kind!r}")

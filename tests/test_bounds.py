@@ -156,14 +156,3 @@ class TestIsometryBound:
     def test_doubling_refused(self):
         with pytest.raises(HypothesisNotMetError):
             isometry_bound_check(PD, n=1, k=1)
-
-
-def test_deviation_csv(tmp_path):
-    from nonautodyn.bounds import write_deviation_csv
-
-    records = deviation_series(INV, CircleAngle(0.0), 5)
-    path = tmp_path / "dev.csv"
-    write_deviation_csv(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,k,measured,bound,holds"
-    assert len(lines) == 6

@@ -1,5 +1,6 @@
 """Verdict behavior of the finite-horizon checkers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -103,6 +104,27 @@ class TestConfigValidation:
         cfg.validate(PhaseSpace.binary_seq(63))
         with pytest.raises(SpaceError, match="word_length=64"):
             cfg.validate(PhaseSpace.binary_seq(64))
+
+    # before, repetitions=0 made x = 0 on plateau-tent "periodic" with period
+    # 1 and no revisit gaps, max_period=0 crashed both periodicity checkers,
+    # and a negative tol refuted every periodic point
+    @pytest.mark.parametrize(
+        "key, value", [("max_period", 0), ("repetitions", 0), ("tol", -1.0)]
+    )
+    def test_period_bounds_and_tol_rejected(self, key, value):
+        cfg = dataclasses.replace(SMALL, **{key: value})
+        with pytest.raises(SpaceError, match=key):
+            cfg.validate(PhaseSpace.unit_interval())
+        for checker in (check_periodic_points, check_dense_periodicity):
+            with pytest.raises(SpaceError, match=key):
+                checker(F(PLAT), cfg)
+
+    @pytest.mark.parametrize("key", ["max_period", "repetitions"])
+    def test_explicit_period_arguments_rejected(self, key):
+        with pytest.raises(SpaceError, match=key):
+            check_periodic(F(PLAT), IntervalPoint(0.0), SMALL, **{key: 0})
+        with pytest.raises(SpaceError, match=key):
+            check_dense_periodicity(F(PLAT), SMALL, **{key: 0})
 
 
 class TestEquicontinuity:

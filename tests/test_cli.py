@@ -80,6 +80,15 @@ def test_string_check_value_is_config_error(spec_file, capsys):
     assert "'horizon' must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("max_period", 0), ("repetitions", 0), ("tol", -1)])
+def test_bad_period_bound_or_tol_is_config_error(spec_file, capsys, key, value):
+    doc = json.loads(spec_file.read_text())
+    doc["check"][key] = value
+    spec_file.write_text(json.dumps(doc))
+    assert main(["check", "periodic_points", str(spec_file)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_overlong_binary_word_is_config_error(tmp_path, capsys):
     doc = {
         "family": {"builtin": "odometer-deletion", "params": {"word_length": 64}},

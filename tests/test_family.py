@@ -21,7 +21,6 @@ from nonautodyn.family import (
     commutes_with_limit,
     family_feeble_open,
     family_from_config,
-    family_to_config,
     feeble_open_check,
     isometry_shrinking_check,
     make_builtin_family,
@@ -29,7 +28,6 @@ from nonautodyn.family import (
     summability_estimate,
     surjectivity_check,
     term,
-    verify_uniform_convergence,
 )
 from nonautodyn.space import (
     CircleAngle,
@@ -242,21 +240,6 @@ def test_profile_assembles_all_hypotheses():
     assert prof.feeble_open.holds
     assert prof.surjective.holds
     assert prof.isometry and prof.shrinking
-
-
-def test_uniform_convergence_verified():
-    ok, idx = verify_uniform_convergence(make_builtin_family("perturbed-doubling"), eps=1e-2)
-    assert ok and idx == 101
-
-
-def test_family_config_round_trip():
-    fam = make_builtin_family("plateau-tent")
-    doc = family_to_config(fam)
-    rebuilt = family_from_config(doc)
-    assert rebuilt.label == fam.label
-    for n in (1, 2, 7):
-        assert rebuilt.member(n) == fam.member(n)
-    assert rebuilt.limit == fam.limit
 
 
 def test_custom_family_from_config_applies_steps_then_limit():

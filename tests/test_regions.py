@@ -12,13 +12,7 @@ from nonautodyn.regions import (
     IntervalRegion,
     ball_region,
     family_supports_regions,
-    region_contains,
-    region_covering_defect,
-    region_diameter,
-    region_distance,
-    region_is_point,
-    region_midpoint,
-    step_region,
+    region_chains,
 )
 from nonautodyn.space import (
     TWO_PI,
@@ -32,6 +26,11 @@ CIRCLE = PhaseSpace.circle()
 INTERVAL = PhaseSpace.unit_interval()
 
 
+def _chain(region, *steps):
+    """The one region through the steps, as a chain."""
+    return region_chains([region], list(steps))
+
+
 def test_ball_region_shapes():
     r = ball_region(INTERVAL, IntervalPoint(0.5), 0.1)
     assert (r.lo, r.hi) == (0.4, 0.6)
@@ -41,69 +40,74 @@ def test_ball_region_shapes():
 
 def test_interval_step_matches_dense_sampling():
     region = IntervalRegion(0.3, 0.45)
-    image = step_region(region, TENT)
+    image = _chain(region, TENT)
     samples = [apply(TENT, IntervalPoint(v)).x for v in np.linspace(0.3, 0.45, 400)]
-    assert image.lo == pytest.approx(min(samples), abs=1e-6)
-    assert image.hi == pytest.approx(max(samples), abs=1e-6)
+    assert image.a[1, 0] == pytest.approx(min(samples), abs=1e-6)
+    assert image.b[1, 0] == pytest.approx(max(samples), abs=1e-6)
 
 
 def test_arc_step_under_doubling():
     arc = ArcRegion(1.0, 0.5)
-    image = step_region(arc, AffineCircle(2, 0.25))
-    assert image.start == pytest.approx(2.25)
-    assert image.length == pytest.approx(1.0)
+    image = _chain(arc, AffineCircle(2, 0.25))
+    assert image.a[1, 0] == pytest.approx(2.25)
+    assert image.b[1, 0] == pytest.approx(1.0)
     # membership oracle
-    for t in np.linspace(0, 0.5, 50):
-        p = apply(AffineCircle(2, 0.25), CircleAngle(1.0 + t))
-        assert region_contains(image, p)
+    thetas = [
+        apply(AffineCircle(2, 0.25), CircleAngle(1.0 + t)).theta for t in np.linspace(0, 0.5, 50)
+    ]
+    assert (image.distances(0, np.array(thetas))[1] == 0.0).all()
 
 
 def test_arc_wraps_to_full_cover():
     arc = ArcRegion(0.0, 2.0)
-    image = step_region(step_region(arc, AffineCircle(2, 0.0)), AffineCircle(2, 0.0))
-    assert image.full
-    assert region_covering_defect(image) == 0.0
+    image = _chain(arc, AffineCircle(2, 0.0), AffineCircle(2, 0.0))
+    assert image.b[2, 0] >= TWO_PI
+    assert image.covering_defects()[2, 0] == 0.0
 
 
 def test_plateau_collapse_detected():
     region = ball_region(INTERVAL, IntervalPoint(0.25), 0.1)
-    image = step_region(region, PLATEAU_HEAD)
-    assert region_is_point(image)
-    assert region_midpoint(image).x == 1.0
+    image = _chain(region, PLATEAU_HEAD)
+    step, midpoint = image.collapse(0)
+    assert step == 1
+    assert midpoint.x == 1.0
 
 
 def test_rotation_preserves_arc_length():
     arc = ArcRegion(0.3, 0.8)
-    image = step_region(arc, Rotation(1.7))
-    assert image.length == arc.length
+    image = _chain(arc, Rotation(1.7))
+    assert image.b[1, 0] == arc.length
 
 
 def test_region_distance_matches_sampled_minimum():
     arc = ArcRegion(5.5, 0.9)  # wraps through zero
-    for theta in np.linspace(0, TWO_PI, 37, endpoint=False):
+    thetas = np.linspace(0, TWO_PI, 37, endpoint=False)
+    measured = _chain(arc).distances(0, thetas)[0]
+    for theta, got in zip(thetas, measured):
         p = CircleAngle(theta)
         dense = min(
             distance(CIRCLE, p, CircleAngle(5.5 + t)) for t in np.linspace(0, 0.9, 600)
         )
-        assert region_distance(arc, p) == pytest.approx(dense, abs=2e-3)
+        assert got == pytest.approx(dense, abs=2e-3)
 
     region = IntervalRegion(0.2, 0.4)
-    assert region_distance(region, IntervalPoint(0.1)) == pytest.approx(0.1)
-    assert region_distance(region, IntervalPoint(0.3)) == 0.0
-    assert region_distance(region, IntervalPoint(0.9)) == pytest.approx(0.5)
+    near, inside, far = _chain(region).distances(0, np.array([0.1, 0.3, 0.9]))[0]
+    assert near == pytest.approx(0.1)
+    assert inside == 0.0
+    assert far == pytest.approx(0.5)
 
 
 def test_covering_defect_values():
-    assert region_covering_defect(IntervalRegion(0.25, 1.0)) == 0.25
-    assert region_covering_defect(IntervalRegion(0.0, 1.0)) == 0.0
+    assert _chain(IntervalRegion(0.25, 1.0)).covering_defects()[0, 0] == 0.25
+    assert _chain(IntervalRegion(0.0, 1.0)).covering_defects()[0, 0] == 0.0
     arc = ArcRegion(0.0, math.pi)
-    assert region_covering_defect(arc) == pytest.approx(math.pi / 2)
+    assert _chain(arc).covering_defects()[0, 0] == pytest.approx(math.pi / 2)
 
 
 def test_diameter_caps_at_geodesic_diameter():
-    assert region_diameter(ArcRegion(0.0, 0.4)) == pytest.approx(0.4)
-    assert region_diameter(ArcRegion(0.0, 5.0)) == math.pi
-    assert region_diameter(IntervalRegion(0.2, 0.7)) == pytest.approx(0.5)
+    assert _chain(ArcRegion(0.0, 0.4)).diameters()[0, 0] == pytest.approx(0.4)
+    assert _chain(ArcRegion(0.0, 5.0)).diameters()[0, 0] == math.pi
+    assert _chain(IntervalRegion(0.2, 0.7)).diameters()[0, 0] == pytest.approx(0.5)
 
 
 def test_family_support_probe():

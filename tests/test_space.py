@@ -24,8 +24,6 @@ from nonautodyn.space import (
     distance_info,
     hausdorff_distance,
     point_coords,
-    point_from_json,
-    point_to_json,
     sample_grid,
 )
 
@@ -243,9 +241,3 @@ def test_continuum_coordinate_distances_match_scalar():
         c = point_coords(pts, space.kind)
         got = coord_distances(space.kind, c[:, None], c)
         assert got.tolist() == [[distance(space, p, q) for q in pts] for p in pts]
-
-
-def test_point_json_round_trip():
-    pts = [CircleAngle(2.2), IntervalPoint(0.75), BinaryWord.from_string("0110", 3)]
-    for p in pts:
-        assert point_from_json(point_to_json(p)) == p

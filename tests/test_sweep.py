@@ -1,5 +1,6 @@
 """Batched orbit sweeps: one sweep per checker call, sliced by column."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -8,10 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonautodyn.checkers import Mode, SystemView, _sweep_groups, orbit_matrix
+from nonautodyn.checkers import (
+    Mode,
+    PairPredicate,
+    SystemView,
+    _pair_outcomes,
+    _PairSweep,
+    _sweep_groups,
+    grid_points,
+    li_yorke_check,
+    orbit_matrix,
+    proximal_check,
+)
 from nonautodyn.descriptors import Compose, Delete, OdometerAdd, apply
 from nonautodyn.family import autonomous_family, family_from_config, make_builtin_family
-from nonautodyn.report import ScenarioSpec, run_comparison
+from nonautodyn.orbit import limit_trajectory, trajectory
+from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -19,7 +32,9 @@ from nonautodyn.space import (
     PhaseSpace,
     ResolutionError,
     SpaceKind,
+    ball_sample,
     coord_point,
+    distance,
     point_coords,
 )
 
@@ -127,6 +142,84 @@ def test_nearest_lookup_report_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1580d11ee44a2705fd9982f0442443fbf3d382905f04101fa7037023cae049a9"
     )
+
+
+def _old_pair_rule(predicate, same, isometric, d0, tail_min, tail_max, cfg):
+    """(holds, refuted) of one pair, as the per-pair rules decided it."""
+    if predicate is PairPredicate.PROXIMAL:
+        if same:
+            return True, False
+        if isometric:
+            return d0 < cfg.eps, d0 >= cfg.eps
+        return tail_min < cfg.eps, False
+    if same or isometric:
+        return False, True
+    return tail_min < cfg.eps and tail_max > cfg.delta, False
+
+
+PAIR_SPECS = {
+    **{name: CATALOG[name] for name in sorted(CATALOG)},
+    "nearest-lookup": ScenarioSpec.from_json(LOOKUP_DOC),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", sorted(PAIR_SPECS))
+def test_pair_outcomes_match_plain_python_rules(name, mode):
+    spec = PAIR_SPECS[name]
+    fam = spec.build_family()
+    cfg = dataclasses.replace(
+        spec.check, horizon=HORIZON, tail_window=min(spec.check.tail_window, HORIZON // 2)
+    )
+    sys = SystemView(fam, mode)
+    grid = grid_points(fam.space, cfg)
+    x = grid[1]
+    # the ball around x starts with x itself; the second ball lies far away
+    partners = [
+        y
+        for c in (x, grid[len(grid) // 2])
+        for y in ball_sample(fam.space, c, cfg.eps, cfg.ball_count)
+    ]
+    sweep = _PairSweep(sys, [[x], partners], cfg)
+    ev = sweep.evidence(0, 0).at(sweep.cols[1])
+
+    orbit = trajectory if mode is Mode.NON_AUTONOMOUS else limit_trajectory
+    xs = orbit(fam, x, HORIZON).states
+    tail = range(HORIZON - cfg.tail_window, HORIZON + 1)
+    for predicate in PairPredicate:
+        holds, refuted = _pair_outcomes(sys, cfg, predicate, ev)
+        for j, y in enumerate(partners):
+            ys = orbit(fam, y, HORIZON).states
+            gaps = [distance(fam.space, xs[n], ys[n]) for n in tail]
+            d0 = distance(fam.space, x, y)
+            want = _old_pair_rule(
+                predicate, x == y, sys.steps_isometric, d0, min(gaps), max(gaps), cfg
+            )
+            assert (bool(holds[j]), bool(refuted[j])) == want, (predicate, y)
+            assert ev.d0[j] == d0
+            if not sys.steps_isometric:
+                k = int(np.argmin(gaps))
+                assert (ev.tail_min[j], ev.tail_max[j]) == (gaps[k], max(gaps))
+                assert ev.min_time[j] == tail[k]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_pair_at_distance_zero_is_one_point(mode):
+    # 0.0 and -0.0 take separate sweep columns, yet they are one point
+    sys = SystemView(FAMILIES["plateau-tent"], mode)
+    cfg = dataclasses.replace(CATALOG["plateau-tent"].check, horizon=50, tail_window=20)
+    x, y = IntervalPoint(0.0), IntervalPoint(-0.0)
+    sweep = _PairSweep(sys, [[x, y]], cfg)
+    assert sweep.cols[0][0] != sweep.cols[0][1]
+    ev = sweep.evidence(0, 0).at(sweep.cols[0][1])
+    assert ev.d0 == 0.0
+    assert [bool(f) for f in _pair_outcomes(sys, cfg, PairPredicate.PROXIMAL, ev)] == [True, False]
+    assert [bool(f) for f in _pair_outcomes(sys, cfg, PairPredicate.LI_YORKE, ev)] == [False, True]
+    v = proximal_check(sys, x, y, cfg)
+    assert v.holds and v.witness["time"] == cfg.horizon
+    assert v.narrative == "identical points stay at distance zero"
+    v = li_yorke_check(sys, x, y, cfg)
+    assert v.refuted and v.witness["tail_max"] == 0.0
 
 
 @st.composite
