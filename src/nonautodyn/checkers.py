@@ -15,7 +15,7 @@ orbit to a computable arc). Pure absence of evidence yields Inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,6 +38,7 @@ from .space import (
     BinaryWord,
     CircleAngle,
     IntervalPoint,
+    MAX_ENUM_BITS,
     MAX_WORD_BITS,
     PhaseSpace,
     Point,
@@ -108,19 +109,15 @@ class CheckConfig:
         _period_bounds(self, None, None)
         if not self.tol >= 0.0:
             raise SpaceError(f"tol must be nonnegative, got {self.tol}")
+        need = _estimated_bytes(self, space)
+        if need > MEMORY_BUDGET:
+            raise SpaceError(
+                f"this config needs about {need / 2**30:.1f} GiB for its hit table and "
+                f"ball sweep, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+            )
 
     def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "grid_resolution": self.grid_resolution,
-            "ball_count": self.ball_count,
-            "eps": self.eps,
-            "delta": self.delta,
-            "tol": self.tol,
-            "tail_window": self.tail_window,
-            "max_period": self.max_period,
-            "repetitions": self.repetitions,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "CheckConfig":
@@ -135,6 +132,21 @@ class CheckConfig:
                 what = "a real number" if real else "an integer"
                 raise SpaceError(f"check config {key!r} must be {what}, got {value!r}")
         return cls(**doc)
+
+
+#: the most bytes CheckConfig.validate lets a config's largest arrays take
+MEMORY_BUDGET = 1 << 30
+
+
+def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
+    """Bytes of the G x G x (N+1) boolean hit table plus the ball-table sweep,
+    (N+1) rows of ball_count points per ball, from the config's shapes alone."""
+    if space.kind is SpaceKind.BINARY_SEQ:
+        G = 2 ** min(cfg.grid_resolution, MAX_ENUM_BITS)
+    else:
+        G = cfg.grid_resolution
+    points = G * len(_sens_rungs(space, cfg)) * cfg.ball_count
+    return (cfg.horizon + 1) * (G * G + points * point_coords([], space.kind).itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +198,26 @@ def _supports_regions(sys: SystemView, horizon: int) -> bool:
 def _ball_chains(
     sys: SystemView, balls: list[tuple[Point, float]], horizon: int
 ) -> RegionChains | None:
-    """Region chains of the (center, radius) balls through steps 1..horizon."""
+    """Region chains of the (center, radius) balls through steps 1..horizon;
+    None when some step has no exact region image."""
+    if not _supports_regions(sys, horizon):
+        return None
     starts = [ball_region(sys.space, c, r) for c, r in balls]
     return region_chains(starts, sys.steps(horizon)[1 : horizon + 1])
 
 
 def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
-    """Max pairwise distance per time row of an orbit matrix."""
-    n_cols = orbits.shape[1]
-    out = np.zeros(orbits.shape[0])
-    for i in range(n_cols):
-        for j in range(i + 1, n_cols):
-            out = np.maximum(out, coord_distances(kind, orbits[:, i], orbits[:, j]))
-    return out
+    """Max pairwise distance per time row of an orbit matrix; 0 for fewer
+    than two columns."""
+    i, j = np.triu_indices(orbits.shape[1], 1)
+    return coord_distances(kind, orbits[:, i], orbits[:, j]).max(axis=1, initial=0.0)
 
 
 def _sens_rungs(space: PhaseSpace, cfg: CheckConfig) -> list[float]:
     rungs = [cfg.eps, cfg.eps / 4.0, cfg.eps / 16.0]
     if space.kind is SpaceKind.BINARY_SEQ:
+        # validate keeps eps, the largest rung, resolvable
         rungs = [r for r in rungs if r > 1.0 / space.word_length]
-        if not rungs:
-            raise SpaceError("no resolvable ball radius for this word length")
     return rungs
 
 
@@ -254,6 +265,72 @@ def _ball_points(space: PhaseSpace, center: Point, radius: float, count: int) ->
     return list(ball_sample(space, center, radius, count))
 
 
+def _cached(sys: SystemView, key: tuple, build):
+    """build(), run once per view and key; what it builds is a pure function
+    of the view and the key's config, so caching is transparent."""
+    if key not in sys._cache:
+        sys._cache[key] = build()
+    return sys._cache[key]
+
+
+@dataclass
+class _BallEvidence:
+    """How the grid balls move, for one view and config. Ball k = u * R + i
+    is grid center u with rung i of _sens_rungs, so ball u * R is the
+    eps-ball around u. It has the diameter series diams[k] for n = 0..N and
+    a collapse step and point (region chains only). The eps-balls alone have
+    hits[u, v, n], image n of ball u within eps of center v, and defects[u, n],
+    how far image n of ball u is from covering the grid."""
+
+    centers: list[Point]
+    balls: list[tuple[Point, float]]
+    diams: np.ndarray  # float, shape (G * R, N+1)
+    collapses: list[tuple[int, Point] | None]
+    hits: np.ndarray  # bool, shape (G, G, N+1)
+    defects: np.ndarray  # float, shape (G, N+1)
+
+    def collapse(self, u: int) -> tuple[int, Point] | None:
+        """Collapse of the eps-ball around center u."""
+        return self.collapses[u * (len(self.balls) // len(self.centers))]
+
+
+def _ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
+    return _cached(sys, ("ball_evidence", cfg), lambda: _compute_ball_evidence(sys, cfg))
+
+
+def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
+    """One region chain or one orbit sweep over every ball; only the arrays
+    derived from it are kept."""
+    kind, N = sys.space.kind, cfg.horizon
+    centers = grid_points(sys.space, cfg)
+    balls = [(c, r) for c in centers for r in _sens_rungs(sys.space, cfg)]
+    eps_balls = slice(None, None, len(balls) // len(centers))  # the first rung is eps
+    coords = point_coords(centers, kind)
+    hits = np.zeros((len(centers), len(centers), N + 1), dtype=bool)
+
+    chains = _ball_chains(sys, balls, N)
+    if chains is not None:
+        for u, j in enumerate(range(len(balls))[eps_balls]):
+            hits[u] = (chains.distances(j, coords) < cfg.eps).T
+        return _BallEvidence(
+            centers, balls, np.ascontiguousarray(chains.diameters().T),
+            [chains.collapse(j) for j in range(len(balls))], hits,
+            np.ascontiguousarray(chains.covering_defects()[:, eps_balls].T),
+        )
+
+    clouds = [_ball_points(sys.space, c, r, cfg.ball_count) for c, r in balls]
+    orbits, cols = _sweep_groups(sys, clouds, N)
+    full = point_coords(sample_grid(sys.space, cfg.grid_resolution), kind)
+    defects = np.empty((len(centers), N + 1))
+    for u, idx in enumerate(cols[eps_balls]):
+        cloud = orbits[:, idx]
+        hits[u] = (coord_distances(kind, cloud[:, :, None], coords).min(axis=1) < cfg.eps).T
+        # per time row: the grid point farthest from its nearest cloud point
+        defects[u] = coord_distances(kind, cloud[:, None], full[:, None]).min(axis=2).max(axis=1)
+    diams = np.array([_cloud_diam_series(kind, orbits[:, idx]) for idx in cols])
+    return _BallEvidence(centers, balls, diams, [None] * len(balls), hits, defects)
+
+
 # ---------------------------------------------------------------------------
 # pointwise checkers
 
@@ -266,9 +343,8 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     base = min(cfg.eps, cfg.delta)
     rungs = [base / 2.0**i for i in range(5)]
     if space.kind is SpaceKind.BINARY_SEQ:
+        # validate keeps eps, the largest rung, resolvable
         rungs = [r for r in rungs if r > 1.0 / space.word_length]
-        if not rungs:
-            raise SpaceError("no resolvable pair radius for this word length")
     centers = grid_points(space, cfg)
 
     worst_for_smallest: tuple[Point, Point, int, float] | None = None
@@ -311,71 +387,37 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     return V.inconclusive({"horizon": N, "rungs": rungs}, "no conclusive rung at this horizon")
 
 
-def _diam_series_for_balls(
-    sys: SystemView, balls: list[tuple[Point, float]], cfg: CheckConfig, use_regions: bool
-):
-    """Orbit-diameter series of each (center, radius) ball, in order.
-
-    Yields (series, collapse): exact via region chains when possible, with
-    the ball's collapse step and point when it collapses; otherwise from the
-    sampled clouds of all balls, swept together, with collapse None.
-    """
-    N = cfg.horizon
-    chains = _ball_chains(sys, balls, N) if use_regions else None
-    if chains is not None:
-        diams = np.ascontiguousarray(chains.diameters().T)
-        for j in range(len(balls)):
-            yield diams[j], chains.collapse(j)
-        return
-    clouds = [_ball_points(sys.space, c, r, cfg.ball_count) for c, r in balls]
-    orbits, cols = _sweep_groups(sys, clouds, N)
-    for idx in cols:
-        yield _cloud_diam_series(sys.space.kind, orbits[:, idx]), None
-
-
-def _sensitivity_scan(sys: SystemView, cfg: CheckConfig):
-    """Shared sweep for the sensitivity checkers.
-
-    Yields (center, radius, diam_series, collapse) over the grid and the
-    radius ladder.
-    """
-    use_regions = _supports_regions(sys, cfg.horizon)
-    balls = [(c, r) for c in grid_points(sys.space, cfg) for r in _sens_rungs(sys.space, cfg)]
-    for (c, r), (series, collapse) in zip(
-        balls, _diam_series_for_balls(sys, balls, cfg, use_regions)
-    ):
-        yield c, r, series, collapse
-
-
-def _refute_ball(
-    sys: SystemView, cfg: CheckConfig, center: Point, radius: float,
-    series: np.ndarray, collapse: tuple[int, Point] | None, what: str
+def _refute_balls(
+    sys: SystemView, cfg: CheckConfig, ev: _BallEvidence, failing: np.ndarray, what: str
 ) -> Verdict | None:
-    """Symbolic refutation for a ball whose diameter never clears delta."""
-    if float(np.max(series[1:])) > cfg.delta - cfg.tol:
-        return None
-    if collapse is not None:
-        step, p = collapse
-        if _constant_after_collapse(sys, p, cfg.horizon):
+    """Symbolic refutation from the first of the failing balls whose diameter
+    provably never clears delta."""
+    for k in failing:
+        (center, radius), series, collapse = ev.balls[k], ev.diams[k], ev.collapses[k]
+        if float(np.max(series[1:])) > cfg.delta - cfg.tol:
+            continue
+        if collapse is not None:
+            step, p = collapse
+            if _constant_after_collapse(sys, p, cfg.horizon):
+                return V.refuted(
+                    {
+                        "ball_center": point_to_json(center),
+                        "radius": radius,
+                        "collapse_step": step,
+                        "max_diameter": float(np.max(series)),
+                    },
+                    f"{what}: the ball collapses to a point at step {step} and stays collapsed",
+                )
+        if sys.steps_isometric:
             return V.refuted(
                 {
                     "ball_center": point_to_json(center),
                     "radius": radius,
-                    "collapse_step": step,
                     "max_diameter": float(np.max(series)),
+                    "rule": "isometric-steps",
                 },
-                f"{what}: the ball collapses to a point at step {step} and stays collapsed",
+                f"{what}: isometric steps keep the ball diameter at most {2 * radius:g} forever",
             )
-    if sys.steps_isometric:
-        return V.refuted(
-            {
-                "ball_center": point_to_json(center),
-                "radius": radius,
-                "max_diameter": float(np.max(series)),
-                "rule": "isometric-steps",
-            },
-            f"{what}: isometric steps keep the ball diameter at most {2 * radius:g} forever",
-        )
     return None
 
 
@@ -395,32 +437,29 @@ def _constant_after_collapse(sys: SystemView, p: Point, horizon: int) -> bool:
 def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every grid point, every ladder radius: some time with ball diameter > delta."""
     cfg.validate(sys.space)
-    times: list[dict] = []
-    failing: list[tuple[Point, float, np.ndarray, tuple[int, Point] | None]] = []
-    for c, r, series, collapse in _sensitivity_scan(sys, cfg):
-        hits = np.nonzero(series[1:] > cfg.delta)[0]
-        if hits.size:
-            times.append(
-                {"center": point_to_json(c), "radius": r, "separation_time": int(hits[0]) + 1}
-            )
-        else:
-            failing.append((c, r, series, collapse))
-    if not failing:
-        worst = max(t["separation_time"] for t in times)
+    ev = _ball_evidence(sys, cfg)
+    separated = ev.diams[:, 1:] > cfg.delta
+    failing = np.flatnonzero(~separated.any(axis=1))
+    if not failing.size:
+        first = separated.argmax(axis=1) + 1
+        times = [
+            {"center": point_to_json(c), "radius": r, "separation_time": int(t)}
+            for (c, r), t in zip(ev.balls, first)
+        ]
+        worst = int(first.max())
         return V.holds(
             {"separation_times": times, "max_separation_time": worst, "delta": cfg.delta},
             f"every sampled neighborhood reaches diameter {cfg.delta:g} by n={worst}",
         )
-    for c, r, series, collapse in failing:
-        refutation = _refute_ball(sys, cfg, c, r, series, collapse, "sensitivity")
-        if refutation is not None:
-            return refutation
-    c, r, series, _ = failing[0]
+    refutation = _refute_balls(sys, cfg, ev, failing, "sensitivity")
+    if refutation is not None:
+        return refutation
+    c, r = ev.balls[failing[0]]
     return V.inconclusive(
         {
             "ball_center": point_to_json(c),
             "radius": r,
-            "max_diameter": float(np.max(series)),
+            "max_diameter": float(np.max(ev.diams[failing[0]])),
             "horizon": cfg.horizon,
         },
         "some sampled neighborhoods never separated and no symbolic rule applies",
@@ -432,26 +471,24 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     K <= horizon/2 onward, for every sampled ball."""
     cfg.validate(sys.space)
     N = cfg.horizon
-    entries: list[dict] = []
-    failing: list[tuple[Point, float, np.ndarray, tuple[int, Point] | None]] = []
-    for c, r, series, collapse in _sensitivity_scan(sys, cfg):
-        below = np.nonzero(series <= cfg.delta)[0]
-        K = int(below[-1]) + 1 if below.size else 1
-        if K <= N // 2 and K <= N:
-            entries.append({"center": point_to_json(c), "radius": r, "K": K})
-        else:
-            failing.append((c, r, series, collapse))
-    if not failing:
-        worst = max(e["K"] for e in entries)
+    ev = _ball_evidence(sys, cfg)
+    # K is one past the last diameter of at most delta, found backwards
+    below = ev.diams[:, ::-1] <= cfg.delta
+    K = np.where(below.any(axis=1), N + 1 - below.argmax(axis=1), 1)
+    failing = np.flatnonzero(K > N // 2)
+    if not failing.size:
+        entries = [
+            {"center": point_to_json(c), "radius": r, "K": int(k)} for (c, r), k in zip(ev.balls, K)
+        ]
+        worst = int(K.max())
         return V.holds(
             {"persistence_starts": entries, "max_K": worst, "delta": cfg.delta},
             f"every sampled ball stays spread past delta from K <= {worst}",
         )
-    for c, r, series, collapse in failing:
-        refutation = _refute_ball(sys, cfg, c, r, series, collapse, "cofinite sensitivity")
-        if refutation is not None:
-            return refutation
-    c, r, series, _ = failing[0]
+    refutation = _refute_balls(sys, cfg, ev, failing, "cofinite sensitivity")
+    if refutation is not None:
+        return refutation
+    c, r = ev.balls[failing[0]]
     return V.inconclusive(
         {"ball_center": point_to_json(c), "radius": r, "horizon": N},
         "no persistent spreading found and no symbolic rule applies",
@@ -461,55 +498,14 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # open-set checkers (transitivity family)
 
-@dataclass
-class _HitData:
-    """Hit evidence between grid balls: hits[u][v][n] for n in 0..N."""
-
-    centers: list[Point]
-    hits: np.ndarray  # bool, shape (U, V, N+1)
-    chains: RegionChains | None
-    radius: float
-
-
-def _hit_data(sys: SystemView, cfg: CheckConfig) -> _HitData:
-    key = ("hit_data", cfg)
-    cached = sys._cache.get(key)
-    if cached is not None:
-        return cached
-    sys._cache[key] = data = _compute_hit_data(sys, cfg)
-    return data
-
-
-def _compute_hit_data(sys: SystemView, cfg: CheckConfig) -> _HitData:
-    space = sys.space
-    N = cfg.horizon
-    centers = grid_points(space, cfg)
-    G = len(centers)
-    use_regions = _supports_regions(sys, N)
-    hits = np.zeros((G, G, N + 1), dtype=bool)
-
-    coords = point_coords(centers, space.kind)
-    chains = _ball_chains(sys, [(c, cfg.eps) for c in centers], N) if use_regions else None
-    if chains is not None:
-        for u in range(G):
-            hits[u] = (chains.distances(u, coords) < cfg.eps).T
-        return _HitData(centers, hits, chains, cfg.eps)
-
-    clouds = [_ball_points(space, c, cfg.eps, cfg.ball_count) for c in centers]
-    orbits, cols = _sweep_groups(sys, clouds, N)
-    for u, idx in enumerate(cols):
-        d = coord_distances(space.kind, orbits[:, idx, None], coords)
-        hits[u] = (d.min(axis=1) < cfg.eps).T
-    return _HitData(centers, hits, None, cfg.eps)
-
-
 def _prove_pair_miss(
-    sys: SystemView, cfg: CheckConfig, data: _HitData, u: int, v: int
+    sys: SystemView, cfg: CheckConfig, ev: _BallEvidence, u: int, v: int
 ) -> dict | None:
-    """Proof that ball u can never meet the eps-ball around center v."""
-    uc, vc = data.centers[u], data.centers[v]
+    """Proof that the eps-ball around center u can never meet the eps-ball
+    around center v."""
+    uc, vc = ev.centers[u], ev.centers[v]
     # collapse rule: the ball degenerates to an eventually fixed point
-    collapse = data.chains.collapse(u) if data.chains is not None else None
+    collapse = ev.collapse(u)
     if collapse is not None:
         step, p = collapse
         if _constant_after_collapse(sys, p, cfg.horizon):
@@ -525,7 +521,7 @@ def _prove_pair_miss(
     conf = _confinement_gaps(sys, cfg.horizon, uc, vc)
     if conf is not None:
         min_gap, future, tail = conf
-        need = cfg.eps + data.radius + cfg.tol
+        need = cfg.eps + cfg.eps + cfg.tol
         if min_gap >= need and future >= need:
             return {"rule": "displacement-confinement", "min_gap": min_gap, "tail_bound": tail}
     return None
@@ -534,10 +530,10 @@ def _prove_pair_miss(
 def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every ordered pair of grid balls interacts at some time <= horizon."""
     cfg.validate(sys.space)
-    data = _hit_data(sys, cfg)
-    G = len(data.centers)
-    any_hits = data.hits[:, :, 1:].any(axis=2)
-    first_hit = np.where(any_hits, data.hits[:, :, 1:].argmax(axis=2) + 1, -1)
+    ev = _ball_evidence(sys, cfg)
+    G = len(ev.centers)
+    any_hits = ev.hits[:, :, 1:].any(axis=2)
+    first_hit = np.where(any_hits, ev.hits[:, :, 1:].argmax(axis=2) + 1, -1)
     if any_hits.all():
         return V.holds(
             {
@@ -549,12 +545,12 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         )
     missed = [(u, v) for u in range(G) for v in range(G) if not any_hits[u, v]]
     for u, v in missed:
-        proof = _prove_pair_miss(sys, cfg, data, u, v)
+        proof = _prove_pair_miss(sys, cfg, ev, u, v)
         if proof is not None:
             return V.refuted(
                 {
-                    "from_center": point_to_json(data.centers[u]),
-                    "to_center": point_to_json(data.centers[v]),
+                    "from_center": point_to_json(ev.centers[u]),
+                    "to_center": point_to_json(ev.centers[v]),
                     **proof,
                 },
                 "a ball provably never reaches a target ball",
@@ -562,7 +558,7 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     return V.inconclusive(
         {
             "missed_pairs": [
-                [point_to_json(data.centers[u]), point_to_json(data.centers[v])]
+                [point_to_json(ev.centers[u]), point_to_json(ev.centers[v])]
                 for u, v in missed[:8]
             ],
             "missed_count": len(missed),
@@ -575,51 +571,70 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
 def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Pairs of ball pairs must interact simultaneously at a single time."""
     cfg.validate(sys.space)
-    data = _hit_data(sys, cfg)
-    G = len(data.centers)
-    H = data.hits[:, :, 1:].reshape(G * G, -1)
-    sim = (H.astype(np.float32) @ H.astype(np.float32).T) > 0.5
-    if sim.all():
+    ev = _ball_evidence(sys, cfg)
+    G = len(ev.centers)
+    first, missed = _shared_time_misses(ev.hits.reshape(G * G, -1)[:, 1:])
+    if first is None:
         return V.holds(
             {"pairs": G * G, "grid_resolution": cfg.grid_resolution},
             "every two ball pairs interact at a shared time",
         )
-    flat = int(np.argmin(sim))
-    p1, p2 = divmod(flat, G * G)
+    p1, p2 = first
     u1, v1 = divmod(p1, G)
     u2, v2 = divmod(p2, G)
     quad = {
-        "U1": point_to_json(data.centers[u1]),
-        "V1": point_to_json(data.centers[v1]),
-        "U2": point_to_json(data.centers[u2]),
-        "V2": point_to_json(data.centers[v2]),
+        "U1": point_to_json(ev.centers[u1]),
+        "V1": point_to_json(ev.centers[v1]),
+        "U2": point_to_json(ev.centers[u2]),
+        "V2": point_to_json(ev.centers[v2]),
     }
     for u, v in ((u1, v1), (u2, v2)):
-        proof = _prove_pair_miss(sys, cfg, data, u, v)
+        proof = _prove_pair_miss(sys, cfg, ev, u, v)
         if proof is not None:
             return V.refuted({**quad, **proof}, "one leg of the quadruple provably never hits")
     if sys.steps_isometric:
-        extreme = _isometric_spacing_witness(sys, cfg, data)
+        extreme = _isometric_spacing_witness(sys, cfg, ev)
         if extreme is not None:
             return V.refuted(
                 extreme,
                 "isometric steps preserve the spacing between the two source balls, "
                 "which is incompatible with the target spacing",
             )
-    missed = int(sim.size - int(sim.sum()))
     return V.inconclusive(
         {"missed_quadruples": missed, "witness_quadruple": quad, "horizon": cfg.horizon},
         "no simultaneous interaction found for some quadruples",
     )
 
 
-def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, data: _HitData) -> dict | None:
+def _shared_time_misses(H: np.ndarray) -> tuple[tuple[int, int] | None, int]:
+    """The ordered pairs of rows of the boolean matrix H that share no True
+    column: the first in row-major order, or None, and their number.
+
+    Only the distinct rows are multiplied. Rows are grouped by their packed
+    bytes, so a pair of rows misses exactly when their classes do, and the
+    class multiplicities weight the count.
+    """
+    packed = np.packbits(H, axis=1)
+    _, first, inverse = np.unique(
+        packed.view(f"V{packed.shape[1]}").reshape(-1), return_index=True, return_inverse=True
+    )
+    rows = H[first].astype(np.float32)
+    miss = rows @ rows.T < 0.5
+    if not miss.any():
+        return None, 0
+    mult = np.bincount(inverse)
+    p1 = int(np.argmax(miss.any(axis=1)[inverse]))
+    p2 = int(np.argmax(miss[inverse[p1]][inverse]))
+    return (p1, p2), int(mult @ miss.astype(np.int64) @ mult)
+
+
+def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, ev: _BallEvidence) -> dict | None:
     """A quadruple whose source/target spacings differ too much for any
     isometry to reconcile: take sources at maximal spacing and targets at
     minimal spacing."""
-    centers = data.centers
+    centers = ev.centers
     G = len(centers)
-    slack = 2.0 * (cfg.eps + data.radius) + cfg.tol
+    slack = 2.0 * (cfg.eps + cfg.eps) + cfg.tol
     coords = point_coords(centers, sys.space.kind)
     dmat = coord_distances(sys.space.kind, coords[:, None], coords)
     hi = int(np.argmax(dmat))
@@ -641,50 +656,27 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Two tests, both reported: hit persistence and cloud convergence."""
     cfg.validate(sys.space)
     N = cfg.horizon
-    data = _hit_data(sys, cfg)
-    G = len(data.centers)
+    ev = _ball_evidence(sys, cfg)
+    G = len(ev.centers)
 
-    # (a) hit persistence: for each pair a K with hits at every n in [K, N]
-    persistence_ok = True
-    worst_K = 0
-    miss_pair = None
-    for u in range(G):
-        for v in range(G):
-            misses = np.nonzero(~data.hits[u, v, 1:])[0]
-            K = int(misses[-1]) + 2 if misses.size else 1
-            if K > N // 2:
-                persistence_ok = False
-                if miss_pair is None:
-                    miss_pair = (u, v)
-            worst_K = max(worst_K, K if K <= N // 2 else 0)
+    # (a) hit persistence: for each pair a K with hits at every n in [K, N],
+    # one past its last miss; backwards, the first miss is at n = N - argmin
+    backwards = ev.hits[:, :, :0:-1]
+    K = np.where(backwards.all(axis=2), 1, N + 1 - backwards.argmin(axis=2))
+    late = K > N // 2
+    persistence_ok = not late.any()
+    worst_K = int(np.where(late, 0, K).max())
+    miss_pair = None if persistence_ok else divmod(int(late.argmax()), G)
 
-    # (b) cloud convergence: image covering defect below eps from some K on
-    convergence_ok = True
-    conv_K = 0
-    conv_fail = None
-    defects_final: list[float] = []
-    if data.chains is not None:
-        defects = np.ascontiguousarray(data.chains.covering_defects().T)
-    else:
-        full = point_coords(sample_grid(sys.space, cfg.grid_resolution), sys.space.kind)
-        clouds = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in data.centers]
-        orbits, cols = _sweep_groups(sys, clouds, N)
-        # per time row: the grid point farthest from its nearest cloud point
-        defects = [
-            coord_distances(sys.space.kind, orbits[:, None, idx], full[:, None])
-            .min(axis=2)
-            .max(axis=1)
-            for idx in cols
-        ]
-    for u, defect in enumerate(defects):
-        defects_final.append(float(defect[-1]))
-        bad = np.nonzero(defect >= cfg.eps)[0]
-        K = int(bad[-1]) + 1 if bad.size else 0
-        if K > N // 2:
-            convergence_ok = False
-            if conv_fail is None:
-                conv_fail = u
-        conv_K = max(conv_K, K if K <= N // 2 else 0)
+    # (b) cloud convergence: image covering defect below eps from some K on,
+    # one past its last defect of eps or more, found backwards as in (a)
+    bad = ev.defects[:, ::-1] >= cfg.eps
+    K = np.where(bad.any(axis=1), N + 1 - bad.argmax(axis=1), 0)
+    late = K > N // 2
+    convergence_ok = not late.any()
+    conv_K = int(np.where(late, 0, K).max())
+    conv_fail = None if convergence_ok else int(late.argmax())
+    defects_final = ev.defects[:, -1].tolist()
 
     tests = {
         "hit_persistence": {"passed": persistence_ok, "K": worst_K},
@@ -702,14 +694,14 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
         )
     # symbolic refutations
     if miss_pair is not None:
-        proof = _prove_pair_miss(sys, cfg, data, *miss_pair)
+        proof = _prove_pair_miss(sys, cfg, ev, *miss_pair)
         if proof is not None:
             u, v = miss_pair
             return V.refuted(
                 {
                     **tests,
-                    "from_center": point_to_json(data.centers[u]),
-                    "to_center": point_to_json(data.centers[v]),
+                    "from_center": point_to_json(ev.centers[u]),
+                    "to_center": point_to_json(ev.centers[v]),
                     **proof,
                 },
                 "a ball pair provably stops interacting",
@@ -717,7 +709,7 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     if sys.steps_isometric:
         idx = conv_fail if conv_fail is not None else 0
         return V.refuted(
-            {**tests, "rule": "isometric-steps", "ball_center": point_to_json(data.centers[idx])},
+            {**tests, "rule": "isometric-steps", "ball_center": point_to_json(ev.centers[idx])},
             "isometric steps preserve ball image spread, so small balls never become dense",
         )
     return V.inconclusive(
@@ -1054,8 +1046,9 @@ class _PairSweep:
         series = coord_distances(self.kind, self.orbits, self.orbits[:, x])
         tail = series[-(self.window + 1) :]
         first = self.horizon + 1 - len(tail)  # the time of the tail's first row
+        # a copy of row 0, so kept evidence does not pin the whole series
         return _PairEvidence(
-            series[0], tail.min(axis=0), tail.max(axis=0),
+            series[0].copy(), tail.min(axis=0), tail.max(axis=0),
             first + tail.argmin(axis=0), series.min(axis=0),
         )
 
@@ -1169,29 +1162,35 @@ def li_yorke_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Ver
 def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
     """Every eps-ball on the grid contains a partner for x under the predicate."""
     cfg.validate(sys.space)
-    return _cell_densities(sys, [x], cfg, predicate)[0]
+    cells = _cell_evidence(sys, [x], cfg)
+    return _cell_density(sys, cfg, predicate, x, cells.evidence[0], cells)
 
 
-def _cell_densities(
-    sys: SystemView, xs: list[Point], cfg: CheckConfig, predicate: PairPredicate
-) -> list[Verdict]:
-    """cell_density for each x, with one sweep over every x and every pool."""
+class _Cells(NamedTuple):
+    """Evidence from each of some points to every swept column, and the grid
+    centers with their pools; row k of cols holds the columns of pool k."""
+
+    evidence: list[_PairEvidence]
+    centers: list[Point]
+    pools: list[list[Point]]
+    cols: np.ndarray
+
+
+def _cell_evidence(sys: SystemView, xs: list[Point], cfg: CheckConfig) -> _Cells:
+    """Cell evidence for each x, from one sweep over every x and every pool."""
     centers = grid_points(sys.space, cfg)
     pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in centers]
     sweep = _PairSweep(sys, [xs] + pools, cfg)
-    cols = _pool_matrix(sweep.cols[1:])
-    return [
-        _cell_density(sys, x, sweep.evidence(0, i), centers, pools, cols, cfg, predicate)
-        for i, x in enumerate(xs)
-    ]
+    evidence = [sweep.evidence(0, i) for i in range(len(xs))]
+    return _Cells(evidence, centers, pools, _pool_matrix(sweep.cols[1:]))
 
 
 def _cell_density(
-    sys: SystemView, x: Point, ev: _PairEvidence, centers: list[Point],
-    pools: list[list[Point]], cols: np.ndarray, cfg: CheckConfig, predicate: PairPredicate,
+    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: Point,
+    ev: _PairEvidence, cells: _Cells,
 ) -> Verdict:
-    """Cell density of x, whose evidence to every swept column is ev; row k of
-    cols holds the columns of pool k."""
+    """Cell density of x, whose evidence to every swept column is ev."""
+    centers, pools, cols = cells.centers, cells.pools, cells.cols
     holds, refuted = _pair_outcomes(sys, cfg, predicate, ev)
     if predicate is PairPredicate.LI_YORKE:
         # x is no Li-Yorke partner of itself, so it is skipped
@@ -1233,9 +1232,14 @@ def _cell_density(
 
 
 def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
-    """Cell density of every grid point under the predicate."""
+    """Cell density of every grid point under the predicate; both predicates
+    read one evidence table per view."""
     xs = grid_points(sys.space, cfg)
-    verdicts = list(zip(xs, _cell_densities(sys, xs, cfg, predicate)))
+    cells = _cached(sys, ("cell_evidence", cfg), lambda: _cell_evidence(sys, xs, cfg))
+    verdicts = [
+        (x, _cell_density(sys, cfg, predicate, x, ev, cells))
+        for x, ev in zip(xs, cells.evidence)
+    ]
     bad = [(x, v) for x, v in verdicts if not v.holds]
     if not bad:
         return V.holds(
@@ -1315,8 +1319,9 @@ def ball_diameter_series(
     """Orbit diameter of the ball around center for n = 0..horizon: exact
     from its region chain when the steps allow it, else from cfg.ball_count
     sampled points."""
-    if horizon != cfg.horizon:
-        cfg = replace(cfg, horizon=horizon, tail_window=min(cfg.tail_window, horizon))
-    use_regions = _supports_regions(sys, horizon)
-    series, _ = next(_diam_series_for_balls(sys, [(center, radius)], cfg, use_regions))
-    return series
+    chains = _ball_chains(sys, [(center, radius)], horizon)
+    if chains is not None:
+        return chains.diameters()[:, 0]
+    cloud = _ball_points(sys.space, center, radius, cfg.ball_count)
+    orbits, (idx,) = _sweep_groups(sys, [cloud], horizon)
+    return _cloud_diam_series(sys.space.kind, orbits[:, idx])

@@ -108,11 +108,6 @@ class BinaryWord:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "effective_length", eff)
 
-    @classmethod
-    def from_string(cls, s: str, effective_length: int | None = None) -> "BinaryWord":
-        bits = tuple(int(c) for c in s)
-        return cls(bits, len(bits) if effective_length is None else effective_length)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 

@@ -1,0 +1,160 @@
+"""The per-view ball-evidence table, weak mixing over distinct hit rows, the
+shared cell evidence and the memory preflight."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from nonautodyn import checkers, regions
+from nonautodyn.checkers import (
+    MEMORY_BUDGET,
+    CheckConfig,
+    Mode,
+    SystemView,
+    _ball_evidence,
+    _cloud_diam_series,
+    _shared_time_misses,
+    check_li_yorke_cell_density,
+    check_proximal_cell_density,
+    check_weak_mixing,
+    grid_points,
+    orbit_matrix,
+)
+from nonautodyn.report import CATALOG, run_comparison
+from nonautodyn.space import SpaceError, ball_sample, coord_distances, point_coords, point_to_json
+
+
+def _dense_reference(H: np.ndarray):
+    """The first ordered row pair sharing no True column, in row-major
+    order, and the number of such pairs, from the full product; float32
+    counts the shared columns exactly below 2**24."""
+    Hf = H.astype(np.float32)
+    sim = Hf @ Hf.T > 0
+    if sim.all():
+        return None, 0
+    return divmod(int(np.argmin(sim)), len(H)), int(sim.size - sim.sum())
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_weak_mixing_matches_dense_reference(name, mode):
+    spec = CATALOG[name]
+    cfg = spec.check
+    sys = SystemView(spec.build_family(), mode)
+    verdict = check_weak_mixing(sys, cfg)
+    ev = _ball_evidence(sys, cfg)
+    G = len(ev.centers)
+    H = ev.hits[:, :, 1:].reshape(G * G, -1)
+    first, missed = _dense_reference(H)
+    assert _shared_time_misses(H) == (first, missed)
+    assert verdict.holds == (first is None)
+    if first is None:
+        return
+    (u1, v1), (u2, v2) = divmod(first[0], G), divmod(first[1], G)
+    quad = {
+        "U1": point_to_json(ev.centers[u1]),
+        "V1": point_to_json(ev.centers[v1]),
+        "U2": point_to_json(ev.centers[u2]),
+        "V2": point_to_json(ev.centers[v2]),
+    }
+    w = verdict.witness
+    if verdict.inconclusive:
+        assert w["witness_quadruple"] == quad
+        assert w["missed_quadruples"] == missed
+    elif w["rule"] != "isometric-spacing":
+        assert {k: w[k] for k in quad} == quad
+
+
+def _repeated_rows():
+    """Boolean matrices built from a few distinct rows, each used many times."""
+    return st.integers(1, 21).flatmap(
+        lambda width: st.tuples(
+            st.lists(hnp.arrays(bool, width), min_size=1, max_size=5),
+            st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        ).map(lambda t: np.array([t[0][i % len(t[0])] for i in t[1]]))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeated_rows())
+@example(np.ones((6, 9), dtype=bool))
+@example(np.zeros((5, 3), dtype=bool))
+@example(np.array([[True, False], [False, True], [True, False]]))
+def test_shared_time_misses_match_dense_reference(H):
+    assert _shared_time_misses(H) == _dense_reference(H)
+
+
+def test_one_alternating_rotation_report_steps_each_view_once(monkeypatch):
+    calls = {"chains": 0, "arcs": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(checkers, "region_chains", counted(regions.region_chains, "chains"))
+    monkeypatch.setattr(regions, "_step_arcs", counted(regions._step_arcs, "arcs"))
+    run_comparison(CATALOG["alternating-rotation"])
+    # one ball table per view over the horizon of 5000, plus the tracked ball's 400 steps
+    assert calls == {"chains": 3, "arcs": 2 * 5000 + 400}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion"])
+def test_cell_evidence_is_swept_once_per_view(name, mode, monkeypatch):
+    spec = CATALOG[name]
+    cfg = dataclasses.replace(spec.check, horizon=60, tail_window=30)
+    calls = []
+    build = checkers._cell_evidence
+    monkeypatch.setattr(
+        checkers, "_cell_evidence", lambda *a: calls.append(1) or build(*a)
+    )
+    sys = SystemView(spec.build_family(), mode)
+    for check in (check_proximal_cell_density, check_li_yorke_cell_density):
+        fresh = check(SystemView(spec.build_family(), mode), cfg)
+        assert check(sys, cfg).to_json() == fresh.to_json()
+    assert len(calls) == 3  # one per fresh view, one for the shared view
+
+
+@pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion"])
+def test_cloud_diameters_match_pairwise_loop(name):
+    spec = CATALOG[name]
+    fam = spec.build_family()
+    kind = fam.space.kind
+    sys = SystemView(fam, Mode.NON_AUTONOMOUS)
+    center = grid_points(fam.space, spec.check)[3]
+    for count in (1, 2, 5, 9):
+        cloud = list(ball_sample(fam.space, center, spec.check.eps, count))
+        orbits = orbit_matrix(sys, point_coords(cloud, kind), 50)
+        want = np.zeros(51)
+        for i in range(len(cloud)):
+            for j in range(i + 1, len(cloud)):
+                want = np.maximum(want, coord_distances(kind, orbits[:, i], orbits[:, j]))
+        assert _cloud_diam_series(kind, orbits).tobytes() == want.tobytes()
+
+
+def test_preflight_refuses_a_hit_table_over_budget():
+    space = CATALOG["odometer-deletion"].build_family().space
+    cfg = dataclasses.replace(CATALOG["odometer-deletion"].check, grid_resolution=12)
+    # 4,096 centers: 4096 * 4096 * 201 bytes of hits alone
+    assert 4096 * 4096 * 201 > MEMORY_BUDGET
+    with pytest.raises(SpaceError, match="budget"):
+        cfg.validate(space)
+    for spec in CATALOG.values():
+        spec.check.validate(spec.build_family().space)
+
+
+def test_preflight_counts_the_ball_sweep():
+    # 8 grid centers keep the hit table small; 3 rungs of 9 points each are
+    # swept over (N+1) rows of 8-byte angles
+    space = CATALOG["alternating-rotation"].build_family().space
+    cfg = CheckConfig(grid_resolution=8, horizon=10, tail_window=5)
+    cfg.validate(space)
+    N = MEMORY_BUDGET // (8 * 3 * 9 * 8)
+    with pytest.raises(SpaceError, match="budget"):
+        dataclasses.replace(cfg, horizon=N, tail_window=5).validate(space)

@@ -105,6 +105,17 @@ def test_overlong_binary_word_is_config_error(tmp_path, capsys):
     assert "word_length=64" in capsys.readouterr().err
 
 
+def test_config_over_memory_budget_is_refused_before_any_work(monkeypatch, capsys):
+    # 4,096 centers would ask for about 3.4 GB of hits; the hypothesis
+    # profile is the first work a report does, so it must never start
+    def no_work(*args, **kwargs):
+        raise AssertionError("the report started before the preflight")
+
+    monkeypatch.setattr(report, "profile_hypotheses", no_work)
+    assert main(["reproduce", "odometer-deletion", "--grid", "12"]) == EXIT_CONFIG
+    assert "budget" in capsys.readouterr().err
+
+
 def test_unknown_example_id(capsys):
     assert main(["reproduce", "not-a-scenario"]) == EXIT_CONFIG
 

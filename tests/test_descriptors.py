@@ -50,31 +50,31 @@ class TestApply:
         assert apply(TENT, IntervalPoint(0.5)).x == 1.0
 
     def test_odometer_carry_through(self):
-        out = apply(OdometerAdd(), BinaryWord.from_string("111"))
+        out = apply(OdometerAdd(), BinaryWord((1, 1, 1), 3))
         assert str(out) == "000"
         assert out.effective_length == 3
 
     def test_odometer_simple(self):
-        assert str(apply(OdometerAdd(), BinaryWord.from_string("0110"))) == "1110"
-        assert str(apply(OdometerAdd(), BinaryWord.from_string("1010"))) == "0110"
+        assert str(apply(OdometerAdd(), BinaryWord((0, 1, 1, 0), 4))) == "1110"
+        assert str(apply(OdometerAdd(), BinaryWord((1, 0, 1, 0), 4))) == "0110"
 
     def test_identity_rotation(self):
         x = CircleAngle(1.234)
         assert apply(Rotation(0.0), x) == x
 
     def test_delete_within_resolution(self):
-        w = BinaryWord.from_string("10110")
+        w = BinaryWord((1, 0, 1, 1, 0), 5)
         out = apply(Delete(2), w)
         assert str(out) == "1110"
         assert out.effective_length == 4
 
     def test_delete_beyond_trusted_prefix_is_identity(self):
-        w = BinaryWord.from_string("101", effective_length=2)
+        w = BinaryWord((1, 0, 1), 2)
         assert apply(Delete(3), w) == w
 
     def test_delete_exhausts_resolution(self):
         with pytest.raises(ResolutionError):
-            apply(Delete(1), BinaryWord.from_string("1"))
+            apply(Delete(1), BinaryWord((1,), 1))
 
     def test_affine_doubling(self):
         out = apply(AffineCircle(2, 0.0), CircleAngle(0.1))

@@ -12,7 +12,6 @@ from nonautodyn.descriptors import (
     OdometerAdd,
     PiecewiseLinear,
     Rotation,
-    apply,
 )
 from nonautodyn.family import (
     PLATEAU_HEAD,
@@ -29,14 +28,7 @@ from nonautodyn.family import (
     surjectivity_check,
     term,
 )
-from nonautodyn.space import (
-    CircleAngle,
-    IntervalPoint,
-    PhaseSpace,
-    SpaceError,
-    distance,
-    sample_grid,
-)
+from nonautodyn.space import PhaseSpace, SpaceError
 
 CIRCLE = PhaseSpace.circle()
 INTERVAL = PhaseSpace.unit_interval()

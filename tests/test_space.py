@@ -45,8 +45,8 @@ class TestDistance:
         assert d == pytest.approx(0.2, abs=1e-12)
 
     def test_binary_first_difference(self):
-        x = BinaryWord.from_string("0101")
-        y = BinaryWord.from_string("0001")
+        x = BinaryWord((0, 1, 0, 1), 4)
+        y = BinaryWord((0, 0, 0, 1), 4)
         assert distance(BIN8, x, y) == 0.5
 
     def test_interval_identity(self):
@@ -57,14 +57,14 @@ class TestDistance:
             distance(CIRCLE, IntervalPoint(0.5), IntervalPoint(0.5))
 
     def test_binary_resolution_floor_flagged(self):
-        x = BinaryWord.from_string("0101", effective_length=2)
-        y = BinaryWord.from_string("0110", effective_length=3)
+        x = BinaryWord((0, 1, 0, 1), 2)
+        y = BinaryWord((0, 1, 1, 0), 3)
         info = distance_info(BIN8, x, y)
         assert info.at_resolution_floor
         assert info.value == 0.5  # 1 / min(effective lengths)
 
     def test_binary_identical_word_is_zero(self):
-        x = BinaryWord.from_string("0101")
+        x = BinaryWord((0, 1, 0, 1), 4)
         assert distance(BIN8, x, x) == 0.0
 
     def test_circle_angle_reduced(self):
@@ -170,7 +170,7 @@ class TestBallSample:
             assert all(distance(CIRCLE, p, CircleAngle(1.0)) < 0.3 for p in pts)
 
     def test_binary_prefix_agreement(self):
-        center = BinaryWord.from_string("01010101")
+        center = BinaryWord((0, 1, 0, 1, 0, 1, 0, 1), 8)
         pts = ball_sample(BIN8, center, 1 / 3, 6)
         for p in pts:
             assert p.bits[:3] == center.bits[:3]
@@ -178,7 +178,7 @@ class TestBallSample:
 
     def test_binary_unresolvable_radius(self):
         with pytest.raises(ResolutionError):
-            ball_sample(BIN8, BinaryWord.from_string("01010101"), 0.05, 3)
+            ball_sample(BIN8, BinaryWord((0, 1, 0, 1, 0, 1, 0, 1), 8), 0.05, 3)
 
     def test_deterministic(self):
         a = ball_sample(INTERVAL, IntervalPoint(0.3), 0.2, 7)
