@@ -16,9 +16,7 @@ when a hypothesis fails.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -195,17 +193,6 @@ class ConvergenceProfile:
             "collective_likely": self.collective_likely,
             "eps": self.eps,
         }
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "k", "E", "bound", "holds"])
-            for i, n in enumerate(self.n_values):
-                for j, k in enumerate(self.k_values):
-                    w.writerow(
-                        [n, k, repr(self.matrix[i][j]), repr(self.bounds[i][j]),
-                         self.holds[i][j]]
-                    )
 
 
 def collective_convergence_profile(

@@ -26,6 +26,7 @@ from .descriptors import (
     MapDescriptor,
     PiecewiseLinear,
     apply,
+    apply_batch,
     circle_canonical,
     circle_map_fixed_points,
     compose,
@@ -106,7 +107,11 @@ class CheckConfig:
             )
         if self.horizon < 1 or self.grid_resolution < 2 or self.ball_count < 1:
             raise SpaceError("horizon, grid resolution, and ball count must be positive")
-        _period_bounds(self, None, None)
+        if self.max_period < 1 or self.repetitions < 1:
+            raise SpaceError(
+                f"max_period and repetitions must be at least 1, got {self.max_period} "
+                f"and {self.repetitions}"
+            )
         if not self.tol >= 0.0:
             raise SpaceError(f"tol must be nonnegative, got {self.tol}")
         need = _estimated_bytes(self, space)
@@ -751,14 +756,11 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
         # eventually-fixed orbit: once the step maps are the constant limit,
         # an orbit that lands on a fixed point of the limit stays there forever
         if cutoff is not None:
-            stuck_at = None
-            for m in range(max(0, cutoff - 1), N + 1):
+            lo = max(0, cutoff - 1)
+            fixed = np.flatnonzero(apply_batch(sys.fam.limit, orb[lo:], space.kind) == orb[lo:])
+            if fixed.size:
+                m = lo + int(fixed[0])
                 p = coord_point(orb[m], space.kind)
-                if apply(sys.fam.limit, p) == p:
-                    stuck_at = (m, p)
-                    break
-            if stuck_at is not None:
-                m, p = stuck_at
                 gap = float(
                     coord_distances(space.kind, orb[: m + 1], point_coords([t], space.kind)).min()
                 )
@@ -794,24 +796,13 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
             "uncovered_count": len(uncovered),
             "horizon": N,
         },
-        f"{len(uncovered)} start/cell combinations stayed unvisited at this horizon",
+        f"{len(uncovered)} of {len(starts)} grid starts left some cell unvisited "
+        "at this horizon",
     )
 
 
 # ---------------------------------------------------------------------------
 # recurrence checkers
-
-def _period_bounds(
-    cfg: CheckConfig, max_period: int | None, repetitions: int | None
-) -> tuple[int, int]:
-    """The period horizon P and the repetition count R, each from its
-    argument when one is given, else from cfg; both must be at least 1."""
-    P = cfg.max_period if max_period is None else max_period
-    R = cfg.repetitions if repetitions is None else repetitions
-    if P < 1 or R < 1:
-        raise SpaceError(f"max_period and repetitions must be at least 1, got {P} and {R}")
-    return P, R
-
 
 def _periods(
     sys: SystemView, points: list[Point], P: int, R: int, tol: float
@@ -849,17 +840,14 @@ def _periodic_verdict(
     )
 
 
-def check_periodic(
-    sys: SystemView, x: Point, cfg: CheckConfig,
-    max_period: int | None = None, repetitions: int | None = None,
-) -> Verdict:
+def check_periodic(sys: SystemView, x: Point, cfg: CheckConfig) -> Verdict:
     """Least n <= P with orbit returns at every multiple n*k, k <= R, within tol.
 
     Both modes use the same multiple-revisit rule so that autonomous wrappers
     produce identical verdicts in either mode.
     """
     cfg.validate(sys.space)
-    P, R = _period_bounds(cfg, max_period, repetitions)
+    P, R = cfg.max_period, cfg.repetitions
     returns, periods = _periods(sys, [x], P, R, cfg.tol)
     return _periodic_verdict(x, returns[:, 0], periods[0], P, R, cfg.tol)
 
@@ -941,13 +929,10 @@ def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> list[Poin
     return candidates
 
 
-def check_dense_periodicity(
-    sys: SystemView, cfg: CheckConfig,
-    max_period: int | None = None, repetitions: int | None = None,
-) -> Verdict:
+def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every eps-ball on the grid contains a verified periodic point."""
     cfg.validate(sys.space)
-    P, R = _period_bounds(cfg, max_period, repetitions)
+    P, R = cfg.max_period, cfg.repetitions
 
     refutation = _refute_periodicity(sys, cfg, P, R, max_period=P)
     if refutation is not None:

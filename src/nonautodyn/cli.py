@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bounds import BoundLedger, deviation_check, shifted_deviation_check
-from .checkers import CheckConfig
+from .checkers import CheckConfig, Mode, grid_points, verdict_record
 from .report import (
     ALIASES,
     ALL_PROPERTIES,
@@ -50,16 +51,11 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         check["eps"] = args.eps
     if getattr(args, "delta", None) is not None:
         check["delta"] = args.delta
-    out_dir = getattr(args, "out", None) or spec.output_dir
-    formats = (args.format,) if getattr(args, "format", None) else spec.formats
-    return ScenarioSpec(
-        family_config=spec.family_config,
+    return replace(
+        spec,
         check=CheckConfig.from_json(check),
-        properties=spec.properties,
-        label=spec.label,
-        seed=spec.seed,
-        output_dir=out_dir,
-        formats=formats,
+        output_dir=getattr(args, "out", None) or spec.output_dir,
+        formats=(args.format,) if getattr(args, "format", None) else spec.formats,
     )
 
 
@@ -137,8 +133,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     spec = _apply_overrides(_load_spec(args.spec), args)
     fam = spec.build_family()
     ledger = BoundLedger.for_family(fam, args.n + args.k)
-    from .checkers import grid_points
-
     x0 = grid_points(fam.space, spec.check)[0]
     if args.n == 0:
         rec = deviation_check(fam, x0, args.k, spec.check.tol, ledger)
@@ -152,20 +146,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.property not in PROPERTY_BY_NAME:
         print(f"unknown property {args.property!r}; known: {', '.join(ALL_PROPERTIES)}")
         return EXIT_CONFIG
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    spec = ScenarioSpec(
-        family_config=spec.family_config,
-        check=spec.check,
-        properties=(args.property,),
-        label=spec.label,
-        seed=spec.seed,
-        output_dir=spec.output_dir,
-        formats=spec.formats,
-    )
+    spec = replace(_apply_overrides(_load_spec(args.spec), args), properties=(args.property,))
     report = run_comparison(spec)
     _print_rows(report)
-    from .checkers import Mode, verdict_record
-
     row = report.rows[0]
     for mode, verdict in (
         (Mode.NON_AUTONOMOUS, row.verdict_nonautonomous),

@@ -31,8 +31,9 @@ from .space import (
     SpaceError,
     SpaceKind,
     circle_distance,
-    distance,
+    coord_distances,
     low_bits,
+    point_coords,
     reduce_angle,
     sample_grid,
 )
@@ -546,9 +547,8 @@ def sup_metric(space: PhaseSpace, g: MapDescriptor, h: MapDescriptor, grid_resol
             val = max(abs(_pl_eval(pg, x) - _pl_eval(ph, x)) for x in nodes)
             return SupEstimate(val, True)
 
-    worst = 0.0
-    for x in sample_grid(space, grid_resolution):
-        d = distance(space, apply(g, x), apply(h, x))
-        if d > worst:
-            worst = d
-    return SupEstimate(worst, False)
+    grid = point_coords(sample_grid(space, grid_resolution), space.kind)
+    gaps = coord_distances(
+        space.kind, apply_batch(g, grid, space.kind), apply_batch(h, grid, space.kind)
+    )
+    return SupEstimate(float(gaps.max(initial=0.0)), False)

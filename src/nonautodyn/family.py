@@ -38,7 +38,7 @@ from .descriptors import (
     PiecewiseLinear,
     Rotation,
     SupEstimate,
-    apply,
+    apply_batch,
     as_piecewise_linear,
     circle_canonical,
     compose,
@@ -54,7 +54,6 @@ from .space import (
     SpaceError,
     SpaceKind,
     coord_distances,
-    distance,
     point_coords,
     point_to_json,
     sample_grid,
@@ -254,20 +253,20 @@ def commutes_with_limit(
     """Check D(f_n . f, f . f_n) <= tol for all n <= max_index."""
     worst_gap = 0.0
     worst: tuple[int, Point, float] | None = None
-    grid = sample_grid(fam.space, min(grid_resolution, 64))
+    kind = fam.space.kind
+    grid = list(sample_grid(fam.space, min(grid_resolution, 64)))
+    coords = point_coords(grid, kind)
     for n in range(1, max_index + 1):
         f_n = fam.member(n)
         fwd = compose(f_n, fam.limit)
         bwd = compose(fam.limit, f_n)
         est = sup_metric(fam.space, fwd, bwd, grid_resolution)
         if est.value > worst_gap:
-            x_at, x_gap = None, -1.0
-            for x in grid:
-                g = distance(fam.space, apply(fwd, x), apply(bwd, x))
-                if g > x_gap:
-                    x_at, x_gap = x, g
+            gaps = coord_distances(
+                kind, apply_batch(fwd, coords, kind), apply_batch(bwd, coords, kind)
+            )
             worst_gap = est.value
-            worst = (n, x_at, est.value)
+            worst = (n, grid[int(gaps.argmax())], est.value)
         if est.value > tol:
             n_w, x_w, gap = worst
             return V.refuted(
@@ -415,20 +414,12 @@ def isometry_shrinking_check(
     grid = list(sample_grid(space, grid_resolution))
     if len(grid) > 48:
         grid = grid[:: max(1, len(grid) // 48)]
-    isometry = True
-    shrinking = True
-    for i, x in enumerate(grid):
-        fx = apply(m, x)
-        for y in grid[i + 1 :]:
-            before = distance(space, x, y)
-            after = distance(space, fx, apply(m, y))
-            if abs(after - before) > tol:
-                isometry = False
-            if after > before + tol:
-                shrinking = False
-            if not isometry and not shrinking:
-                return (False, False)
-    return (isometry, shrinking)
+    coords = point_coords(grid, space.kind)
+    image = apply_batch(m, coords, space.kind)
+    i, j = np.triu_indices(len(grid), k=1)
+    before = coord_distances(space.kind, coords[i], coords[j])
+    after = coord_distances(space.kind, image[i], image[j])
+    return (not (abs(after - before) > tol).any(), not (after > before + tol).any())
 
 
 def surjectivity_check(
@@ -436,10 +427,8 @@ def surjectivity_check(
 ) -> Verdict:
     """Holds when the image of the grid is eps-dense in the grid itself."""
     grid = list(sample_grid(space, grid_resolution))
-    image = [apply(m, x) for x in grid]
-    dmat = coord_distances(
-        space.kind, point_coords(grid, space.kind)[:, None], point_coords(image, space.kind)[None, :]
-    )
+    coords = point_coords(grid, space.kind)
+    dmat = coord_distances(space.kind, coords[:, None], apply_batch(m, coords, space.kind)[None, :])
     best = dmat.min(axis=1)
     worst_i = int(best.argmax())
     worst_p, worst_d = grid[worst_i], float(best[worst_i])
@@ -490,12 +479,12 @@ def profile_hypotheses(
 ) -> HypothesisProfile:
     """Run every hypothesis check and assemble the profile."""
     iso, shrink = isometry_shrinking_check(fam.space, fam.limit, tol=tol)
-    surj_members = [
-        surjectivity_check(fam.space, fam.member(n), min(grid_resolution, 64), eps)
-        for n in range(1, min(max_index, fam.eventually_constant_from or max_index) + 1)
-    ]
-    surj_limit = surjectivity_check(fam.space, fam.limit, min(grid_resolution, 64), eps)
-    surj = next((v for v in surj_members + [surj_limit] if v.refuted), surj_limit)
+    # the first map whose image leaves a gap, else the limit's verdict
+    upto = min(max_index, fam.eventually_constant_from or max_index)
+    for m in (*map(fam.member, range(1, upto + 1)), fam.limit):
+        surj = surjectivity_check(fam.space, m, min(grid_resolution, 64), eps)
+        if surj.refuted:
+            break
     return HypothesisProfile(
         commutes=commutes_with_limit(fam, grid_resolution, tol, max_index),
         summability=summability_estimate(fam, horizon, grid_resolution),

@@ -146,9 +146,6 @@ class PhaseSpace:
             raise SpaceError("word_length must be >= 1")
         return cls(SpaceKind.BINARY_SEQ, 1.0, 1.0 / word_length, word_length)
 
-    def contains(self, p: Point) -> bool:
-        return p.kind == self.kind
-
     def require(self, *points: Point) -> None:
         for p in points:
             if p.kind != self.kind:

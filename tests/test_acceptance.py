@@ -134,8 +134,8 @@ def test_criterion_03_inverse_square_scenario():
         thetas = list(sample_grid(fam.space, 50))
         assert len(thetas) == 50
         for th in thetas:
-            assert check_periodic(sys_F, th, cfg, 100, 5).refuted
-        v = check_periodic(sys_f, thetas[7], cfg, 100, 5)
+            assert check_periodic(sys_F, th, cfg).refuted
+        v = check_periodic(sys_f, thetas[7], cfg)
         assert v.holds and v.witness["period"] == 1
 
 

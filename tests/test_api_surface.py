@@ -1,8 +1,10 @@
-"""Every module-level name in the package is public or used by the package.
+"""Every module-level name in the package is public or used by the package,
+and every method or property of a class in the package is used by it.
 
 A function, class or constant that is neither listed in ``nonautodyn.__all__``
-nor referenced anywhere else in ``src/`` is code that only tests reach. This
-guard keeps such names from accumulating.
+nor referenced anywhere else in ``src/`` is code that only tests reach, and
+so is a method or property whose name no attribute in ``src/`` reads outside
+its own body. This guard keeps such names from accumulating.
 """
 
 import ast
@@ -14,6 +16,13 @@ SRC = Path(nonautodyn.__file__).resolve().parent
 
 # the tests find the golden reports through this function
 ALLOWED = {("report", "golden_path")}
+
+ALLOWED_MEMBERS = {
+    # the acceptance suite reads the ledger's partial sums through it
+    ("bounds", "BoundLedger", "prefix"),
+    # the region-kernel test's reference evaluator reads it
+    ("regions", "ArcRegion", "full"),
+}
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
@@ -59,3 +68,37 @@ def test_no_module_level_name_is_used_only_by_tests():
         and (module, name) not in ALLOWED
     ]
     assert not unused, f"defined in src/ but used by nothing there: {unused}"
+
+
+def _attributes(node: ast.AST, name: str | None = None) -> list[str]:
+    """Attribute names read inside a node, or only those equal to name."""
+    return [
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and name in (None, sub.attr)
+    ]
+
+
+def test_no_method_or_property_is_used_only_by_tests():
+    members: list[tuple[str, str, ast.FunctionDef]] = []
+    uses: dict[str, int] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for attr in _attributes(tree):
+            uses[attr] = uses.get(attr, 0) + 1
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members.extend(
+                    (path.stem, cls.name, fn)
+                    for fn in cls.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                )
+    unused = [
+        f"{module}.{cls}.{fn.name}"
+        for module, cls, fn in members
+        # a member's references to itself do not count as uses
+        if uses.get(fn.name, 0) == len(_attributes(fn, fn.name))
+        and (module, cls, fn.name) not in ALLOWED_MEMBERS
+    ]
+    assert not unused, f"methods in src/ used by nothing there: {unused}"

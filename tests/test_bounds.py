@@ -134,14 +134,6 @@ class TestCollectiveProfile:
                 for e, b in zip(erow, brow):
                     assert e <= b + 1e-9
 
-    def test_csv_emission(self, tmp_path):
-        prof = collective_convergence_profile(INV, 3, 3, grid_resolution=8)
-        out = tmp_path / "profile.csv"
-        prof.write_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n,k,E,bound,holds"
-        assert len(lines) == 1 + 9
-
 
 class TestIsometryBound:
     def test_inverse_square_equality(self):

@@ -218,6 +218,22 @@ class TestSupMetric:
                 hi = sup_metric(space, g, h, 2 * r).value
                 assert hi >= lo - 1e-15
 
+    @pytest.mark.parametrize(
+        "space, g, h",
+        [
+            (PhaseSpace.binary_seq(8), Compose(OdometerAdd(), Delete(2)), OdometerAdd()),
+            (PhaseSpace.binary_seq(16), OdometerAdd(), Delete(5)),
+            (INTERVAL, Lookup((0.0, 1.0, 0.25, 0.5), "nearest"), TENT),
+        ],
+    )
+    def test_grid_estimate_matches_scalar_loop(self, space, g, h):
+        for r in (4, 12, 33):
+            est = sup_metric(space, g, h, r)
+            want = max(
+                distance(space, apply(g, x), apply(h, x)) for x in sample_grid(space, r)
+            )
+            assert not est.exact and est.value == want
+
 
 def test_descriptor_json_round_trip():
     descriptors = [

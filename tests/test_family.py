@@ -9,9 +9,12 @@ from nonautodyn.descriptors import (
     AffineCircle,
     Compose,
     Delete,
+    Lookup,
     OdometerAdd,
     PiecewiseLinear,
     Rotation,
+    apply,
+    compose,
 )
 from nonautodyn.family import (
     PLATEAU_HEAD,
@@ -28,7 +31,7 @@ from nonautodyn.family import (
     surjectivity_check,
     term,
 )
-from nonautodyn.space import PhaseSpace, SpaceError
+from nonautodyn.space import PhaseSpace, SpaceError, distance, point_to_json, sample_grid
 
 CIRCLE = PhaseSpace.circle()
 INTERVAL = PhaseSpace.unit_interval()
@@ -223,6 +226,71 @@ class TestSurjectivity:
 
     def test_rotation_onto(self):
         assert surjectivity_check(CIRCLE, Rotation(2.0)).holds
+
+
+class TestScalarReference:
+    """The profile's array rules against plain loops over apply and distance."""
+
+    @pytest.mark.parametrize("name", ["perturbed-doubling", "plateau-tent", "odometer-deletion"])
+    def test_commutation_witness_is_first_worst_grid_point(self, name):
+        fam = make_builtin_family(name)
+        v = commutes_with_limit(fam)
+        assert v.refuted
+        n = v.witness["index"]
+        fwd = compose(fam.member(n), fam.limit)
+        bwd = compose(fam.limit, fam.member(n))
+        grid = list(sample_grid(fam.space, 64))
+        gaps = [distance(fam.space, apply(fwd, x), apply(bwd, x)) for x in grid]
+        assert v.witness["point"] == point_to_json(grid[gaps.index(max(gaps))])
+
+    @pytest.mark.parametrize(
+        "space, m",
+        [
+            (CIRCLE, AffineCircle(3, 0.4)),
+            (INTERVAL, TENT),
+            (INTERVAL, PiecewiseLinear(((0.0, 0.0), (1.0, 0.5)))),
+            (INTERVAL, Lookup((0.0, 0.5, 1.0), "nearest")),
+            (PhaseSpace.binary_seq(8), OdometerAdd()),
+            (PhaseSpace.binary_seq(8), Delete(3)),
+        ],
+    )
+    def test_isometry_and_surjectivity_match_pair_loops(self, space, m):
+        grid = list(sample_grid(space, 24))
+        if len(grid) > 48:
+            grid = grid[:: len(grid) // 48]
+        pairs = [(x, y) for i, x in enumerate(grid) for y in grid[i + 1 :]]
+        before = [distance(space, x, y) for x, y in pairs]
+        after = [distance(space, apply(m, x), apply(m, y)) for x, y in pairs]
+        iso = all(abs(a - b) <= 1e-9 for a, b in zip(after, before))
+        shrink = all(a <= b + 1e-9 for a, b in zip(after, before))
+        assert isometry_shrinking_check(space, m) == (iso, shrink)
+
+        # a coarse grid keeps the word space at 64 words
+        grid = list(sample_grid(space, 6))
+        image = [apply(m, x) for x in grid]
+        defect = max(min(distance(space, x, y) for y in image) for x in grid)
+        v = surjectivity_check(space, m, grid_resolution=6)
+        assert v.witness.get("covering_defect", v.witness.get("gap")) == defect
+
+
+def test_profile_reports_first_non_surjective_member():
+    halving = PiecewiseLinear(((0.0, 0.0), (1.0, 0.5)))
+    quarter = PiecewiseLinear(((0.0, 0.0), (1.0, 0.25)))
+    fam = family_from_config(
+        {
+            "space": {"kind": "unit_interval"},
+            "custom": {
+                "steps": [
+                    {"type": "piecewise_linear", "breakpoints": [[0, 0], [0.5, 1], [1, 0]]},
+                    {"type": "piecewise_linear", "breakpoints": [[0, 0], [1, 0.5]]},
+                ],
+                "limit": {"type": "piecewise_linear", "breakpoints": [[0, 0], [1, 0.25]]},
+            },
+        }
+    )
+    assert fam.member(2) == halving and fam.limit == quarter
+    prof = profile_hypotheses(fam)
+    assert prof.surjective == surjectivity_check(INTERVAL, halving)
 
 
 def test_profile_assembles_all_hypotheses():

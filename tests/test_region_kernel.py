@@ -228,9 +228,10 @@ def test_late_nearest_step_falls_back_to_sampling():
 
 
 def test_late_nearest_report_is_pinned():
-    # sha256 of the report text as produced with one region object per step;
-    # it covers the version string, so a version bump changes it
+    # sha256 of the report text as produced with one region object per step,
+    # with a minimality narrative that counts grid starts; it covers the
+    # version string, so a version bump changes it
     text = run_comparison(LATE_SPEC).to_json_text()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "930527c771f081d0841d2be10347ccc6879de71d7bcf39186bc830d95ea702fa"
+        "e6e0680f4c0242c13bb7ab63d577801d1ca623c1ef93432a45ef22327eb311ea"
     )
