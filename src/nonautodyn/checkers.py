@@ -25,6 +25,7 @@ from . import verdict as V
 from .descriptors import (
     MapDescriptor,
     PiecewiseLinear,
+    Rotation,
     apply,
     apply_batch,
     circle_canonical,
@@ -33,7 +34,7 @@ from .descriptors import (
     pl_fixed_points,
 )
 from .orbit import Mode, SystemView, orbit_matrix
-from .regions import RegionChains, ball_region, family_supports_regions, region_chains
+from .regions import RegionChains, ball_chains
 from .space import (
     TWO_PI,
     BinaryWord,
@@ -193,22 +194,15 @@ def _sweep_groups(
     return orbits, cols
 
 
-def _supports_regions(sys: SystemView, horizon: int) -> bool:
-    cutoff = sys.constant_tail_from()
-    depth = min(horizon, 64) if cutoff is None else min(horizon, cutoff)
-    probe = sys.steps(depth)[1 : depth + 1] + [sys.fam.limit]
-    return family_supports_regions(sys.space, probe)
-
-
 def _ball_chains(
     sys: SystemView, balls: list[tuple[Point, float]], horizon: int
 ) -> RegionChains | None:
     """Region chains of the (center, radius) balls through steps 1..horizon;
     None when some step has no exact region image."""
-    if not _supports_regions(sys, horizon):
-        return None
-    starts = [ball_region(sys.space, c, r) for c, r in balls]
-    return region_chains(starts, sys.steps(horizon)[1 : horizon + 1])
+    kind = sys.space.kind
+    centers = point_coords([c for c, _ in balls], kind)
+    radii = np.array([r for _, r in balls])
+    return ball_chains(kind, centers, radii, sys.steps(horizon)[1 : horizon + 1])
 
 
 def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
@@ -229,25 +223,23 @@ def _sens_rungs(space: PhaseSpace, cfg: CheckConfig) -> list[float]:
 def _rotation_displacements(sys: SystemView, horizon: int) -> tuple[np.ndarray, float] | None:
     """Cumulative rotation displacements d_1..d_N plus a forever-tail bound.
 
-    Returns None unless every step is a rotation and the displacement after
-    the horizon is provably confined: either the steps are eventually the
-    identity-limit with a summable perturbation tail, or the limit itself is
-    the identity and the family carries a closed-form tail bound.
+    Returns None unless the limit is the identity rotation and the
+    displacement after the horizon is provably confined: the limit system
+    never moves, and a non-autonomous system needs isometric steps that are
+    all rotations up to the horizon plus a closed-form tail bound.
     """
-    amounts = sys.rotation_amounts(horizon)
-    if amounts is None:
+    limit = sys.fam.limit
+    if not isinstance(limit, Rotation) or limit.amount != 0.0:
         return None
-    disp = np.cumsum(amounts)
     if sys.mode is Mode.AUTONOMOUS_LIMIT:
-        if sys.fam.limit.amount == 0.0:
-            return disp, 0.0
-        return None
-    if sys.fam.limit.amount != 0.0:
-        return None
+        return np.zeros(horizon), 0.0
     tail = sys.fam.series_tail_bound
-    if tail is None:
+    if not sys.fam.steps_isometric or tail is None:
         return None
-    return disp, float(tail(horizon))
+    steps = sys.steps(horizon)[1 : horizon + 1]
+    if not all(isinstance(m, Rotation) for m in steps):
+        return None
+    return np.cumsum([m.amount for m in steps]), float(tail(horizon))
 
 
 def _confinement_gaps(
@@ -892,40 +884,30 @@ def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def _window_descriptor(sys: SystemView, n: int) -> MapDescriptor | None:
-    """Canonical composition of maps 1..n, when the algebra supports it."""
-    out: MapDescriptor | None = None
-    for step in sys.steps(n)[1 : n + 1]:
-        out = step if out is None else compose(step, out)
-    if out is None:
-        return None
-    if sys.space.kind is SpaceKind.CIRCLE:
-        return out if circle_canonical(out) is not None else None
-    if sys.space.kind is SpaceKind.UNIT_INTERVAL:
-        return out if isinstance(out, PiecewiseLinear) else None
-    return None
-
-
 def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> list[Point] | None:
-    """Solve omega_n(x) = x symbolically for n <= P; None when unsupported."""
+    """Solve omega_n(x) = x symbolically for n <= P; None when unsupported.
+    Window n is map n composed after window n-1, built once."""
     space = sys.space
     if space.kind is SpaceKind.BINARY_SEQ:
         return None
     candidates: list[Point] = []
-    for n in range(1, P + 1):
-        m = _window_descriptor(sys, n)
-        if m is None:
-            return None
+    window: MapDescriptor | None = None
+    for step in sys.steps(P)[1 : P + 1]:
+        window = step if window is None else compose(step, window)
         if space.kind is SpaceKind.CIRCLE:
-            slope, offset = circle_canonical(m)
-            fixed = circle_map_fixed_points(slope, offset)
+            canon = circle_canonical(window)
+            if canon is None:
+                return None
+            fixed = circle_map_fixed_points(*canon)
             if fixed is None:
                 # identity window: every point qualifies; grid stands in
                 candidates.extend(grid_points(space, cfg))
             else:
                 candidates.extend(CircleAngle(t) for t in fixed)
+        elif isinstance(window, PiecewiseLinear):
+            candidates.extend(IntervalPoint(t) for t in pl_fixed_points(window))
         else:
-            candidates.extend(IntervalPoint(t) for t in pl_fixed_points(m))
+            return None
     return candidates
 
 

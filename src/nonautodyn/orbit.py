@@ -77,21 +77,6 @@ class SystemView:
             return 1
         return self.fam.eventually_constant_from
 
-    def rotation_amounts(self, horizon: int) -> list[float] | None:
-        """Step rotation amounts for rotation-only systems, else None."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            if isinstance(self.fam.limit, Rotation):
-                return [self.fam.limit.amount] * horizon
-            return None
-        if not self.fam.steps_isometric or not isinstance(self.fam.limit, Rotation):
-            return None
-        amounts = []
-        for m in self.steps(horizon)[1 : horizon + 1]:
-            if not isinstance(m, Rotation):
-                return None
-            amounts.append(m.amount)
-        return amounts
-
 
 def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int, start: int = 0) -> np.ndarray:
     """Vectorized orbit sweep of a coordinate array (``space.point_coords``),

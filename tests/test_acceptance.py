@@ -5,7 +5,6 @@ later calibration. Run with `pytest tests/test_acceptance.py -v -s` to see
 the per-criterion lines.
 """
 
-import json
 import math
 import random
 import time

@@ -1,5 +1,6 @@
 """Every module-level name in the package is public or used by the package,
-and every method or property of a class in the package is used by it.
+every method or property of a class in the package is used by it, and every
+name a module or test imports is read there.
 
 A function, class or constant that is neither listed in ``nonautodyn.__all__``
 nor referenced anywhere else in ``src/`` is code that only tests reach, and
@@ -13,6 +14,7 @@ from pathlib import Path
 import nonautodyn
 
 SRC = Path(nonautodyn.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # the tests find the golden reports through this function
 ALLOWED = {("report", "golden_path")}
@@ -20,8 +22,6 @@ ALLOWED = {("report", "golden_path")}
 ALLOWED_MEMBERS = {
     # the acceptance suite reads the ledger's partial sums through it
     ("bounds", "BoundLedger", "prefix"),
-    # the region-kernel test's reference evaluator reads it
-    ("regions", "ArcRegion", "full"),
 }
 
 
@@ -102,3 +102,29 @@ def test_no_method_or_property_is_used_only_by_tests():
         and (module, cls, fn.name) not in ALLOWED_MEMBERS
     ]
     assert not unused, f"methods in src/ used by nothing there: {unused}"
+
+
+def _imported(tree: ast.AST) -> list[str]:
+    """Names the import statements in a tree bind, past __future__ imports."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.extend(a.asname or a.name for a in node.names)
+    return out
+
+
+def test_every_imported_name_is_read():
+    unused = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # the package's imports are its public re-exports
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            sub.id
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unused.extend(f"{path.name}: {name}" for name in _imported(tree) if name not in read)
+    assert not unused, f"imported but never read: {unused}"

@@ -97,7 +97,7 @@ def test_one_alternating_rotation_report_steps_each_view_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(checkers, "region_chains", counted(regions.region_chains, "chains"))
+    monkeypatch.setattr(checkers, "ball_chains", counted(regions.ball_chains, "chains"))
     monkeypatch.setattr(regions, "_step_arcs", counted(regions._step_arcs, "arcs"))
     run_comparison(CATALOG["alternating-rotation"])
     # one ball table per view over the horizon of 5000, plus the tracked ball's 400 steps

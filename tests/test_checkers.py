@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nonautodyn import checkers
 from nonautodyn import verdict as V
 from nonautodyn.checkers import (
     CheckConfig,
@@ -26,7 +27,7 @@ from nonautodyn.checkers import (
     li_yorke_check,
     proximal_check,
 )
-from nonautodyn.descriptors import apply
+from nonautodyn.descriptors import apply, compose
 from nonautodyn.family import TENT, autonomous_family, family_from_config, make_builtin_family
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
@@ -541,3 +542,13 @@ def test_batched_periodic_verdicts_match_scalar_loop(name, mode):
     v = check_periodic_points(sys, cfg)
     if v.witness.get("rule") != "nonzero-displacement":
         assert v == _scalar_periodic_points(sys, cfg)
+
+
+def test_dense_periodicity_composes_each_window_once(monkeypatch):
+    # the limit is the identity rotation, so every window up to max_period is
+    # solved symbolically; window n is map n composed after window n-1
+    spec = CATALOG["inverse-square-rotation"]
+    calls = []
+    monkeypatch.setattr(checkers, "compose", lambda *a: calls.append(1) or compose(*a))
+    check_dense_periodicity(SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT), spec.check)
+    assert len(calls) == spec.check.max_period - 1

@@ -16,7 +16,6 @@ from nonautodyn.descriptors import (
     apply,
     apply_batch,
     as_piecewise_linear,
-    circle_canonical,
     circle_map_fixed_points,
     compose,
     descriptor_from_json,

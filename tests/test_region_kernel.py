@@ -2,13 +2,14 @@
 
 import bisect
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonautodyn.checkers import CheckConfig, Mode, SystemView, _supports_regions
+from nonautodyn.checkers import CheckConfig, Mode, SystemView, _ball_chains
 from nonautodyn.descriptors import (
     AffineCircle,
     Compose,
@@ -19,17 +20,50 @@ from nonautodyn.descriptors import (
     circle_canonical,
 )
 from nonautodyn.family import PLATEAU_HEAD, TENT, MapFamily
-from nonautodyn.regions import (
-    ArcRegion,
-    IntervalRegion,
-    _step_arcs,
-    region_chains,
-)
+from nonautodyn.regions import _step_arcs, region_chains
 from nonautodyn.report import ALL_PROPERTIES, ScenarioSpec, run_comparison
-from nonautodyn.space import TWO_PI, PhaseSpace, SpaceError, reduce_angle
+from nonautodyn.space import (
+    TWO_PI,
+    IntervalPoint,
+    PhaseSpace,
+    SpaceError,
+    SpaceKind,
+    reduce_angle,
+)
 
 # ---------------------------------------------------------------------------
-# reference: one region object per step, in plain Python floats
+# reference: one region record per step, in plain Python floats
+
+
+@dataclass(frozen=True)
+class ArcRegion:
+    """A closed arc: angles start..start+length, the start reduced into
+    [0, 2pi) and the length capped at 2pi; full if the length is 2pi."""
+
+    start: float
+    length: float
+
+    def __post_init__(self):
+        if self.length < 0.0:
+            raise SpaceError("arc length must be nonnegative")
+        object.__setattr__(self, "start", reduce_angle(float(self.start)))
+        object.__setattr__(self, "length", min(float(self.length), TWO_PI))
+
+    @property
+    def full(self) -> bool:
+        return self.length >= TWO_PI
+
+
+@dataclass(frozen=True)
+class IntervalRegion:
+    """A closed subinterval of [0, 1]."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.lo <= self.hi <= 1.0):
+            raise SpaceError(f"bad interval region [{self.lo}, {self.hi}]")
 
 
 def _ref_pl_eval(pl, x):
@@ -73,6 +107,13 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _chains(starts, steps):
+    """The kernel on the start records' row-0 arrays."""
+    kind = SpaceKind.CIRCLE if isinstance(starts[0], ArcRegion) else SpaceKind.UNIT_INTERVAL
+    a0, b0 = zip(*(_fields(r) for r in starts))
+    return region_chains(kind, np.array(a0), np.array(b0), steps)
+
+
 def _assert_matches_reference(starts, steps):
     try:
         ref = [[r] for r in starts]
@@ -83,9 +124,9 @@ def _assert_matches_reference(starts, steps):
                 break
     except SpaceError:
         with pytest.raises(SpaceError):
-            region_chains(starts, steps)
+            _chains(starts, steps)
         return
-    chains = region_chains(starts, steps)
+    chains = _chains(starts, steps)
     if any(chain[-1] is None for chain in ref):
         assert chains is None
         return
@@ -95,7 +136,7 @@ def _assert_matches_reference(starts, steps):
         assert _bits(chains.a[:, j]) == _bits(a)
         assert _bits(chains.b[:, j]) == _bits(b)
     if steps:
-        one = region_chains(starts[:1], steps[:1])
+        one = _chains(starts[:1], steps[:1])
         assert (one.a[1, 0], one.b[1, 0]) == _fields(ref[0][1])
 
 
@@ -165,7 +206,7 @@ def test_arcs_through_zero_and_to_full():
     starts = [ArcRegion(0.0, 0.4), ArcRegion(TWO_PI - 0.1, 0.3), ArcRegion(1.0, TWO_PI)]
     steps = [AffineCircle(3, 0.25)] * 4 + [Rotation(2.0)]
     _assert_matches_reference(starts, steps)
-    chains = region_chains(starts, steps)
+    chains = _chains(starts, steps)
     assert chains.b[-1].tolist() == [TWO_PI] * 3
     assert chains.a[-1, 2] == 1.0
 
@@ -180,13 +221,12 @@ def test_arc_starts_reduce_like_reduce_angle():
 
 def test_nearest_lookup_step_has_no_image():
     nearest = Lookup((0.0, 0.5, 1.0), "nearest")
-    assert region_chains([IntervalRegion(0.0, 0.5)], [TENT, nearest, TENT]) is None
+    assert _chains([IntervalRegion(0.0, 0.5)], [TENT, nearest, TENT]) is None
     _assert_matches_reference([IntervalRegion(0.0, 0.5)], [TENT, nearest, TENT])
 
 
-# A family whose step 70, past the 64-step support probe, has no exact image:
-# the probe accepts it, the kernel refuses it, and every checker falls back to
-# sampling in the non-autonomous mode.
+# A family whose step 70 has no exact image: the kernel refuses it, and every
+# checker falls back to sampling in the non-autonomous mode.
 NEAREST = Lookup(tuple(min(1.0, 2 * i / 16, 2 - 2 * i / 16) for i in range(17)), "nearest")
 
 
@@ -220,11 +260,24 @@ LATE_SPEC = _LateNearestSpec(
 def test_late_nearest_step_falls_back_to_sampling():
     starts = [IntervalRegion(0.2, 0.4)]
     sys_F = SystemView(LATE_NEAREST, Mode.NON_AUTONOMOUS)
-    assert _supports_regions(sys_F, 100)
-    assert region_chains(starts, sys_F.steps(100)[1:101]) is None
-    assert region_chains(starts, sys_F.steps(69)[1:70]) is not None
+    assert _chains(starts, sys_F.steps(100)[1:101]) is None
+    assert _chains(starts, sys_F.steps(69)[1:70]) is not None
     sys_f = SystemView(LATE_NEAREST, Mode.AUTONOMOUS_LIMIT)
-    assert region_chains(starts, sys_f.steps(100)[1:101]) is not None
+    assert _chains(starts, sys_f.steps(100)[1:101]) is not None
+
+
+def test_steps_alone_decide_exact_chains():
+    # tent steps with a nearest-rule limit: steps 1..50 all have exact images
+    # and the limit is never applied before the horizon, so the non-autonomous
+    # balls get exact chains; the limit system has no image at its first step
+    fam = MapFamily(
+        space=PhaseSpace.unit_interval(), generator=lambda n: TENT, limit=NEAREST,
+        label="tent-to-nearest",
+    )
+    balls = [(IntervalPoint(0.3), 0.1), (IntervalPoint(0.9), 0.025)]
+    chains = _ball_chains(SystemView(fam, Mode.NON_AUTONOMOUS), balls, 50)
+    assert chains is not None and chains.a.shape == (51, 2)
+    assert _ball_chains(SystemView(fam, Mode.AUTONOMOUS_LIMIT), balls, 50) is None
 
 
 def test_late_nearest_report_is_pinned():

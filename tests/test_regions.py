@@ -7,48 +7,61 @@ import pytest
 
 from nonautodyn.descriptors import AffineCircle, Rotation, apply
 from nonautodyn.family import PLATEAU_HEAD, TENT
-from nonautodyn.regions import (
-    ArcRegion,
-    IntervalRegion,
-    ball_region,
-    family_supports_regions,
-    region_chains,
-)
+from nonautodyn.regions import ball_chains, region_chains
 from nonautodyn.space import (
     TWO_PI,
     CircleAngle,
     IntervalPoint,
     PhaseSpace,
+    SpaceKind,
     distance,
+    reduce_angle,
 )
 
 CIRCLE = PhaseSpace.circle()
-INTERVAL = PhaseSpace.unit_interval()
+ARC, INTERVAL = SpaceKind.CIRCLE, SpaceKind.UNIT_INTERVAL
 
 
-def _chain(region, *steps):
-    """The one region through the steps, as a chain."""
-    return region_chains([region], list(steps))
+def _chain(kind, a0, b0, *steps):
+    """The one region (a0, b0) through the steps, as a chain."""
+    return region_chains(kind, np.array([a0]), np.array([b0]), list(steps))
+
+
+def _ball(kind, center, radius, *steps):
+    """The one ball through the steps, as a chain."""
+    return ball_chains(kind, np.array([center]), np.array([radius]), list(steps))
 
 
 def test_ball_region_shapes():
-    r = ball_region(INTERVAL, IntervalPoint(0.5), 0.1)
-    assert (r.lo, r.hi) == (0.4, 0.6)
-    a = ball_region(CIRCLE, CircleAngle(0.0), 0.2)
-    assert a.length == pytest.approx(0.4)
+    r = _ball(INTERVAL, 0.5, 0.1)
+    assert (r.a[0, 0], r.b[0, 0]) == (0.4, 0.6)
+    a = _ball(ARC, 0.0, 0.2)
+    assert a.b[0, 0] == pytest.approx(0.4)
+
+
+def test_balls_start_together():
+    # one vectorised row, equal to the per-ball rule: arc starts reduce like
+    # reduce_angle and wrap through zero, intervals clip to [0, 1]
+    centers, radii = [0.1, 3.0, 6.2], [0.2, 0.5, 0.3]
+    arcs = ball_chains(ARC, np.array(centers), np.array(radii), [])
+    assert arcs.a[0].tolist() == [reduce_angle(c - r) for c, r in zip(centers, radii)]
+    assert arcs.b[0].tolist() == [2.0 * r for r in radii]
+    centers, radii = [0.05, 0.5, 0.95], [0.1, 0.1, 0.1]
+    intervals = ball_chains(INTERVAL, np.array(centers), np.array(radii), [])
+    assert intervals.a[0].tolist() == [max(0.0, c - r) for c, r in zip(centers, radii)]
+    assert intervals.b[0].tolist() == [min(1.0, c + r) for c, r in zip(centers, radii)]
+    assert intervals.a[0, 0] == 0.0 and intervals.b[0, 2] == 1.0
 
 
 def test_interval_step_matches_dense_sampling():
-    region = IntervalRegion(0.3, 0.45)
-    image = _chain(region, TENT)
+    image = _chain(INTERVAL, 0.3, 0.45, TENT)
     samples = [apply(TENT, IntervalPoint(v)).x for v in np.linspace(0.3, 0.45, 400)]
     assert image.a[1, 0] == pytest.approx(min(samples), abs=1e-6)
     assert image.b[1, 0] == pytest.approx(max(samples), abs=1e-6)
 
 
 def test_arc_step_under_doubling():
-    arc = ArcRegion(1.0, 0.5)
-    image = _chain(arc, AffineCircle(2, 0.25))
+    image = _chain(ARC, 1.0, 0.5, AffineCircle(2, 0.25))
     assert image.a[1, 0] == pytest.approx(2.25)
     assert image.b[1, 0] == pytest.approx(1.0)
     # membership oracle
@@ -59,30 +72,26 @@ def test_arc_step_under_doubling():
 
 
 def test_arc_wraps_to_full_cover():
-    arc = ArcRegion(0.0, 2.0)
-    image = _chain(arc, AffineCircle(2, 0.0), AffineCircle(2, 0.0))
+    image = _chain(ARC, 0.0, 2.0, AffineCircle(2, 0.0), AffineCircle(2, 0.0))
     assert image.b[2, 0] >= TWO_PI
     assert image.covering_defects()[2, 0] == 0.0
 
 
 def test_plateau_collapse_detected():
-    region = ball_region(INTERVAL, IntervalPoint(0.25), 0.1)
-    image = _chain(region, PLATEAU_HEAD)
+    image = _ball(INTERVAL, 0.25, 0.1, PLATEAU_HEAD)
     step, midpoint = image.collapse(0)
     assert step == 1
     assert midpoint.x == 1.0
 
 
 def test_rotation_preserves_arc_length():
-    arc = ArcRegion(0.3, 0.8)
-    image = _chain(arc, Rotation(1.7))
-    assert image.b[1, 0] == arc.length
+    image = _chain(ARC, 0.3, 0.8, Rotation(1.7))
+    assert image.b[1, 0] == 0.8
 
 
 def test_region_distance_matches_sampled_minimum():
-    arc = ArcRegion(5.5, 0.9)  # wraps through zero
     thetas = np.linspace(0, TWO_PI, 37, endpoint=False)
-    measured = _chain(arc).distances(0, thetas)[0]
+    measured = _chain(ARC, 5.5, 0.9).distances(0, thetas)[0]  # wraps through zero
     for theta, got in zip(thetas, measured):
         p = CircleAngle(theta)
         dense = min(
@@ -90,29 +99,27 @@ def test_region_distance_matches_sampled_minimum():
         )
         assert got == pytest.approx(dense, abs=2e-3)
 
-    region = IntervalRegion(0.2, 0.4)
-    near, inside, far = _chain(region).distances(0, np.array([0.1, 0.3, 0.9]))[0]
+    near, inside, far = _chain(INTERVAL, 0.2, 0.4).distances(0, np.array([0.1, 0.3, 0.9]))[0]
     assert near == pytest.approx(0.1)
     assert inside == 0.0
     assert far == pytest.approx(0.5)
 
 
 def test_covering_defect_values():
-    assert _chain(IntervalRegion(0.25, 1.0)).covering_defects()[0, 0] == 0.25
-    assert _chain(IntervalRegion(0.0, 1.0)).covering_defects()[0, 0] == 0.0
-    arc = ArcRegion(0.0, math.pi)
-    assert _chain(arc).covering_defects()[0, 0] == pytest.approx(math.pi / 2)
+    assert _chain(INTERVAL, 0.25, 1.0).covering_defects()[0, 0] == 0.25
+    assert _chain(INTERVAL, 0.0, 1.0).covering_defects()[0, 0] == 0.0
+    assert _chain(ARC, 0.0, math.pi).covering_defects()[0, 0] == pytest.approx(math.pi / 2)
 
 
 def test_diameter_caps_at_geodesic_diameter():
-    assert _chain(ArcRegion(0.0, 0.4)).diameters()[0, 0] == pytest.approx(0.4)
-    assert _chain(ArcRegion(0.0, 5.0)).diameters()[0, 0] == math.pi
-    assert _chain(IntervalRegion(0.2, 0.7)).diameters()[0, 0] == pytest.approx(0.5)
+    assert _chain(ARC, 0.0, 0.4).diameters()[0, 0] == pytest.approx(0.4)
+    assert _chain(ARC, 0.0, 5.0).diameters()[0, 0] == math.pi
+    assert _chain(INTERVAL, 0.2, 0.7).diameters()[0, 0] == pytest.approx(0.5)
 
 
-def test_family_support_probe():
-    assert family_supports_regions(CIRCLE, [Rotation(1.0), AffineCircle(2, 0.1)])
-    assert family_supports_regions(INTERVAL, [TENT, PLATEAU_HEAD])
+def test_kernel_decides_support():
+    assert _ball(ARC, 1.0, 0.1, Rotation(1.0), AffineCircle(2, 0.1)) is not None
+    assert _ball(INTERVAL, 0.5, 0.1, TENT, PLATEAU_HEAD) is not None
     from nonautodyn.descriptors import OdometerAdd
 
-    assert not family_supports_regions(PhaseSpace.binary_seq(8), [OdometerAdd()])
+    assert _ball(SpaceKind.BINARY_SEQ, 0.0, 0.1, OdometerAdd()) is None

@@ -10,19 +10,16 @@ from nonautodyn.report import (
     ALIASES,
     ALL_PROPERTIES,
     CATALOG,
-    ComparisonRow,
-    PROPERTY_BY_NAME,
     PropertyRule,
     ScenarioSpec,
     _consistent,
     emit,
     golden_path,
-    reproduce,
     resolve_scenario_id,
     run_comparison,
 )
 from nonautodyn.space import SpaceError
-from nonautodyn.verdict import Verdict, holds, inconclusive, refuted
+from nonautodyn.verdict import holds, inconclusive, refuted
 
 
 def small_spec(builtin, properties, **check_overrides):
