@@ -40,7 +40,6 @@ from .space import (
     BinaryWord,
     CircleAngle,
     IntervalPoint,
-    MAX_ENUM_BITS,
     MAX_WORD_BITS,
     PhaseSpace,
     Point,
@@ -50,6 +49,7 @@ from .space import (
     coord_distances,
     coord_point,
     distance,
+    grid_size,
     point_coords,
     point_to_json,
     sample_grid,
@@ -94,6 +94,12 @@ class CheckConfig:
                 f"need 0 < eps < delta <= diameter, got eps={self.eps}, "
                 f"delta={self.delta}, diameter={space.diameter}"
             )
+        for key, least in (
+            ("horizon", 1), ("grid_resolution", 2), ("ball_count", 1),
+            ("max_period", 1), ("repetitions", 1),
+        ):
+            if getattr(self, key) < least:
+                raise SpaceError(f"need {key} >= {least}, got {key}={getattr(self, key)}")
         if not (0 < self.tail_window <= self.horizon):
             raise SpaceError("tail window must lie within the horizon")
         if space.kind is SpaceKind.BINARY_SEQ and space.word_length > MAX_WORD_BITS:
@@ -106,20 +112,13 @@ class CheckConfig:
                 f"eps={self.eps} needs words longer than {1.0 / self.eps:.0f}, "
                 f"space carries {space.word_length}"
             )
-        if self.horizon < 1 or self.grid_resolution < 2 or self.ball_count < 1:
-            raise SpaceError("horizon, grid resolution, and ball count must be positive")
-        if self.max_period < 1 or self.repetitions < 1:
-            raise SpaceError(
-                f"max_period and repetitions must be at least 1, got {self.max_period} "
-                f"and {self.repetitions}"
-            )
         if not self.tol >= 0.0:
             raise SpaceError(f"tol must be nonnegative, got {self.tol}")
         need = _estimated_bytes(self, space)
         if need > MEMORY_BUDGET:
             raise SpaceError(
-                f"this config needs about {need / 2**30:.1f} GiB for its hit table and "
-                f"ball sweep, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+                f"this config needs about {need / 2**30:.1f} GiB for its hit table, ball "
+                f"sweep and pair table, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
             )
 
     def to_json(self) -> dict:
@@ -145,14 +144,15 @@ MEMORY_BUDGET = 1 << 30
 
 
 def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
-    """Bytes of the G x G x (N+1) boolean hit table plus the ball-table sweep,
-    (N+1) rows of ball_count points per ball, from the config's shapes alone."""
-    if space.kind is SpaceKind.BINARY_SEQ:
-        G = 2 ** min(cfg.grid_resolution, MAX_ENUM_BITS)
-    else:
-        G = cfg.grid_resolution
+    """Bytes of the G x G x (N+1) boolean hit table, the ball-table sweep,
+    (N+1) rows of ball_count points per ball, and the pair table, one byte
+    from each pair-pool point to each pool point, from the config's shapes
+    alone."""
+    G = grid_size(space, cfg.grid_resolution)
     points = G * len(_sens_rungs(space, cfg)) * cfg.ball_count
-    return (cfg.horizon + 1) * (G * G + points * point_coords([], space.kind).itemsize)
+    # each ball pool starts with its center, so the grid is among the pool points
+    pair_codes = G * min(cfg.ball_count, _PAIR_POOL) * G * cfg.ball_count
+    return (cfg.horizon + 1) * (G * G + points * point_coords([], space.kind).itemsize) + pair_codes
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +908,10 @@ def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> list[Poin
             candidates.extend(IntervalPoint(t) for t in pl_fixed_points(window))
         else:
             return None
-    return candidates
+    # each identity window adds the whole grid again; keep every point once
+    coords = point_coords(candidates, space.kind)
+    first = np.unique(coords.view(f"V{coords.itemsize}"), return_index=True)[1]
+    return [candidates[i] for i in sorted(first)]
 
 
 def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
@@ -979,141 +982,110 @@ class PairPredicate(str, Enum):
     LI_YORKE = "li_yorke"
 
 
-class _PairEvidence(NamedTuple):
-    """Evidence on the pairs (x, y) from one source point x, one entry per
-    partner y: the time-0 distance, and the minimum, maximum and time of the
-    minimum of the pair distance inside the tail window, and its minimum
-    over the whole horizon."""
+#: the flags the pair rules read, one bit each of a pair's code: d(x, y) == 0
+#: at time 0, which is exactly x == y, and the pair distance falls below eps,
+#: and rises above delta, inside the tail window
+_SAME, _NEAR, _FAR = 1, 2, 4
 
-    d0: np.ndarray
-    tail_min: np.ndarray
-    tail_max: np.ndarray
-    min_time: np.ndarray
-    overall_min: np.ndarray
+#: how many points of each grid ball the dense proximal pairs check pairs up
+_PAIR_POOL = 5
 
-    def at(self, j) -> "_PairEvidence":
-        """The evidence on the partners j names: one index or an index array."""
-        return _PairEvidence(*(a[j] for a in self))
+#: the most pairs a decision gathers from a pair table at once
+_BLOCK = 1 << 20
 
 
-class _PairSweep:
-    """Orbits of every point in some groups, swept once, giving the pair
-    evidence from any one of those points to every swept column. Isometric
-    steps keep every pair distance at its time-0 value, so their sweep stops
-    at row 0, which is then the whole tail window."""
+def _blocks(n: int, step: int) -> list[slice]:
+    """range(n) in slices of step indices."""
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    def __init__(self, sys: SystemView, groups: list[list[Point]], cfg: CheckConfig):
-        self.kind, self.horizon, self.window = sys.space.kind, cfg.horizon, cfg.tail_window
-        horizon = 0 if sys.steps_isometric else cfg.horizon
-        self.orbits, self.cols = _sweep_groups(sys, groups, horizon)
 
-    def evidence(self, g: int, i: int) -> _PairEvidence:
-        """Evidence from point i of group g to every swept column."""
-        x = self.cols[g][i : i + 1]
-        series = coord_distances(self.kind, self.orbits, self.orbits[:, x])
-        tail = series[-(self.window + 1) :]
-        first = self.horizon + 1 - len(tail)  # the time of the tail's first row
-        # a copy of row 0, so kept evidence does not pin the whole series
-        return _PairEvidence(
-            series[0].copy(), tail.min(axis=0), tail.max(axis=0),
-            first + tail.argmin(axis=0), series.min(axis=0),
+def _pair_codes(
+    kind: SpaceKind, cfg: CheckConfig, orbits: np.ndarray, sources: np.ndarray
+) -> np.ndarray:
+    """The code from each source column to every column of a pair sweep, read
+    from row 0 and the tail window alone, one source at a time, so no
+    transient outgrows one source's tail distances."""
+    tail = orbits[-(cfg.tail_window + 1) :]
+    codes = np.empty((len(sources), orbits.shape[1]), dtype=np.uint8)
+    for k, s in enumerate(sources):
+        d = coord_distances(kind, tail[:, s, None], tail)
+        codes[k] = (
+            (coord_distances(kind, orbits[0, s], orbits[0]) == 0.0) * _SAME
+            | (d < cfg.eps).any(axis=0) * _NEAR
+            | (d > cfg.delta).any(axis=0) * _FAR
         )
-
-
-def _pool_matrix(cols: list[np.ndarray]) -> np.ndarray:
-    """The pools' column indices as the rows of one matrix. A shorter pool is
-    padded by repeating its own columns, which changes no any, all or first
-    index taken along a row."""
-    width = max(len(c) for c in cols)
-    return np.array([np.resize(c, width) for c in cols])
+    return codes
 
 
 def _pair_outcomes(
-    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, ev: _PairEvidence
+    sys: SystemView, predicate: PairPredicate, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rule of each pair predicate: the (holds, refuted) flags of every
-    pair in the evidence; neither flag means inconclusive. A pair with
-    x == y, which is exactly where d0 == 0.0, stays at distance 0: it is
-    proximal and not Li-Yorke."""
+    pair, from its code; neither flag means inconclusive. A pair with x == y
+    stays at distance 0: it is proximal and not Li-Yorke."""
+    same, near, far = ((codes & bit) > 0 for bit in (_SAME, _NEAR, _FAR))
     if predicate is PairPredicate.PROXIMAL:
-        holds = ev.tail_min < cfg.eps
         # isometric steps keep the pair at its time-0 distance forever
-        return holds, ~holds & sys.steps_isometric
-    same = ev.d0 == 0.0
+        return near, ~near & sys.steps_isometric
     if sys.steps_isometric:
         # a constant pair distance cannot both vanish and exceed delta
         return np.zeros_like(same), np.ones_like(same)
-    return (ev.tail_min < cfg.eps) & (ev.tail_max > cfg.delta), same
+    return near & far, same
 
 
-def _pair_verdict(
-    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: Point, y: Point,
-    ev: _PairEvidence,
+def _pair_check(
+    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, predicate: PairPredicate
 ) -> Verdict:
-    """The verdict on the pair (x, y), whose evidence is ev; its outcome
-    comes from _pair_outcomes, and this only formats its witness."""
-    holds, refuted = (bool(flag) for flag in _pair_outcomes(sys, cfg, predicate, ev))
-    d0, tail_min, tail_max = float(ev.d0), float(ev.tail_min), float(ev.tail_max)
+    """The verdict on the pair (x, y): its outcome comes from _pair_outcomes,
+    and this formats its witness from the pair's distance series."""
+    cfg.validate(sys.space)
+    # a sweep as _compute_pair_table makes, of the two points alone
+    orbits, ((i, j),) = _sweep_groups(sys, [[x, y]], 0 if sys.steps_isometric else cfg.horizon)
+    code = _pair_codes(sys.space.kind, cfg, orbits, np.array([i]))[0, j]
+    holds, refuted = (bool(f) for f in _pair_outcomes(sys, predicate, code))
+    series = coord_distances(sys.space.kind, orbits[:, j], orbits[:, i])
+    tail = series[-(cfg.tail_window + 1) :]
+    d0, tail_min, tail_max = float(series[0]), float(tail.min()), float(tail.max())
     pair = [point_to_json(x), point_to_json(y)]
-    if predicate is PairPredicate.PROXIMAL:
-        if d0 == 0.0:
-            return V.holds(
-                {"pair": pair, "tail_min": 0.0, "time": cfg.horizon},
-                "identical points stay at distance zero",
-            )
-        if refuted:
-            return V.refuted(
-                {"pair": pair, "distance": d0, "rule": "isometric-steps"},
-                "isometric steps keep the pair distance constant, never below eps",
-            )
-        if holds:
-            return V.holds(
-                {"pair": pair, "tail_min": tail_min, "time": int(ev.min_time)},
-                "isometric steps keep the pair closer than eps forever"
-                if sys.steps_isometric
-                else f"pair distance falls to {tail_min:.3g} inside the tail window",
-            )
-        return V.inconclusive(
-            {
-                "pair": pair,
-                "tail_min": tail_min,
-                "overall_min": float(ev.overall_min),
-                "horizon": cfg.horizon,
-            },
-            "pair never approached within eps at this horizon",
+    proximal = predicate is PairPredicate.PROXIMAL
+    if d0 == 0.0 and proximal:
+        return V.holds(
+            {"pair": pair, "tail_min": 0.0, "time": cfg.horizon},
+            "identical points stay at distance zero",
         )
     if d0 == 0.0:
         return V.refuted(
-            {"pair": pair, "tail_max": 0.0},
-            "identical points have zero spread forever",
+            {"pair": pair, "tail_max": 0.0}, "identical points have zero spread forever"
         )
-    if refuted:
+    if refuted:  # by isometric steps
         return V.refuted(
             {"pair": pair, "distance": d0, "rule": "isometric-steps"},
-            "a constant pair distance cannot both vanish and exceed delta",
+            "isometric steps keep the pair distance constant, never below eps"
+            if proximal
+            else "a constant pair distance cannot both vanish and exceed delta",
         )
-    parts = {
-        "pair": pair,
-        "tail_min": tail_min,
-        "tail_max": tail_max,
-        "eps": cfg.eps,
-        "delta": cfg.delta,
-    }
+    parts = {"pair": pair, "tail_min": tail_min}
+    if proximal and holds:
+        # the time of the tail's first row is horizon + 1 - len(tail)
+        time = cfg.horizon + 1 - len(tail) + int(tail.argmin())
+        return V.holds(
+            {**parts, "time": time},
+            "isometric steps keep the pair closer than eps forever"
+            if sys.steps_isometric
+            else f"pair distance falls to {tail_min:.3g} inside the tail window",
+        )
+    if proximal:
+        return V.inconclusive(
+            {**parts, "overall_min": float(series.min()), "horizon": cfg.horizon},
+            "pair never approached within eps at this horizon",
+        )
+    parts.update(tail_max=tail_max, eps=cfg.eps, delta=cfg.delta)
     if holds:
         return V.holds(parts, "the pair both approaches and separates inside the tail window")
     return V.inconclusive(
         {**parts, "horizon": cfg.horizon},
         "tail window does not show both approach and separation",
     )
-
-
-def _pair_check(
-    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, predicate: PairPredicate
-) -> Verdict:
-    cfg.validate(sys.space)
-    sweep = _PairSweep(sys, [[x, y]], cfg)
-    ev = sweep.evidence(0, 0).at(sweep.cols[0][1])
-    return _pair_verdict(sys, cfg, predicate, x, y, ev)
 
 
 def proximal_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
@@ -1126,44 +1098,75 @@ def li_yorke_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Ver
     return _pair_check(sys, x, y, cfg, PairPredicate.LI_YORKE)
 
 
-def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
-    """Every eps-ball on the grid contains a partner for x under the predicate."""
-    cfg.validate(sys.space)
-    cells = _cell_evidence(sys, [x], cfg)
-    return _cell_density(sys, cfg, predicate, x, cells.evidence[0], cells)
+class _PairTable(NamedTuple):
+    """Pair codes from one sweep over some points xs and the eps-ball pool of
+    every grid center: xs take columns cols, and pool k the columns in row k
+    of pool_cols, where a shorter pool repeats its own columns, which changes
+    no any, all or first index along a row. rows[c] is the row of codes of
+    source column c: the columns of xs and of each pool's first points."""
 
-
-class _Cells(NamedTuple):
-    """Evidence from each of some points to every swept column, and the grid
-    centers with their pools; row k of cols holds the columns of pool k."""
-
-    evidence: list[_PairEvidence]
     centers: list[Point]
     pools: list[list[Point]]
     cols: np.ndarray
+    pool_cols: np.ndarray
+    rows: np.ndarray
+    codes: np.ndarray  # uint8, shape (sources, columns)
 
 
-def _cell_evidence(sys: SystemView, xs: list[Point], cfg: CheckConfig) -> _Cells:
-    """Cell evidence for each x, from one sweep over every x and every pool."""
+def _compute_pair_table(
+    sys: SystemView, cfg: CheckConfig, xs: list[Point], pool_sources: int
+) -> _PairTable:
+    """The pair table of xs; its sources add the first pool_sources of each pool."""
     centers = grid_points(sys.space, cfg)
     pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in centers]
-    sweep = _PairSweep(sys, [xs] + pools, cfg)
-    evidence = [sweep.evidence(0, i) for i in range(len(xs))]
-    return _Cells(evidence, centers, pools, _pool_matrix(sweep.cols[1:]))
+    # isometric steps keep every pair distance at its time-0 value, so their
+    # sweep stops at row 0, which is then the whole tail window
+    orbits, cols = _sweep_groups(sys, [xs] + pools, 0 if sys.steps_isometric else cfg.horizon)
+    width = max(map(len, pools))
+    pool_cols = np.array([np.resize(c, width) for c in cols[1:]])
+    # a mask, not np.unique, which imports numpy.ma (half a MiB) on first use
+    source = np.zeros(orbits.shape[1], dtype=bool)
+    source[cols[0]] = source[pool_cols[:, :pool_sources]] = True
+    rows = np.where(source, np.cumsum(source) - 1, -1)
+    codes = _pair_codes(sys.space.kind, cfg, orbits, np.flatnonzero(source))
+    return _PairTable(centers, pools, cols[0], pool_cols, rows, codes)
+
+
+def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
+    """The pair table of the grid, built once per view and config; the proximal
+    pairs, proximal cell and Li-Yorke cell checks all read it."""
+    return _cached(
+        sys, ("pair_table", cfg),
+        lambda: _compute_pair_table(sys, cfg, grid_points(sys.space, cfg), _PAIR_POOL),
+    )
+
+
+def _cell_outcomes(
+    sys: SystemView, predicate: PairPredicate, table: _PairTable, xs: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (holds, refuted) flags of the points xs names with sample j of pool
+    k, at [i, k, j] for the i-th of them."""
+    codes = table.codes[table.rows[table.cols[xs]][:, None, None], table.pool_cols]
+    holds, refuted = _pair_outcomes(sys, predicate, codes)
+    if predicate is PairPredicate.LI_YORKE:
+        # x is no Li-Yorke partner of itself, so it is skipped
+        other = (codes & _SAME) == 0
+        holds, refuted = holds & other, refuted & other
+    return holds, refuted
+
+
+def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
+    """Every eps-ball on the grid contains a partner for x under the predicate."""
+    cfg.validate(sys.space)
+    return _cell_density(sys, cfg, predicate, x, _compute_pair_table(sys, cfg, [x], 0), 0)
 
 
 def _cell_density(
-    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: Point,
-    ev: _PairEvidence, cells: _Cells,
+    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: Point, table: _PairTable, i: int
 ) -> Verdict:
-    """Cell density of x, whose evidence to every swept column is ev."""
-    centers, pools, cols = cells.centers, cells.pools, cells.cols
-    holds, refuted = _pair_outcomes(sys, cfg, predicate, ev)
-    if predicate is PairPredicate.LI_YORKE:
-        # x is no Li-Yorke partner of itself, so it is skipped
-        other = ev.d0 != 0.0
-        holds, refuted = holds & other, refuted & other
-    holds, refuted = holds[cols], refuted[cols]
+    """Cell density of x, point i of the table's xs."""
+    centers, pools = table.centers, table.pools
+    holds, refuted = (a[0] for a in _cell_outcomes(sys, predicate, table, slice(i, i + 1)))
     found = holds.any(axis=1)
     if found.all():
         witnesses = [
@@ -1178,8 +1181,7 @@ def _cell_density(
     if sys.steps_isometric and refuted[unfilled].any(axis=1).all():
         # the witness is the first refuted sample of the first unfilled ball
         k = unfilled[0]
-        j = refuted[k].argmax()
-        v = _pair_verdict(sys, cfg, predicate, x, pools[k][j], ev.at(cols[k, j]))
+        v = _pair_check(sys, x, pools[k][refuted[k].argmax()], cfg, predicate)
         return V.refuted(
             {
                 "ball_center": point_to_json(centers[k]),
@@ -1199,21 +1201,27 @@ def _cell_density(
 
 
 def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
-    """Cell density of every grid point under the predicate; both predicates
-    read one evidence table per view."""
-    xs = grid_points(sys.space, cfg)
-    cells = _cached(sys, ("cell_evidence", cfg), lambda: _cell_evidence(sys, xs, cfg))
-    verdicts = [
-        (x, _cell_density(sys, cfg, predicate, x, ev, cells))
-        for x, ev in zip(xs, cells.evidence)
-    ]
-    bad = [(x, v) for x, v in verdicts if not v.holds]
-    if not bad:
+    """Cell density of every grid point under the predicate, decided from the
+    pair table in blocks of points; only the cell reported is formatted."""
+    cfg.validate(sys.space)
+    table = _pair_table(sys, cfg)
+    # per point and ball: a sample holds; a sample holds or is refuted
+    found, covered = (np.empty((len(table.cols), len(table.pools)), dtype=bool) for _ in range(2))
+    for xs in _blocks(len(table.cols), max(1, _BLOCK // table.pool_cols.size)):
+        holds, refuted = _cell_outcomes(sys, predicate, table, xs)
+        found[xs], covered[xs] = holds.any(axis=2), (holds | refuted).any(axis=2)
+    dense = found.all(axis=1)
+    if dense.all():
         return V.holds(
-            {"points": len(verdicts), "predicate": predicate.value},
+            {"points": len(table.centers), "predicate": predicate.value},
             f"the {predicate.value} cell of every sampled point is dense",
         )
-    x, v = next(((x, v) for x, v in bad if v.refuted), bad[0])
+    # a cell is refuted when every unfilled ball holds a refuted sample; the
+    # first refuted cell is reported, else the first unresolved one
+    refutable = covered.all(axis=1) & ~dense
+    g = int(refutable.argmax() if sys.steps_isometric and refutable.any() else dense.argmin())
+    x = table.centers[g]
+    v = _cell_density(sys, cfg, predicate, x, table, g)
     if v.refuted:
         return V.refuted(
             {"point": point_to_json(x), "cell_verdict": v.to_json()},
@@ -1227,56 +1235,42 @@ def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicat
 
 def check_proximal_cell_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every sampled point has a dense proximal cell."""
-    cfg.validate(sys.space)
     return _cell_density_all(sys, cfg, PairPredicate.PROXIMAL)
 
 
 def check_li_yorke_cell_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every sampled point has a dense Li-Yorke cell."""
-    cfg.validate(sys.space)
     return _cell_density_all(sys, cfg, PairPredicate.LI_YORKE)
 
 
 def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Dense proximal pairs: every ordered pair of grid balls holds one."""
     cfg.validate(sys.space)
-    centers = grid_points(sys.space, cfg)
-    pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count)[:5] for c in centers]
-    sweep = _PairSweep(sys, pools, cfg)
-    cols = _pool_matrix(sweep.cols)
-    missing: list[tuple[int, int]] = []
-    refutable = 0
-    for i, pool in enumerate(pools):
-        # a ball pair (i, j) needs one proximal pair; it is refutable when
-        # every sampled pair is refuted. Once every ball j has a proximal
-        # pair, no further x of ball i is swept.
-        found = np.zeros(len(pools), dtype=bool)
-        all_refuted = np.ones(len(pools), dtype=bool)
-        for k in range(len(pool)):
-            if found.all():
-                break
-            holds, refuted = _pair_outcomes(
-                sys, cfg, PairPredicate.PROXIMAL, sweep.evidence(i, k)
-            )
-            found |= holds[cols].any(axis=1)
-            all_refuted &= refuted[cols].all(axis=1)
-        missing.extend((i, int(j)) for j in np.flatnonzero(~found))
-        refutable += int(all_refuted[~found].sum())
-    if not missing:
+    table = _pair_table(sys, cfg)
+    pools = table.pool_cols[:, :_PAIR_POOL]
+    # a ball pair needs one proximal pair; it is refutable when every
+    # sampled pair is refuted
+    missing, refutable = (np.empty((len(pools), len(pools)), dtype=bool) for _ in range(2))
+    for i in _blocks(len(pools), max(1, _BLOCK // (pools.size * pools.shape[1]))):
+        # the code of sample a of ball i with sample b of ball j, at [i, a, j, b]
+        codes = table.codes[table.rows[pools[i]][:, :, None, None], pools]
+        holds, refuted = _pair_outcomes(sys, PairPredicate.PROXIMAL, codes)
+        missing[i], refutable[i] = ~holds.any(axis=(1, 3)), refuted.all(axis=(1, 3))
+    if not missing.any():
         return V.holds(
-            {"ball_pairs": len(centers) ** 2},
+            {"ball_pairs": len(table.centers) ** 2},
             "every sampled pair of balls contains a proximal pair",
         )
-    i, j = missing[0]
-    ball_pair = [point_to_json(centers[i]), point_to_json(centers[j])]
-    if sys.steps_isometric and refutable == len(missing):
+    i, j = np.argwhere(missing)[0]
+    ball_pair = [point_to_json(table.centers[i]), point_to_json(table.centers[j])]
+    if sys.steps_isometric and refutable[missing].all():
         return V.refuted(
             {"ball_pair": ball_pair, "rule": "isometric-steps"},
             "isometric steps keep all sampled cross-ball pairs separated",
         )
     return V.inconclusive(
-        {"missing_count": len(missing), "ball_pair": ball_pair},
-        f"{len(missing)} ball pairs produced no proximal pair at this horizon",
+        {"missing_count": int(missing.sum()), "ball_pair": ball_pair},
+        f"{int(missing.sum())} ball pairs produced no proximal pair at this horizon",
     )
 
 

@@ -54,6 +54,7 @@ from .space import (
     SpaceError,
     SpaceKind,
     coord_distances,
+    grid_size,
     point_coords,
     point_to_json,
     sample_grid,
@@ -411,35 +412,36 @@ def isometry_shrinking_check(
         return (True, True)
     if isinstance(m, AffineCircle) and m.slope >= 2:
         return (False, False)
-    grid = list(sample_grid(space, grid_resolution))
-    if len(grid) > 48:
-        grid = grid[:: max(1, len(grid) // 48)]
-    coords = point_coords(grid, space.kind)
+    # about 48 points, every k-th of the grid, built without the rest
+    step = max(1, grid_size(space, grid_resolution) // 48)
+    coords = point_coords(sample_grid(space, grid_resolution, step), space.kind)
     image = apply_batch(m, coords, space.kind)
-    i, j = np.triu_indices(len(grid), k=1)
+    i, j = np.triu_indices(len(coords), k=1)
     before = coord_distances(space.kind, coords[i], coords[j])
     after = coord_distances(space.kind, image[i], image[j])
     return (not (abs(after - before) > tol).any(), not (after > before + tol).any())
 
 
 def surjectivity_check(
-    space: PhaseSpace, m: MapDescriptor, grid_resolution: int = 64, eps: float = 0.05
+    space: PhaseSpace, *maps: MapDescriptor, grid_resolution: int = 64, eps: float = 0.05
 ) -> Verdict:
-    """Holds when the image of the grid is eps-dense in the grid itself."""
+    """Holds when the image of the grid under each map is eps-dense in the
+    grid itself: the first refuted verdict, else the last map's."""
     grid = list(sample_grid(space, grid_resolution))
     coords = point_coords(grid, space.kind)
-    dmat = coord_distances(space.kind, coords[:, None], apply_batch(m, coords, space.kind)[None, :])
-    best = dmat.min(axis=1)
-    worst_i = int(best.argmax())
-    worst_p, worst_d = grid[worst_i], float(best[worst_i])
-    if worst_d <= eps:
-        return V.holds(
-            {"covering_defect": worst_d, "grid_resolution": grid_resolution},
-            f"grid image is {eps:g}-dense (defect {worst_d:.3g})",
-        )
-    return V.refuted(
-        {"uncovered_center": point_to_json(worst_p), "gap": worst_d, "radius": eps},
-        f"no image point within {worst_d:.3g} of the witness center",
+    for m in maps:
+        image = apply_batch(m, coords, space.kind)
+        best = coord_distances(space.kind, coords[:, None], image[None, :]).min(axis=1)
+        worst_i = int(best.argmax())
+        worst_d = float(best[worst_i])
+        if not worst_d <= eps:
+            return V.refuted(
+                {"uncovered_center": point_to_json(grid[worst_i]), "gap": worst_d, "radius": eps},
+                f"no image point within {worst_d:.3g} of the witness center",
+            )
+    return V.holds(
+        {"covering_defect": worst_d, "grid_resolution": grid_resolution},
+        f"grid image is {eps:g}-dense (defect {worst_d:.3g})",
     )
 
 
@@ -481,10 +483,8 @@ def profile_hypotheses(
     iso, shrink = isometry_shrinking_check(fam.space, fam.limit, tol=tol)
     # the first map whose image leaves a gap, else the limit's verdict
     upto = min(max_index, fam.eventually_constant_from or max_index)
-    for m in (*map(fam.member, range(1, upto + 1)), fam.limit):
-        surj = surjectivity_check(fam.space, m, min(grid_resolution, 64), eps)
-        if surj.refuted:
-            break
+    maps = (*map(fam.member, range(1, upto + 1)), fam.limit)
+    surj = surjectivity_check(fam.space, *maps, grid_resolution=min(grid_resolution, 64), eps=eps)
     return HypothesisProfile(
         commutes=commutes_with_limit(fam, grid_resolution, tol, max_index),
         summability=summability_estimate(fam, horizon, grid_resolution),

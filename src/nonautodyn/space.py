@@ -263,8 +263,13 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     return max(one_sided(a, b), one_sided(b, a))
 
 
-def sample_grid(space: PhaseSpace, resolution: int) -> PointCloud:
-    """Deterministic uniform grid.
+def grid_size(space: PhaseSpace, resolution: int) -> int:
+    """The number of points of sample_grid(space, resolution)."""
+    return 1 << min(resolution, MAX_ENUM_BITS) if space.kind is SpaceKind.BINARY_SEQ else resolution
+
+
+def sample_grid(space: PhaseSpace, resolution: int, step: int = 1) -> PointCloud:
+    """Deterministic uniform grid, or every step-th point of it.
 
     Circle: {2pi*i/resolution}. Interval: {i/(resolution-1)}. Binary sequence
     space: all words of length min(resolution, 12), enumerated in counting
@@ -272,15 +277,16 @@ def sample_grid(space: PhaseSpace, resolution: int) -> PointCloud:
     """
     if resolution < 2:
         raise SpaceError("resolution must be >= 2")
+    indices = range(0, grid_size(space, resolution), step)
     if space.kind is SpaceKind.CIRCLE:
-        pts = tuple(CircleAngle(TWO_PI * i / resolution) for i in range(resolution))
+        pts = tuple(CircleAngle(TWO_PI * i / resolution) for i in indices)
     elif space.kind is SpaceKind.UNIT_INTERVAL:
-        pts = tuple(IntervalPoint(i / (resolution - 1)) for i in range(resolution))
+        pts = tuple(IntervalPoint(i / (resolution - 1)) for i in indices)
     else:
         length = min(resolution, MAX_ENUM_BITS)
         pts = tuple(
             BinaryWord(tuple((v >> (length - 1 - j)) & 1 for j in range(length)), length)
-            for v in range(1 << length)
+            for v in indices
         )
     return PointCloud(pts, space.kind)
 

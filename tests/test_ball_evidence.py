@@ -1,5 +1,5 @@
 """The per-view ball-evidence table, weak mixing over distinct hit rows, the
-shared cell evidence and the memory preflight."""
+per-view pair table and the memory preflight."""
 
 import dataclasses
 
@@ -20,6 +20,7 @@ from nonautodyn.checkers import (
     _shared_time_misses,
     check_li_yorke_cell_density,
     check_proximal_cell_density,
+    check_proximal_pairs_density,
     check_weak_mixing,
     grid_points,
     orbit_matrix,
@@ -110,15 +111,47 @@ def test_cell_evidence_is_swept_once_per_view(name, mode, monkeypatch):
     spec = CATALOG[name]
     cfg = dataclasses.replace(spec.check, horizon=60, tail_window=30)
     calls = []
-    build = checkers._cell_evidence
+    build = checkers._compute_pair_table
     monkeypatch.setattr(
-        checkers, "_cell_evidence", lambda *a: calls.append(1) or build(*a)
+        checkers, "_compute_pair_table", lambda *a: calls.append(1) or build(*a)
     )
     sys = SystemView(spec.build_family(), mode)
-    for check in (check_proximal_cell_density, check_li_yorke_cell_density):
+    rows = (check_proximal_pairs_density, check_proximal_cell_density, check_li_yorke_cell_density)
+    for check in rows:
         fresh = check(SystemView(spec.build_family(), mode), cfg)
         assert check(sys, cfg).to_json() == fresh.to_json()
-    assert len(calls) == 3  # one per fresh view, one for the shared view
+    assert len(calls) == 4  # one per fresh view, one for the shared view
+
+
+def test_pair_rows_sweep_one_table_per_view(monkeypatch):
+    # a pair verdict's witness is recomputed from a sweep of its two points;
+    # any wider sweep in the three pair rows builds the table
+    widths = []
+    sweep = checkers.orbit_matrix
+
+    def counted(sys, coords, *args):
+        widths.append((sys.mode, len(coords)))
+        return sweep(sys, coords, *args)
+
+    builds = []
+    build = checkers._compute_pair_table
+    monkeypatch.setattr(
+        checkers, "_compute_pair_table", lambda *a: builds.append(a[0].mode) or build(*a)
+    )
+    spec = CATALOG["odometer-deletion"]
+    for mode in Mode:
+        sys = SystemView(spec.build_family(), mode)
+        monkeypatch.setattr(checkers, "orbit_matrix", counted)
+        for check in (
+            check_proximal_pairs_density, check_proximal_cell_density, check_li_yorke_cell_density
+        ):
+            check(sys, spec.check)
+        monkeypatch.setattr(checkers, "orbit_matrix", sweep)
+    assert builds == list(Mode)
+    assert [mode for mode, width in widths if width > 2] == list(Mode)
+    builds.clear()
+    run_comparison(spec)
+    assert sorted(builds) == sorted(Mode)
 
 
 @pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion"])
@@ -158,3 +191,15 @@ def test_preflight_counts_the_ball_sweep():
     N = MEMORY_BUDGET // (8 * 3 * 9 * 8)
     with pytest.raises(SpaceError, match="budget"):
         dataclasses.replace(cfg, horizon=N, tail_window=5).validate(space)
+
+
+def test_preflight_counts_the_pair_table():
+    # 100 centers with 25,000 points per ball over two rows: the hit table and
+    # the ball sweep fit, but the pair table takes a byte from each of the
+    # first 5 points of every pool to every pool point
+    space = CATALOG["alternating-rotation"].build_family().space
+    cfg = CheckConfig(grid_resolution=100, ball_count=25_000, horizon=1, tail_window=1)
+    assert 2 * (100 * 100 + 100 * 3 * 25_000 * 8) < MEMORY_BUDGET < 100 * 5 * 100 * 25_000
+    with pytest.raises(SpaceError, match="pair table"):
+        cfg.validate(space)
+    dataclasses.replace(cfg, ball_count=2_000).validate(space)

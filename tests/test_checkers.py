@@ -1,6 +1,7 @@
 """Verdict behavior of the finite-horizon checkers."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -29,7 +30,7 @@ from nonautodyn.checkers import (
 )
 from nonautodyn.descriptors import apply, compose
 from nonautodyn.family import TENT, autonomous_family, family_from_config, make_builtin_family
-from nonautodyn.report import CATALOG
+from nonautodyn.report import CATALOG, golden_path
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -552,3 +553,20 @@ def test_dense_periodicity_composes_each_window_once(monkeypatch):
     monkeypatch.setattr(checkers, "compose", lambda *a: calls.append(1) or compose(*a))
     check_dense_periodicity(SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT), spec.check)
     assert len(calls) == spec.check.max_period - 1
+
+
+def test_dense_periodicity_sweeps_each_candidate_once(monkeypatch):
+    # every identity window solves to the whole grid; the candidates keep
+    # one copy of each point, so a ball sweeps its one grid candidate and
+    # its ball samples (2,180 columns before, for 200 now)
+    spec = CATALOG["inverse-square-rotation"]
+    widths = []
+    sweep = checkers.orbit_matrix
+    monkeypatch.setattr(
+        checkers, "orbit_matrix", lambda sys, c, *a: widths.append(len(c)) or sweep(sys, c, *a)
+    )
+    v = check_dense_periodicity(SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT), spec.check)
+    assert widths == [1 + spec.check.ball_count] * spec.check.grid_resolution
+    row = next(r for r in json.loads(golden_path(spec.label).read_text())["rows"]
+               if r["property"] == "dense_periodicity")
+    assert v.to_json() == row["verdict_limit"]

@@ -89,6 +89,23 @@ def test_bad_period_bound_or_tol_is_config_error(spec_file, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+# before, grid_resolution=1 was refused as "must be positive"
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("horizon", 0, "need horizon >= 1, got horizon=0"),
+        ("grid_resolution", 1, "need grid_resolution >= 2, got grid_resolution=1"),
+        ("ball_count", 0, "need ball_count >= 1, got ball_count=0"),
+    ],
+)
+def test_size_below_its_bound_is_config_error(spec_file, capsys, key, value, message):
+    doc = json.loads(spec_file.read_text())
+    doc["check"][key] = value
+    spec_file.write_text(json.dumps(doc))
+    assert main(["run", str(spec_file)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_overlong_binary_word_is_config_error(tmp_path, capsys):
     doc = {
         "family": {"builtin": "odometer-deletion", "params": {"word_length": 64}},

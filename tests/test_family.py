@@ -16,6 +16,7 @@ from nonautodyn.descriptors import (
     apply,
     compose,
 )
+from nonautodyn import space
 from nonautodyn.family import (
     PLATEAU_HEAD,
     TENT,
@@ -315,3 +316,19 @@ def test_custom_family_from_config_applies_steps_then_limit():
     )
     assert fam.member(1) == PLATEAU_HEAD
     assert fam.member(2) == TENT
+
+
+def test_profile_builds_each_sample_grid_once(monkeypatch):
+    # odometer-deletion at the report's profile resolution: words of length 8
+    built = []
+    post_init = space.BinaryWord.__post_init__
+    monkeypatch.setattr(
+        space.BinaryWord, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    fam = make_builtin_family("odometer-deletion")
+    prof = profile_hypotheses(fam, grid_resolution=8, eps=0.2)
+    assert prof.surjective.holds and prof.commutes.refuted
+    # every 85th word of the 4,096-word isometry grid (49 words), the
+    # surjectivity grid once for all 17 maps, and the commutation grid plus
+    # the one sup_metric grid before f_1 refutes it; 8,960 words before
+    assert len(built) == 49 + 256 + 256 + 256

@@ -13,8 +13,10 @@ from nonautodyn.checkers import (
     Mode,
     PairPredicate,
     SystemView,
+    _SAME,
+    _compute_pair_table,
     _pair_outcomes,
-    _PairSweep,
+    _pair_table,
     _sweep_groups,
     grid_points,
     li_yorke_check,
@@ -180,14 +182,19 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
         for c in (x, grid[len(grid) // 2])
         for y in ball_sample(fam.space, c, cfg.eps, cfg.ball_count)
     ]
-    sweep = _PairSweep(sys, [[x], partners], cfg)
-    ev = sweep.evidence(0, 0).at(sweep.cols[1])
+    table = _pair_table(sys, cfg)
+    # row k of pool_cols holds the columns of the pool of grid point k
+    assert table.pools[1] + table.pools[len(grid) // 2] == partners
+    cols = [table.pool_cols[k, : len(table.pools[k])] for k in (1, len(grid) // 2)]
+    codes = table.codes[table.rows[table.cols[1]], np.concatenate(cols)]
 
     orbit = trajectory if mode is Mode.NON_AUTONOMOUS else limit_trajectory
     xs = orbit(fam, x, HORIZON).states
     tail = range(HORIZON - cfg.tail_window, HORIZON + 1)
-    for predicate in PairPredicate:
-        holds, refuted = _pair_outcomes(sys, cfg, predicate, ev)
+    for predicate, check in (
+        (PairPredicate.PROXIMAL, proximal_check), (PairPredicate.LI_YORKE, li_yorke_check)
+    ):
+        holds, refuted = _pair_outcomes(sys, predicate, codes)
         for j, y in enumerate(partners):
             ys = orbit(fam, y, HORIZON).states
             gaps = [distance(fam.space, xs[n], ys[n]) for n in tail]
@@ -196,11 +203,20 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
                 predicate, x == y, sys.steps_isometric, d0, min(gaps), max(gaps), cfg
             )
             assert (bool(holds[j]), bool(refuted[j])) == want, (predicate, y)
-            assert ev.d0[j] == d0
-            if not sys.steps_isometric:
-                k = int(np.argmin(gaps))
-                assert (ev.tail_min[j], ev.tail_max[j]) == (gaps[k], max(gaps))
-                assert ev.min_time[j] == tail[k]
+            assert bool(codes[j] & _SAME) == (d0 == 0.0)
+            v = check(sys, x, y, cfg)
+            assert (v.holds, v.refuted) == want
+            if sys.steps_isometric:
+                assert v.witness.get("distance", d0) == d0
+                continue
+            k = int(np.argmin(gaps))
+            if d0 == 0.0:
+                assert max(gaps) == 0.0
+            elif predicate is PairPredicate.LI_YORKE:
+                assert (v.witness["tail_min"], v.witness["tail_max"]) == (gaps[k], max(gaps))
+            else:
+                assert v.witness["tail_min"] == gaps[k]
+                assert v.witness.get("time", tail[k]) == tail[k]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -209,17 +225,47 @@ def test_pair_at_distance_zero_is_one_point(mode):
     sys = SystemView(FAMILIES["plateau-tent"], mode)
     cfg = dataclasses.replace(CATALOG["plateau-tent"].check, horizon=50, tail_window=20)
     x, y = IntervalPoint(0.0), IntervalPoint(-0.0)
-    sweep = _PairSweep(sys, [[x, y]], cfg)
-    assert sweep.cols[0][0] != sweep.cols[0][1]
-    ev = sweep.evidence(0, 0).at(sweep.cols[0][1])
-    assert ev.d0 == 0.0
-    assert [bool(f) for f in _pair_outcomes(sys, cfg, PairPredicate.PROXIMAL, ev)] == [True, False]
-    assert [bool(f) for f in _pair_outcomes(sys, cfg, PairPredicate.LI_YORKE, ev)] == [False, True]
+    table = _compute_pair_table(sys, cfg, [x, y], 0)
+    i, j = table.cols
+    assert i != j
+    code = table.codes[table.rows[i], j]
+    assert code & _SAME
+    assert [bool(f) for f in _pair_outcomes(sys, PairPredicate.PROXIMAL, code)] == [True, False]
+    assert [bool(f) for f in _pair_outcomes(sys, PairPredicate.LI_YORKE, code)] == [False, True]
     v = proximal_check(sys, x, y, cfg)
     assert v.holds and v.witness["time"] == cfg.horizon
     assert v.narrative == "identical points stay at distance zero"
     v = li_yorke_check(sys, x, y, cfg)
     assert v.refuted and v.witness["tail_max"] == 0.0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", sorted(PAIR_SPECS))
+def test_pair_table_matches_two_point_checks(name, mode):
+    spec = PAIR_SPECS[name]
+    fam = spec.build_family()
+    binary = fam.space.kind is SpaceKind.BINARY_SEQ
+    cfg = dataclasses.replace(
+        spec.check, horizon=30, tail_window=15, grid_resolution=2 if binary else 4
+    )
+    sys = SystemView(fam, mode)
+    table = _pair_table(sys, cfg)
+    if name == "plateau-tent":
+        # the balls at the interval's ends hold fewer distinct points
+        assert len({len(pool) for pool in table.pools}) > 1
+    points = dict(zip(table.cols.tolist(), table.centers))
+    for pool, idx in zip(table.pools, table.pool_cols):
+        points.update(zip(idx.tolist(), pool))
+    assert len(points) == len(table.rows)
+    sources = np.flatnonzero(table.rows >= 0)
+    for predicate, check in (
+        (PairPredicate.PROXIMAL, proximal_check), (PairPredicate.LI_YORKE, li_yorke_check)
+    ):
+        holds, refuted = _pair_outcomes(sys, predicate, table.codes)
+        for s in sources:
+            for c, y in points.items():
+                v = check(sys, points[s], y, cfg)
+                assert (v.holds, v.refuted) == (holds[table.rows[s], c], refuted[table.rows[s], c])
 
 
 @st.composite
