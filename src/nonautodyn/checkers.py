@@ -118,7 +118,8 @@ class CheckConfig:
         if need > MEMORY_BUDGET:
             raise SpaceError(
                 f"this config needs about {need / 2**30:.1f} GiB for its hit table, ball "
-                f"sweep and pair table, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+                f"sweep, pair table and periodicity sweep, over the "
+                f"{MEMORY_BUDGET / 2**30:g} GiB budget"
             )
 
     def to_json(self) -> dict:
@@ -145,14 +146,17 @@ MEMORY_BUDGET = 1 << 30
 
 def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
     """Bytes of the G x G x (N+1) boolean hit table, the ball-table sweep,
-    (N+1) rows of ball_count points per ball, and the pair table, one byte
-    from each pair-pool point to each pool point, from the config's shapes
-    alone."""
+    (N+1) rows of ball_count points per ball, the pair table, one byte from
+    each pair-pool point to each pool point, and dense periodicity's sweep,
+    P*R+1 rows of the ball_count samples of every eps-ball, from the
+    config's shapes alone."""
     G = grid_size(space, cfg.grid_resolution)
+    itemsize = point_coords([], space.kind).itemsize
     points = G * len(_sens_rungs(space, cfg)) * cfg.ball_count
     # each ball pool starts with its center, so the grid is among the pool points
     pair_codes = G * min(cfg.ball_count, _PAIR_POOL) * G * cfg.ball_count
-    return (cfg.horizon + 1) * (G * G + points * point_coords([], space.kind).itemsize) + pair_codes
+    periods = (cfg.max_period * cfg.repetitions + 1) * G * cfg.ball_count
+    return (cfg.horizon + 1) * (G * G + points * itemsize) + pair_codes + periods * itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -796,25 +800,23 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # recurrence checkers
 
-def _periods(
-    sys: SystemView, points: list[Point], P: int, R: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return distances d(omega_n(x), x) for n = 0..P*R (rows) and each
-    point x (columns), from one sweep, and each point's least period: the
-    least n <= P whose returns at every multiple n*k, k <= R, lie within tol,
-    or 0 when there is none."""
-    kind = sys.space.kind
-    coords = point_coords(points, kind)
-    returns = coord_distances(kind, orbit_matrix(sys, coords, P * R), coords)
-    multiples = np.arange(1, P + 1)[:, None] * np.arange(1, R + 1)
-    closed = (returns[multiples] <= tol).all(axis=1)
-    return returns, np.where(closed.any(axis=0), closed.argmax(axis=0) + 1, 0)
+def _periods(kind: SpaceKind, orbits: np.ndarray, P: int, R: int, tol: float) -> np.ndarray:
+    """Each column's least period in an orbit matrix of rows n = 0..P*R: the
+    least n <= P whose returns d(omega_n(x), x) at every multiple n*k, k <= R,
+    lie within tol, or 0 when there is none. Returns are measured R rows at a
+    time, so no array outgrows the sweep."""
+    periods = np.zeros(orbits.shape[1], dtype=int)
+    for n in range(P, 0, -1):
+        returns = coord_distances(kind, orbits[n : n * R + 1 : n], orbits[0])
+        periods[(returns <= tol).all(axis=0)] = n
+    return periods
 
 
 def _periodic_verdict(
-    x: Point, returns: np.ndarray, period: int, P: int, R: int, tol: float
+    x: Point, kind: SpaceKind, orbit: np.ndarray, period: int, P: int, R: int, tol: float
 ) -> Verdict:
-    """check_periodic's verdict on x from its column of _periods."""
+    """check_periodic's verdict on x from its orbit column and its period."""
+    returns = coord_distances(kind, orbit, orbit[0])
     if period:
         return V.holds(
             {
@@ -840,8 +842,10 @@ def check_periodic(sys: SystemView, x: Point, cfg: CheckConfig) -> Verdict:
     """
     cfg.validate(sys.space)
     P, R = cfg.max_period, cfg.repetitions
-    returns, periods = _periods(sys, [x], P, R, cfg.tol)
-    return _periodic_verdict(x, returns[:, 0], periods[0], P, R, cfg.tol)
+    kind = sys.space.kind
+    orbit = orbit_matrix(sys, point_coords([x], kind), P * R)
+    period = _periods(kind, orbit, P, R, cfg.tol)[0]
+    return _periodic_verdict(x, kind, orbit[:, 0], period, P, R, cfg.tol)
 
 
 def _refute_periodicity(
@@ -869,17 +873,22 @@ def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
     refutation = _refute_periodicity(sys, cfg, P, R)
     if refutation is not None:
         return refutation
+    kind = sys.space.kind
     grid = grid_points(sys.space, cfg)
-    returns, periods = _periods(sys, grid, P, R, cfg.tol)
+    orbits = orbit_matrix(sys, point_coords(grid, kind), P * R)
+    periods = _periods(kind, orbits, P, R, cfg.tol)
     if periods.any():
         j = int(np.flatnonzero(periods)[0])
-        v = _periodic_verdict(grid[j], returns[:, j], periods[j], P, R, cfg.tol)
+        v = _periodic_verdict(grid[j], kind, orbits[:, j], periods[j], P, R, cfg.tol)
         return V.holds(
             {"witness": v.witness, "sampled": len(grid)},
             f"a sampled point is periodic with period {v.witness['period']}",
         )
     return V.refuted(
-        {"sampled": len(grid), "min_recurrence_gap": float(returns[1 : P + 1].min())},
+        {
+            "sampled": len(grid),
+            "min_recurrence_gap": float(coord_distances(kind, orbits[1 : P + 1], orbits[0]).min()),
+        },
         "no sampled point returns to itself at this period horizon",
     )
 
@@ -923,27 +932,30 @@ def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     if refutation is not None:
         return refutation
 
+    kind = sys.space.kind
     candidates = _periodic_candidates(sys, cfg, P)
     centers = grid_points(sys.space, cfg)
     if candidates is not None:
-        kind = sys.space.kind
         near = coord_distances(
             kind, point_coords(centers, kind)[:, None], point_coords(candidates, kind)
         ) < cfg.eps
+    pools: list[list[Point]] = []
+    for g, c in enumerate(centers):
+        pool = [] if candidates is None else [candidates[j] for j in np.flatnonzero(near[g])]
+        pools.append(pool + _ball_points(sys.space, c, cfg.eps, cfg.ball_count))
+    # one sweep of the distinct points of every pool; _estimated_bytes counts
+    # its sampled points
+    orbits, cols = _sweep_groups(sys, pools, P * R)
+    periods = _periods(kind, orbits, P, R, cfg.tol)
     witnesses: list[dict] = []
     unfilled: list[int] = []
-    for g, c in enumerate(centers):
-        pool: list[Point] = []
-        if candidates is not None:
-            pool = [candidates[j] for j in np.flatnonzero(near[g])]
-        pool.extend(_ball_points(sys.space, c, cfg.eps, cfg.ball_count))
-        # one sweep per ball keeps the peak memory at one pool's orbits
-        returns, periods = _periods(sys, pool, P, R, cfg.tol)
-        if not periods.any():
+    for g, (c, pool, idx) in enumerate(zip(centers, pools, cols)):
+        found = np.flatnonzero(periods[idx])
+        if not found.size:
             unfilled.append(g)
         elif len(witnesses) < 8:
-            j = int(np.flatnonzero(periods)[0])
-            v = _periodic_verdict(pool[j], returns[:, j], periods[j], P, R, cfg.tol)
+            i, j = found[0], idx[found[0]]
+            v = _periodic_verdict(pool[i], kind, orbits[:, j], periods[j], P, R, cfg.tol)
             witnesses.append({"center": point_to_json(c), **v.witness})
     if not unfilled:
         return V.holds(

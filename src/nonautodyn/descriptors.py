@@ -5,6 +5,14 @@ circle rotations and integer-slope affine circle maps, piecewise-linear
 interval maps, the binary odometer (add 1 with carry), coordinate deletion
 on binary words, lookup tables, and formal compositions.
 
+Each map kind has one arithmetic, `apply_batch` on coordinate arrays (see
+``space.point_coords``). Piecewise-linear maps and linear-rule lookups run
+on `np.interp`, the lookup nodes at i/(n-1); it is monotone on each piece
+and exact at the breakpoints, so a swept point of an interval lies in the
+region image `pl_image_batch` computes for it. The one-point `apply`, the
+composition nodes of `pl_compose` and the exact branches of `sup_metric`
+call the same rules.
+
 Symbolic-first policy: wherever two descriptors admit a closed form
 (rotation offsets, equal-slope affine pairs, piecewise-linear node maxima)
 the algebra computes it exactly and marks the result exact; grid estimates
@@ -13,7 +21,6 @@ are the fallback and are flagged approximate.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -22,16 +29,13 @@ import numpy as np
 
 from .space import (
     TWO_PI,
-    BinaryWord,
-    CircleAngle,
-    IntervalPoint,
     PhaseSpace,
     Point,
     ResolutionError,
     SpaceError,
     SpaceKind,
-    circle_distance,
     coord_distances,
+    coord_point,
     low_bits,
     point_coords,
     reduce_angle,
@@ -94,11 +98,14 @@ class PiecewiseLinear:
             raise SpaceError("breakpoint y values must lie in [0, 1]")
         object.__setattr__(self, "breakpoints", bps)
         # derived once; plain attributes, so == and hash still see only fields
-        ys = tuple(y for _, y in bps)
+        xs_array, ys_array = np.array(xs), np.array([y for _, y in bps])
         object.__setattr__(self, "_xs", tuple(xs))
-        object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_xs_array", np.array(xs))
-        object.__setattr__(self, "_ys_array", np.array(ys))
+        object.__setattr__(self, "_xs_array", xs_array)
+        object.__setattr__(self, "_ys_array", ys_array)
+        # what the pieces reach: each breakpoint's value, then the value at
+        # the float just below each breakpoint after the first
+        below = np.interp(np.nextafter(xs_array[1:], -np.inf), xs_array, ys_array)
+        object.__setattr__(self, "_piece_ends", np.concatenate([ys_array, below]))
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -107,10 +114,6 @@ class PiecewiseLinear:
     @property
     def xs(self) -> tuple[float, ...]:
         return self._xs
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return self._ys
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,10 @@ class Lookup:
         if self.rule not in ("linear", "nearest"):
             raise SpaceError(f"unknown interpolation rule: {self.rule!r}")
         object.__setattr__(self, "values", vals)
-        # plain attribute, so == and hash still see only the fields
+        # plain attributes, so == and hash still see only the fields; the
+        # nodes are i/(n-1), as lookup_to_pl places them
         object.__setattr__(self, "_values_array", np.array(vals))
+        object.__setattr__(self, "_nodes", np.arange(len(vals)) / (len(vals) - 1))
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -188,72 +193,15 @@ MapDescriptor = Union[Rotation, AffineCircle, PiecewiseLinear, Lookup, OdometerA
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _pl_eval(pl: PiecewiseLinear, x: float) -> float:
-    xs, ys = pl.xs, pl.ys
-    i = bisect.bisect_right(xs, x) - 1
-    if i >= len(xs) - 1:
-        return ys[-1]
-    x0, y0 = xs[i], ys[i]
-    x1, y1 = xs[i + 1], ys[i + 1]
-    if x == x0:
-        return y0
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def _lookup_eval(m: Lookup, x: float) -> float:
-    n = len(m.values)
-    if m.rule == "nearest":
-        i = int(round(x * (n - 1)))
-        return m.values[min(max(i, 0), n - 1)]
-    pos = x * (n - 1)
-    i = min(int(pos), n - 2)
-    frac = pos - i
-    return m.values[i] + (m.values[i + 1] - m.values[i]) * frac
-
-
 def apply(m: MapDescriptor, x: Point) -> Point:
-    """Evaluate a descriptor at a point."""
-    if isinstance(m, Rotation):
-        if not isinstance(x, CircleAngle):
-            raise SpaceError("rotation applied to a non-circle point")
-        return CircleAngle(x.theta + m.amount)
-    if isinstance(m, AffineCircle):
-        if not isinstance(x, CircleAngle):
-            raise SpaceError("affine circle map applied to a non-circle point")
-        return CircleAngle(m.slope * x.theta + m.offset)
-    if isinstance(m, PiecewiseLinear):
-        if not isinstance(x, IntervalPoint):
-            raise SpaceError("piecewise-linear map applied to a non-interval point")
-        return IntervalPoint(_pl_eval(m, x.x))
-    if isinstance(m, Lookup):
-        if not isinstance(x, IntervalPoint):
-            raise SpaceError("lookup map applied to a non-interval point")
-        return IntervalPoint(_lookup_eval(m, x.x))
-    if isinstance(m, OdometerAdd):
-        if not isinstance(x, BinaryWord):
-            raise SpaceError("odometer applied to a non-binary point")
-        bits = list(x.bits)
-        for i in range(len(bits)):
-            if bits[i] == 0:
-                bits[i] = 1
-                break
-            bits[i] = 0
-        return BinaryWord(tuple(bits), x.effective_length)
-    if isinstance(m, Delete):
-        if not isinstance(x, BinaryWord):
-            raise SpaceError("delete applied to a non-binary point")
-        if m.index > x.effective_length:
-            return x
-        if x.effective_length <= 1:
-            raise ResolutionError(
-                f"cannot delete coordinate {m.index} of a word with effective length "
-                f"{x.effective_length}"
-            )
-        bits = x.bits[: m.index - 1] + x.bits[m.index :]
-        return BinaryWord(bits, x.effective_length - 1)
-    if isinstance(m, Compose):
-        return apply(m.outer, apply(m.inner, x))
-    raise SpaceError(f"not a map descriptor: {m!r}")
+    """Evaluate a descriptor at a point: apply_batch on its coordinates, so
+    binary words longer than ``space.MAX_WORD_BITS`` raise SpaceError."""
+    kind = getattr(m, "space_kind", None)
+    if kind is None:
+        raise SpaceError(f"not a map descriptor: {m!r}")
+    if getattr(x, "kind", None) is not kind:
+        raise SpaceError(f"{type(m).__name__} map applied to a non-{kind.value} point")
+    return coord_point(apply_batch(m, point_coords([x], kind), kind)[0], kind)
 
 
 def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarray:
@@ -273,7 +221,7 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
             values = m._values_array
             n = len(values)
             if m.rule == "linear":
-                return np.interp(arr, np.linspace(0.0, 1.0, n), values)
+                return np.interp(arr, m._nodes, values)
             return values[np.clip(np.rint(arr * (n - 1)).astype(int), 0, n - 1)]
         if isinstance(m, Compose):
             return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
@@ -327,8 +275,7 @@ def circle_canonical(m: MapDescriptor) -> tuple[int, float] | None:
 def lookup_to_pl(m: Lookup) -> PiecewiseLinear | None:
     if m.rule != "linear":
         return None
-    n = len(m.values)
-    return PiecewiseLinear(tuple((i / (n - 1), v) for i, v in enumerate(m.values)))
+    return PiecewiseLinear(tuple(zip(m._nodes.tolist(), m.values)))
 
 
 def pl_compose(outer: PiecewiseLinear, inner: PiecewiseLinear) -> PiecewiseLinear:
@@ -340,7 +287,6 @@ def pl_compose(outer: PiecewiseLinear, inner: PiecewiseLinear) -> PiecewiseLinea
     """
     nodes = set(inner.xs)
     oxs = outer.xs
-    ixs, iys = inner.xs, inner.ys
     for (x0, y0), (x1, y1) in zip(inner.breakpoints, inner.breakpoints[1:]):
         if y1 == y0:
             continue
@@ -349,9 +295,10 @@ def pl_compose(outer: PiecewiseLinear, inner: PiecewiseLinear) -> PiecewiseLinea
             if lo < bx < hi:
                 t = (bx - y0) / (y1 - y0)
                 nodes.add(x0 + t * (x1 - x0))
-    xs = sorted(nodes)
-    pts = tuple((x, _pl_eval(outer, _pl_eval(inner, x))) for x in xs)
-    return PiecewiseLinear(pts)
+    xs = np.array(sorted(nodes))
+    kind = SpaceKind.UNIT_INTERVAL
+    ys = apply_batch(outer, apply_batch(inner, xs, kind), kind)
+    return PiecewiseLinear(tuple(zip(xs.tolist(), ys.tolist())))
 
 
 def as_piecewise_linear(m: MapDescriptor) -> PiecewiseLinear | None:
@@ -397,17 +344,6 @@ def zero_slope_pieces(pl: PiecewiseLinear) -> list[tuple[float, float]]:
     return flat
 
 
-def _pl_eval_batch(pl: PiecewiseLinear, x: np.ndarray) -> np.ndarray:
-    """_pl_eval on an array, with the same formula and branches, so every
-    value is bit-identical (np.interp rounds differently)."""
-    xs, ys = pl._xs_array, pl._ys_array
-    i = np.searchsorted(xs, x, side="right") - 1
-    j = np.minimum(i, len(xs) - 2)
-    x0, y0 = xs[j], ys[j]
-    out = np.where(x == x0, y0, y0 + (ys[j + 1] - y0) * (x - x0) / (xs[j + 1] - x0))
-    return np.where(i >= len(xs) - 1, ys[-1], out)
-
-
 def _first_equal(vals: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per row, the first entry equal to target: Python's min and max keep
     the first of tied values, which decides the sign of a zero."""
@@ -418,20 +354,26 @@ def _first_equal(vals: np.ndarray, target: np.ndarray) -> np.ndarray:
 def pl_image_batch(
     pl: PiecewiseLinear, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact image intervals of [lo[i], hi[i]] under a continuous PL map.
+    """Image intervals of [lo[i], hi[i]] under a continuous PL map: the least
+    and greatest value its one rule takes on the floats of each interval.
 
-    Each image spans the values at both ends and at the breakpoints strictly
-    inside.
+    The rule is monotone on each piece, so each image spans the values at
+    both ends, at the breakpoints strictly inside, and at the float just
+    below each breakpoint inside or at the top end.
     """
-    ends = _pl_eval_batch(pl, np.stack([lo, hi], axis=1))
-    inside = (lo[:, None] < pl._xs_array) & (pl._xs_array < hi[:, None])
-    lows = np.concatenate([ends, np.where(inside, pl._ys_array, np.inf)], axis=1)
-    highs = np.concatenate([ends, np.where(inside, pl._ys_array, -np.inf)], axis=1)
+    xs = pl._xs_array
+    ends = np.interp(np.stack([lo, hi], axis=1), xs, pl._ys_array)
+    reached = np.concatenate(
+        [(lo[:, None] < xs) & (xs < hi[:, None]), (lo[:, None] < xs[1:]) & (xs[1:] <= hi[:, None])],
+        axis=1,
+    )
+    lows = np.concatenate([ends, np.where(reached, pl._piece_ends, np.inf)], axis=1)
+    highs = np.concatenate([ends, np.where(reached, pl._piece_ends, -np.inf)], axis=1)
     return _first_equal(lows, lows.min(axis=1)), _first_equal(highs, highs.max(axis=1))
 
 
 def pl_image(pl: PiecewiseLinear, lo: float, hi: float) -> tuple[float, float]:
-    """Exact image interval of [lo, hi] under a continuous PL map."""
+    """Image interval of [lo, hi] under a continuous PL map, as pl_image_batch."""
     lows, highs = pl_image_batch(pl, np.array([lo]), np.array([hi]))
     return (float(lows[0]), float(highs[0]))
 
@@ -490,21 +432,28 @@ def descriptor_to_json(m: MapDescriptor) -> dict:
 
 
 def descriptor_from_json(doc: dict) -> MapDescriptor:
+    """The descriptor a document describes; a field of the wrong type or
+    shape raises SpaceError naming the descriptor type."""
     t = doc["type"]
-    if t == "rotation":
-        return Rotation(float(doc["amount"]))
-    if t == "affine_circle":
-        return AffineCircle(int(doc["slope"]), float(doc["offset"]))
-    if t == "piecewise_linear":
-        return PiecewiseLinear(tuple((float(x), float(y)) for x, y in doc["breakpoints"]))
-    if t == "lookup":
-        return Lookup(tuple(float(v) for v in doc["values"]), doc.get("rule", "linear"))
-    if t == "odometer_add":
-        return OdometerAdd()
-    if t == "delete":
-        return Delete(int(doc["index"]))
-    if t == "compose":
-        return Compose(descriptor_from_json(doc["outer"]), descriptor_from_json(doc["inner"]))
+    try:
+        if t == "rotation":
+            return Rotation(float(doc["amount"]))
+        if t == "affine_circle":
+            return AffineCircle(int(doc["slope"]), float(doc["offset"]))
+        if t == "piecewise_linear":
+            return PiecewiseLinear(tuple((float(x), float(y)) for x, y in doc["breakpoints"]))
+        if t == "lookup":
+            return Lookup(tuple(float(v) for v in doc["values"]), doc.get("rule", "linear"))
+        if t == "odometer_add":
+            return OdometerAdd()
+        if t == "delete":
+            return Delete(int(doc["index"]))
+        if t == "compose":
+            return Compose(descriptor_from_json(doc["outer"]), descriptor_from_json(doc["inner"]))
+    except SpaceError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise SpaceError(f"malformed {t!r} descriptor: {exc}") from exc
     raise SpaceError(f"unknown descriptor type: {t!r}")
 
 
@@ -536,16 +485,19 @@ def sup_metric(space: PhaseSpace, g: MapDescriptor, h: MapDescriptor, grid_resol
         cg, ch = circle_canonical(g), circle_canonical(h)
         if cg is not None and ch is not None:
             if cg[0] == ch[0]:
-                return SupEstimate(circle_distance(cg[1], ch[1]), True)
+                gap = coord_distances(space.kind, np.array(cg[1]), np.array(ch[1]))
+                return SupEstimate(float(gap), True)
             # differing integer slopes: the pointwise gap sweeps the whole
             # circle, so the supremum is the diameter
             return SupEstimate(math.pi, True)
     elif space.kind is SpaceKind.UNIT_INTERVAL:
         pg, ph = as_piecewise_linear(g), as_piecewise_linear(h)
         if pg is not None and ph is not None:
-            nodes = sorted(set(pg.xs) | set(ph.xs))
-            val = max(abs(_pl_eval(pg, x) - _pl_eval(ph, x)) for x in nodes)
-            return SupEstimate(val, True)
+            nodes = np.array(sorted(set(pg.xs) | set(ph.xs)))
+            gaps = coord_distances(
+                space.kind, apply_batch(pg, nodes, space.kind), apply_batch(ph, nodes, space.kind)
+            )
+            return SupEstimate(float(gaps.max()), True)
 
     grid = point_coords(sample_grid(space, grid_resolution), space.kind)
     gaps = coord_distances(

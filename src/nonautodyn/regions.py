@@ -13,6 +13,11 @@ their row-0 arrays (arc starts and lengths, or interval lows and highs), and
 exact images is decided by the kernel alone: it returns None at the first
 step without one, and callers then fall back to sampling. Binary-sequence
 maps have no images here, so `ball_chains` returns None on that space.
+
+An interval image is what the map's one rule (`descriptors.apply_batch`)
+reaches on the region's floats, so a swept point stays in the images of its
+region; where that rule rounds a value out of [0, 1] by an ulp, the image
+ends leave it by as much.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .descriptors import (
+    Compose,
     MapDescriptor,
+    PiecewiseLinear,
     as_piecewise_linear,
     circle_canonical,
     pl_image_batch,
@@ -34,7 +41,6 @@ from .space import (
     CircleAngle,
     IntervalPoint,
     Point,
-    SpaceError,
     SpaceKind,
 )
 
@@ -106,6 +112,16 @@ def _step_arcs(
     return np.where(length >= TWO_PI, start, r), np.minimum(float(slope) * length, TWO_PI)
 
 
+def _pl_factors(m: MapDescriptor) -> tuple[PiecewiseLinear, ...] | None:
+    """The piecewise-linear maps an interval step applies, in order: a
+    composition is stepped through its operands, as a sweep steps it."""
+    if isinstance(m, Compose):
+        inner, outer = _pl_factors(m.inner), _pl_factors(m.outer)
+        return None if inner is None or outer is None else inner + outer
+    pl = as_piecewise_linear(m)
+    return None if pl is None else (pl,)
+
+
 def region_chains(
     kind: SpaceKind, a0: np.ndarray, b0: np.ndarray, steps: Sequence[MapDescriptor]
 ) -> RegionChains | None:
@@ -114,8 +130,10 @@ def region_chains(
 
     On the circle the starts are arc starts in [0, 2pi) and lengths capped
     at 2pi, on the unit interval lows and highs within [0, 1]. Each step is
-    flattened once for all regions. Returns None at the first step without
-    an exact image; that depends on the step alone, never on the regions.
+    flattened once for all regions: a circle step to one affine map, an
+    interval step to the piecewise-linear maps it applies in turn. Returns
+    None at the first step without an exact image; that depends on the step
+    alone, never on the regions.
     """
     arcs = kind is SpaceKind.CIRCLE
     a = np.empty((len(steps) + 1, len(a0)))
@@ -124,16 +142,15 @@ def region_chains(
     prev = flat = None
     for n, m in enumerate(steps, 1):
         if m is not prev:
-            prev, flat = m, circle_canonical(m) if arcs else as_piecewise_linear(m)
+            prev, flat = m, circle_canonical(m) if arcs else _pl_factors(m)
         if flat is None:
             return None
         if arcs:
             a[n], b[n] = _step_arcs(*flat, a[n - 1], b[n - 1])
         else:
-            a[n], b[n] = pl_image_batch(flat, a[n - 1], b[n - 1])
-            # rounding could leave [0, 1]
-            if a[n].min() < 0.0 or b[n].max() > 1.0:
-                raise SpaceError(f"bad interval regions {a[n]}, {b[n]} at step {n}")
+            a[n], b[n] = a[n - 1], b[n - 1]
+            for pl in flat:
+                a[n], b[n] = pl_image_batch(pl, a[n], b[n])
     return RegionChains(kind, a, b)
 
 

@@ -199,41 +199,17 @@ class DistanceInfo(NamedTuple):
     at_resolution_floor: bool
 
 
-def circle_distance(a: float, b: float) -> float:
-    """Geodesic arc distance between two reduced angles."""
-    d = abs(a - b)
-    if d > math.pi:
-        d = TWO_PI - d
-    return d
-
-
-def first_difference(x: BinaryWord, y: BinaryWord) -> int | None:
-    """1-based index of the first differing trusted coordinate, or None."""
-    n = min(x.effective_length, y.effective_length)
-    for i in range(n):
-        if x.bits[i] != y.bits[i]:
-            return i + 1
-    return None
-
-
 def distance_info(space: PhaseSpace, x: Point, y: Point) -> DistanceInfo:
-    """Metric with resolution accounting. See ``distance`` for the plain value."""
+    """Metric with resolution accounting, from ``coord_distances`` on the two
+    points; binary words agreeing on every shared trusted coordinate without
+    being identical are flagged. See ``distance`` for the plain value."""
     space.require(x, y)
-    if space.kind is SpaceKind.CIRCLE:
-        return DistanceInfo(circle_distance(x.theta, y.theta), False)
-    if space.kind is SpaceKind.UNIT_INTERVAL:
-        return DistanceInfo(abs(x.x - y.x), False)
-    # binary sequence space: d(x, y) = 1/k, k the first differing coordinate
-    if x.effective_length < 1 or y.effective_length < 1:
-        raise SpaceError("binary word without trusted coordinates")
-    k = first_difference(x, y)
-    if k is not None:
-        return DistanceInfo(1.0 / k, False)
-    n = min(x.effective_length, y.effective_length)
-    if x.bits == y.bits and x.effective_length == y.effective_length:
-        return DistanceInfo(0.0, False)
-    # agreement to full shared resolution: report the upper bound, flagged
-    return DistanceInfo(1.0 / n, True)
+    a, b = point_coords([x], space.kind), point_coords([y], space.kind)
+    value = float(coord_distances(space.kind, a, b)[0])
+    if space.kind is not SpaceKind.BINARY_SEQ or value == 0.0:
+        return DistanceInfo(value, False)
+    diff = (a["value"] ^ b["value"]) & low_bits(np.minimum(a["eff"], b["eff"]))
+    return DistanceInfo(value, not diff[0])
 
 
 def distance(space: PhaseSpace, x: Point, y: Point) -> float:
@@ -241,26 +217,13 @@ def distance(space: PhaseSpace, x: Point, y: Point) -> float:
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """max(sup_{x in a} inf_{y in b} d, sup_{y in b} inf_{x in a} d), brute force."""
+    """max(sup_{x in a} inf_{y in b} d, sup_{y in b} inf_{x in a} d), from
+    the distances of every pair."""
     if a.source_kind != b.source_kind:
         raise SpaceError("clouds from different spaces")
-    if a.source_kind is SpaceKind.CIRCLE:
-        space = PhaseSpace.circle()
-    elif a.source_kind is SpaceKind.UNIT_INTERVAL:
-        space = PhaseSpace.unit_interval()
-    else:
-        max_eff = max(p.effective_length for p in list(a) + list(b))
-        space = PhaseSpace.binary_seq(max_eff)
-
-    def one_sided(src: PointCloud, dst: PointCloud) -> float:
-        worst = 0.0
-        for p in src:
-            best = min(distance(space, p, q) for q in dst)
-            if best > worst:
-                worst = best
-        return worst
-
-    return max(one_sided(a, b), one_sided(b, a))
+    kind = a.source_kind
+    d = coord_distances(kind, point_coords(a, kind)[:, None], point_coords(b, kind))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def grid_size(space: PhaseSpace, resolution: int) -> int:
@@ -392,8 +355,8 @@ def coord_point(c, kind: SpaceKind) -> Point:
 
 
 def coord_distances(kind: SpaceKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise distances between broadcastable coordinate arrays, equal
-    to ``distance`` on the points they stand for."""
+    """Element-wise distances between broadcastable coordinate arrays: the
+    metric of each space, which ``distance`` reads for two points."""
     if kind is SpaceKind.BINARY_SEQ:
         cap = np.minimum(a["eff"], b["eff"])
         diff = (a["value"] ^ b["value"]) & low_bits(cap)

@@ -203,3 +203,14 @@ def test_preflight_counts_the_pair_table():
     with pytest.raises(SpaceError, match="pair table"):
         cfg.validate(space)
     dataclasses.replace(cfg, ball_count=2_000).validate(space)
+
+
+def test_preflight_counts_the_periodicity_sweep():
+    # 8 grid centers over ten steps keep every other table small; dense
+    # periodicity sweeps the 9 samples of every eps-ball over P*R+1 rows of
+    # 8-byte angles
+    space = CATALOG["alternating-rotation"].build_family().space
+    cfg = CheckConfig(grid_resolution=8, horizon=10, tail_window=5, repetitions=1)
+    cfg.validate(space)
+    with pytest.raises(SpaceError, match="budget"):
+        dataclasses.replace(cfg, max_period=MEMORY_BUDGET // (8 * 9 * 8)).validate(space)

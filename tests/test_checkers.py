@@ -557,8 +557,10 @@ def test_dense_periodicity_composes_each_window_once(monkeypatch):
 
 def test_dense_periodicity_sweeps_each_candidate_once(monkeypatch):
     # every identity window solves to the whole grid; the candidates keep
-    # one copy of each point, so a ball sweeps its one grid candidate and
-    # its ball samples (2,180 columns before, for 200 now)
+    # one copy of each point, so a ball pools its one grid candidate and its
+    # ball samples (2,180 columns before, for 200 now), and the pools of all
+    # balls take one sweep of their distinct points, where the candidate is
+    # the ball's center (20 sweeps of 10 columns before)
     spec = CATALOG["inverse-square-rotation"]
     widths = []
     sweep = checkers.orbit_matrix
@@ -566,7 +568,7 @@ def test_dense_periodicity_sweeps_each_candidate_once(monkeypatch):
         checkers, "orbit_matrix", lambda sys, c, *a: widths.append(len(c)) or sweep(sys, c, *a)
     )
     v = check_dense_periodicity(SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT), spec.check)
-    assert widths == [1 + spec.check.ball_count] * spec.check.grid_resolution
+    assert widths == [spec.check.ball_count * spec.check.grid_resolution]
     row = next(r for r in json.loads(golden_path(spec.label).read_text())["rows"]
                if r["property"] == "dense_periodicity")
     assert v.to_json() == row["verdict_limit"]

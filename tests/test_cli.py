@@ -122,6 +122,28 @@ def test_overlong_binary_word_is_config_error(tmp_path, capsys):
     assert "word_length=64" in capsys.readouterr().err
 
 
+# before, each of these limits raised a ValueError or TypeError traceback
+@pytest.mark.parametrize(
+    "limit",
+    [
+        {"type": "piecewise_linear", "breakpoints": [[0, "a"], [1, 0]]},
+        {"type": "piecewise_linear", "breakpoints": [[0, 0, 0], [1, 0, 1]]},
+        {"type": "lookup", "values": 5},
+    ],
+)
+def test_malformed_map_document_is_config_error(tmp_path, capsys, limit):
+    doc = {
+        "space": {"kind": "unit_interval"},
+        "family": {"custom": {"limit": limit}},
+        "check": {"horizon": 20, "grid_resolution": 4, "tail_window": 10},
+        "properties": ["sensitivity"],
+    }
+    path = tmp_path / "bad-map.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"malformed {limit['type']!r} descriptor" in capsys.readouterr().err
+
+
 def test_config_over_memory_budget_is_refused_before_any_work(monkeypatch, capsys):
     # 4,096 centers would ask for about 3.4 GB of hits; the hypothesis
     # profile is the first work a report does, so it must never start

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonautodyn.descriptors import (
     AffineCircle,
@@ -86,6 +88,49 @@ class TestApply:
     def test_wrong_space_rejected(self):
         with pytest.raises(SpaceError):
             apply(TENT, CircleAngle(0.3))
+
+
+def _ref_odometer(w: BinaryWord) -> BinaryWord:
+    """Add one with carry on the bit tuple: leading 1s flip to 0, the first 0
+    to 1, and a carry out of the last coordinate vanishes."""
+    bits = list(w.bits)
+    for i in range(len(bits)):
+        if bits[i] == 0:
+            bits[i] = 1
+            break
+        bits[i] = 0
+    return BinaryWord(tuple(bits), w.effective_length)
+
+
+def _ref_delete(index: int, w: BinaryWord) -> BinaryWord:
+    """Drop coordinate index of the bit tuple; beyond the trusted prefix the
+    word stays as it is."""
+    if index > w.effective_length:
+        return w
+    if w.effective_length <= 1:
+        raise ResolutionError("no coordinate left to delete")
+    return BinaryWord(w.bits[: index - 1] + w.bits[index:], w.effective_length - 1)
+
+
+@st.composite
+def _words(draw):
+    """Words of up to 63 coordinates, often trusted on a shorter prefix."""
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=63))
+    return BinaryWord(tuple(bits), draw(st.integers(1, len(bits))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words(), st.integers(1, 70))
+def test_binary_apply_matches_bit_tuple_rules(w, index):
+    assert apply(OdometerAdd(), w) == _ref_odometer(w)
+    try:
+        want = _ref_delete(index, w)
+    except ResolutionError:
+        with pytest.raises(ResolutionError):
+            apply(Delete(index), w)
+        return
+    assert apply(Delete(index), w) == want
+    assert apply(Compose(OdometerAdd(), Delete(index)), w) == _ref_odometer(want)
 
 
 class TestBatchEval:

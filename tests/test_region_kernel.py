@@ -2,14 +2,14 @@
 
 import bisect
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonautodyn.checkers import CheckConfig, Mode, SystemView, _ball_chains
+from nonautodyn.checkers import CheckConfig, Mode, SystemView, _ball_chains, orbit_matrix
 from nonautodyn.descriptors import (
     AffineCircle,
     Compose,
@@ -56,26 +56,29 @@ class ArcRegion:
 
 @dataclass(frozen=True)
 class IntervalRegion:
-    """A closed subinterval of [0, 1]."""
+    """A closed interval of [0, 1], whose ends may leave it by the rounding
+    a sweep of the same map makes."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi <= 1.0):
+        if not self.lo <= self.hi:
             raise SpaceError(f"bad interval region [{self.lo}, {self.hi}]")
 
 
 def _ref_pl_eval(pl, x):
-    xs, ys = pl.xs, pl.ys
+    """np.interp's rule: the last value at and past the last breakpoint, the
+    left end's value at a piece's left end, else the slope times the offset
+    from the left end, plus the left end's value."""
+    xs = [bx for bx, _ in pl.breakpoints]
     i = bisect.bisect_right(xs, x) - 1
     if i >= len(xs) - 1:
-        return ys[-1]
-    x0, y0 = xs[i], ys[i]
-    x1, y1 = xs[i + 1], ys[i + 1]
+        return pl.breakpoints[-1][1]
+    (x0, y0), (x1, y1) = pl.breakpoints[i], pl.breakpoints[i + 1]
     if x == x0:
         return y0
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return ((y1 - y0) / (x1 - x0)) * (x - x0) + y0
 
 
 def _ref_step(region, m):
@@ -87,6 +90,10 @@ def _ref_step(region, m):
         if region.full:
             return region
         return ArcRegion(slope * region.start + offset, slope * region.length)
+    if isinstance(m, Compose):
+        # the inner step's image, then the outer step's, as a sweep applies them
+        inner = _ref_step(region, m.inner)
+        return None if inner is None else _ref_step(inner, m.outer)
     pl = as_piecewise_linear(m)
     if pl is None:
         return None
@@ -94,6 +101,11 @@ def _ref_step(region, m):
     for x, y in pl.breakpoints:
         if region.lo < x < region.hi:
             vals.append(y)
+    # the rule is monotone on each piece, and a piece reaching a breakpoint
+    # inside or at hi ends at the float just below it
+    for x, _ in pl.breakpoints[1:]:
+        if region.lo < x <= region.hi:
+            vals.append(_ref_pl_eval(pl, math.nextafter(x, -math.inf)))
     return IntervalRegion(min(vals), max(vals))
 
 
@@ -115,17 +127,12 @@ def _chains(starts, steps):
 
 
 def _assert_matches_reference(starts, steps):
-    try:
-        ref = [[r] for r in starts]
-        for m in steps:
-            for chain in ref:
-                chain.append(_ref_step(chain[-1], m))
-            if any(chain[-1] is None for chain in ref):
-                break
-    except SpaceError:
-        with pytest.raises(SpaceError):
-            _chains(starts, steps)
-        return
+    ref = [[r] for r in starts]
+    for m in steps:
+        for chain in ref:
+            chain.append(_ref_step(chain[-1], m))
+        if any(chain[-1] is None for chain in ref):
+            break
     chains = _chains(starts, steps)
     if any(chain[-1] is None for chain in ref):
         assert chains is None
@@ -200,6 +207,41 @@ def test_arc_chains_match_reference(starts, steps):
 @given(st.lists(intervals(), min_size=1, max_size=6), st.lists(interval_step, max_size=8))
 def test_interval_chains_match_reference(starts, steps):
     _assert_matches_reference(starts, steps)
+
+
+def _interval_points(region, pl):
+    """Points of the region: its ends, an even spread, and each breakpoint of
+    pl strictly inside with the floats next to it."""
+    lo, hi = region.lo, region.hi
+    inside = [x for x, _ in pl.breakpoints if lo < x < hi]
+    near = np.nextafter(inside, [[-np.inf], [np.inf]]) if inside else []
+    pts = np.concatenate([np.linspace(lo, hi, 17), inside, np.ravel(near)])
+    return np.clip(pts, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(intervals(), min_size=1, max_size=4),
+       st.lists(interval_step, min_size=1, max_size=6))
+# swept images one ulp outside the region images: region ends evaluated by
+# another rule than swept points, a piece rounding past its right breakpoint's
+# value just below it, and a composition's image taken from its flattened map
+# where a sweep applies the operands in turn
+@example([IntervalRegion(0.65, 0.67)], [PiecewiseLinear(((0.0, 0.42), (0.3, 0.03), (1.0, 0.12)))])
+@example([IntervalRegion(0.0, 1.0)], [PiecewiseLinear(
+    ((0.0, 1.0), (0.875, 0.35978018897009717), (1.0, 0.35978018897009717))
+)])
+@example([IntervalRegion(0.02, 0.87)], [Compose(
+    PiecewiseLinear(((0.0, 0.27), (0.56, 0.88), (1.0, 0.06))),
+    PiecewiseLinear(((0.0, 0.87), (0.68, 0.23), (1.0, 0.9))),
+)])
+def test_swept_points_stay_in_their_region_chains(starts, steps):
+    chains = _chains(starts, steps)
+    fam = MapFamily(PhaseSpace.unit_interval(), lambda n: steps[n - 1], steps[-1], "drawn")
+    sys = SystemView(fam, Mode.NON_AUTONOMOUS)
+    first = as_piecewise_linear(steps[0])
+    for j, region in enumerate(starts):
+        rows = orbit_matrix(sys, _interval_points(region, first), len(steps))
+        assert (chains.a[:, j, None] <= rows).all() and (rows <= chains.b[:, j, None]).all()
 
 
 def test_arcs_through_zero_and_to_full():

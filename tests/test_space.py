@@ -102,6 +102,7 @@ def test_binary_triangle_inequality(a, b, c):
 def test_circle_distance_symmetric_and_zero_on_self(a, b):
     x, y = CircleAngle(a), CircleAngle(b)
     assert distance(CIRCLE, x, y) == distance(CIRCLE, y, x)
+    assert distance(CIRCLE, x, y) == _ref_circle_distance(x.theta, y.theta)
     assert distance(CIRCLE, x, x) == 0.0
 
 
@@ -209,15 +210,34 @@ def _word_pair(draw):
     return x, BinaryWord(x.bits[:keep] + tuple(rest), draw(st.integers(1, length)))
 
 
+def _first_difference(x: BinaryWord, y: BinaryWord) -> int | None:
+    """1-based index of the first differing trusted coordinate, or None."""
+    n = min(x.effective_length, y.effective_length)
+    return next((i + 1 for i in range(n) if x.bits[i] != y.bits[i]), None)
+
+
+def _ref_distance_info(x: BinaryWord, y: BinaryWord) -> tuple[float, bool]:
+    """d(x, y) = 1/k for the first differing coordinate k; identical words are
+    at 0, and words agreeing to their shared resolution n at 1/n, flagged."""
+    k = _first_difference(x, y)
+    if k is not None:
+        return 1.0 / k, False
+    if x == y:
+        return 0.0, False
+    return 1.0 / min(x.effective_length, y.effective_length), True
+
+
 @settings(max_examples=400, deadline=None)
 @given(_word_pair())
 def test_packed_distance_matches_scalar_distance(pair):
     x, y = pair
     space = PhaseSpace.binary_seq(63)
     a, b = point_coords([x], SpaceKind.BINARY_SEQ), point_coords([y], SpaceKind.BINARY_SEQ)
-    want = distance_info(space, x, y).value
-    assert float(coord_distances(SpaceKind.BINARY_SEQ, a, b)[0]) == want
-    assert float(coord_distances(SpaceKind.BINARY_SEQ, b, a)[0]) == want
+    value, floor = _ref_distance_info(x, y)
+    assert distance_info(space, x, y) == (value, floor)
+    assert distance_info(space, y, x) == (value, floor)
+    assert float(coord_distances(SpaceKind.BINARY_SEQ, a, b)[0]) == value
+    assert float(coord_distances(SpaceKind.BINARY_SEQ, b, a)[0]) == value
     assert coord_point(a[0], SpaceKind.BINARY_SEQ) == x
 
 
@@ -234,10 +254,21 @@ def test_packed_distance_resolves_every_coordinate():
     assert got.tolist() == [0.0] + [1.0 / k for k in range(1, 64)]
 
 
+def _ref_circle_distance(a: float, b: float) -> float:
+    """Geodesic arc distance between two reduced angles."""
+    d = abs(a - b)
+    return TWO_PI - d if d > math.pi else d
+
+
 def test_continuum_coordinate_distances_match_scalar():
     angles = [CircleAngle(t) for t in (0.0, 1.0, math.pi, 4.0, TWO_PI - 1e-9)]
     xs = [IntervalPoint(v) for v in (0.0, 0.3, 1.0)]
-    for space, pts in ((CIRCLE, angles), (INTERVAL, xs)):
+    for space, pts, ref in (
+        (CIRCLE, angles, lambda p, q: _ref_circle_distance(p.theta, q.theta)),
+        (INTERVAL, xs, lambda p, q: abs(p.x - q.x)),
+    ):
         c = point_coords(pts, space.kind)
         got = coord_distances(space.kind, c[:, None], c)
-        assert got.tolist() == [[distance(space, p, q) for q in pts] for p in pts]
+        want = [[ref(p, q) for q in pts] for p in pts]
+        assert got.tolist() == want
+        assert [[distance(space, p, q) for q in pts] for p in pts] == want
