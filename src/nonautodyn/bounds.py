@@ -22,7 +22,15 @@ import numpy as np
 
 from .family import MapFamily, isometry_shrinking_check, term
 from .orbit import Mode, SystemView, orbit_matrix
-from .space import Point, SpaceError, coord_distances, point_coords, point_to_json, sample_grid
+from .space import (
+    Point,
+    SpaceError,
+    coord_distances,
+    coord_point,
+    grid_coords,
+    point_coords,
+    point_to_json,
+)
 
 
 class HypothesisNotMetError(SpaceError):
@@ -207,7 +215,7 @@ def collective_convergence_profile(
     """
     if n_max < 1 or k_max < 1:
         raise SpaceError("profile needs n_max >= 1 and k_max >= 1")
-    coords = point_coords(sample_grid(fam.space, grid_resolution), fam.space.kind)
+    coords = grid_coords(fam.space, grid_resolution)
     sys_F, sys_f = _views(fam)
     ledger = BoundLedger.for_family(fam, n_max + k_max)
     n_values = tuple(range(1, n_max + 1))
@@ -259,10 +267,10 @@ def isometry_bound_check(
         raise SpaceError("isometry bound check needs k >= 1 and n >= 0")
     if ledger is None:
         ledger = BoundLedger.for_family(fam, n + k)
-    grid = list(sample_grid(fam.space, grid_resolution))
-    gaps = _window_gaps(*_views(fam), point_coords(grid, fam.space.kind), n, k)[k]
+    grid = grid_coords(fam.space, grid_resolution)
+    gaps = _window_gaps(*_views(fam), grid, n, k)[k]
     worst = int(gaps.argmax())
-    return _record(grid[worst], n, k, float(gaps[worst]), ledger, tol)
+    return _record(coord_point(grid[worst], fam.space.kind), n, k, float(gaps[worst]), ledger, tol)
 
 
 def deviation_series(

@@ -26,7 +26,6 @@ from .descriptors import (
     MapDescriptor,
     PiecewiseLinear,
     Rotation,
-    apply,
     apply_batch,
     circle_canonical,
     circle_map_fixed_points,
@@ -37,22 +36,18 @@ from .orbit import Mode, SystemView, orbit_matrix
 from .regions import RegionChains, ball_chains
 from .space import (
     TWO_PI,
-    BinaryWord,
-    CircleAngle,
-    IntervalPoint,
     MAX_WORD_BITS,
     PhaseSpace,
     Point,
     SpaceError,
     SpaceKind,
-    ball_sample,
+    ball_coords,
+    canonical_coord,
     coord_distances,
-    coord_point,
-    distance,
+    coord_to_json,
+    grid_coords,
     grid_size,
     point_coords,
-    point_to_json,
-    sample_grid,
 )
 from .verdict import Verdict
 
@@ -152,7 +147,7 @@ def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
     config's shapes alone."""
     G = grid_size(space, cfg.grid_resolution)
     itemsize = point_coords([], space.kind).itemsize
-    points = G * len(_sens_rungs(space, cfg)) * cfg.ball_count
+    points = G * len(_rungs(space, cfg, 0.25, 3)) * cfg.ball_count
     # each ball pool starts with its center, so the grid is among the pool points
     pair_codes = G * min(cfg.ball_count, _PAIR_POOL) * G * cfg.ball_count
     periods = (cfg.max_period * cfg.repetitions + 1) * G * cfg.ball_count
@@ -162,51 +157,40 @@ def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def grid_points(space: PhaseSpace, cfg: CheckConfig) -> list[Point]:
-    """Checker grid; binary words are padded to full length with zeros so
-    orbits keep enough resolution for the horizon."""
-    pts = list(sample_grid(space, cfg.grid_resolution))
+def checker_grid(space: PhaseSpace, cfg: CheckConfig) -> np.ndarray:
+    """Coordinates of the checker grid; binary words take the space's word
+    length, zeros past the grid's coordinates, so orbits keep enough
+    resolution for the horizon."""
+    grid = grid_coords(space, cfg.grid_resolution)
     if space.kind is SpaceKind.BINARY_SEQ:
-        L = space.word_length
-        pts = [
-            BinaryWord(p.bits + (0,) * (L - len(p.bits)), L) if len(p.bits) < L else p
-            for p in pts
-        ]
-    return pts
+        grid["length"] = grid["eff"] = space.word_length
+    return grid
 
 
 def _sweep_groups(
-    sys: SystemView, groups: list[list[Point]], horizon: int
+    sys: SystemView, groups: list[np.ndarray], horizon: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One orbit sweep over the distinct start points of several groups.
+    """One orbit sweep over the distinct start coordinates of several groups.
 
     Returns the orbit matrix and, for each group, the column of each of its
     points. Starts are deduplicated by their exact bytes, so 0.0 and -0.0
     keep separate columns. Element-wise maps make every column bit-identical
     to a sweep of that start alone.
     """
-    coords = point_coords([p for g in groups for p in g], sys.space.kind)
+    coords = np.concatenate(groups)
     _, first, inverse = np.unique(
         coords.view(f"V{coords.dtype.itemsize}"), return_index=True, return_inverse=True
     )
     orbits = orbit_matrix(sys, coords[first], horizon)
-    inverse = inverse.reshape(-1)
-    cols, lo = [], 0
-    for g in groups:
-        cols.append(inverse[lo : lo + len(g)])
-        lo += len(g)
-    return orbits, cols
+    return orbits, np.split(inverse.reshape(-1), np.cumsum([len(g) for g in groups])[:-1])
 
 
 def _ball_chains(
-    sys: SystemView, balls: list[tuple[Point, float]], horizon: int
+    sys: SystemView, centers: np.ndarray, radii: np.ndarray, horizon: int
 ) -> RegionChains | None:
-    """Region chains of the (center, radius) balls through steps 1..horizon;
-    None when some step has no exact region image."""
-    kind = sys.space.kind
-    centers = point_coords([c for c, _ in balls], kind)
-    radii = np.array([r for _, r in balls])
-    return ball_chains(kind, centers, radii, sys.steps(horizon)[1 : horizon + 1])
+    """Region chains of the balls around the center coordinates through
+    steps 1..horizon; None when some step has no exact region image."""
+    return ball_chains(sys.space.kind, centers, radii, sys.steps(horizon)[1 : horizon + 1])
 
 
 def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
@@ -216,10 +200,11 @@ def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
     return coord_distances(kind, orbits[:, i], orbits[:, j]).max(axis=1, initial=0.0)
 
 
-def _sens_rungs(space: PhaseSpace, cfg: CheckConfig) -> list[float]:
-    rungs = [cfg.eps, cfg.eps / 4.0, cfg.eps / 16.0]
+def _rungs(space: PhaseSpace, cfg: CheckConfig, ratio: float, count: int) -> list[float]:
+    """The radii eps * ratio**i, i < count, that the space resolves: binary
+    words see radii above 1/word_length, and validate keeps eps resolvable."""
+    rungs = [cfg.eps * ratio**i for i in range(count)]
     if space.kind is SpaceKind.BINARY_SEQ:
-        # validate keeps eps, the largest rung, resolvable
         rungs = [r for r in rungs if r > 1.0 / space.word_length]
     return rungs
 
@@ -247,23 +232,19 @@ def _rotation_displacements(sys: SystemView, horizon: int) -> tuple[np.ndarray, 
 
 
 def _confinement_gaps(
-    sys: SystemView, horizon: int, source: Point, target: Point
+    sys: SystemView, horizon: int, source: float, target: float
 ) -> tuple[float, float, float] | None:
     """Displacement confinement of a rotation system: how close the orbit
-    of source comes to target. Returns the least gap up to the horizon, a
-    lower bound on every later gap, and the displacement tail bound; None
-    unless _rotation_displacements confines the displacement."""
+    of angle source comes to angle target. Returns the least gap up to the
+    horizon, a lower bound on every later gap, and the displacement tail
+    bound; None unless _rotation_displacements confines the displacement."""
     conf = _rotation_displacements(sys, horizon)
     if conf is None:
         return None
     disp, tail = conf
-    base = target.theta - source.theta
+    base = target - source
     gaps = coord_distances(SpaceKind.CIRCLE, np.mod(base - disp, TWO_PI), np.zeros(1))
     return float(gaps.min()), max(0.0, float(gaps[-1]) - tail), tail
-
-
-def _ball_points(space: PhaseSpace, center: Point, radius: float, count: int) -> list[Point]:
-    return list(ball_sample(space, center, radius, count))
 
 
 def _cached(sys: SystemView, key: tuple, build):
@@ -277,20 +258,20 @@ def _cached(sys: SystemView, key: tuple, build):
 @dataclass
 class _BallEvidence:
     """How the grid balls move, for one view and config. Ball k = u * R + i
-    is grid center u with rung i of _sens_rungs, so ball u * R is the
-    eps-ball around u. It has the diameter series diams[k] for n = 0..N and
-    a collapse step and point (region chains only). The eps-balls alone have
+    is grid center u with rung i of _rungs, so ball u * R is the eps-ball
+    around u. It has the diameter series diams[k] for n = 0..N and a
+    collapse step and point (region chains only). The eps-balls alone have
     hits[u, v, n], image n of ball u within eps of center v, and defects[u, n],
     how far image n of ball u is from covering the grid."""
 
-    centers: list[Point]
-    balls: list[tuple[Point, float]]
+    centers: np.ndarray  # coordinates, shape (G,)
+    balls: list[tuple[np.ndarray, float]]
     diams: np.ndarray  # float, shape (G * R, N+1)
-    collapses: list[tuple[int, Point] | None]
+    collapses: list[tuple[int, float] | None]
     hits: np.ndarray  # bool, shape (G, G, N+1)
     defects: np.ndarray  # float, shape (G, N+1)
 
-    def collapse(self, u: int) -> tuple[int, Point] | None:
+    def collapse(self, u: int) -> tuple[int, float] | None:
         """Collapse of the eps-ball around center u."""
         return self.collapses[u * (len(self.balls) // len(self.centers))]
 
@@ -303,33 +284,33 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     """One region chain or one orbit sweep over every ball; only the arrays
     derived from it are kept."""
     kind, N = sys.space.kind, cfg.horizon
-    centers = grid_points(sys.space, cfg)
-    balls = [(c, r) for c in centers for r in _sens_rungs(sys.space, cfg)]
-    eps_balls = slice(None, None, len(balls) // len(centers))  # the first rung is eps
-    coords = point_coords(centers, kind)
-    hits = np.zeros((len(centers), len(centers), N + 1), dtype=bool)
+    centers = checker_grid(sys.space, cfg)
+    rungs = _rungs(sys.space, cfg, 0.25, 3)
+    G, R = len(centers), len(rungs)
+    balls = [(c, r) for c in centers for r in rungs]
+    hits = np.zeros((G, G, N + 1), dtype=bool)
 
-    chains = _ball_chains(sys, balls, N)
+    chains = _ball_chains(sys, np.repeat(centers, R), np.tile(rungs, G), N)
     if chains is not None:
-        for u, j in enumerate(range(len(balls))[eps_balls]):
-            hits[u] = (chains.distances(j, coords) < cfg.eps).T
+        for u in range(G):
+            hits[u] = (chains.distances(u * R, centers) < cfg.eps).T
         return _BallEvidence(
             centers, balls, np.ascontiguousarray(chains.diameters().T),
-            [chains.collapse(j) for j in range(len(balls))], hits,
-            np.ascontiguousarray(chains.covering_defects()[:, eps_balls].T),
+            [chains.collapse(k) for k in range(G * R)], hits,
+            np.ascontiguousarray(chains.covering_defects()[:, ::R].T),
         )
 
-    clouds = [_ball_points(sys.space, c, r, cfg.ball_count) for c, r in balls]
-    orbits, cols = _sweep_groups(sys, clouds, N)
-    full = point_coords(sample_grid(sys.space, cfg.grid_resolution), kind)
-    defects = np.empty((len(centers), N + 1))
-    for u, idx in enumerate(cols[eps_balls]):
+    per_rung = [ball_coords(sys.space, centers, r, cfg.ball_count) for r in rungs]
+    orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
+    full = grid_coords(sys.space, cfg.grid_resolution)
+    defects = np.empty((G, N + 1))
+    for u, idx in enumerate(cols[::R]):  # the first rung is eps
         cloud = orbits[:, idx]
-        hits[u] = (coord_distances(kind, cloud[:, :, None], coords).min(axis=1) < cfg.eps).T
+        hits[u] = (coord_distances(kind, cloud[:, :, None], centers).min(axis=1) < cfg.eps).T
         # per time row: the grid point farthest from its nearest cloud point
         defects[u] = coord_distances(kind, cloud[:, None], full[:, None]).min(axis=2).max(axis=1)
     diams = np.array([_cloud_diam_series(kind, orbits[:, idx]) for idx in cols])
-    return _BallEvidence(centers, balls, diams, [None] * len(balls), hits, defects)
+    return _BallEvidence(centers, balls, diams, [None] * (G * R), hits, defects)
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +322,26 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     cfg.validate(sys.space)
     space = sys.space
     N = cfg.horizon
-    base = min(cfg.eps, cfg.delta)
-    rungs = [base / 2.0**i for i in range(5)]
-    if space.kind is SpaceKind.BINARY_SEQ:
-        # validate keeps eps, the largest rung, resolvable
-        rungs = [r for r in rungs if r > 1.0 / space.word_length]
-    centers = grid_points(space, cfg)
+    rungs = _rungs(space, cfg, 0.5, 5)
+    centers = checker_grid(space, cfg)
 
-    worst_for_smallest: tuple[Point, Point, int, float] | None = None
+    worst_for_smallest: tuple[np.ndarray, np.ndarray, int, float] | None = None
     for rung in rungs:
         worst_sep = 0.0
-        worst_pair: tuple[Point, Point, int] | None = None
+        worst_pair: tuple[np.ndarray, np.ndarray, int] | None = None
+        # each ball's samples: its center, then its partners
         groups = [
-            [c] + partners
-            for c in centers
-            if (partners := [p for p in _ball_points(space, c, rung, cfg.ball_count) if p != c])
+            (u, g) for u, g in enumerate(ball_coords(space, centers, rung, cfg.ball_count))
+            if len(g) > 1
         ]
         if groups:
-            orbits, cols = _sweep_groups(sys, groups, N)
-            for (c, *partners), idx in zip(groups, cols):
+            orbits, cols = _sweep_groups(sys, [g for _, g in groups], N)
+            for (u, g), idx in zip(groups, cols):
                 seps = coord_distances(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
                 flat = int(np.argmax(seps))
                 t, j = divmod(flat, seps.shape[1])
                 if seps[t, j] > worst_sep:
-                    worst_sep, worst_pair = float(seps[t, j]), (c, partners[j], t)
+                    worst_sep, worst_pair = float(seps[t, j]), (centers[u], g[j + 1], t)
         if worst_sep <= cfg.eps:
             return V.holds(
                 {"delta_prime": rung, "max_separation": worst_sep, "horizon": N},
@@ -378,7 +355,7 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         x, y, t, sep = worst_for_smallest
         return V.refuted(
             {
-                "pair": [point_to_json(x), point_to_json(y)],
+                "pair": [coord_to_json(x, space.kind), coord_to_json(y, space.kind)],
                 "time": t,
                 "separation": sep,
                 "delta_floor": rungs[-1],
@@ -393,6 +370,7 @@ def _refute_balls(
 ) -> Verdict | None:
     """Symbolic refutation from the first of the failing balls whose diameter
     provably never clears delta."""
+    kind = sys.space.kind
     for k in failing:
         (center, radius), series, collapse = ev.balls[k], ev.diams[k], ev.collapses[k]
         if float(np.max(series[1:])) > cfg.delta - cfg.tol:
@@ -402,7 +380,7 @@ def _refute_balls(
             if _constant_after_collapse(sys, p, cfg.horizon):
                 return V.refuted(
                     {
-                        "ball_center": point_to_json(center),
+                        "ball_center": coord_to_json(center, kind),
                         "radius": radius,
                         "collapse_step": step,
                         "max_diameter": float(np.max(series)),
@@ -412,7 +390,7 @@ def _refute_balls(
         if sys.steps_isometric:
             return V.refuted(
                 {
-                    "ball_center": point_to_json(center),
+                    "ball_center": coord_to_json(center, kind),
                     "radius": radius,
                     "max_diameter": float(np.max(series)),
                     "rule": "isometric-steps",
@@ -422,7 +400,7 @@ def _refute_balls(
     return None
 
 
-def _constant_after_collapse(sys: SystemView, p: Point, horizon: int) -> bool:
+def _constant_after_collapse(sys: SystemView, p: float, horizon: int) -> bool:
     """True when the point p a region chain collapsed to provably stays put.
 
     The chain already witnesses collapse up to the horizon; forever needs
@@ -432,19 +410,21 @@ def _constant_after_collapse(sys: SystemView, p: Point, horizon: int) -> bool:
     cutoff = sys.constant_tail_from()
     if cutoff is None or horizon < cutoff - 1:
         return False
-    return apply(sys.fam.limit, p) == p
+    kind = sys.space.kind
+    return canonical_coord(apply_batch(sys.fam.limit, np.array([p]), kind)[0], kind) == p
 
 
 def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every grid point, every ladder radius: some time with ball diameter > delta."""
     cfg.validate(sys.space)
+    kind = sys.space.kind
     ev = _ball_evidence(sys, cfg)
     separated = ev.diams[:, 1:] > cfg.delta
     failing = np.flatnonzero(~separated.any(axis=1))
     if not failing.size:
         first = separated.argmax(axis=1) + 1
         times = [
-            {"center": point_to_json(c), "radius": r, "separation_time": int(t)}
+            {"center": coord_to_json(c, kind), "radius": r, "separation_time": int(t)}
             for (c, r), t in zip(ev.balls, first)
         ]
         worst = int(first.max())
@@ -458,7 +438,7 @@ def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     c, r = ev.balls[failing[0]]
     return V.inconclusive(
         {
-            "ball_center": point_to_json(c),
+            "ball_center": coord_to_json(c, kind),
             "radius": r,
             "max_diameter": float(np.max(ev.diams[failing[0]])),
             "horizon": cfg.horizon,
@@ -471,7 +451,7 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Sensitivity with persistence: diameters stay above delta from some
     K <= horizon/2 onward, for every sampled ball."""
     cfg.validate(sys.space)
-    N = cfg.horizon
+    N, kind = cfg.horizon, sys.space.kind
     ev = _ball_evidence(sys, cfg)
     # K is one past the last diameter of at most delta, found backwards
     below = ev.diams[:, ::-1] <= cfg.delta
@@ -479,7 +459,8 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     failing = np.flatnonzero(K > N // 2)
     if not failing.size:
         entries = [
-            {"center": point_to_json(c), "radius": r, "K": int(k)} for (c, r), k in zip(ev.balls, K)
+            {"center": coord_to_json(c, kind), "radius": r, "K": int(k)}
+            for (c, r), k in zip(ev.balls, K)
         ]
         worst = int(K.max())
         return V.holds(
@@ -491,7 +472,7 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         return refutation
     c, r = ev.balls[failing[0]]
     return V.inconclusive(
-        {"ball_center": point_to_json(c), "radius": r, "horizon": N},
+        {"ball_center": coord_to_json(c, kind), "radius": r, "horizon": N},
         "no persistent spreading found and no symbolic rule applies",
     )
 
@@ -504,18 +485,18 @@ def _prove_pair_miss(
 ) -> dict | None:
     """Proof that the eps-ball around center u can never meet the eps-ball
     around center v."""
-    uc, vc = ev.centers[u], ev.centers[v]
+    kind, uc, vc = sys.space.kind, ev.centers[u], ev.centers[v]
     # collapse rule: the ball degenerates to an eventually fixed point
     collapse = ev.collapse(u)
     if collapse is not None:
         step, p = collapse
         if _constant_after_collapse(sys, p, cfg.horizon):
-            gap = distance(sys.space, p, vc)
+            gap = float(coord_distances(kind, np.array([p]), vc)[0])
             if gap >= cfg.eps:
                 return {
                     "rule": "collapse",
                     "collapse_step": step,
-                    "stuck_at": point_to_json(p),
+                    "stuck_at": coord_to_json(p, kind),
                     "gap": gap,
                 }
     # displacement confinement for rotation families with a summable tail
@@ -531,6 +512,7 @@ def _prove_pair_miss(
 def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Every ordered pair of grid balls interacts at some time <= horizon."""
     cfg.validate(sys.space)
+    kind = sys.space.kind
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
     any_hits = ev.hits[:, :, 1:].any(axis=2)
@@ -550,8 +532,8 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         if proof is not None:
             return V.refuted(
                 {
-                    "from_center": point_to_json(ev.centers[u]),
-                    "to_center": point_to_json(ev.centers[v]),
+                    "from_center": coord_to_json(ev.centers[u], kind),
+                    "to_center": coord_to_json(ev.centers[v], kind),
                     **proof,
                 },
                 "a ball provably never reaches a target ball",
@@ -559,7 +541,7 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     return V.inconclusive(
         {
             "missed_pairs": [
-                [point_to_json(ev.centers[u]), point_to_json(ev.centers[v])]
+                [coord_to_json(ev.centers[u], kind), coord_to_json(ev.centers[v], kind)]
                 for u, v in missed[:8]
             ],
             "missed_count": len(missed),
@@ -584,10 +566,8 @@ def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     u1, v1 = divmod(p1, G)
     u2, v2 = divmod(p2, G)
     quad = {
-        "U1": point_to_json(ev.centers[u1]),
-        "V1": point_to_json(ev.centers[v1]),
-        "U2": point_to_json(ev.centers[u2]),
-        "V2": point_to_json(ev.centers[v2]),
+        name: coord_to_json(ev.centers[u], sys.space.kind)
+        for name, u in (("U1", u1), ("V1", v1), ("U2", u2), ("V2", v2))
     }
     for u, v in ((u1, v1), (u2, v2)):
         proof = _prove_pair_miss(sys, cfg, ev, u, v)
@@ -633,20 +613,19 @@ def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, ev: _BallEvide
     """A quadruple whose source/target spacings differ too much for any
     isometry to reconcile: take sources at maximal spacing and targets at
     minimal spacing."""
-    centers = ev.centers
+    centers, kind = ev.centers, sys.space.kind
     G = len(centers)
     slack = 2.0 * (cfg.eps + cfg.eps) + cfg.tol
-    coords = point_coords(centers, sys.space.kind)
-    dmat = coord_distances(sys.space.kind, coords[:, None], coords)
+    dmat = coord_distances(kind, centers[:, None], centers)
     hi = int(np.argmax(dmat))
     u1, u2 = divmod(hi, G)
     if dmat[u1, u2] - 0.0 <= slack:  # targets at spacing 0: v1 = v2
         return None
     return {
-        "U1": point_to_json(centers[u1]),
-        "U2": point_to_json(centers[u2]),
-        "V1": point_to_json(centers[0]),
-        "V2": point_to_json(centers[0]),
+        "U1": coord_to_json(centers[u1], kind),
+        "U2": coord_to_json(centers[u2], kind),
+        "V1": coord_to_json(centers[0], kind),
+        "V2": coord_to_json(centers[0], kind),
         "rule": "isometric-spacing",
         "source_gap": float(dmat[u1, u2]),
         "target_gap": 0.0,
@@ -656,7 +635,7 @@ def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, ev: _BallEvide
 def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Two tests, both reported: hit persistence and cloud convergence."""
     cfg.validate(sys.space)
-    N = cfg.horizon
+    N, kind = cfg.horizon, sys.space.kind
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
 
@@ -701,8 +680,8 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
             return V.refuted(
                 {
                     **tests,
-                    "from_center": point_to_json(ev.centers[u]),
-                    "to_center": point_to_json(ev.centers[v]),
+                    "from_center": coord_to_json(ev.centers[u], kind),
+                    "to_center": coord_to_json(ev.centers[v], kind),
                     **proof,
                 },
                 "a ball pair provably stops interacting",
@@ -710,7 +689,7 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     if sys.steps_isometric:
         idx = conv_fail if conv_fail is not None else 0
         return V.refuted(
-            {**tests, "rule": "isometric-steps", "ball_center": point_to_json(ev.centers[idx])},
+            {**tests, "rule": "isometric-steps", "ball_center": coord_to_json(ev.centers[idx], kind)},
             "isometric steps preserve ball image spread, so small balls never become dense",
         )
     return V.inconclusive(
@@ -723,20 +702,20 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
     cfg.validate(sys.space)
     space = sys.space
     N = cfg.horizon
-    starts = grid_points(space, cfg)
-    targets = list(sample_grid(space, cfg.grid_resolution))
+    kind = space.kind
+    starts = checker_grid(space, cfg)
+    targets = grid_coords(space, cfg.grid_resolution)
 
-    uncovered: list[tuple[int, Point]] = []
+    uncovered: list[tuple[int, int]] = []  # start and missed target
     visit_times: list[int] = []
-    orbits = orbit_matrix(sys, point_coords(starts, space.kind), N)
-    tcols = point_coords(targets, space.kind)
+    orbits = orbit_matrix(sys, starts, N)
     for i in range(len(starts)):
-        ok = coord_distances(space.kind, orbits[:, i, None], tcols) <= cfg.eps
+        ok = coord_distances(kind, orbits[:, i, None], targets) <= cfg.eps
         any_ok = ok.any(axis=0)
         if any_ok.all():
             visit_times.append(int(ok.argmax(axis=0).max()))
         else:
-            uncovered.append((i, targets[int(np.argmin(any_ok))]))
+            uncovered.append((i, int(np.argmin(any_ok))))
 
     if not uncovered:
         worst = max(visit_times)
@@ -753,33 +732,30 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
         # an orbit that lands on a fixed point of the limit stays there forever
         if cutoff is not None:
             lo = max(0, cutoff - 1)
-            fixed = np.flatnonzero(apply_batch(sys.fam.limit, orb[lo:], space.kind) == orb[lo:])
+            fixed = np.flatnonzero(apply_batch(sys.fam.limit, orb[lo:], kind) == orb[lo:])
             if fixed.size:
                 m = lo + int(fixed[0])
-                p = coord_point(orb[m], space.kind)
-                gap = float(
-                    coord_distances(space.kind, orb[: m + 1], point_coords([t], space.kind)).min()
-                )
+                gap = float(coord_distances(kind, orb[: m + 1], targets[t : t + 1]).min())
                 if gap > cfg.eps:
                     return V.refuted(
                         {
-                            "start": point_to_json(x),
-                            "stuck_at": point_to_json(p),
+                            "start": coord_to_json(x, kind),
+                            "stuck_at": coord_to_json(orb[m], kind),
                             "stuck_from": m,
-                            "missed_target": point_to_json(t),
+                            "missed_target": coord_to_json(targets[t], kind),
                             "gap": gap,
                             "rule": "eventually-fixed-orbit",
                         },
                         "an orbit freezes at a fixed point and misses a cell forever",
                     )
-        conf = _confinement_gaps(sys, N, x, t)
+        conf = _confinement_gaps(sys, N, x, targets[t])
         if conf is not None:
             min_gap, future, tail = conf
             if min_gap > cfg.eps + cfg.tol and future > cfg.eps + cfg.tol:
                 return V.refuted(
                     {
-                        "start": point_to_json(x),
-                        "missed_target": point_to_json(t),
+                        "start": coord_to_json(x, kind),
+                        "missed_target": coord_to_json(targets[t], kind),
                         "min_gap": min_gap,
                         "tail_bound": tail,
                         "rule": "displacement-confinement",
@@ -788,7 +764,7 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
                 )
     return V.inconclusive(
         {
-            "non_covered_starts": [point_to_json(starts[i]) for i, _ in uncovered[:8]],
+            "non_covered_starts": [coord_to_json(starts[i], kind) for i, _ in uncovered[:8]],
             "uncovered_count": len(uncovered),
             "horizon": N,
         },
@@ -813,14 +789,14 @@ def _periods(kind: SpaceKind, orbits: np.ndarray, P: int, R: int, tol: float) ->
 
 
 def _periodic_verdict(
-    x: Point, kind: SpaceKind, orbit: np.ndarray, period: int, P: int, R: int, tol: float
+    kind: SpaceKind, orbit: np.ndarray, period: int, P: int, R: int, tol: float
 ) -> Verdict:
-    """check_periodic's verdict on x from its orbit column and its period."""
+    """check_periodic's verdict on orbit[0] from its orbit column and its period."""
     returns = coord_distances(kind, orbit, orbit[0])
     if period:
         return V.holds(
             {
-                "point": point_to_json(x),
+                "point": coord_to_json(orbit[0], kind),
                 "period": int(period),
                 "revisit_gaps": returns[period * np.arange(1, R + 1)].tolist(),
                 "repetitions": R,
@@ -829,7 +805,7 @@ def _periodic_verdict(
         )
     closest = float(returns[1 : P + 1].min())
     return V.refuted(
-        {"point": point_to_json(x), "max_period": P, "min_recurrence_gap": closest},
+        {"point": coord_to_json(orbit[0], kind), "max_period": P, "min_recurrence_gap": closest},
         f"no period up to {P}; closest return misses by {closest:.3g}",
     )
 
@@ -845,7 +821,7 @@ def check_periodic(sys: SystemView, x: Point, cfg: CheckConfig) -> Verdict:
     kind = sys.space.kind
     orbit = orbit_matrix(sys, point_coords([x], kind), P * R)
     period = _periods(kind, orbit, P, R, cfg.tol)[0]
-    return _periodic_verdict(x, kind, orbit[:, 0], period, P, R, cfg.tol)
+    return _periodic_verdict(kind, orbit[:, 0], period, P, R, cfg.tol)
 
 
 def _refute_periodicity(
@@ -874,12 +850,12 @@ def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
     if refutation is not None:
         return refutation
     kind = sys.space.kind
-    grid = grid_points(sys.space, cfg)
-    orbits = orbit_matrix(sys, point_coords(grid, kind), P * R)
+    grid = checker_grid(sys.space, cfg)
+    orbits = orbit_matrix(sys, grid, P * R)
     periods = _periods(kind, orbits, P, R, cfg.tol)
     if periods.any():
         j = int(np.flatnonzero(periods)[0])
-        v = _periodic_verdict(grid[j], kind, orbits[:, j], periods[j], P, R, cfg.tol)
+        v = _periodic_verdict(kind, orbits[:, j], periods[j], P, R, cfg.tol)
         return V.holds(
             {"witness": v.witness, "sampled": len(grid)},
             f"a sampled point is periodic with period {v.witness['period']}",
@@ -893,13 +869,13 @@ def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> list[Point] | None:
-    """Solve omega_n(x) = x symbolically for n <= P; None when unsupported.
-    Window n is map n composed after window n-1, built once."""
+def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> np.ndarray | None:
+    """Solve omega_n(x) = x symbolically for n <= P, as coordinates; None
+    when unsupported. Window n is map n composed after window n-1, built once."""
     space = sys.space
     if space.kind is SpaceKind.BINARY_SEQ:
         return None
-    candidates: list[Point] = []
+    candidates: list[np.ndarray] = []
     window: MapDescriptor | None = None
     for step in sys.steps(P)[1 : P + 1]:
         window = step if window is None else compose(step, window)
@@ -908,19 +884,16 @@ def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> list[Poin
             if canon is None:
                 return None
             fixed = circle_map_fixed_points(*canon)
-            if fixed is None:
-                # identity window: every point qualifies; grid stands in
-                candidates.extend(grid_points(space, cfg))
-            else:
-                candidates.extend(CircleAngle(t) for t in fixed)
+            # an identity window fixes every point; the grid stands in
+            candidates.append(checker_grid(space, cfg) if fixed is None else np.array(fixed))
         elif isinstance(window, PiecewiseLinear):
-            candidates.extend(IntervalPoint(t) for t in pl_fixed_points(window))
+            candidates.append(np.array(pl_fixed_points(window)))
         else:
             return None
     # each identity window adds the whole grid again; keep every point once
-    coords = point_coords(candidates, space.kind)
+    coords = np.concatenate(candidates).astype(float)
     first = np.unique(coords.view(f"V{coords.itemsize}"), return_index=True)[1]
-    return [candidates[i] for i in sorted(first)]
+    return coords[np.sort(first)]
 
 
 def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
@@ -934,29 +907,25 @@ def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
     kind = sys.space.kind
     candidates = _periodic_candidates(sys, cfg, P)
-    centers = grid_points(sys.space, cfg)
+    centers = checker_grid(sys.space, cfg)
+    pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
     if candidates is not None:
-        near = coord_distances(
-            kind, point_coords(centers, kind)[:, None], point_coords(candidates, kind)
-        ) < cfg.eps
-    pools: list[list[Point]] = []
-    for g, c in enumerate(centers):
-        pool = [] if candidates is None else [candidates[j] for j in np.flatnonzero(near[g])]
-        pools.append(pool + _ball_points(sys.space, c, cfg.eps, cfg.ball_count))
+        near = coord_distances(kind, centers[:, None], candidates) < cfg.eps
+        pools = [np.concatenate([candidates[n], pool]) for n, pool in zip(near, pools)]
     # one sweep of the distinct points of every pool; _estimated_bytes counts
     # its sampled points
     orbits, cols = _sweep_groups(sys, pools, P * R)
     periods = _periods(kind, orbits, P, R, cfg.tol)
     witnesses: list[dict] = []
     unfilled: list[int] = []
-    for g, (c, pool, idx) in enumerate(zip(centers, pools, cols)):
+    for g, (c, idx) in enumerate(zip(centers, cols)):
         found = np.flatnonzero(periods[idx])
         if not found.size:
             unfilled.append(g)
         elif len(witnesses) < 8:
-            i, j = found[0], idx[found[0]]
-            v = _periodic_verdict(pool[i], kind, orbits[:, j], periods[j], P, R, cfg.tol)
-            witnesses.append({"center": point_to_json(c), **v.witness})
+            j = idx[found[0]]
+            v = _periodic_verdict(kind, orbits[:, j], periods[j], P, R, cfg.tol)
+            witnesses.append({"center": coord_to_json(c, kind), **v.witness})
     if not unfilled:
         return V.holds(
             {"balls": len(centers), "witnesses": witnesses, "max_period": P},
@@ -969,7 +938,7 @@ def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             if not near[g].any():
                 return V.refuted(
                     {
-                        "ball_center": point_to_json(centers[g]),
+                        "ball_center": coord_to_json(centers[g], kind),
                         "radius": cfg.eps,
                         "max_period": P,
                         "rule": "no-candidate-solutions",
@@ -978,7 +947,7 @@ def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
                 )
     return V.inconclusive(
         {
-            "unfilled_balls": [point_to_json(centers[g]) for g in unfilled[:8]],
+            "unfilled_balls": [coord_to_json(centers[g], kind) for g in unfilled[:8]],
             "unfilled_count": len(unfilled),
             "max_period": P,
         },
@@ -1046,19 +1015,20 @@ def _pair_outcomes(
 
 
 def _pair_check(
-    sys: SystemView, x: Point, y: Point, cfg: CheckConfig, predicate: PairPredicate
+    sys: SystemView, xy: np.ndarray, cfg: CheckConfig, predicate: PairPredicate
 ) -> Verdict:
-    """The verdict on the pair (x, y): its outcome comes from _pair_outcomes,
-    and this formats its witness from the pair's distance series."""
+    """The verdict on the coordinate pair xy: its outcome comes from
+    _pair_outcomes, and this formats its witness from its distance series."""
     cfg.validate(sys.space)
+    kind = sys.space.kind
     # a sweep as _compute_pair_table makes, of the two points alone
-    orbits, ((i, j),) = _sweep_groups(sys, [[x, y]], 0 if sys.steps_isometric else cfg.horizon)
-    code = _pair_codes(sys.space.kind, cfg, orbits, np.array([i]))[0, j]
+    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
+    code = _pair_codes(kind, cfg, orbits, np.array([i]))[0, j]
     holds, refuted = (bool(f) for f in _pair_outcomes(sys, predicate, code))
-    series = coord_distances(sys.space.kind, orbits[:, j], orbits[:, i])
+    series = coord_distances(kind, orbits[:, j], orbits[:, i])
     tail = series[-(cfg.tail_window + 1) :]
     d0, tail_min, tail_max = float(series[0]), float(tail.min()), float(tail.max())
-    pair = [point_to_json(x), point_to_json(y)]
+    pair = [coord_to_json(c, kind) for c in xy]
     proximal = predicate is PairPredicate.PROXIMAL
     if d0 == 0.0 and proximal:
         return V.holds(
@@ -1102,23 +1072,24 @@ def _pair_check(
 
 def proximal_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
     """Tail-window minimum of the pair distance as a liminf proxy."""
-    return _pair_check(sys, x, y, cfg, PairPredicate.PROXIMAL)
+    return _pair_check(sys, point_coords([x, y], sys.space.kind), cfg, PairPredicate.PROXIMAL)
 
 
 def li_yorke_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
     """Tail min below eps and tail max above delta, components reported."""
-    return _pair_check(sys, x, y, cfg, PairPredicate.LI_YORKE)
+    return _pair_check(sys, point_coords([x, y], sys.space.kind), cfg, PairPredicate.LI_YORKE)
 
 
 class _PairTable(NamedTuple):
-    """Pair codes from one sweep over some points xs and the eps-ball pool of
-    every grid center: xs take columns cols, and pool k the columns in row k
-    of pool_cols, where a shorter pool repeats its own columns, which changes
-    no any, all or first index along a row. rows[c] is the row of codes of
-    source column c: the columns of xs and of each pool's first points."""
+    """Pair codes from one sweep over some point coordinates xs and the
+    eps-ball pool of every grid center: xs take columns cols, and pool k the
+    columns in row k of pool_cols, where a shorter pool repeats its own
+    columns, which changes no any, all or first index along a row. rows[c]
+    is the row of codes of source column c: the columns of xs and of each
+    pool's first points."""
 
-    centers: list[Point]
-    pools: list[list[Point]]
+    centers: np.ndarray
+    pools: list[np.ndarray]
     cols: np.ndarray
     pool_cols: np.ndarray
     rows: np.ndarray
@@ -1126,11 +1097,11 @@ class _PairTable(NamedTuple):
 
 
 def _compute_pair_table(
-    sys: SystemView, cfg: CheckConfig, xs: list[Point], pool_sources: int
+    sys: SystemView, cfg: CheckConfig, xs: np.ndarray, pool_sources: int
 ) -> _PairTable:
     """The pair table of xs; its sources add the first pool_sources of each pool."""
-    centers = grid_points(sys.space, cfg)
-    pools = [_ball_points(sys.space, c, cfg.eps, cfg.ball_count) for c in centers]
+    centers = checker_grid(sys.space, cfg)
+    pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
     # isometric steps keep every pair distance at its time-0 value, so their
     # sweep stops at row 0, which is then the whole tail window
     orbits, cols = _sweep_groups(sys, [xs] + pools, 0 if sys.steps_isometric else cfg.horizon)
@@ -1149,7 +1120,7 @@ def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
     pairs, proximal cell and Li-Yorke cell checks all read it."""
     return _cached(
         sys, ("pair_table", cfg),
-        lambda: _compute_pair_table(sys, cfg, grid_points(sys.space, cfg), _PAIR_POOL),
+        lambda: _compute_pair_table(sys, cfg, checker_grid(sys.space, cfg), _PAIR_POOL),
     )
 
 
@@ -1170,19 +1141,25 @@ def _cell_outcomes(
 def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
     """Every eps-ball on the grid contains a partner for x under the predicate."""
     cfg.validate(sys.space)
-    return _cell_density(sys, cfg, predicate, x, _compute_pair_table(sys, cfg, [x], 0), 0)
+    xs = point_coords([x], sys.space.kind)
+    return _cell_density(sys, cfg, predicate, xs, _compute_pair_table(sys, cfg, xs, 0), 0)
 
 
 def _cell_density(
-    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: Point, table: _PairTable, i: int
+    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: np.ndarray,
+    table: _PairTable, i: int,
 ) -> Verdict:
-    """Cell density of x, point i of the table's xs."""
-    centers, pools = table.centers, table.pools
+    """Cell density of the one-point coordinate array x, point i of the
+    table's xs."""
+    kind, centers, pools = sys.space.kind, table.centers, table.pools
     holds, refuted = (a[0] for a in _cell_outcomes(sys, predicate, table, slice(i, i + 1)))
     found = holds.any(axis=1)
     if found.all():
         witnesses = [
-            {"center": point_to_json(c), "partner": point_to_json(pools[k][holds[k].argmax()])}
+            {
+                "center": coord_to_json(c, kind),
+                "partner": coord_to_json(pools[k][holds[k].argmax()], kind),
+            }
             for k, c in enumerate(centers[:8])
         ]
         return V.holds(
@@ -1193,10 +1170,11 @@ def _cell_density(
     if sys.steps_isometric and refuted[unfilled].any(axis=1).all():
         # the witness is the first refuted sample of the first unfilled ball
         k = unfilled[0]
-        v = _pair_check(sys, x, pools[k][refuted[k].argmax()], cfg, predicate)
+        j = refuted[k].argmax()
+        v = _pair_check(sys, np.concatenate([x, pools[k][j : j + 1]]), cfg, predicate)
         return V.refuted(
             {
-                "ball_center": point_to_json(centers[k]),
+                "ball_center": coord_to_json(centers[k], kind),
                 "sample_verdict": v.to_json(),
                 "predicate": predicate.value,
             },
@@ -1204,7 +1182,7 @@ def _cell_density(
         )
     return V.inconclusive(
         {
-            "unfilled_balls": [point_to_json(centers[k]) for k in unfilled[:8]],
+            "unfilled_balls": [coord_to_json(centers[k], kind) for k in unfilled[:8]],
             "unfilled_count": len(unfilled),
             "predicate": predicate.value,
         },
@@ -1232,15 +1210,16 @@ def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicat
     # first refuted cell is reported, else the first unresolved one
     refutable = covered.all(axis=1) & ~dense
     g = int(refutable.argmax() if sys.steps_isometric and refutable.any() else dense.argmin())
-    x = table.centers[g]
+    x = table.centers[g : g + 1]
     v = _cell_density(sys, cfg, predicate, x, table, g)
+    point = coord_to_json(x[0], sys.space.kind)
     if v.refuted:
         return V.refuted(
-            {"point": point_to_json(x), "cell_verdict": v.to_json()},
+            {"point": point, "cell_verdict": v.to_json()},
             f"a sampled point has a provably non-dense {predicate.value} cell",
         )
     return V.inconclusive(
-        {"point": point_to_json(x), "cell_verdict": v.to_json()},
+        {"point": point, "cell_verdict": v.to_json()},
         f"density of some {predicate.value} cells is unresolved",
     )
 
@@ -1274,7 +1253,7 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
             "every sampled pair of balls contains a proximal pair",
         )
     i, j = np.argwhere(missing)[0]
-    ball_pair = [point_to_json(table.centers[i]), point_to_json(table.centers[j])]
+    ball_pair = [coord_to_json(table.centers[k], sys.space.kind) for k in (i, j)]
     if sys.steps_isometric and refutable[missing].all():
         return V.refuted(
             {"ball_pair": ball_pair, "rule": "isometric-steps"},
@@ -1287,14 +1266,14 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
 
 def ball_diameter_series(
-    sys: SystemView, center: Point, radius: float, cfg: CheckConfig, horizon: int
+    sys: SystemView, center: np.ndarray, radius: float, cfg: CheckConfig, horizon: int
 ) -> np.ndarray:
-    """Orbit diameter of the ball around center for n = 0..horizon: exact
-    from its region chain when the steps allow it, else from cfg.ball_count
-    sampled points."""
-    chains = _ball_chains(sys, [(center, radius)], horizon)
+    """Orbit diameter of the ball around the one-point coordinate array
+    center for n = 0..horizon: exact from its region chain when the steps
+    allow it, else from cfg.ball_count sampled points."""
+    chains = _ball_chains(sys, center, np.array([radius]), horizon)
     if chains is not None:
         return chains.diameters()[:, 0]
-    cloud = _ball_points(sys.space, center, radius, cfg.ball_count)
-    orbits, (idx,) = _sweep_groups(sys, [cloud], horizon)
+    cloud = ball_coords(sys.space, center, radius, cfg.ball_count)
+    orbits, (idx,) = _sweep_groups(sys, cloud, horizon)
     return _cloud_diam_series(sys.space.kind, orbits[:, idx])

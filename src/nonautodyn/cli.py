@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import BoundLedger, deviation_check, shifted_deviation_check
-from .checkers import CheckConfig, Mode, grid_points, verdict_record
+from .checkers import CheckConfig, Mode, checker_grid, verdict_record
 from .report import (
     ALIASES,
     ALL_PROPERTIES,
@@ -32,7 +32,7 @@ from .report import (
     resolve_scenario_id,
     run_comparison,
 )
-from .space import SpaceError
+from .space import SpaceError, coord_point
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -133,7 +133,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     spec = _apply_overrides(_load_spec(args.spec), args)
     fam = spec.build_family()
     ledger = BoundLedger.for_family(fam, args.n + args.k)
-    x0 = grid_points(fam.space, spec.check)[0]
+    x0 = coord_point(checker_grid(fam.space, spec.check)[0], fam.space.kind)
     if args.n == 0:
         rec = deviation_check(fam, x0, args.k, spec.check.tol, ledger)
     else:

@@ -36,10 +36,10 @@ from .space import (
     SpaceKind,
     coord_distances,
     coord_point,
+    grid_coords,
     low_bits,
     point_coords,
     reduce_angle,
-    sample_grid,
 )
 
 
@@ -499,7 +499,7 @@ def sup_metric(space: PhaseSpace, g: MapDescriptor, h: MapDescriptor, grid_resol
             )
             return SupEstimate(float(gaps.max()), True)
 
-    grid = point_coords(sample_grid(space, grid_resolution), space.kind)
+    grid = grid_coords(space, grid_resolution)
     gaps = coord_distances(
         space.kind, apply_batch(g, grid, space.kind), apply_batch(h, grid, space.kind)
     )

@@ -50,14 +50,12 @@ from .descriptors import (
 )
 from .space import (
     PhaseSpace,
-    Point,
     SpaceError,
     SpaceKind,
     coord_distances,
+    coord_to_json,
+    grid_coords,
     grid_size,
-    point_coords,
-    point_to_json,
-    sample_grid,
 )
 from .verdict import Verdict
 
@@ -253,10 +251,9 @@ def commutes_with_limit(
 ) -> Verdict:
     """Check D(f_n . f, f . f_n) <= tol for all n <= max_index."""
     worst_gap = 0.0
-    worst: tuple[int, Point, float] | None = None
+    worst: tuple[int, np.ndarray, float] | None = None
     kind = fam.space.kind
-    grid = list(sample_grid(fam.space, min(grid_resolution, 64)))
-    coords = point_coords(grid, kind)
+    coords = grid_coords(fam.space, min(grid_resolution, 64))
     for n in range(1, max_index + 1):
         f_n = fam.member(n)
         fwd = compose(f_n, fam.limit)
@@ -267,11 +264,11 @@ def commutes_with_limit(
                 kind, apply_batch(fwd, coords, kind), apply_batch(bwd, coords, kind)
             )
             worst_gap = est.value
-            worst = (n, grid[int(gaps.argmax())], est.value)
+            worst = (n, coords[int(gaps.argmax())], est.value)
         if est.value > tol:
             n_w, x_w, gap = worst
             return V.refuted(
-                {"index": n_w, "point": point_to_json(x_w), "gap": gap},
+                {"index": n_w, "point": coord_to_json(x_w, kind), "gap": gap},
                 f"f_{n_w} and the limit disagree under composition by {gap:.6g}",
             )
     return V.holds(
@@ -414,7 +411,7 @@ def isometry_shrinking_check(
         return (False, False)
     # about 48 points, every k-th of the grid, built without the rest
     step = max(1, grid_size(space, grid_resolution) // 48)
-    coords = point_coords(sample_grid(space, grid_resolution, step), space.kind)
+    coords = grid_coords(space, grid_resolution, step)
     image = apply_batch(m, coords, space.kind)
     i, j = np.triu_indices(len(coords), k=1)
     before = coord_distances(space.kind, coords[i], coords[j])
@@ -427,16 +424,16 @@ def surjectivity_check(
 ) -> Verdict:
     """Holds when the image of the grid under each map is eps-dense in the
     grid itself: the first refuted verdict, else the last map's."""
-    grid = list(sample_grid(space, grid_resolution))
-    coords = point_coords(grid, space.kind)
+    coords = grid_coords(space, grid_resolution)
     for m in maps:
         image = apply_batch(m, coords, space.kind)
         best = coord_distances(space.kind, coords[:, None], image[None, :]).min(axis=1)
         worst_i = int(best.argmax())
         worst_d = float(best[worst_i])
         if not worst_d <= eps:
+            center = coord_to_json(coords[worst_i], space.kind)
             return V.refuted(
-                {"uncovered_center": point_to_json(grid[worst_i]), "gap": worst_d, "radius": eps},
+                {"uncovered_center": center, "gap": worst_d, "radius": eps},
                 f"no image point within {worst_d:.3g} of the witness center",
             )
     return V.holds(

@@ -36,13 +36,7 @@ from .descriptors import (
     circle_canonical,
     pl_image_batch,
 )
-from .space import (
-    TWO_PI,
-    CircleAngle,
-    IntervalPoint,
-    Point,
-    SpaceKind,
-)
+from .space import TWO_PI, SpaceKind, canonical_coord, reduce_angles
 
 
 @dataclass(frozen=True)
@@ -80,27 +74,16 @@ class RegionChains:
             return np.where((z <= b) | (b >= TWO_PI), 0.0, out)
         return np.maximum(np.maximum(a - coords, coords - b), 0.0)
 
-    def midpoint(self, j: int) -> Point:
-        """Midpoint of the last region of chain j."""
-        a, b = float(self.a[-1, j]), float(self.b[-1, j])
-        if self.kind is SpaceKind.CIRCLE:
-            return CircleAngle(a + b / 2.0)
-        return IntervalPoint((a + b) / 2.0)
-
-    def collapse(self, j: int) -> tuple[int, Point] | None:
-        """First step at which chain j is a single point, with the midpoint
-        of its last region; None when it never collapses."""
+    def collapse(self, j: int) -> tuple[int, float] | None:
+        """First step at which chain j is a single point, with the coordinate
+        of the midpoint of its last region; None when it never collapses."""
+        arcs = self.kind is SpaceKind.CIRCLE
         a, b = self.a[:, j], self.b[:, j]
-        points = np.flatnonzero((b if self.kind is SpaceKind.CIRCLE else b - a) == 0.0)
-        return (int(points[0]), self.midpoint(j)) if points.size else None
-
-
-def _reduce(t: np.ndarray) -> np.ndarray:
-    """Angles reduced into [0, 2pi) as reduce_angle reduces each one."""
-    r = np.fmod(t, TWO_PI)
-    np.add(r, TWO_PI, out=r, where=r < 0.0)
-    np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
-    return r
+        points = np.flatnonzero((b if arcs else b - a) == 0.0)
+        if not points.size:
+            return None
+        mid = a[-1] + b[-1] / 2.0 if arcs else (a[-1] + b[-1]) / 2.0
+        return int(points[0]), canonical_coord(mid, self.kind)
 
 
 def _step_arcs(
@@ -108,7 +91,7 @@ def _step_arcs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arc images under theta -> slope*theta + offset. Full arcs keep their
     start; their length stays 2pi since slope >= 1."""
-    r = _reduce(float(slope) * start + offset)
+    r = reduce_angles(float(slope) * start + offset)
     return np.where(length >= TWO_PI, start, r), np.minimum(float(slope) * length, TWO_PI)
 
 
@@ -160,7 +143,7 @@ def ball_chains(
     """region_chains of the open balls around the center coordinates, with
     radii below pi, clipped to the space; None on binary sequence space."""
     if kind is SpaceKind.CIRCLE:
-        return region_chains(kind, _reduce(centers - radii), 2.0 * radii, steps)
+        return region_chains(kind, reduce_angles(centers - radii), 2.0 * radii, steps)
     if kind is SpaceKind.UNIT_INTERVAL:
         lo, hi = np.maximum(centers - radii, 0.0), np.minimum(centers + radii, 1.0)
         return region_chains(kind, lo, hi, steps)

@@ -44,7 +44,7 @@ from .checkers import (
     check_topological_mixing,
     check_transitivity,
     check_weak_mixing,
-    grid_points,
+    checker_grid,
 )
 from .family import (
     HypothesisProfile,
@@ -52,7 +52,7 @@ from .family import (
     family_from_config,
     profile_hypotheses,
 )
-from .space import SpaceError, point_to_json
+from .space import SpaceError, coord_point, point_to_json
 from .verdict import Outcome, Verdict
 from . import verdict as V
 
@@ -371,7 +371,8 @@ def run_comparison(spec: ScenarioSpec) -> ComparisonReport:
 
 def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tuple[dict, dict]:
     cfg = spec.check
-    x0 = grid_points(fam.space, cfg)[0]
+    grid = checker_grid(fam.space, cfg)
+    x0 = coord_point(grid[0], fam.space.kind)
     k_max = min(cfg.horizon, 50)
     records = deviation_series(fam, x0, k_max, cfg.tol)
     profile_n = min(40, max(4, cfg.horizon // 8))
@@ -380,7 +381,7 @@ def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tup
         fam, profile_n, profile_k, grid_resolution=min(cfg.grid_resolution, 32), eps=cfg.eps
     )
     diam_horizon = min(cfg.horizon, 400)
-    series = ball_diameter_series(sys_F, x0, cfg.eps, cfg, diam_horizon)
+    series = ball_diameter_series(sys_F, grid[:1], cfg.eps, cfg, diam_horizon)
     summary = {
         "deviation_x": point_to_json(x0),
         "deviation_records": [r.to_json() for r in records],

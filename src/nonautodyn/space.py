@@ -1,9 +1,12 @@
 """Compact phase spaces: the circle, the unit interval, and binary sequence space.
 
-Points are immutable tagged values. The circle uses radians in [0, 2pi) with
-the geodesic metric (diameter pi). Binary sequence space is horizon-bounded:
-a word carries an effective length L and resolves distances only down to 1/L,
-so metric results at that floor are flagged rather than silently trusted.
+Samplers return coordinate arrays (``grid_coords``, ``ball_coords``): a float
+per continuum point, a packed record per binary word. Points, immutable
+tagged values, exist at the one-point API and in the JSON (``coord_point``).
+The circle uses radians in [0, 2pi) with the geodesic metric (diameter pi).
+Binary sequence space is horizon-bounded: a word carries an effective length
+L and resolves distances only down to 1/L, so metric results at that floor
+are flagged rather than silently trusted.
 """
 
 from __future__ import annotations
@@ -45,6 +48,22 @@ def reduce_angle(theta: float) -> float:
     return r
 
 
+def reduce_angles(t: np.ndarray) -> np.ndarray:
+    """Angles reduced into [0, 2pi) as reduce_angle reduces each one."""
+    r = np.fmod(t, TWO_PI)
+    np.add(r, TWO_PI, out=r, where=r < 0.0)
+    np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
+    return r
+
+
+def canonical_coord(c: float, kind: SpaceKind) -> float:
+    """The continuum coordinate that coord_point(c, kind) stores, for c
+    within 1e-12 of the space: an angle reduced into [0, 2pi), an interval
+    value snapped onto [0, 1]."""
+    c = float(c)
+    return reduce_angle(c) if kind is SpaceKind.CIRCLE else min(max(c, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class CircleAngle:
     """A point on the circle, stored reduced into [0, 2pi)."""
@@ -67,15 +86,9 @@ class IntervalPoint:
 
     def __post_init__(self):
         v = float(self.x)
-        if v < 0.0:
-            if v < -1e-12:
-                raise SpaceError(f"interval point out of range: {v}")
-            v = 0.0
-        elif v > 1.0:
-            if v > 1.0 + 1e-12:
-                raise SpaceError(f"interval point out of range: {v}")
-            v = 1.0
-        object.__setattr__(self, "x", v)
+        if v < -1e-12 or v > 1.0 + 1e-12:
+            raise SpaceError(f"interval point out of range: {v}")
+        object.__setattr__(self, "x", canonical_coord(v, SpaceKind.UNIT_INTERVAL))
 
     @property
     def kind(self) -> SpaceKind:
@@ -227,50 +240,46 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
 
 
 def grid_size(space: PhaseSpace, resolution: int) -> int:
-    """The number of points of sample_grid(space, resolution)."""
-    return 1 << min(resolution, MAX_ENUM_BITS) if space.kind is SpaceKind.BINARY_SEQ else resolution
+    """The number of points of grid_coords(space, resolution)."""
+    binary = space.kind is SpaceKind.BINARY_SEQ
+    return 1 << min(resolution, MAX_ENUM_BITS, space.word_length) if binary else resolution
 
 
-def sample_grid(space: PhaseSpace, resolution: int, step: int = 1) -> PointCloud:
-    """Deterministic uniform grid, or every step-th point of it.
+def grid_coords(space: PhaseSpace, resolution: int, step: int = 1) -> np.ndarray:
+    """Deterministic uniform grid, or every step-th point of it, as coordinates.
 
     Circle: {2pi*i/resolution}. Interval: {i/(resolution-1)}. Binary sequence
-    space: all words of length min(resolution, 12), enumerated in counting
-    order (the cap keeps the enumeration at desk scale).
+    space: all words of length min(resolution, 12, word_length), enumerated
+    in counting order with the first coordinate most significant (the cap
+    keeps the enumeration at desk scale, and no word longer than the space's).
     """
     if resolution < 2:
         raise SpaceError("resolution must be >= 2")
-    indices = range(0, grid_size(space, resolution), step)
+    i = np.arange(0, grid_size(space, resolution), step)
     if space.kind is SpaceKind.CIRCLE:
-        pts = tuple(CircleAngle(TWO_PI * i / resolution) for i in indices)
-    elif space.kind is SpaceKind.UNIT_INTERVAL:
-        pts = tuple(IntervalPoint(i / (resolution - 1)) for i in indices)
-    else:
-        length = min(resolution, MAX_ENUM_BITS)
-        pts = tuple(
-            BinaryWord(tuple((v >> (length - 1 - j)) & 1 for j in range(length)), length)
-            for v in indices
-        )
-    return PointCloud(pts, space.kind)
+        return TWO_PI * i / resolution
+    if space.kind is SpaceKind.UNIT_INTERVAL:
+        return i / (resolution - 1)
+    length = min(resolution, MAX_ENUM_BITS, space.word_length)
+    words = np.zeros(i.size, dtype=WORD_DTYPE)
+    # coordinate j+1 of word i is bit length-1-j of i, packed at bit j
+    for j in range(length):
+        words["value"] |= ((i >> (length - 1 - j)) & 1) << j
+    words["length"] = words["eff"] = length
+    return words
 
 
-def _dedupe(points: Iterable[Point]) -> tuple[Point, ...]:
-    seen = []
-    for p in points:
-        if p not in seen:
-            seen.append(p)
-    return tuple(seen)
+def ball_coords(space: PhaseSpace, centers: np.ndarray, radius: float, count: int) -> list[np.ndarray]:
+    """Deterministic samples inside the open ball of one radius around each
+    center coordinate, one array per ball, each starting with its center.
 
-
-def ball_sample(space: PhaseSpace, center: Point, radius: float, count: int) -> PointCloud:
-    """Deterministic points inside the open ball around ``center``.
-
-    Continuum spaces place the center first, then alternate center -+ i*h
-    with h = radius/(floor(count/2)+1), so all offsets stay strictly inside
-    the ball. Binary sequence space enumerates words that agree with the
-    center on every coordinate the radius can see.
+    Continuum spaces alternate center -+ i*h with h = radius/(floor(count/2)+1),
+    so all offsets stay strictly inside the ball, reduce angles, clamp
+    interval values, and keep the first copy of each value (0.0 equals -0.0).
+    Binary sequence space flips trusted coordinates the radius cannot see:
+    sample v is value ^ (v << prefix) for v < min(count, 2**free), with free
+    the trusted coordinates past the prefix, at most MAX_ENUM_BITS of them.
     """
-    space.require(center)
     if radius <= 0:
         raise SpaceError("radius must be positive")
     if radius > space.diameter:
@@ -279,40 +288,50 @@ def ball_sample(space: PhaseSpace, center: Point, radius: float, count: int) -> 
         raise SpaceError("count must be >= 1")
 
     if space.kind is SpaceKind.BINARY_SEQ:
-        if radius <= space.resolution_floor or radius <= 1.0 / center.effective_length:
+        eff = centers["eff"].astype(np.int64)
+        if radius <= space.resolution_floor or (radius <= 1.0 / eff).any():
             raise ResolutionError(
                 f"ball of radius {radius} not resolvable at effective length "
-                f"{center.effective_length}"
+                f"{eff.min(initial=space.word_length)}"
             )
-        prefix_len = int(math.floor(1.0 / radius + 1e-12))
-        prefix_len = min(prefix_len, center.effective_length)
-        free = list(range(prefix_len, center.effective_length))
-        pts: list[Point] = [center]
-        v = 1
-        while len(pts) < count and free and v < (1 << min(len(free), MAX_ENUM_BITS)):
-            bits = list(center.bits)
-            for j, pos in enumerate(free):
-                if j >= MAX_ENUM_BITS:
-                    break
-                if (v >> j) & 1:
-                    bits[pos] ^= 1
-            pts.append(BinaryWord(tuple(bits), center.effective_length))
-            v += 1
-        return PointCloud(_dedupe(pts), space.kind)
+        prefix = np.minimum(math.floor(1.0 / radius + 1e-12), eff)
+        free = np.minimum(eff - prefix, MAX_ENUM_BITS)
+        v = np.arange(min(count, 1 << MAX_ENUM_BITS))
+        samples = np.repeat(centers[:, None], v.size, axis=1)
+        samples["value"] ^= v << prefix[:, None]
+        return [s[: 1 << f] for s, f in zip(samples, free.tolist())]
 
     h = radius / (count // 2 + 1)
-    offsets = [0.0]
-    i = 1
-    while len(offsets) < count:
-        offsets.append(-i * h)
-        if len(offsets) < count:
-            offsets.append(i * h)
-        i += 1
+    i = (np.arange(count) + 1) // 2
+    offsets = np.where(np.arange(count) % 2 == 1, -i * h, i * h)
+    v = centers[:, None] + offsets
     if space.kind is SpaceKind.CIRCLE:
-        pts = [CircleAngle(center.theta + off) for off in offsets]
+        v = reduce_angles(v)
     else:
-        pts = [IntervalPoint(min(1.0, max(0.0, center.x + off))) for off in offsets]
-    return PointCloud(_dedupe(pts), space.kind)
+        # min(1.0, max(0.0, v)), which sends -0.0 to 0.0
+        v = np.where(v < 1.0, np.where(v > 0.0, v, 0.0), 1.0)
+    # a stable sort puts each value's first copy first among its equals
+    order = np.argsort(v, axis=1, kind="stable")
+    s = np.take_along_axis(v, order, axis=1)
+    first = np.ones(v.shape, dtype=bool)
+    np.put_along_axis(first, order[:, 1:], s[:, 1:] != s[:, :-1], axis=1)
+    return [row[keep] for row, keep in zip(v, first)]
+
+
+def _cloud(coords: np.ndarray, kind: SpaceKind) -> PointCloud:
+    return PointCloud(tuple(coord_point(c, kind) for c in coords), kind)
+
+
+def sample_grid(space: PhaseSpace, resolution: int, step: int = 1) -> PointCloud:
+    """The points of grid_coords(space, resolution, step)."""
+    return _cloud(grid_coords(space, resolution, step), space.kind)
+
+
+def ball_sample(space: PhaseSpace, center: Point, radius: float, count: int) -> PointCloud:
+    """The points of ball_coords around one center point."""
+    space.require(center)
+    (coords,) = ball_coords(space, point_coords([center], space.kind), radius, count)
+    return _cloud(coords, space.kind)
 
 
 # Coordinate arrays: one float per continuum point, one packed record per
@@ -385,3 +404,8 @@ def point_to_json(p: Point) -> dict:
             "effective_length": p.effective_length,
         }
     raise SpaceError(f"not a point: {p!r}")
+
+
+def coord_to_json(c, kind: SpaceKind) -> dict:
+    """point_to_json of the point one coordinate stands for."""
+    return point_to_json(coord_point(c, kind))

@@ -33,7 +33,7 @@ from nonautodyn.checkers import (
     check_topological_mixing,
     check_transitivity,
     check_weak_mixing,
-    grid_points,
+    checker_grid,
     li_yorke_check,
     proximal_check,
 )
@@ -53,6 +53,7 @@ from nonautodyn.space import (
     IntervalPoint,
     PhaseSpace,
     SpaceKind,
+    coord_point,
     distance,
     sample_grid,
 )
@@ -260,7 +261,7 @@ def test_criterion_09_periodic_transfer_direction():
         )
         sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
         sys_f = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
-        for p in grid_points(fam.space, cfg):
+        for p in (coord_point(c, fam.space.kind) for c in checker_grid(fam.space, cfg)):
             vF = check_periodic(sys_F, p, cfg)
             assert vF.holds and vF.witness["period"] == 2
             vf = check_periodic(sys_f, p, cfg)

@@ -104,6 +104,23 @@ def test_no_method_or_property_is_used_only_by_tests():
     assert not unused, f"methods in src/ used by nothing there: {unused}"
 
 
+def test_points_are_built_only_in_space():
+    # samples are coordinate arrays; space.coord_point builds the points that
+    # the one-point API returns and a witness writes
+    ctors = {"BinaryWord", "CircleAngle", "IntervalPoint"}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ctors:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"points built outside space.py: {calls}"
+
+
 def _imported(tree: ast.AST) -> list[str]:
     """Names the import statements in a tree bind, past __future__ imports."""
     out = []

@@ -22,11 +22,18 @@ from nonautodyn.checkers import (
     check_proximal_cell_density,
     check_proximal_pairs_density,
     check_weak_mixing,
-    grid_points,
+    checker_grid,
     orbit_matrix,
 )
 from nonautodyn.report import CATALOG, run_comparison
-from nonautodyn.space import SpaceError, ball_sample, coord_distances, point_coords, point_to_json
+from nonautodyn.space import (
+    SpaceError,
+    ball_sample,
+    coord_distances,
+    coord_point,
+    coord_to_json,
+    point_coords,
+)
 
 
 def _dense_reference(H: np.ndarray):
@@ -57,10 +64,10 @@ def test_weak_mixing_matches_dense_reference(name, mode):
         return
     (u1, v1), (u2, v2) = divmod(first[0], G), divmod(first[1], G)
     quad = {
-        "U1": point_to_json(ev.centers[u1]),
-        "V1": point_to_json(ev.centers[v1]),
-        "U2": point_to_json(ev.centers[u2]),
-        "V2": point_to_json(ev.centers[v2]),
+        "U1": coord_to_json(ev.centers[u1], sys.space.kind),
+        "V1": coord_to_json(ev.centers[v1], sys.space.kind),
+        "U2": coord_to_json(ev.centers[u2], sys.space.kind),
+        "V2": coord_to_json(ev.centers[v2], sys.space.kind),
     }
     w = verdict.witness
     if verdict.inconclusive:
@@ -160,7 +167,7 @@ def test_cloud_diameters_match_pairwise_loop(name):
     fam = spec.build_family()
     kind = fam.space.kind
     sys = SystemView(fam, Mode.NON_AUTONOMOUS)
-    center = grid_points(fam.space, spec.check)[3]
+    center = coord_point(checker_grid(fam.space, spec.check)[3], kind)
     for count in (1, 2, 5, 9):
         cloud = list(ball_sample(fam.space, center, spec.check.eps, count))
         orbits = orbit_matrix(sys, point_coords(cloud, kind), 50)

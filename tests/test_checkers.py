@@ -24,7 +24,7 @@ from nonautodyn.checkers import (
     check_topological_mixing,
     check_transitivity,
     check_weak_mixing,
-    grid_points,
+    checker_grid,
     li_yorke_check,
     proximal_check,
 )
@@ -38,6 +38,7 @@ from nonautodyn.space import (
     PhaseSpace,
     SpaceError,
     ball_sample,
+    coord_point,
     distance,
     point_to_json,
     sample_grid,
@@ -476,10 +477,19 @@ class TestBinaryGrid:
             horizon=50, grid_resolution=4, ball_count=3, eps=0.2, delta=0.5,
             tail_window=20, max_period=4, repetitions=2,
         )
-        pts = grid_points(fam.space, cfg)
+        pts = [coord_point(c, fam.space.kind) for c in checker_grid(fam.space, cfg)]
         assert len(pts) == 16
         assert all(isinstance(p, BinaryWord) and len(p.bits) == 24 for p in pts)
         assert all(p.effective_length == 24 for p in pts)
+
+    def test_short_words_cap_the_grid(self):
+        space = PhaseSpace.binary_seq(8)
+        cfg = CheckConfig(
+            horizon=20, grid_resolution=10, ball_count=3, eps=0.2, delta=0.5, tail_window=10
+        )
+        pts = [coord_point(c, space.kind) for c in checker_grid(space, cfg)]
+        assert len(pts) == 2**8
+        assert all(len(p.bits) == p.effective_length == 8 for p in pts)
 
     def test_odometer_equicontinuity_resolves_past_twelve_coordinates(self):
         # eps = 0.06 needs coordinate 17; a 12-coordinate frame read pairs
@@ -518,7 +528,8 @@ def _scalar_periodic(sys, x, cfg):
 
 def _scalar_periodic_points(sys, cfg):
     """Plain-Python periodic_points runner, grid points checked one by one."""
-    verdicts = [_scalar_periodic(sys, x, cfg) for x in grid_points(sys.space, cfg)]
+    grid = [coord_point(c, sys.space.kind) for c in checker_grid(sys.space, cfg)]
+    verdicts = [_scalar_periodic(sys, x, cfg) for x in grid]
     for v in verdicts:
         if v.holds:
             return V.holds(
@@ -537,7 +548,7 @@ def _scalar_periodic_points(sys, cfg):
 def test_batched_periodic_verdicts_match_scalar_loop(name, mode):
     spec = CATALOG[name]
     sys, cfg = SystemView(spec.build_family(), mode), spec.check
-    grid = grid_points(sys.space, cfg)
+    grid = [coord_point(c, sys.space.kind) for c in checker_grid(sys.space, cfg)]
     for x in grid + list(ball_sample(sys.space, grid[1], cfg.eps, 5)):
         assert check_periodic(sys, x, cfg) == _scalar_periodic(sys, x, cfg)
     v = check_periodic_points(sys, cfg)

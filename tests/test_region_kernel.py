@@ -28,6 +28,7 @@ from nonautodyn.space import (
     PhaseSpace,
     SpaceError,
     SpaceKind,
+    point_coords,
     reduce_angle,
 )
 
@@ -317,9 +318,11 @@ def test_steps_alone_decide_exact_chains():
         label="tent-to-nearest",
     )
     balls = [(IntervalPoint(0.3), 0.1), (IntervalPoint(0.9), 0.025)]
-    chains = _ball_chains(SystemView(fam, Mode.NON_AUTONOMOUS), balls, 50)
+    centers = point_coords([c for c, _ in balls], fam.space.kind)
+    radii = np.array([r for _, r in balls])
+    chains = _ball_chains(SystemView(fam, Mode.NON_AUTONOMOUS), centers, radii, 50)
     assert chains is not None and chains.a.shape == (51, 2)
-    assert _ball_chains(SystemView(fam, Mode.AUTONOMOUS_LIMIT), balls, 50) is None
+    assert _ball_chains(SystemView(fam, Mode.AUTONOMOUS_LIMIT), centers, radii, 50) is None
 
 
 def test_late_nearest_report_is_pinned():

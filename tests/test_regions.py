@@ -81,7 +81,7 @@ def test_plateau_collapse_detected():
     image = _ball(INTERVAL, 0.25, 0.1, PLATEAU_HEAD)
     step, midpoint = image.collapse(0)
     assert step == 1
-    assert midpoint.x == 1.0
+    assert midpoint == 1.0
 
 
 def test_rotation_preserves_arc_length():

@@ -22,6 +22,7 @@ from nonautodyn.space import (
     coord_distances,
     coord_point,
     distance_info,
+    grid_size,
     hausdorff_distance,
     point_coords,
     sample_grid,
@@ -150,6 +151,15 @@ class TestSampleGrid:
 
     def test_binary_enumeration_capped(self):
         assert len(sample_grid(PhaseSpace.binary_seq(24), 20)) == 2**12
+
+    def test_binary_grid_words_no_longer_than_the_space_words(self):
+        # ten-coordinate grid words read 0.1 apart, below the 1/8 an
+        # eight-coordinate space resolves
+        space = PhaseSpace.binary_seq(8)
+        words = list(sample_grid(space, 10))
+        assert len(words) == grid_size(space, 10) == 2**8
+        assert all(len(w.bits) == w.effective_length == 8 for w in words)
+        assert min(distance(space, words[0], w) for w in words[1:]) == space.resolution_floor
 
     def test_deterministic(self):
         for space, res in ((CIRCLE, 13), (INTERVAL, 9), (BIN8, 4)):

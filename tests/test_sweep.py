@@ -18,7 +18,7 @@ from nonautodyn.checkers import (
     _pair_outcomes,
     _pair_table,
     _sweep_groups,
-    grid_points,
+    checker_grid,
     li_yorke_check,
     orbit_matrix,
     proximal_check,
@@ -111,7 +111,7 @@ def _bits(a: np.ndarray) -> bytes:
 def test_batched_sweep_matches_single_columns(name, mode):
     sys = SystemView(FAMILIES[name], mode)
     groups = _groups(FAMILIES[name])
-    orbits, cols = _sweep_groups(sys, groups, HORIZON)
+    orbits, cols = _sweep_groups(sys, [point_coords(g, sys.space.kind) for g in groups], HORIZON)
     starts = [point_coords(g, sys.space.kind) for g in groups]
     assert orbits.shape == (HORIZON + 1, len({_bits(c) for s in starts for c in s}))
     for coords, idx in zip(starts, cols):
@@ -123,7 +123,8 @@ def test_batched_sweep_matches_single_columns(name, mode):
 
 def test_signed_zeros_keep_separate_columns():
     sys = SystemView(FAMILIES["plateau-tent"], Mode.NON_AUTONOMOUS)
-    orbits, (cols,) = _sweep_groups(sys, [[IntervalPoint(0.0), IntervalPoint(-0.0)]], 3)
+    zeros = point_coords([IntervalPoint(0.0), IntervalPoint(-0.0)], SpaceKind.UNIT_INTERVAL)
+    orbits, (cols,) = _sweep_groups(sys, [zeros], 3)
     assert cols[0] != cols[1]
     assert math.copysign(1.0, orbits[0, cols[1]]) == -1.0
 
@@ -174,7 +175,7 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
         spec.check, horizon=HORIZON, tail_window=min(spec.check.tail_window, HORIZON // 2)
     )
     sys = SystemView(fam, mode)
-    grid = grid_points(fam.space, cfg)
+    grid = [coord_point(c, fam.space.kind) for c in checker_grid(fam.space, cfg)]
     x = grid[1]
     # the ball around x starts with x itself; the second ball lies far away
     partners = [
@@ -184,7 +185,8 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
     ]
     table = _pair_table(sys, cfg)
     # row k of pool_cols holds the columns of the pool of grid point k
-    assert table.pools[1] + table.pools[len(grid) // 2] == partners
+    pools = np.concatenate([table.pools[1], table.pools[len(grid) // 2]])
+    assert [coord_point(c, fam.space.kind) for c in pools] == partners
     cols = [table.pool_cols[k, : len(table.pools[k])] for k in (1, len(grid) // 2)]
     codes = table.codes[table.rows[table.cols[1]], np.concatenate(cols)]
 
@@ -225,7 +227,7 @@ def test_pair_at_distance_zero_is_one_point(mode):
     sys = SystemView(FAMILIES["plateau-tent"], mode)
     cfg = dataclasses.replace(CATALOG["plateau-tent"].check, horizon=50, tail_window=20)
     x, y = IntervalPoint(0.0), IntervalPoint(-0.0)
-    table = _compute_pair_table(sys, cfg, [x, y], 0)
+    table = _compute_pair_table(sys, cfg, point_coords([x, y], SpaceKind.UNIT_INTERVAL), 0)
     i, j = table.cols
     assert i != j
     code = table.codes[table.rows[i], j]
@@ -253,9 +255,10 @@ def test_pair_table_matches_two_point_checks(name, mode):
     if name == "plateau-tent":
         # the balls at the interval's ends hold fewer distinct points
         assert len({len(pool) for pool in table.pools}) > 1
-    points = dict(zip(table.cols.tolist(), table.centers))
+    kind = fam.space.kind
+    points = dict(zip(table.cols.tolist(), (coord_point(c, kind) for c in table.centers)))
     for pool, idx in zip(table.pools, table.pool_cols):
-        points.update(zip(idx.tolist(), pool))
+        points.update(zip(idx.tolist(), (coord_point(c, kind) for c in pool)))
     assert len(points) == len(table.rows)
     sources = np.flatnonzero(table.rows >= 0)
     for predicate, check in (
@@ -335,7 +338,7 @@ def test_odometer_deletion_packed_sweep_matches_scalar_orbits(mode):
     fam = make_builtin_family("odometer-deletion", word_length=24)
     sys = SystemView(fam, mode)
     words = [BinaryWord(tuple((v >> j) & 1 for j in range(24)), 24) for v in (0, 5, 2**24 - 1)]
-    orbits, (cols,) = _sweep_groups(sys, [words + words[:1]], 60)
+    orbits, (cols,) = _sweep_groups(sys, [point_coords(words + words[:1], SpaceKind.BINARY_SEQ)], 60)
     assert orbits.shape == (61, 3) and cols[0] == cols[3]
     for w, j in zip(words, cols):
         assert [coord_point(c, SpaceKind.BINARY_SEQ) for c in orbits[:, j]] == _apply_orbit(sys, w, 60)
