@@ -292,8 +292,7 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
 
     chains = _ball_chains(sys, np.repeat(centers, R), np.tile(rungs, G), N)
     if chains is not None:
-        for u in range(G):
-            hits[u] = (chains.distances(u * R, centers) < cfg.eps).T
+        chains.hits(R, centers, cfg.eps, hits)
         return _BallEvidence(
             centers, balls, np.ascontiguousarray(chains.diameters().T),
             [chains.collapse(k) for k in range(G * R)], hits,

@@ -4,8 +4,9 @@ Open balls in the continuum spaces are intervals or arcs, and every builtin
 continuum map (rotations, integer-slope affine circle maps, piecewise-linear
 interval maps) sends such a region to another one that this module computes
 in closed form. Checkers use these exact images instead of sampled point
-clouds whenever the steps allow it: a collapsed region (zero width) is a
-proof of collapse, and a region covering the space is a proof of a hit.
+clouds whenever the steps allow it: a region of zero width proves a collapse,
+and a region's hits are the grid points within eps of it, a window of grid
+indices read from its ends (the distance rule decides the window's ends).
 
 Regions are never objects. `region_chains` steps many regions at once from
 their row-0 arrays (arc starts and lengths, or interval lows and highs), and
@@ -58,21 +59,37 @@ class RegionChains:
         return self.b - self.a
 
     def covering_defects(self) -> np.ndarray:
-        """sup over the space of the distance to each region."""
-        if self.kind is SpaceKind.CIRCLE:
-            return np.where(self.b >= TWO_PI, 0.0, (TWO_PI - self.b) / 2.0)
-        return np.maximum(self.a, 1.0 - self.b)
+        """sup over the space of the distance to each region, 0 where interval ends leave it."""
+        arcs = self.kind is SpaceKind.CIRCLE
+        return np.maximum((TWO_PI - self.b) / 2 if arcs else np.maximum(self.a, 1.0 - self.b), 0.0)
 
-    def distances(self, j: int, coords: np.ndarray) -> np.ndarray:
-        """Distance from each point coordinate to each region of chain j,
-        shape (N+1, len(coords)); 0 where contained."""
-        a, b = self.a[:, j, None], self.b[:, j, None]
-        if self.kind is SpaceKind.CIRCLE:
-            z = np.mod(coords - a, TWO_PI)
-            w = np.mod(z - b, TWO_PI)
-            out = np.minimum(np.minimum(z, TWO_PI - z), np.minimum(w, TWO_PI - w))
-            return np.where((z <= b) | (b >= TWO_PI), 0.0, out)
-        return np.maximum(np.maximum(a - coords, coords - b), 0.0)
+    def hits(self, step: int, grid: np.ndarray, eps: float, out: np.ndarray) -> None:
+        """out[u, v, n] = region n of chain u * step lies within eps of grid[v] on
+        the uniform grid of grid_coords, in place. The v form a window, cyclic on the circle:
+        those 1e-9 or more inside it hit, and the distance rule decides those nearer its ends."""
+        arcs, G = self.kind is SpaceKind.CIRCLE, len(grid)
+        P, scale = (G, G / TWO_PI) if arcs else (2**32, G - 1.0)  # interval windows never wrap
+        tol, idx, inside = 1e-9 * scale, np.arange(G)[:, None], np.empty(out.shape[1:], bool)
+        for hit, a, b in zip(out, self.a[:, ::step].T, self.b[:, ::step].T):
+            x = np.stack([a - eps, (a + b if arcs else b) + eps]) * scale
+            # the sure hits are ends[0] <= k < ends[1], and near the index on either side
+            ends = np.stack([np.floor(x[0] + tol) + 1, np.ceil(x[1] - tol)]).astype(np.int64)
+            near = ends - [[1], [0]]
+            count = np.where(b >= TWO_PI, P, np.clip(ends[1] - ends[0], 0, P))  # full arcs
+            start = ends[0] % P
+            np.greater_equal(idx, start, out=hit)
+            hit &= np.less(idx, start + count, out=inside)
+            hit |= np.less(idx, start + count - P, out=inside)  # the part wrapped past 2pi
+            side, n = np.nonzero((np.abs(near - x) <= tol) & (count < P) & (near % P < G))
+            v, a, b = near[side, n] % P, a[n], b[n]
+            if arcs:  # the distance rule
+                z = np.mod(grid[v] - a, TWO_PI)
+                w = np.mod(z - b, TWO_PI)
+                d = np.minimum(np.minimum(z, TWO_PI - z), np.minimum(w, TWO_PI - w))
+                d[(z <= b) | (b >= TWO_PI)] = 0.0
+            else:
+                d = np.maximum(np.maximum(a - grid[v], grid[v] - b), 0.0)
+            hit[v, n] |= d < eps
 
     def collapse(self, j: int) -> tuple[int, float] | None:
         """First step at which chain j is a single point, with the coordinate
@@ -86,13 +103,16 @@ class RegionChains:
         return int(points[0]), canonical_coord(mid, self.kind)
 
 
-def _step_arcs(
-    slope: int, offset: float, start: np.ndarray, length: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arc images under theta -> slope*theta + offset. Full arcs keep their
-    start; their length stays 2pi since slope >= 1."""
-    r = reduce_angles(float(slope) * start + offset)
-    return np.where(length >= TWO_PI, start, r), np.minimum(float(slope) * length, TWO_PI)
+def _step_arcs(slope: int, offset: float, a: np.ndarray, b: np.ndarray, n: int) -> None:
+    """Row n of arc starts a and lengths b, the images of row n-1 under theta ->
+    slope*theta + offset. Full arcs keep their start and, as slope >= 1, their length."""
+    if slope == 1 and b[n - 1].max(initial=0.0) < TWO_PI:  # no full arc: min(1.0 * b, 2pi) == b
+        reduce_angles(np.add(a[n - 1], offset, out=a[n]), out=a[n])
+        b[n] = b[n - 1]
+        return
+    r = reduce_angles(float(slope) * a[n - 1] + offset)
+    a[n] = np.where(b[n - 1] >= TWO_PI, a[n - 1], r)
+    np.minimum(float(slope) * b[n - 1], TWO_PI, out=b[n])
 
 
 def _pl_factors(m: MapDescriptor) -> tuple[PiecewiseLinear, ...] | None:
@@ -129,7 +149,7 @@ def region_chains(
         if flat is None:
             return None
         if arcs:
-            a[n], b[n] = _step_arcs(*flat, a[n - 1], b[n - 1])
+            _step_arcs(*flat, a, b, n)
         else:
             a[n], b[n] = a[n - 1], b[n - 1]
             for pl in flat:

@@ -258,7 +258,9 @@ def test_arc_starts_reduce_like_reduce_angle():
     # valid arcs never step to a negative angle, so both corrections are
     # probed here directly; -1e-300 + 2pi rounds to 2pi and needs the second
     raw = np.array([-1e-300, -1.0, -TWO_PI, 7.0, -0.0, 0.0])
-    starts, _ = _step_arcs(1, 0.0, raw, np.zeros(raw.size))
+    a, b = np.stack([raw, np.empty(raw.size)]), np.zeros((2, raw.size))
+    _step_arcs(1, 0.0, a, b, 1)
+    starts = a[1]
     assert _bits(starts) == _bits([reduce_angle(1 * t + 0.0) for t in raw.tolist()])
 
 

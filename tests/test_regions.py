@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nonautodyn import regions
+from nonautodyn.checkers import _ball_chains, _ball_evidence, _compute_ball_evidence, _rungs
 from nonautodyn.descriptors import AffineCircle, Rotation, apply
 from nonautodyn.family import PLATEAU_HEAD, TENT
-from nonautodyn.regions import ball_chains, region_chains
+from nonautodyn.orbit import Mode, SystemView
+from nonautodyn.regions import RegionChains, ball_chains, region_chains
+from nonautodyn.report import CATALOG
 from nonautodyn.space import (
     TWO_PI,
     CircleAngle,
@@ -15,6 +21,7 @@ from nonautodyn.space import (
     PhaseSpace,
     SpaceKind,
     distance,
+    grid_coords,
     reduce_angle,
 )
 
@@ -68,7 +75,7 @@ def test_arc_step_under_doubling():
     thetas = [
         apply(AffineCircle(2, 0.25), CircleAngle(1.0 + t)).theta for t in np.linspace(0, 0.5, 50)
     ]
-    assert (image.distances(0, np.array(thetas))[1] == 0.0).all()
+    assert (_ref_distances(ARC, image.a[1, 0], image.b[1, 0], np.array(thetas)) == 0.0).all()
 
 
 def test_arc_wraps_to_full_cover():
@@ -91,7 +98,8 @@ def test_rotation_preserves_arc_length():
 
 def test_region_distance_matches_sampled_minimum():
     thetas = np.linspace(0, TWO_PI, 37, endpoint=False)
-    measured = _chain(ARC, 5.5, 0.9).distances(0, thetas)[0]  # wraps through zero
+    arc = _chain(ARC, 5.5, 0.9)  # wraps through zero
+    measured = _ref_distances(ARC, arc.a[0, 0], arc.b[0, 0], thetas)
     for theta, got in zip(thetas, measured):
         p = CircleAngle(theta)
         dense = min(
@@ -99,7 +107,9 @@ def test_region_distance_matches_sampled_minimum():
         )
         assert got == pytest.approx(dense, abs=2e-3)
 
-    near, inside, far = _chain(INTERVAL, 0.2, 0.4).distances(0, np.array([0.1, 0.3, 0.9]))[0]
+    interval = _chain(INTERVAL, 0.2, 0.4)
+    coords = np.array([0.1, 0.3, 0.9])
+    near, inside, far = _ref_distances(INTERVAL, interval.a[0, 0], interval.b[0, 0], coords)
     assert near == pytest.approx(0.1)
     assert inside == 0.0
     assert far == pytest.approx(0.5)
@@ -109,6 +119,11 @@ def test_covering_defect_values():
     assert _chain(INTERVAL, 0.25, 1.0).covering_defects()[0, 0] == 0.25
     assert _chain(INTERVAL, 0.0, 1.0).covering_defects()[0, 0] == 0.0
     assert _chain(ARC, 0.0, math.pi).covering_defects()[0, 0] == pytest.approx(math.pi / 2)
+
+
+def test_covering_defect_is_never_negative():
+    # np.interp can round interval ends an ulp out of [0, 1]
+    assert _chain(INTERVAL, -5e-17, 1.0 + 2**-52).covering_defects()[0, 0] == 0.0
 
 
 def test_diameter_caps_at_geodesic_diameter():
@@ -123,3 +138,117 @@ def test_kernel_decides_support():
     from nonautodyn.descriptors import OdometerAdd
 
     assert _ball(SpaceKind.BINARY_SEQ, 0.0, 0.1, OdometerAdd()) is None
+
+
+# ---------------------------------------------------------------------------
+# the hit table from region ends, against the distance rule on every center
+
+
+def _ref_distances(kind, a, b, coords):
+    """The distance rule, as the hit table read it from a full distance array."""
+    if kind is ARC:
+        z = np.mod(coords - a, TWO_PI)
+        w = np.mod(z - b, TWO_PI)
+        out = np.minimum(np.minimum(z, TWO_PI - z), np.minimum(w, TWO_PI - w))
+        return np.where((z <= b) | (b >= TWO_PI), 0.0, out)
+    return np.maximum(np.maximum(a - coords, coords - b), 0.0)
+
+
+def _ref_hits(chains, step, grid, eps, count):
+    """hits[u, v, n] = distance from grid[v] to region n of chain u * step < eps."""
+    a, b = chains.a[:, ::step, None], chains.b[:, ::step, None]
+    return (_ref_distances(chains.kind, a, b, grid) < eps)[:, :count].transpose(1, 2, 0)
+
+
+def _hits(chains, step, grid, eps, count):
+    out = np.ones((count, len(grid), chains.a.shape[0]), dtype=bool)  # every cell is written
+    chains.hits(step, grid, eps, out)
+    return out
+
+
+@st.composite
+def _hit_case(draw):
+    """A uniform grid, an eps and a few chains of regions, with centers at
+    eps from an end, arcs through zero, full and nearly full arcs, and
+    interval ends an ulp outside [0, 1]."""
+    kind = draw(st.sampled_from([ARC, INTERVAL]))
+    G = draw(st.integers(2, 64))
+    grid = grid_coords(CIRCLE if kind is ARC else PhaseSpace.unit_interval(), G)
+    eps = draw(st.one_of(st.floats(1e-6, 4.0), st.floats(0.01, 2.0).map(lambda t: t / G)))
+    center = st.integers(0, G - 1).map(lambda k: float(grid[k]))
+    gap = st.sampled_from([eps, eps - 1e-12, eps + 1e-12])  # at eps, just inside or outside it
+    if kind is ARC:
+        length = st.one_of(
+            st.floats(0.0, TWO_PI),
+            st.just(TWO_PI),
+            st.floats(0.0, 1.0).map(lambda t: TWO_PI - t * TWO_PI / G),  # within a step of full
+            st.just(0.0),
+        )
+
+        @st.composite
+        def region(draw):
+            b = draw(length)
+            a = draw(st.one_of(
+                st.floats(0.0, TWO_PI, exclude_max=True),
+                st.tuples(center, gap).map(lambda t: t[0] + t[1]),  # c lies eps before the start
+                st.tuples(center, gap).map(lambda t: t[0] - t[1] - b),  # c lies eps past the end
+                st.floats(0.0, 1.0).map(lambda t: -t * b),  # through zero
+            ))
+            return reduce_angle(a), b
+    else:
+        end = st.one_of(
+            st.floats(0.0, 1.0),
+            st.tuples(center, gap).map(lambda t: t[0] + t[1]),
+            st.tuples(center, gap).map(lambda t: t[0] - t[1]),
+            st.sampled_from([-5e-17, -(2**-1074), 0.0, 1.0, 1.0 + 2**-52]),
+        )
+        region = lambda: st.tuples(end, end).map(sorted)  # noqa: E731
+    rows, chains = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    ends = draw(st.lists(region(), min_size=rows * chains, max_size=rows * chains))
+    a, b = np.array(ends).T.reshape(2, rows, chains)
+    return RegionChains(kind, a, b), grid, eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hit_case())
+def test_hits_match_the_distance_rule(case):
+    chains, grid, eps = case
+    count = chains.a.shape[1]
+    want = _ref_hits(chains, 1, grid, eps, count)
+    assert np.array_equal(_hits(chains, 1, grid, eps, count), want)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_builtin_hits_match_the_distance_rule(name, mode):
+    spec = CATALOG[name]
+    sys = SystemView(spec.build_family(), mode)
+    cfg = spec.check
+    ev = _ball_evidence(sys, cfg)
+    G, R = len(ev.centers), len(ev.balls) // len(ev.centers)
+    radii = np.tile(_rungs(sys.space, cfg, 0.25, 3), G)
+    chains = _ball_chains(sys, np.repeat(ev.centers, R), radii, cfg.horizon)
+    if chains is None:
+        assert sys.space.kind is SpaceKind.BINARY_SEQ
+        return
+    assert np.array_equal(ev.hits, _ref_hits(chains, R, ev.centers, cfg.eps, G))
+
+
+def test_hits_evaluate_the_rule_only_at_window_ends(monkeypatch):
+    # the circle distance rule takes two np.mod calls per element; a distance
+    # array per center would evaluate G * G * (N+1) elements
+    mods = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def mod(self, x, *args):
+            mods.append(np.size(x))
+            return np.mod(x, *args)
+
+    monkeypatch.setattr(regions, "np", CountingNumpy())
+    spec = CATALOG["alternating-rotation"]
+    ev = _compute_ball_evidence(SystemView(spec.build_family(), Mode.NON_AUTONOMOUS), spec.check)
+    G, N = len(ev.centers), spec.check.horizon
+    assert sum(mods) / 2 <= 4 * G * (N + 1)
