@@ -39,6 +39,17 @@ def _ball(kind, center, radius, *steps):
     return ball_chains(kind, np.array([center]), np.array([radius]), list(steps))
 
 
+def _ref_distances(kind, a, b, coords):
+    """Distance from each coordinate to the region (a, b) it broadcasts with,
+    0 where contained: the rule that decides a hit, as a full distance array."""
+    if kind is ARC:
+        z = np.mod(coords - a, TWO_PI)
+        w = np.mod(z - b, TWO_PI)
+        out = np.minimum(np.minimum(z, TWO_PI - z), np.minimum(w, TWO_PI - w))
+        return np.where((z <= b) | (b >= TWO_PI), 0.0, out)
+    return np.maximum(np.maximum(a - coords, coords - b), 0.0)
+
+
 def test_ball_region_shapes():
     r = _ball(INTERVAL, 0.5, 0.1)
     assert (r.a[0, 0], r.b[0, 0]) == (0.4, 0.6)
@@ -144,16 +155,6 @@ def test_kernel_decides_support():
 # the hit table from region ends, against the distance rule on every center
 
 
-def _ref_distances(kind, a, b, coords):
-    """The distance rule, as the hit table read it from a full distance array."""
-    if kind is ARC:
-        z = np.mod(coords - a, TWO_PI)
-        w = np.mod(z - b, TWO_PI)
-        out = np.minimum(np.minimum(z, TWO_PI - z), np.minimum(w, TWO_PI - w))
-        return np.where((z <= b) | (b >= TWO_PI), 0.0, out)
-    return np.maximum(np.maximum(a - coords, coords - b), 0.0)
-
-
 def _ref_hits(chains, step, grid, eps, count):
     """hits[u, v, n] = distance from grid[v] to region n of chain u * step < eps."""
     a, b = chains.a[:, ::step, None], chains.b[:, ::step, None]
@@ -202,7 +203,9 @@ def _hit_case(draw):
             st.tuples(center, gap).map(lambda t: t[0] - t[1]),
             st.sampled_from([-5e-17, -(2**-1074), 0.0, 1.0, 1.0 + 2**-52]),
         )
-        region = lambda: st.tuples(end, end).map(sorted)  # noqa: E731
+
+        def region():
+            return st.tuples(end, end).map(sorted)
     rows, chains = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     ends = draw(st.lists(region(), min_size=rows * chains, max_size=rows * chains))
     a, b = np.array(ends).T.reshape(2, rows, chains)
