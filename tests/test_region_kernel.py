@@ -69,11 +69,14 @@ class IntervalRegion:
 
 
 def _ref_pl_eval(pl, x):
-    """np.interp's rule: the last value at and past the last breakpoint, the
-    left end's value at a piece's left end, else the slope times the offset
-    from the left end, plus the left end's value."""
+    """np.interp's rule: the first value before the first breakpoint (an
+    interval end an ulp below 0), the last value at and past the last
+    breakpoint, the left end's value at a piece's left end, else the slope
+    times the offset from the left end, plus the left end's value."""
     xs = [bx for bx, _ in pl.breakpoints]
     i = bisect.bisect_right(xs, x) - 1
+    if i < 0:
+        return pl.breakpoints[0][1]
     if i >= len(xs) - 1:
         return pl.breakpoints[-1][1]
     (x0, y0), (x1, y1) = pl.breakpoints[i], pl.breakpoints[i + 1]
@@ -206,6 +209,11 @@ def test_arc_chains_match_reference(starts, steps):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(intervals(), min_size=1, max_size=6), st.lists(interval_step, max_size=8))
+# the first image ends an ulp below 0, where the second step's rule takes its first value
+@example([IntervalRegion(0.0, 1.0)], [Compose(
+    Lookup((-0.0, -0.0)),
+    PiecewiseLinear(((0.0, -0.0), (0.18539626756445265, 0.47265625), (1.0, -0.0))),
+)])
 def test_interval_chains_match_reference(starts, steps):
     _assert_matches_reference(starts, steps)
 
