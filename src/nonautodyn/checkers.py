@@ -47,6 +47,7 @@ from .space import (
     coord_to_json,
     grid_coords,
     grid_size,
+    grid_window,
     point_coords,
 )
 from .verdict import Verdict
@@ -167,6 +168,11 @@ def checker_grid(space: PhaseSpace, cfg: CheckConfig) -> np.ndarray:
     return grid
 
 
+def _blocks(n: int, step: int) -> list[slice]:
+    """range(n) in slices of step indices."""
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _sweep_groups(
     sys: SystemView, groups: list[np.ndarray], horizon: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -261,15 +267,18 @@ class _BallEvidence:
     is grid center u with rung i of _rungs, so ball u * R is the eps-ball
     around u. It has the diameter series diams[k] for n = 0..N and a
     collapse step and point (region chains only). The eps-balls alone have
-    hits[u, v, n], image n of ball u within eps of center v, and defects[u, n],
-    how far image n of ball u is from covering the grid."""
+    hits[u, v, n], image n of ball u within eps of center v, dense[u, n],
+    image n of ball u within eps of every point of the grid (its covering
+    defect below eps), and final_defects[u], how far image N of ball u is
+    from covering the grid."""
 
     centers: np.ndarray  # coordinates, shape (G,)
     balls: list[tuple[np.ndarray, float]]
     diams: np.ndarray  # float, shape (G * R, N+1)
     collapses: list[tuple[int, float] | None]
     hits: np.ndarray  # bool, shape (G, G, N+1)
-    defects: np.ndarray  # float, shape (G, N+1)
+    dense: np.ndarray  # bool, shape (G, N+1)
+    final_defects: np.ndarray  # float, shape (G,)
 
     def collapse(self, u: int) -> tuple[int, float] | None:
         """Collapse of the eps-ball around center u."""
@@ -288,28 +297,63 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     rungs = _rungs(sys.space, cfg, 0.25, 3)
     G, R = len(centers), len(rungs)
     balls = [(c, r) for c in centers for r in rungs]
-    hits = np.zeros((G, G, N + 1), dtype=bool)
 
     chains = _ball_chains(sys, np.repeat(centers, R), np.tile(rungs, G), N)
     if chains is not None:
+        hits = np.zeros((G, G, N + 1), dtype=bool)
         chains.hits(R, centers, cfg.eps, hits)
+        defects = chains.covering_defects()[:, ::R]
         return _BallEvidence(
             centers, balls, np.ascontiguousarray(chains.diameters().T),
             [chains.collapse(k) for k in range(G * R)], hits,
-            np.ascontiguousarray(chains.covering_defects()[:, ::R].T),
+            np.ascontiguousarray(defects.T < cfg.eps), defects[-1].copy(),
         )
 
     per_rung = [ball_coords(sys.space, centers, r, cfg.ball_count) for r in rungs]
     orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
-    full = grid_coords(sys.space, cfg.grid_resolution)
-    defects = np.empty((G, N + 1))
-    for u, idx in enumerate(cols[::R]):  # the first rung is eps
-        cloud = orbits[:, idx]
-        hits[u] = (coord_distances(kind, cloud[:, :, None], centers).min(axis=1) < cfg.eps).T
-        # per time row: the grid point farthest from its nearest cloud point
-        defects[u] = coord_distances(kind, cloud[:, None], full[:, None]).min(axis=2).max(axis=1)
+    # the first rung is eps
+    table = _sampled_ball_table(sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, cols[::R])
     diams = np.array([_cloud_diam_series(kind, orbits[:, idx]) for idx in cols])
-    return _BallEvidence(centers, balls, diams, [None] * (G * R), hits, defects)
+    return _BallEvidence(centers, balls, diams, [None] * (G * R), *table)
+
+
+def _sampled_ball_table(
+    space: PhaseSpace, resolution: int, eps: float, centers: np.ndarray,
+    orbits: np.ndarray, cols: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hits, dense flags and final defects of _BallEvidence for balls
+    whose samples are the orbit columns cols[u], with centers the checker
+    grid of grid_coords(space, resolution), which it equals on continuum
+    spaces. Each sample is measured only against its grid_window, in row
+    blocks of at most half as many window elements as one ball's samples
+    against the whole grid over every row: each element also takes an index
+    and a gathered grid point."""
+    kind, T, G, B = space.kind, len(orbits), len(centers), len(cols)
+    sizes = [len(idx) for idx in cols]
+    # the samples: column idx[s] of ball owner[s]
+    idx, owner = np.concatenate(cols), np.repeat(np.arange(B), sizes)[:, None]
+    full = grid_coords(space, resolution)
+    binary = kind is SpaceKind.BINARY_SEQ
+    hits = np.zeros((B, G, T), dtype=bool)
+    dense = np.empty((T, B), dtype=bool)
+    width = grid_window(space, resolution, full[:0], eps).shape[1]
+    step = max(1, T * max(sizes) * G // (2 * len(idx) * width + binary * B * G))
+    for rows in _blocks(T, step):
+        cloud = orbits[rows, idx]
+        window = grid_window(space, resolution, cloud, eps)
+        n = np.arange(len(cloud))[:, None, None]
+        near = coord_distances(kind, cloud[..., None], centers.take(window)) < eps
+        hits.reshape(-1)[((owner * G + window) * T + rows.start + n)[near]] = True
+        if binary:  # grid words end at the grid's coordinates, centers at the word length
+            near = coord_distances(kind, cloud[..., None], full.take(window)) < eps
+            covered = np.zeros((len(cloud), B, G), dtype=bool)
+            covered.reshape(-1)[((n * B + owner) * G + window)[near]] = True
+            dense[rows] = covered.all(axis=2)
+    dense = np.ascontiguousarray(dense.T) if binary else hits.all(axis=1)
+    # per ball, the grid point farthest from its nearest sample at the last row
+    last = coord_distances(kind, orbits[-1, idx, None], full)
+    final = np.minimum.reduceat(last, np.cumsum([0] + sizes[:-1]), axis=0).max(axis=1)
+    return hits, dense, final
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +693,13 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
     # (b) cloud convergence: image covering defect below eps from some K on,
     # one past its last defect of eps or more, found backwards as in (a)
-    bad = ev.defects[:, ::-1] >= cfg.eps
+    bad = ~ev.dense[:, ::-1]
     K = np.where(bad.any(axis=1), N + 1 - bad.argmax(axis=1), 0)
     late = K > N // 2
     convergence_ok = not late.any()
     conv_K = int(np.where(late, 0, K).max())
     conv_fail = None if convergence_ok else int(late.argmax())
-    defects_final = ev.defects[:, -1].tolist()
+    defects_final = ev.final_defects.tolist()
 
     tests = {
         "hit_persistence": {"passed": persistence_ok, "K": worst_K},
@@ -974,26 +1018,27 @@ _PAIR_POOL = 5
 _BLOCK = 1 << 20
 
 
-def _blocks(n: int, step: int) -> list[slice]:
-    """range(n) in slices of step indices."""
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 def _pair_codes(
     kind: SpaceKind, cfg: CheckConfig, orbits: np.ndarray, sources: np.ndarray
 ) -> np.ndarray:
     """The code from each source column to every column of a pair sweep, read
-    from row 0 and the tail window alone, one source at a time, so no
+    from row 0 and the tail window alone. Columns equal over the whole tail
+    window have the same near and far bits, so those are measured between
+    distinct tail columns only, one distinct source at a time, so no
     transient outgrows one source's tail distances."""
     tail = orbits[-(cfg.tail_window + 1) :]
-    codes = np.empty((len(sources), orbits.shape[1]), dtype=np.uint8)
-    for k, s in enumerate(sources):
-        d = coord_distances(kind, tail[:, s, None], tail)
-        codes[k] = (
-            (coord_distances(kind, orbits[0, s], orbits[0]) == 0.0) * _SAME
-            | (d < cfg.eps).any(axis=0) * _NEAR
-            | (d > cfg.delta).any(axis=0) * _FAR
-        )
+    keys = np.ascontiguousarray(tail.T)
+    _, first, inverse = np.unique(
+        keys.view(f"V{keys.itemsize * len(tail)}").ravel(), return_index=True, return_inverse=True
+    )
+    distinct, inverse = tail[:, first], inverse.reshape(-1)
+    classes, of_source = np.unique(inverse[sources], return_inverse=True)
+    bits = np.empty((len(classes), len(first)), dtype=np.uint8)
+    for k, c in enumerate(classes):
+        d = coord_distances(kind, distinct[:, c, None], distinct)
+        bits[k] = (d < cfg.eps).any(axis=0) * _NEAR | (d > cfg.delta).any(axis=0) * _FAR
+    codes = bits[of_source.reshape(-1)][:, inverse]
+    codes[coord_distances(kind, orbits[0, sources, None], orbits[0]) == 0.0] |= _SAME
     return codes
 
 

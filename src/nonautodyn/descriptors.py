@@ -222,7 +222,7 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
             n = len(values)
             if m.rule == "linear":
                 return np.interp(arr, m._nodes, values)
-            return values[np.clip(np.rint(arr * (n - 1)).astype(int), 0, n - 1)]
+            return values.take(np.rint(arr * (n - 1)).astype(int), mode="clip")
         if isinstance(m, Compose):
             return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
         raise SpaceError(f"descriptor {type(m).__name__} is not an interval map")

@@ -270,6 +270,35 @@ def grid_coords(space: PhaseSpace, resolution: int, step: int = 1) -> np.ndarray
     return words
 
 
+def grid_window(space: PhaseSpace, resolution: int, coords: np.ndarray, eps: float) -> np.ndarray:
+    """Indices into grid_coords(space, resolution), one row of W per
+    coordinate, shape coords.shape + (W,), that hold every grid point within
+    eps of it, whatever the grid's word lengths: a superset, which
+    coord_distances then decides.
+
+    Binary words: the 2**(g-q) grid words that agree with the word on its
+    first q = min(g, floor(1/eps) - 1) coordinates, for a grid of g-coordinate
+    words, since a distance below eps needs agreement on the first
+    floor(1/eps). Continuum spaces: the indices within eps plus one index of
+    slack on each side, cyclic on the circle and shifted inside the grid on
+    the interval.
+    """
+    G = grid_size(space, resolution)
+    if space.kind is SpaceKind.BINARY_SEQ:
+        g = G.bit_length() - 1
+        q = max(min(g, math.floor(1.0 / eps) - 1), 0)
+        start = np.zeros(coords.shape, dtype=np.int64)
+        for j in range(q):  # coordinate j+1 is bit j of a word, bit g-1-j of its index
+            start |= ((coords["value"] >> j) & 1) << (g - 1 - j)
+        return start[..., None] + np.arange(1 << (g - q))
+    scale = resolution / TWO_PI if space.kind is SpaceKind.CIRCLE else resolution - 1.0
+    W = min(G, math.floor(2.0 * eps * scale) + 4)
+    start = np.floor((coords - eps) * scale).astype(np.int64) - 1
+    if space.kind is SpaceKind.CIRCLE:
+        return (start[..., None] + np.arange(W)) % G
+    return np.minimum(np.maximum(start, 0), G - W)[..., None] + np.arange(W)
+
+
 def ball_coords(space: PhaseSpace, centers: np.ndarray, radius: float, count: int) -> list[np.ndarray]:
     """Deterministic samples inside the open ball of one radius around each
     center coordinate, one array per ball, each starting with its center.

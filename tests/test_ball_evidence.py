@@ -17,6 +17,7 @@ from nonautodyn.checkers import (
     SystemView,
     _ball_evidence,
     _cloud_diam_series,
+    _pair_codes,
     _shared_time_misses,
     check_li_yorke_cell_density,
     check_proximal_cell_density,
@@ -27,7 +28,9 @@ from nonautodyn.checkers import (
 )
 from nonautodyn.report import CATALOG, run_comparison
 from nonautodyn.space import (
+    WORD_DTYPE,
     SpaceError,
+    SpaceKind,
     ball_sample,
     coord_distances,
     coord_point,
@@ -94,6 +97,49 @@ def _repeated_rows():
 @example(np.array([[True, False], [False, True], [True, False]]))
 def test_shared_time_misses_match_dense_reference(H):
     assert _shared_time_misses(H) == _dense_reference(H)
+
+
+def _per_source_codes(kind, cfg, orbits, sources):
+    """Pair codes measured from each source to every column over the tail."""
+    tail = orbits[-(cfg.tail_window + 1) :]
+    codes = np.empty((len(sources), orbits.shape[1]), dtype=np.uint8)
+    for k, s in enumerate(sources):
+        d = coord_distances(kind, tail[:, s, None], tail)
+        codes[k] = (
+            (coord_distances(kind, orbits[0, s], orbits[0]) == 0.0) * checkers._SAME
+            | (d < cfg.eps).any(axis=0) * checkers._NEAR
+            | (d > cfg.delta).any(axis=0) * checkers._FAR
+        )
+    return codes
+
+
+@st.composite
+def _repeated_tails(draw):
+    """Orbit matrices whose columns repeat a few tail columns under any
+    row 0, with a tail window and sources among the columns."""
+    kind = draw(st.sampled_from([SpaceKind.UNIT_INTERVAL, SpaceKind.BINARY_SEQ]))
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    pool = [0.0, -0.0, 0.1, 0.3, 0.5, 0.95] if kind is SpaceKind.UNIT_INTERVAL else [0, 1, 2, 6, 7]
+    tails = draw(st.lists(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows), min_size=1, max_size=4))
+    columns = [tails[draw(st.integers(0, len(tails) - 1))] for _ in range(width)]
+    heads = [draw(st.sampled_from(pool)) if draw(st.booleans()) else c[0] for c in columns]
+    values = np.array([[h] + c[1:] for h, c in zip(heads, columns)]).T
+    if kind is SpaceKind.BINARY_SEQ:
+        orbits = np.zeros(values.shape, dtype=WORD_DTYPE)
+        orbits["value"], orbits["length"], orbits["eff"] = values, 4, 4
+    else:
+        orbits = values.astype(float)
+    cfg = CheckConfig(horizon=rows, tail_window=draw(st.integers(1, rows)), eps=0.2, delta=0.3)
+    sources = np.array(sorted(draw(st.sets(st.integers(0, width - 1), min_size=1))))
+    return kind, cfg, orbits, sources
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeated_tails())
+def test_pair_codes_match_per_source_rule(case):
+    codes = _pair_codes(*case)
+    assert codes.dtype == np.uint8
+    assert np.array_equal(codes, _per_source_codes(*case))
 
 
 def test_one_alternating_rotation_report_steps_each_view_once(monkeypatch):

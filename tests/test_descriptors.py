@@ -279,6 +279,24 @@ class TestSupMetric:
             assert not est.exact and est.value == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=2, max_size=9),
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -0.5, 1.5, -3.0, 4.0]) | st.floats(-2.0, 3.0)
+        # exact halves of the node spacing for tables of 2, 3, 5 and 9 values
+        | st.integers(-16, 32).map(lambda k: (k + 0.5) / 8),
+        min_size=1, max_size=40,
+    ),
+)
+def test_nearest_lookup_matches_clipped_rounding(values, xs):
+    m = Lookup(tuple(values), "nearest")
+    arr, table = np.array(xs), np.array(values)
+    n = len(values)
+    want = table[np.clip(np.rint(arr * (n - 1)).astype(int), 0, n - 1)]
+    assert apply_batch(m, arr, SpaceKind.UNIT_INTERVAL).tobytes() == want.tobytes()
+
+
 def test_descriptor_json_round_trip():
     descriptors = [
         Rotation(0.7),
