@@ -1025,19 +1025,23 @@ def _pair_codes(
     from row 0 and the tail window alone. Columns equal over the whole tail
     window have the same near and far bits, so those are measured between
     distinct tail columns only, one distinct source at a time, so no
-    transient outgrows one source's tail distances."""
+    transient outgrows one source's tail distances. Each row of a sweep is
+    its step map applied to the row before, so columns equal on the tail's
+    first row are equal over the whole tail."""
     tail = orbits[-(cfg.tail_window + 1) :]
-    keys = np.ascontiguousarray(tail.T)
     _, first, inverse = np.unique(
-        keys.view(f"V{keys.itemsize * len(tail)}").ravel(), return_index=True, return_inverse=True
+        tail[0].view(f"V{tail.itemsize}"), return_index=True, return_inverse=True
     )
     distinct, inverse = tail[:, first], inverse.reshape(-1)
-    classes, of_source = np.unique(inverse[sources], return_inverse=True)
-    bits = np.empty((len(classes), len(first)), dtype=np.uint8)
-    for k, c in enumerate(classes):
+    # the distinct columns of the sources, by a mask: np.unique on integers
+    # pages in numpy code worth 0.65 MiB of resident memory on first use
+    used = np.zeros(len(first), dtype=bool)
+    used[inverse[sources]] = True
+    bits = np.empty((used.sum(), len(first)), dtype=np.uint8)
+    for k, c in enumerate(np.flatnonzero(used)):
         d = coord_distances(kind, distinct[:, c, None], distinct)
         bits[k] = (d < cfg.eps).any(axis=0) * _NEAR | (d > cfg.delta).any(axis=0) * _FAR
-    codes = bits[of_source.reshape(-1)][:, inverse]
+    codes = bits[(np.cumsum(used) - 1)[inverse[sources]]][:, inverse]
     codes[coord_distances(kind, orbits[0, sources, None], orbits[0]) == 0.0] |= _SAME
     return codes
 

@@ -115,15 +115,17 @@ def _per_source_codes(kind, cfg, orbits, sources):
 
 @st.composite
 def _repeated_tails(draw):
-    """Orbit matrices whose columns repeat a few tail columns under any
-    row 0, with a tail window and sources among the columns."""
+    """Sweeps of a few values under maps that merge some of them, so columns
+    that differ at row 0 can repeat one tail column, with a tail window and
+    sources among the columns."""
     kind = draw(st.sampled_from([SpaceKind.UNIT_INTERVAL, SpaceKind.BINARY_SEQ]))
     rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     pool = [0.0, -0.0, 0.1, 0.3, 0.5, 0.95] if kind is SpaceKind.UNIT_INTERVAL else [0, 1, 2, 6, 7]
-    tails = draw(st.lists(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows), min_size=1, max_size=4))
-    columns = [tails[draw(st.integers(0, len(tails) - 1))] for _ in range(width)]
-    heads = [draw(st.sampled_from(pool)) if draw(st.booleans()) else c[0] for c in columns]
-    values = np.array([[h] + c[1:] for h, c in zip(heads, columns)]).T
+    index = [draw(st.lists(st.integers(0, len(pool) - 1), min_size=width, max_size=width))]
+    for _ in range(rows - 1):
+        step = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(pool), max_size=len(pool)))
+        index.append([step[i] for i in index[-1]])
+    values = np.array(pool)[np.array(index)]
     if kind is SpaceKind.BINARY_SEQ:
         orbits = np.zeros(values.shape, dtype=WORD_DTYPE)
         orbits["value"], orbits["length"], orbits["eff"] = values, 4, 4
