@@ -279,9 +279,9 @@ def grid_window(space: PhaseSpace, resolution: int, coords: np.ndarray, eps: flo
     Binary words: the 2**(g-q) grid words that agree with the word on its
     first q = min(g, floor(1/eps) - 1) coordinates, for a grid of g-coordinate
     words, since a distance below eps needs agreement on the first
-    floor(1/eps). Continuum spaces: the indices within eps plus one index of
-    slack on each side, cyclic on the circle and shifted inside the grid on
-    the interval.
+    floor(1/eps) (one less is a margin for the rounding of 1/eps). Continuum
+    spaces: the indices within eps plus one index of slack on each side,
+    cyclic on the circle and shifted inside the grid on the interval.
     """
     G = grid_size(space, resolution)
     if space.kind is SpaceKind.BINARY_SEQ:
