@@ -191,6 +191,22 @@ def _sweep_groups(
     return orbits, np.split(inverse.reshape(-1), np.cumsum([len(g) for g in groups])[:-1])
 
 
+#: rows in the first block of a sweep that may stop early; each later block doubles
+_FIRST_BLOCK = 16
+
+
+def _row_blocks(sys: SystemView, coords: np.ndarray, horizon: int):
+    """orbit_matrix(sys, coords, horizon) in blocks of rows, yielded as (t, block)
+    with block[0] row t. Each block starts from the last row of the one before,
+    which the semigroup identity makes bit-exact, and is twice as long."""
+    t, k = 0, _FIRST_BLOCK
+    while t < horizon:
+        k = min(k, horizon - t)
+        block = orbit_matrix(sys, coords, k, start=t)
+        yield t, block
+        t, k, coords = t + k, 2 * k, block[-1]
+
+
 def _ball_chains(
     sys: SystemView, centers: np.ndarray, radii: np.ndarray, horizon: int
 ) -> RegionChains | None:
@@ -199,11 +215,26 @@ def _ball_chains(
     return ball_chains(sys.space.kind, centers, radii, sys.steps(horizon)[1 : horizon + 1])
 
 
-def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray) -> np.ndarray:
-    """Max pairwise distance per time row of an orbit matrix; 0 for fewer
-    than two columns."""
-    i, j = np.triu_indices(orbits.shape[1], 1)
-    return coord_distances(kind, orbits[:, i], orbits[:, j]).max(axis=1, initial=0.0)
+#: the most pair distances _cloud_diam_series measures at once, unless one
+#: ball has more: a binary distance takes several temporaries of 8 bytes or
+#: more, and a larger block raises the process's peak memory
+_DIAM_BLOCK = 1 << 13
+
+
+def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """Max pairwise distance per time row of the orbit columns cols[k] of each
+    ball k, shape (len(cols), rows); 0 for fewer than two columns. Balls of
+    one size are measured together, in blocks of at most _DIAM_BLOCK
+    distances or one ball."""
+    diams = np.zeros((len(cols), len(orbits)))
+    for size in sorted(set(map(len, cols)) - {0, 1}):
+        balls = [k for k, idx in enumerate(cols) if len(idx) == size]
+        i, j = np.triu_indices(size, 1)
+        for block in _blocks(len(balls), max(1, _DIAM_BLOCK // (len(orbits) * len(i)))):
+            idx = np.array([cols[k] for k in balls[block]])
+            d = coord_distances(kind, orbits[:, idx[:, i]], orbits[:, idx[:, j]])
+            diams[balls[block]] = d.max(axis=2, initial=0.0).T
+    return diams
 
 
 def _rungs(space: PhaseSpace, cfg: CheckConfig, ratio: float, count: int) -> list[float]:
@@ -313,7 +344,7 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
     # the first rung is eps
     table = _sampled_ball_table(sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, cols[::R])
-    diams = np.array([_cloud_diam_series(kind, orbits[:, idx]) for idx in cols])
+    diams = _cloud_diam_series(kind, orbits, cols)
     return _BallEvidence(centers, balls, diams, [None] * (G * R), *table)
 
 
@@ -361,7 +392,11 @@ def _sampled_ball_table(
 
 def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Search a ladder of pair separations delta' for one that keeps all
-    sampled pairs within eps for every time up to the horizon."""
+    sampled pairs within eps for every time up to the horizon.
+
+    Each rung is swept in row blocks. A rung other than the last stops at the
+    first block with a separation above eps, since only its failure is read;
+    a rung that holds, and the last rung, cover the whole horizon."""
     cfg.validate(sys.space)
     space = sys.space
     N = cfg.horizon
@@ -378,13 +413,21 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             if len(g) > 1
         ]
         if groups:
-            orbits, cols = _sweep_groups(sys, [g for _, g in groups], N)
-            for (u, g), idx in zip(groups, cols):
-                seps = coord_distances(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
-                flat = int(np.argmax(seps))
-                t, j = divmod(flat, seps.shape[1])
-                if seps[t, j] > worst_sep:
-                    worst_sep, worst_pair = float(seps[t, j]), (centers[u], g[j + 1], t)
+            starts, cols = _sweep_groups(sys, [g for _, g in groups], 0)
+            # per ball, its largest separation so far, first in (time, partner)
+            # order, and where it is: a later block replaces it only when larger
+            best = [(-np.inf, 0, 0)] * len(groups)
+            for t0, orbits in _row_blocks(sys, starts[0], N):
+                for b, idx in enumerate(cols):
+                    seps = coord_distances(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
+                    t, j = divmod(int(np.argmax(seps)), seps.shape[1])
+                    if seps[t, j] > best[b][0]:
+                        best[b] = (seps[t, j], t0 + t, j)
+                if rung != rungs[-1] and max(best)[0] > cfg.eps:
+                    break
+            for (u, g), (sep, t, j) in zip(groups, best):
+                if sep > worst_sep:
+                    worst_sep, worst_pair = float(sep), (centers[u], g[j + 1], t)
         if worst_sep <= cfg.eps:
             return V.holds(
                 {"delta_prime": rung, "max_separation": worst_sep, "horizon": N},
@@ -741,7 +784,11 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
 
 def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
-    """Dense-orbit surrogate: every grid start visits every grid cell within eps."""
+    """Dense-orbit surrogate: every grid start visits every grid cell within eps.
+
+    The orbits are swept in row blocks, one start at a time, and the verdict
+    holds as soon as every start has visited every target; otherwise the
+    sweep reaches the horizon and the refutation rules read the whole orbits."""
     cfg.validate(sys.space)
     space = sys.space
     N = cfg.horizon
@@ -749,23 +796,23 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
     starts = checker_grid(space, cfg)
     targets = grid_coords(space, cfg.grid_resolution)
 
-    uncovered: list[tuple[int, int]] = []  # start and missed target
-    visit_times: list[int] = []
-    orbits = orbit_matrix(sys, starts, N)
-    for i in range(len(starts)):
-        ok = coord_distances(kind, orbits[:, i, None], targets) <= cfg.eps
-        any_ok = ok.any(axis=0)
-        if any_ok.all():
-            visit_times.append(int(ok.argmax(axis=0).max()))
-        else:
-            uncovered.append((i, int(np.argmin(any_ok))))
-
-    if not uncovered:
-        worst = max(visit_times)
-        return V.holds(
-            {"max_cell_visit_time": worst, "starts": len(starts), "targets": len(targets)},
-            f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
-        )
+    # first[i, t]: the first time start i visits target t, or -1
+    first = np.full((len(starts), len(targets)), -1)
+    orbits = np.empty((N + 1, len(starts)), dtype=starts.dtype)
+    for t0, block in _row_blocks(sys, starts, N):
+        orbits[t0 : t0 + len(block)] = block
+        for i in np.flatnonzero((first < 0).any(axis=1)):
+            ok = coord_distances(kind, block[:, i, None], targets) <= cfg.eps
+            new = ok.any(axis=0) & (first[i] < 0)
+            first[i, new] = t0 + ok.argmax(axis=0)[new]
+        if (first >= 0).all():
+            worst = int(first.max())
+            return V.holds(
+                {"max_cell_visit_time": worst, "starts": len(starts), "targets": len(targets)},
+                f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
+            )
+    # start and first missed target
+    uncovered = [(i, int(np.argmax(miss))) for i, miss in enumerate(first < 0) if miss.any()]
 
     # symbolic refutations
     cutoff = sys.constant_tail_from()
@@ -1323,5 +1370,5 @@ def ball_diameter_series(
     if chains is not None:
         return chains.diameters()[:, 0]
     cloud = ball_coords(sys.space, center, radius, cfg.ball_count)
-    orbits, (idx,) = _sweep_groups(sys, cloud, horizon)
-    return _cloud_diam_series(sys.space.kind, orbits[:, idx])
+    orbits, cols = _sweep_groups(sys, cloud, horizon)
+    return _cloud_diam_series(sys.space.kind, orbits, cols)[0]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -250,6 +250,17 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
     if isinstance(m, Compose):
         return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
     raise SpaceError(f"descriptor {type(m).__name__} is not a binary sequence map")
+
+
+def repeat_end(steps: Sequence[MapDescriptor], j: int, stop: int) -> int:
+    """The last index k < stop such that steps[j..k] are all the very object
+    steps[j]. A step is a pure function of its map and its input, so a row
+    that a step map leaves unchanged stays unchanged up to step k."""
+    m = steps[j]
+    for k in range(j + 1, stop):
+        if steps[k] is not m:
+            return k - 1
+    return stop - 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ n+1..n+k, which makes the semigroup identity
 hold bit-exactly: both sides perform the same float operations in the same
 order. Evaluation is forward-only; no inverse maps are ever computed.
 
+Still tails: a step is a pure elementwise function of its map and the row
+before, so once row j is bitwise equal to row j-1, every later row that the
+same map object makes equals it too. ``orbit_matrix`` compares the bytes of
+rows j and j-1 at each power-of-two j (a view that never goes still pays
+about log2(horizon) comparisons) and then fills the rows up to the first
+different map with one broadcast (``descriptors.repeat_end``). Bytes, not
+``==``, so that -0.0 and 0.0 stay apart.
+
 The scalar functions below (``omega``, ``omega_window``, ``limit_iterate``,
 ``trajectory``, ``limit_trajectory``) sweep one column through the kernel.
 Binary words are packed (``space.point_coords``), so words longer than
@@ -23,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .descriptors import MapDescriptor, OdometerAdd, Rotation, apply_batch
+from .descriptors import MapDescriptor, OdometerAdd, Rotation, apply_batch, repeat_end
 from .family import MapFamily
 from .space import PhaseSpace, Point, SpaceError, coord_point, point_coords
 
@@ -80,13 +88,20 @@ class SystemView:
 
 def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int, start: int = 0) -> np.ndarray:
     """Vectorized orbit sweep of a coordinate array (``space.point_coords``),
-    shape (horizon+1, len). Row j is the state after steps start+1..start+j."""
+    shape (horizon+1, len). Row j is the state after steps start+1..start+j;
+    a still tail is filled, not stepped (see the module docstring)."""
     kind = sys.space.kind
     steps = sys.steps(start + horizon)
     rows = np.empty((horizon + 1, coords.shape[0]), dtype=coords.dtype)
     rows[0] = coords
-    for j in range(1, horizon + 1):
+    j = 1
+    while j <= horizon:
         rows[j] = apply_batch(steps[start + j], rows[j - 1], kind)
+        if j & (j - 1) == 0 and rows[j].tobytes() == rows[j - 1].tobytes():
+            k = repeat_end(steps, start + j, start + horizon + 1) - start
+            rows[j + 1 : k + 1] = rows[j]
+            j = k
+        j += 1
     return rows
 
 

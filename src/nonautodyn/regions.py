@@ -22,6 +22,19 @@ An interval image is what the map's one rule (`descriptors.apply_batch`)
 reaches on the region's floats, so a swept point stays in the images of its
 region; where that rule rounds a value out of [0, 1] by an ulp, the image
 ends leave it by as much.
+
+Still tails: a step is a pure elementwise function of its map and the row
+before, so `region_chains` stops stepping once the rest of the chain is
+decided. At each power-of-two row n it checks two rules, and fills the
+rows they decide with one broadcast:
+- rows n and n-1 are bitwise equal (bytes, so -0.0 and 0.0 stay apart):
+  the rows stay equal for as long as the same map object repeats
+  (`descriptors.repeat_end`), and stepping resumes at the first different
+  map;
+- on the circle, every arc of row n is full: a full arc keeps its start and
+  its length under any circle step, so the rows stay equal to the end. The
+  later steps are still flattened, so the kernel returns None at a later
+  step without an exact image as before.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from .descriptors import (
     as_piecewise_linear,
     circle_canonical,
     pl_image_batch,
+    repeat_end,
 )
 from .space import TWO_PI, SpaceKind, canonical_coord, reduce_angles
 
@@ -139,16 +153,21 @@ def region_chains(
     flattened once for all regions: a circle step to one affine map, an
     interval step to the piecewise-linear maps it applies in turn. Returns
     None at the first step without an exact image; that depends on the step
-    alone, never on the regions.
+    alone, never on the regions. Still tails are filled, not stepped (see
+    the module docstring).
     """
     arcs = kind is SpaceKind.CIRCLE
-    a = np.empty((len(steps) + 1, len(a0)))
+    flatten = circle_canonical if arcs else _pl_factors
+    N = len(steps)
+    a = np.empty((N + 1, len(a0)))
     b = np.empty_like(a)
     a[0], b[0] = a0, b0
     prev = flat = None
-    for n, m in enumerate(steps, 1):
+    n = 1
+    while n <= N:
+        m = steps[n - 1]
         if m is not prev:
-            prev, flat = m, circle_canonical(m) if arcs else _pl_factors(m)
+            prev, flat = m, flatten(m)
         if flat is None:
             return None
         if arcs:
@@ -157,6 +176,19 @@ def region_chains(
             a[n], b[n] = a[n - 1], b[n - 1]
             for pl in flat:
                 a[n], b[n] = pl_image_batch(pl, a[n], b[n])
+        if n & (n - 1) == 0:
+            k = n  # the last row the still rules decide from row n
+            if arcs and b[n].min(initial=TWO_PI) >= TWO_PI:
+                for m in steps[n:]:
+                    if m is not prev and flatten(m) is None:
+                        return None
+                    prev = m
+                k = N
+            elif a[n].tobytes() == a[n - 1].tobytes() and b[n].tobytes() == b[n - 1].tobytes():
+                k = repeat_end(steps, n - 1, N) + 1
+            a[n + 1 : k + 1], b[n + 1 : k + 1] = a[n], b[n]
+            n = k
+        n += 1
     return RegionChains(kind, a, b)
 
 

@@ -19,6 +19,7 @@ from nonautodyn.checkers import (
     _cloud_diam_series,
     _pair_codes,
     _shared_time_misses,
+    _sweep_groups,
     check_li_yorke_cell_density,
     check_proximal_cell_density,
     check_proximal_pairs_density,
@@ -31,6 +32,7 @@ from nonautodyn.space import (
     WORD_DTYPE,
     SpaceError,
     SpaceKind,
+    ball_coords,
     ball_sample,
     coord_distances,
     coord_point,
@@ -223,7 +225,31 @@ def test_cloud_diameters_match_pairwise_loop(name):
         for i in range(len(cloud)):
             for j in range(i + 1, len(cloud)):
                 want = np.maximum(want, coord_distances(kind, orbits[:, i], orbits[:, j]))
-        assert _cloud_diam_series(kind, orbits).tobytes() == want.tobytes()
+        series = _cloud_diam_series(kind, orbits, [np.arange(len(cloud))])
+        assert series.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion", "plateau-tent"])
+@pytest.mark.parametrize("block", [0, 5000, 10**9])
+def test_batched_cloud_diameters_match_one_ball_at_a_time(monkeypatch, name, block):
+    # clouds of several sizes, interleaved, measured in blocks of any size
+    spec = CATALOG[name]
+    fam = spec.build_family()
+    kind = fam.space.kind
+    centers = checker_grid(fam.space, spec.check)
+    clouds = [
+        c for count in (1, 2, 5, 9)
+        for c in ball_coords(fam.space, centers[::3], spec.check.eps, count)
+    ][::-1]
+    orbits, cols = _sweep_groups(SystemView(fam, Mode.AUTONOMOUS_LIMIT), clouds, 40)
+    monkeypatch.setattr(checkers, "_DIAM_BLOCK", block)
+    batched = _cloud_diam_series(kind, orbits, cols)
+    for k, idx in enumerate(cols):
+        one = np.zeros(len(orbits))
+        for i in range(len(idx)):
+            for j in range(i + 1, len(idx)):
+                one = np.maximum(one, coord_distances(kind, orbits[:, idx[i]], orbits[:, idx[j]]))
+        assert batched[k].tobytes() == one.tobytes()
 
 
 def test_preflight_refuses_a_hit_table_over_budget():
