@@ -1359,16 +1359,3 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
         f"{int(missing.sum())} ball pairs produced no proximal pair at this horizon",
     )
 
-
-def ball_diameter_series(
-    sys: SystemView, center: np.ndarray, radius: float, cfg: CheckConfig, horizon: int
-) -> np.ndarray:
-    """Orbit diameter of the ball around the one-point coordinate array
-    center for n = 0..horizon: exact from its region chain when the steps
-    allow it, else from cfg.ball_count sampled points."""
-    chains = _ball_chains(sys, center, np.array([radius]), horizon)
-    if chains is not None:
-        return chains.diameters()[:, 0]
-    cloud = ball_coords(sys.space, center, radius, cfg.ball_count)
-    orbits, cols = _sweep_groups(sys, cloud, horizon)
-    return _cloud_diam_series(sys.space.kind, orbits, cols)[0]

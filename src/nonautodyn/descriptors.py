@@ -45,12 +45,12 @@ from .space import (
 
 @dataclass(frozen=True)
 class Rotation:
-    """theta -> theta + amount (mod 2pi); amount stored reduced into [0, 2pi)."""
+    """theta -> theta + amount (mod 2pi); amount stored in [0, 2pi), -0.0 as 0.0."""
 
     amount: float
 
     def __post_init__(self):
-        object.__setattr__(self, "amount", reduce_angle(float(self.amount)))
+        object.__setattr__(self, "amount", reduce_angle(float(self.amount)) + 0.0)
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -68,7 +68,7 @@ class AffineCircle:
         if int(self.slope) != self.slope or self.slope < 1:
             raise SpaceError(f"affine circle slope must be an integer >= 1, got {self.slope}")
         object.__setattr__(self, "slope", int(self.slope))
-        object.__setattr__(self, "offset", reduce_angle(float(self.offset)))
+        object.__setattr__(self, "offset", reduce_angle(float(self.offset)) + 0.0)
 
     @property
     def space_kind(self) -> SpaceKind:
@@ -205,12 +205,13 @@ def apply(m: MapDescriptor, x: Point) -> Point:
 
 
 def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarray:
-    """Vectorized evaluation on a coordinate array (see ``space.point_coords``)."""
+    """Vectorized evaluation on a coordinate array (see ``space.point_coords``);
+    circle sums are +0.0 or more, where fmod equals np.mod bit for bit."""
     if kind is SpaceKind.CIRCLE:
         if isinstance(m, Rotation):
-            return np.mod(arr + m.amount, TWO_PI)
+            return np.fmod(arr + m.amount, TWO_PI)
         if isinstance(m, AffineCircle):
-            return np.mod(m.slope * arr + m.offset, TWO_PI)
+            return np.fmod(m.slope * arr + m.offset, TWO_PI)
         if isinstance(m, Compose):
             return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
         raise SpaceError(f"descriptor {type(m).__name__} is not a circle map")

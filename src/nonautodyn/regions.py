@@ -35,6 +35,10 @@ rows they decide with one broadcast:
   its length under any circle step, so the rows stay equal to the end. The
   later steps are still flattened, so the kernel returns None at a later
   step without an exact image as before.
+
+Slope-1 runs: while no arc is full, slope-1 steps keep every length and move
+each start by the sweep rule fmod(a + offset, 2pi); a run's lengths are one
+broadcast, written before each power-of-two check and where the run ends.
 """
 
 from __future__ import annotations
@@ -122,11 +126,8 @@ class RegionChains:
 
 def _step_arcs(slope: int, offset: float, a: np.ndarray, b: np.ndarray, n: int) -> None:
     """Row n of arc starts a and lengths b, the images of row n-1 under theta ->
-    slope*theta + offset. Full arcs keep their start and, as slope >= 1, their length."""
-    if slope == 1 and b[n - 1].max(initial=0.0) < TWO_PI:  # no full arc: min(1.0 * b, 2pi) == b
-        reduce_angles(np.add(a[n - 1], offset, out=a[n]), out=a[n])
-        b[n] = b[n - 1]
-        return
+    slope*theta + offset, slope >= 2 or a full arc in row n-1 (else a slope-1
+    run). Full arcs keep their start and, as slope >= 1, their length."""
     r = reduce_angles(float(slope) * a[n - 1] + offset)
     a[n] = np.where(b[n - 1] >= TWO_PI, a[n - 1], r)
     np.minimum(float(slope) * b[n - 1], TWO_PI, out=b[n])
@@ -170,7 +171,20 @@ def region_chains(
             prev, flat = m, flatten(m)
         if flat is None:
             return None
-        if arcs:
+        if arcs and flat[0] == 1 and b[n - 1].max(initial=0.0) < TWO_PI:  # a slope-1 run
+            s, row, stop = n, a[n - 1], min(N, 1 << (n - 1).bit_length())
+            while True:
+                row = np.add(row, flat[1], out=a[n])
+                np.fmod(row, TWO_PI, out=row)
+                if n == stop:
+                    break
+                if steps[n] is not prev:
+                    prev, flat = steps[n], flatten(steps[n])
+                    if flat is None or flat[0] != 1:
+                        break
+                n += 1
+            b[s : n + 1] = b[s - 1]
+        elif arcs:
             _step_arcs(*flat, a, b, n)
         else:
             a[n], b[n] = a[n - 1], b[n - 1]

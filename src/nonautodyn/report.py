@@ -31,7 +31,7 @@ from .checkers import (
     CheckConfig,
     Mode,
     SystemView,
-    ball_diameter_series,
+    _ball_evidence,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
@@ -381,7 +381,7 @@ def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tup
         fam, profile_n, profile_k, grid_resolution=min(cfg.grid_resolution, 32), eps=cfg.eps
     )
     diam_horizon = min(cfg.horizon, 400)
-    series = ball_diameter_series(sys_F, grid[:1], cfg.eps, cfg, diam_horizon)
+    series = _ball_evidence(sys_F, cfg).diams[0][: diam_horizon + 1]  # eps-ball around grid[0]
     summary = {
         "deviation_x": point_to_json(x0),
         "deviation_records": [r.to_json() for r in records],

@@ -48,9 +48,9 @@ def reduce_angle(theta: float) -> float:
     return r
 
 
-def reduce_angles(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Angles reduced into [0, 2pi) as reduce_angle reduces each one, into out if given."""
-    r = np.fmod(t, TWO_PI, out=out)
+def reduce_angles(t: np.ndarray) -> np.ndarray:
+    """Angles reduced into [0, 2pi) as reduce_angle reduces each one."""
+    r = np.fmod(t, TWO_PI)
     if (r < 0.0).any():  # |fmod| < 2pi, so only a corrected angle can reach 2pi
         np.add(r, TWO_PI, out=r, where=r < 0.0)
         np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)

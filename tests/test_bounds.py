@@ -1,11 +1,13 @@
 """Deviation bounds, ledgers, and the collective-convergence profiler."""
 
+import dataclasses
 import math
 
 import pytest
 
 from nonautodyn.bounds import (
     BoundLedger,
+    ConvergenceProfile,
     HypothesisNotMetError,
     collective_convergence_profile,
     deviation_check,
@@ -13,8 +15,26 @@ from nonautodyn.bounds import (
     isometry_bound_check,
     shifted_deviation_check,
 )
-from nonautodyn.family import TENT, autonomous_family, make_builtin_family
-from nonautodyn.space import CircleAngle, IntervalPoint, PhaseSpace, sample_grid
+from nonautodyn.descriptors import Delete, OdometerAdd
+from nonautodyn.family import (
+    TENT,
+    MapFamily,
+    autonomous_family,
+    family_from_config,
+    make_builtin_family,
+)
+from nonautodyn.orbit import Mode, SystemView, orbit_matrix
+from nonautodyn.report import CATALOG
+from nonautodyn.space import (
+    CircleAngle,
+    IntervalPoint,
+    PhaseSpace,
+    ResolutionError,
+    SpaceKind,
+    coord_distances,
+    grid_coords,
+    sample_grid,
+)
 
 ALT = make_builtin_family("alternating-rotation", alpha=1.1)
 INV = make_builtin_family("inverse-square-rotation")
@@ -133,6 +153,69 @@ class TestCollectiveProfile:
             for erow, brow in zip(prof.matrix, prof.bounds):
                 for e, b in zip(erow, brow):
                     assert e <= b + 1e-9
+
+
+
+def _per_window_profile(fam, n_max, k_max, grid_resolution, eps=0.05, tol=1e-9):
+    """The profile from one sweep of each window and one limit sweep per window."""
+    coords = grid_coords(fam.space, grid_resolution)
+    sys_F, sys_f = SystemView(fam, Mode.NON_AUTONOMOUS), SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+    ledger = BoundLedger.for_family(fam, n_max + k_max)
+    n_values, k_values = tuple(range(1, n_max + 1)), tuple(range(1, k_max + 1))
+    matrix, bounds, holds = [], [], []
+    for n in n_values:
+        window = orbit_matrix(sys_F, coords, k_max, n)
+        gaps = coord_distances(fam.space.kind, window, orbit_matrix(sys_f, coords, k_max))
+        worst = gaps[1:].max(axis=1).tolist()
+        bound = [ledger.window_sum(n, k) for k in k_values]
+        matrix.append(tuple(worst))
+        bounds.append(tuple(bound))
+        holds.append(tuple(e <= b + tol for e, b in zip(worst, bound)))
+    tail = tuple(max(row) for row in matrix)
+    half = len(tail) // 2
+    decreasing = all(tail[i + 1] <= tail[i] + 1e-12 for i in range(half, len(tail) - 1))
+    return ConvergenceProfile(
+        fam.label, n_values, k_values, tuple(matrix), tuple(bounds), tuple(holds), tail,
+        tail[-1] < eps and decreasing, eps,
+    )
+
+
+def _nearest_lookups():
+    lookup = lambda v: {"type": "lookup", "rule": "nearest", "values": v}  # noqa: E731
+    return family_from_config({
+        "space": {"kind": "unit_interval"},
+        "custom": {
+            "steps": [lookup([0.0, 0.9, 0.3, 1.0]), lookup([0.2, 1.0, 0.0, 0.6, 0.1])],
+            "limit": lookup([0.1, 1.0, 0.2, 0.8]),
+        },
+    })
+
+
+PROFILE_FAMILIES = {
+    **{name: spec.build_family() for name, spec in CATALOG.items()},
+    "nearest-lookups": _nearest_lookups(),
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (9, 4), (1, 1)])
+@pytest.mark.parametrize("name", sorted(PROFILE_FAMILIES))
+def test_profile_equals_a_sweep_per_window(name, shape):
+    fam = PROFILE_FAMILIES[name]
+    resolution = 6 if fam.space.kind is SpaceKind.BINARY_SEQ else 16
+    got = collective_convergence_profile(fam, *shape, grid_resolution=resolution)
+    want = _per_window_profile(fam, *shape, resolution)
+    for field in dataclasses.fields(ConvergenceProfile):
+        # repr keeps -0.0 apart from 0.0
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+def test_profile_that_runs_out_of_resolution_raises_as_a_sweep_per_window():
+    # each step deletes the first coordinate, so 4-bit grid words run out
+    fam = MapFamily(PhaseSpace.binary_seq(8), lambda n: Delete(1), OdometerAdd(), "deletions")
+    with pytest.raises(ResolutionError):
+        _per_window_profile(fam, 3, 6, 4)
+    with pytest.raises(ResolutionError):
+        collective_convergence_profile(fam, 3, 6, grid_resolution=4)
 
 
 class TestIsometryBound:
