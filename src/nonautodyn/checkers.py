@@ -215,9 +215,11 @@ def _ball_chains(
     return ball_chains(sys.space.kind, centers, radii, sys.steps(horizon)[1 : horizon + 1])
 
 
-#: the most pair distances _cloud_diam_series measures at once, unless one
-#: ball has more: a binary distance takes several temporaries of 8 bytes or
-#: more, and a larger block raises the process's peak memory
+#: the most distances _cloud_diam_series and check_equicontinuity measure at
+#: once, unless one ball has more: a binary distance takes several temporaries
+#: of 8 bytes or more, and a larger block raises peak memory. The binary metric
+#: (first differences capped at the smaller eff) is an ultrametric, so a binary
+#: ball of K columns takes the K - 1 distances from its first, not K(K-1)/2
 _DIAM_BLOCK = 1 << 13
 
 
@@ -230,7 +232,9 @@ def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray, cols: list[np.ndarra
     for size in sorted(set(map(len, cols)) - {0, 1}):
         balls = [k for k, idx in enumerate(cols) if len(idx) == size]
         i, j = np.triu_indices(size, 1)
-        for block in _blocks(len(balls), max(1, _DIAM_BLOCK // (len(orbits) * len(i)))):
+        if kind is SpaceKind.BINARY_SEQ:  # the first column against the rest, broadcast
+            i, j = i[:1], j[: size - 1]
+        for block in _blocks(len(balls), max(1, _DIAM_BLOCK // (len(orbits) * len(j)))):
             idx = np.array([cols[k] for k in balls[block]])
             d = coord_distances(kind, orbits[:, idx[:, i]], orbits[:, idx[:, j]])
             diams[balls[block]] = d.max(axis=2, initial=0.0).T
@@ -318,6 +322,11 @@ class _BallEvidence:
 
 def _ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     return _cached(sys, ("ball_evidence", cfg), lambda: _compute_ball_evidence(sys, cfg))
+
+
+def eps_ball_diameters(sys: SystemView, cfg: CheckConfig) -> np.ndarray:
+    """Diameter series n = 0..horizon of the eps-ball around checker_grid's first point."""
+    return _ball_evidence(sys, cfg).diams[0]
 
 
 def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
@@ -414,15 +423,18 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         ]
         if groups:
             starts, cols = _sweep_groups(sys, [g for _, g in groups], 0)
+            # balls padded to one width with their own columns, never a first largest separation
+            idx = np.array([np.resize(c, max(map(len, cols))) for c in cols])
             # per ball, its largest separation so far, first in (time, partner)
             # order, and where it is: a later block replaces it only when larger
             best = [(-np.inf, 0, 0)] * len(groups)
             for t0, orbits in _row_blocks(sys, starts[0], N):
-                for b, idx in enumerate(cols):
-                    seps = coord_distances(space.kind, orbits[:, idx[1:]], orbits[:, idx[:1]])
-                    t, j = divmod(int(np.argmax(seps)), seps.shape[1])
-                    if seps[t, j] > best[b][0]:
-                        best[b] = (seps[t, j], t0 + t, j)
+                for block in _blocks(len(idx), max(1, _DIAM_BLOCK // (len(orbits) * idx.shape[1]))):
+                    balls = orbits[:, idx[block]].transpose(1, 0, 2)  # ball, time, sample
+                    seps = coord_distances(space.kind, balls[..., 1:], balls[..., :1])
+                    for b, s in zip(range(len(idx))[block], seps):
+                        t, j = divmod(int(np.argmax(s)), s.shape[1])
+                        best[b] = max(best[b], (s[t, j], t0 + t, j), key=lambda e: e[0])
                 if rung != rungs[-1] and max(best)[0] > cfg.eps:
                     break
             for (u, g), (sep, t, j) in zip(groups, best):

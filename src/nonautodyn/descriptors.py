@@ -207,13 +207,15 @@ def apply(m: MapDescriptor, x: Point) -> Point:
 def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarray:
     """Vectorized evaluation on a coordinate array (see ``space.point_coords``);
     circle sums are +0.0 or more, where fmod equals np.mod bit for bit."""
+    if isinstance(m, Compose):
+        return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
     if kind is SpaceKind.CIRCLE:
         if isinstance(m, Rotation):
-            return np.fmod(arr + m.amount, TWO_PI)
+            s = arr + m.amount
+            return np.fmod(s, TWO_PI, out=s)
         if isinstance(m, AffineCircle):
-            return np.fmod(m.slope * arr + m.offset, TWO_PI)
-        if isinstance(m, Compose):
-            return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
+            s = m.slope * arr + m.offset
+            return np.fmod(s, TWO_PI, out=s)
         raise SpaceError(f"descriptor {type(m).__name__} is not a circle map")
     if kind is SpaceKind.UNIT_INTERVAL:
         if isinstance(m, PiecewiseLinear):
@@ -224,21 +226,18 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
             if m.rule == "linear":
                 return np.interp(arr, m._nodes, values)
             return values.take(np.rint(arr * (n - 1)).astype(int), mode="clip")
-        if isinstance(m, Compose):
-            return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
         raise SpaceError(f"descriptor {type(m).__name__} is not an interval map")
     if isinstance(m, OdometerAdd):
-        # add one with carry; a carry out of the word's last coordinate vanishes
+        # add one with carry; the mask drops a carry out of the word's last coordinate
         out = arr.copy()
-        v = arr["value"]
-        out["value"] = np.where(v == low_bits(arr["length"]), 0, v + 1)
+        out["value"] = (arr["value"] + 1) & low_bits(arr["length"])
         return out
     if isinstance(m, Delete):
         i = m.index
         hit = i <= arr["eff"]
         if not hit.any():
             return arr
-        if (hit & (arr["eff"] <= 1)).any():
+        if i == 1 and (arr["eff"] <= 1).any():  # only i == 1 can hit a word of eff 1
             raise ResolutionError(
                 f"cannot delete coordinate {i} of a word with effective length 1"
             )
@@ -248,8 +247,6 @@ def apply_batch(m: MapDescriptor, arr: np.ndarray, kind: SpaceKind) -> np.ndarra
         out["length"] -= hit
         out["eff"] -= hit
         return out
-    if isinstance(m, Compose):
-        return apply_batch(m.outer, apply_batch(m.inner, arr, kind), kind)
     raise SpaceError(f"descriptor {type(m).__name__} is not a binary sequence map")
 
 

@@ -101,7 +101,8 @@ class RegionChains:
             np.greater_equal(idx, start, out=hit)
             hit &= np.less(idx, start + count, out=inside)
             hit |= np.less(idx, start + count - P, out=inside)  # the part wrapped past 2pi
-            side, n = np.nonzero((np.abs(near - x) <= tol) & (count < P) & (near % P < G))
+            # 2 * tol: the rounding of x - tol can leave a hit just past tol from x
+            side, n = np.nonzero((np.abs(near - x) <= 2 * tol) & (count < P) & (near % P < G))
             v, a, b = near[side, n] % P, a[n], b[n]
             if arcs:  # the distance rule
                 z = np.mod(grid[v] - a, TWO_PI)

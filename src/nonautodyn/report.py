@@ -31,7 +31,6 @@ from .checkers import (
     CheckConfig,
     Mode,
     SystemView,
-    _ball_evidence,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
@@ -45,6 +44,7 @@ from .checkers import (
     check_transitivity,
     check_weak_mixing,
     checker_grid,
+    eps_ball_diameters,
 )
 from .family import (
     HypothesisProfile,
@@ -381,7 +381,7 @@ def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tup
         fam, profile_n, profile_k, grid_resolution=min(cfg.grid_resolution, 32), eps=cfg.eps
     )
     diam_horizon = min(cfg.horizon, 400)
-    series = _ball_evidence(sys_F, cfg).diams[0][: diam_horizon + 1]  # eps-ball around grid[0]
+    series = eps_ball_diameters(sys_F, cfg)[: diam_horizon + 1]
     summary = {
         "deviation_x": point_to_json(x0),
         "deviation_records": [r.to_json() for r in records],

@@ -222,8 +222,7 @@ def distance_info(space: PhaseSpace, x: Point, y: Point) -> DistanceInfo:
     value = float(coord_distances(space.kind, a, b)[0])
     if space.kind is not SpaceKind.BINARY_SEQ or value == 0.0:
         return DistanceInfo(value, False)
-    diff = (a["value"] ^ b["value"]) & low_bits(np.minimum(a["eff"], b["eff"]))
-    return DistanceInfo(value, not diff[0])
+    return DistanceInfo(value, bool(_first_difference(a, b)[0] > min(a["eff"][0], b["eff"][0])))
 
 
 def distance(space: PhaseSpace, x: Point, y: Point) -> float:
@@ -367,7 +366,9 @@ def ball_sample(space: PhaseSpace, center: Point, radius: float, count: int) -> 
 # Coordinate arrays: one float per continuum point, one packed record per
 # binary word. A packed word holds coordinate j at bit j-1 of ``value``, with
 # ``length`` = len(bits) and ``eff`` = effective_length, so every coordinate
-# of a word up to MAX_WORD_BITS long is exact.
+# of a word up to MAX_WORD_BITS long is exact. Distinct records are at 1/k, k the
+# first differing coordinate capped at the smaller eff: the unsigned popcount of
+# x ^ (x - 1), x the values' xor (64 at x = 0). The cap makes it an ultrametric.
 MAX_WORD_BITS = 63
 WORD_DTYPE = np.dtype([("value", "<i8"), ("length", "<i2"), ("eff", "<i2")])
 _LOW_BITS = np.int64(2**MAX_WORD_BITS - 1)
@@ -382,6 +383,13 @@ def _pack(w: BinaryWord) -> tuple[int, int, int]:
     if len(w.bits) > MAX_WORD_BITS:
         raise SpaceError(f"words longer than {MAX_WORD_BITS} coordinates cannot be packed")
     return sum(b << j for j, b in enumerate(w.bits)), len(w.bits), w.effective_length
+
+
+def _first_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise first differing coordinate of packed words, 64 for equal
+    values: x - 1 is -1 at x = 0, whose 64 bits only an unsigned popcount counts."""
+    x = a["value"] ^ b["value"]
+    return np.bitwise_count((x ^ (x - 1)).view(np.uint64))
 
 
 def point_coords(points: Iterable[Point], kind: SpaceKind) -> np.ndarray:
@@ -407,15 +415,12 @@ def coord_distances(kind: SpaceKind, a: np.ndarray, b: np.ndarray) -> np.ndarray
     """Element-wise distances between broadcastable coordinate arrays: the
     metric of each space, which ``distance`` reads for two points."""
     if kind is SpaceKind.BINARY_SEQ:
-        cap = np.minimum(a["eff"], b["eff"])
-        diff = (a["value"] ^ b["value"]) & low_bits(cap)
-        # diff & -diff is 2**(k-1) for the first differing coordinate k,
-        # and frexp reads k off it exactly
-        k = np.where(diff != 0, np.frexp(diff & -diff)[1], cap)
-        same = (
-            (a["value"] == b["value"]) & (a["length"] == b["length"]) & (a["eff"] == b["eff"])
-        )
-        return np.where(same, 0.0, 1.0 / k)
+        first = _first_difference(a, b)
+        d = 1.0 / np.minimum(first, np.minimum(a["eff"], b["eff"]))
+        same = first == 64
+        if same.any():  # equal values: identical records are at 0
+            d *= ~same | (a["length"] != b["length"]) | (a["eff"] != b["eff"])
+        return d
     d = np.abs(a - b)
     if kind is SpaceKind.CIRCLE:
         return np.minimum(d, TWO_PI - d)

@@ -30,6 +30,7 @@ from nonautodyn.checkers import (
 from nonautodyn.report import CATALOG, run_comparison
 from nonautodyn.space import (
     WORD_DTYPE,
+    BinaryWord,
     SpaceError,
     SpaceKind,
     ball_coords,
@@ -228,6 +229,48 @@ def test_cloud_diameters_match_pairwise_loop(name):
                 want = np.maximum(want, coord_distances(kind, orbits[:, i], orbits[:, j]))
         series = _cloud_diam_series(kind, orbits, [np.arange(len(cloud))])
         assert series.tobytes() == want.tobytes()
+
+
+def _ref_word_distance(x: BinaryWord, y: BinaryWord) -> float:
+    """1/k for the first coordinate k, up to the smaller effective length n, at
+    which the words differ; else 0 for identical words and 1/n."""
+    n = min(x.effective_length, y.effective_length)
+    k = next((i + 1 for i in range(n) if x.bits[i] != y.bits[i]), n)
+    return 0.0 if x == y else 1.0 / k
+
+
+@st.composite
+def _binary_cloud(draw):
+    """Rows of words drawn from a pool cut from one 63-coordinate base (a
+    prefix with one coordinate flipped), so that balls hold identical
+    records, equal values of two lengths and first differences past
+    coordinate 53; balls are column lists that may repeat a column."""
+    base = draw(st.lists(st.integers(0, 1), min_size=63, max_size=63))
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        length = draw(st.one_of(st.just(63), st.integers(1, 63)))
+        flip = draw(st.integers(0, length))  # length flips nothing
+        bits = base[:flip] + [1 - b for b in base[flip : flip + 1]] + base[flip + 1 : length]
+        pool.append(BinaryWord(tuple(bits), draw(st.one_of(st.just(length), st.integers(1, length)))))
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    words = [[draw(st.sampled_from(pool)) for _ in range(width)] for _ in range(rows)]
+    cols = draw(st.lists(st.lists(st.integers(0, width - 1), max_size=8), min_size=1, max_size=6))
+    return words, [np.array(c, dtype=np.int64) for c in cols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_cloud())
+def test_binary_star_diameters_match_all_pairs(cloud):
+    # the binary series measures each ball from its first column only
+    words, cols = cloud
+    kind = SpaceKind.BINARY_SEQ
+    orbits = np.array([point_coords(row, kind) for row in words])
+    want = np.zeros((len(cols), len(words)))
+    for k, idx in enumerate(cols):
+        for t, row in enumerate(words):
+            pairs = [(i, j) for i in idx for j in idx]
+            want[k, t] = max([_ref_word_distance(row[i], row[j]) for i, j in pairs], default=0.0)
+    assert _cloud_diam_series(kind, orbits, cols).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion", "plateau-tent"])

@@ -251,6 +251,51 @@ def test_packed_distance_matches_scalar_distance(pair):
     assert coord_point(a[0], SpaceKind.BINARY_SEQ) == x
 
 
+@st.composite
+def _related_words(draw):
+    """Up to six words cut from one 63-coordinate base: a prefix of it with
+    one coordinate flipped (often past coordinate 53, where a float holds
+    the low bits of x ^ (x - 1) only rounded), an exact copy of an earlier
+    word, or an earlier word padded with zeros, whose packed value is equal
+    while its length is not."""
+    base = draw(st.lists(st.integers(0, 1), min_size=63, max_size=63))
+    words: list[BinaryWord] = []
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["flip", "copy", "pad"] if words else ["flip"]))
+        if how == "flip":
+            length = draw(st.one_of(st.just(63), st.integers(1, 63)))
+            bits = base[:length]
+            flip = draw(st.integers(0, length))  # length flips nothing
+            bits = bits[:flip] + [1 - b for b in bits[flip : flip + 1]] + bits[flip + 1 :]
+        else:
+            w = draw(st.sampled_from(words))
+            if how == "copy" or len(w.bits) == 63:
+                words.append(BinaryWord(w.bits, w.effective_length))
+                continue
+            bits = list(w.bits) + [0] * draw(st.integers(1, 63 - len(w.bits)))
+            length = len(bits)
+        words.append(BinaryWord(tuple(bits), draw(st.one_of(st.just(length), st.integers(1, length)))))
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(_related_words())
+def test_packed_distances_match_first_difference_reference(words):
+    # every pair through broadcasting, each word as a 0-d array against the
+    # whole array, and each pair of 0-d arrays
+    kind = SpaceKind.BINARY_SEQ
+    c = point_coords(words, kind)
+    want = np.array([[_ref_distance_info(x, y)[0] for y in words] for x in words])
+    got = coord_distances(kind, c[:, None], c)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for i in range(len(words)):
+        row = coord_distances(kind, c[i, ...], c)
+        assert row.shape == (len(words),) and row.tobytes() == want[i].tobytes()
+        for j in range(len(words)):
+            assert np.shape(coord_distances(kind, c[i, ...], c[j, ...])) == ()
+            assert float(coord_distances(kind, c[i, ...], c[j, ...])) == want[i, j]
+
+
 def test_packed_distance_resolves_every_coordinate():
     space = PhaseSpace.binary_seq(63)
     base = BinaryWord((0,) * 63, 63)
