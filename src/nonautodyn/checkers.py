@@ -345,7 +345,7 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
         defects = chains.covering_defects()[:, ::R]
         return _BallEvidence(
             centers, balls, np.ascontiguousarray(chains.diameters().T),
-            [chains.collapse(k) for k in range(G * R)], hits,
+            chains.collapses(), hits,
             np.ascontiguousarray(defects.T < cfg.eps), defects[-1].copy(),
         )
 
@@ -427,19 +427,21 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             idx = np.array([np.resize(c, max(map(len, cols))) for c in cols])
             # per ball, its largest separation so far, first in (time, partner)
             # order, and where it is: a later block replaces it only when larger
-            best = [(-np.inf, 0, 0)] * len(groups)
+            best, at = np.full(len(idx), -np.inf), np.zeros((2, len(idx)), dtype=np.int64)
             for t0, orbits in _row_blocks(sys, starts[0], N):
                 for block in _blocks(len(idx), max(1, _DIAM_BLOCK // (len(orbits) * idx.shape[1]))):
                     balls = orbits[:, idx[block]].transpose(1, 0, 2)  # ball, time, sample
                     seps = coord_distances(space.kind, balls[..., 1:], balls[..., :1])
-                    for b, s in zip(range(len(idx))[block], seps):
-                        t, j = divmod(int(np.argmax(s)), s.shape[1])
-                        best[b] = max(best[b], (s[t, j], t0 + t, j), key=lambda e: e[0])
-                if rung != rungs[-1] and max(best)[0] > cfg.eps:
+                    flat = seps.reshape(len(seps), -1)
+                    sep, (t, j) = flat.max(axis=1), np.divmod(flat.argmax(axis=1), seps.shape[2])
+                    larger = sep > best[block]
+                    np.copyto(best[block], sep, where=larger)
+                    np.copyto(at[:, block], [t0 + t, j], where=larger)
+                if rung != rungs[-1] and best.max() > cfg.eps:
                     break
-            for (u, g), (sep, t, j) in zip(groups, best):
+            for (u, g), sep, t, j in zip(groups, best, *at):
                 if sep > worst_sep:
-                    worst_sep, worst_pair = float(sep), (centers[u], g[j + 1], t)
+                    worst_sep, worst_pair = float(sep), (centers[u], g[j + 1], int(t))
         if worst_sep <= cfg.eps:
             return V.holds(
                 {"delta_prime": rung, "max_separation": worst_sep, "horizon": N},

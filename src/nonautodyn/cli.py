@@ -29,6 +29,7 @@ from .report import (
     PROPERTY_BY_NAME,
     ScenarioSpec,
     emit,
+    json_text,
     resolve_scenario_id,
     run_comparison,
 )
@@ -138,7 +139,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         rec = deviation_check(fam, x0, args.k, spec.check.tol, ledger)
     else:
         rec = shifted_deviation_check(fam, x0, args.n, args.k, spec.check.tol, ledger)
-    print(json.dumps(rec.to_json(), indent=2, sort_keys=True))
+    print(json_text(rec.to_json()))
     return EXIT_OK
 
 

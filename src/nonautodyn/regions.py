@@ -113,16 +113,17 @@ class RegionChains:
                 d = np.maximum(np.maximum(a - grid[v], grid[v] - b), 0.0)
             hit[v, n] |= d < eps
 
-    def collapse(self, j: int) -> tuple[int, float] | None:
-        """First step at which chain j is a single point, with the coordinate
-        of the midpoint of its last region; None when it never collapses."""
+    def collapses(self) -> list[tuple[int, float] | None]:
+        """Per chain, the first step at which it is a single point, with the
+        coordinate of the midpoint of its last region; None when it never collapses."""
         arcs = self.kind is SpaceKind.CIRCLE
-        a, b = self.a[:, j], self.b[:, j]
-        points = np.flatnonzero((b if arcs else b - a) == 0.0)
-        if not points.size:
-            return None
-        mid = a[-1] + b[-1] / 2.0 if arcs else (a[-1] + b[-1]) / 2.0
-        return int(points[0]), canonical_coord(mid, self.kind)
+        points = (self.b if arcs else self.b - self.a) == 0.0
+        first = points.argmax(axis=0)
+        mid = self.a[-1] + self.b[-1] / 2.0 if arcs else (self.a[-1] + self.b[-1]) / 2.0
+        return [
+            (int(n), canonical_coord(m, self.kind)) if point else None
+            for n, m, point in zip(first, mid, points[first, range(len(first))])
+        ]
 
 
 def _step_arcs(slope: int, offset: float, a: np.ndarray, b: np.ndarray, n: int) -> None:

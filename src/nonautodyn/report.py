@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -53,7 +54,7 @@ from .family import (
     profile_hypotheses,
 )
 from .space import SpaceError, coord_point, point_to_json
-from .verdict import Outcome, Verdict
+from .verdict import Verdict
 from . import verdict as V
 
 
@@ -197,21 +198,56 @@ class ScenarioSpec:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _jsonable(obj):
-    """Recursively convert to plain JSON types (numpy scalars included)."""
+# the text of a value of exactly one of these types, a float only when finite
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it once its keys
+    are str(k), numpy scalars Python values and Outcomes their values, nested at
+    the depth `indent` ends at, in one walk: CPython's json has no C path for
+    indent. A list of one scalar type is one join."""
+    write = _SCALAR_TEXT.get(type(obj))
+    if write is not None and (write is not float.__repr__ or math.isfinite(obj)):
+        return write(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, Outcome):
-        return obj.value
-    return obj
+        items = {str(k): v for k, v in obj.items()}
+        ends = "{}"
+        body = [f"{encode_basestring_ascii(k)}: {json_text(items[k], inner)}" for k in sorted(items)]
+    elif isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        write = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None
+        if write is float.__repr__ and not all(map(math.isfinite, obj)):
+            write = None  # NaN and the infinities are written one by one
+        ends = "[]"
+        body = map(write, obj) if write else [json_text(v, inner) for v in obj]
+    else:
+        return _scalar_text(obj)
+    text = ("," + inner).join(body)
+    return f"{ends[0]}{inner}{text}{indent}{ends[1]}" if text else ends
+
+
+def _scalar_text(obj) -> str:
+    """A scalar whose type is none of _SCALAR_TEXT's: a numpy scalar is its
+    Python value, a subclass (an Outcome is a str) its base's."""
+    if isinstance(obj, (float, np.floating)):
+        text = float.__repr__(float(obj))
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, (np.bool_, np.integer)):
+        return json_text(obj.item())
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -255,7 +291,10 @@ class ComparisonReport:
         return any("error" in v.witness for v in verdicts)
 
     def to_json(self) -> dict:
-        return _jsonable(
+        return json.loads(self.to_json_text())
+
+    def to_json_text(self) -> str:
+        return json_text(
             {
                 "scenario": self.label,
                 "version": __version__,
@@ -268,10 +307,7 @@ class ComparisonReport:
                 "bound_summary": self.bound_summary,
                 "plot_series": self.plot_series,
             }
-        )
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        ) + "\n"
 
 
 def _applicable(rule: PropertyRule, profile: HypothesisProfile) -> tuple[bool, str]:

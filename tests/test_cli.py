@@ -6,6 +6,8 @@ import json
 import pytest
 
 from nonautodyn import report
+from nonautodyn.bounds import BoundLedger, shifted_deviation_check
+from nonautodyn.checkers import checker_grid
 from nonautodyn.cli import (
     EXIT_CHECKER_FAILED,
     EXIT_CONFIG,
@@ -13,6 +15,7 @@ from nonautodyn.cli import (
     EXIT_OK,
     main,
 )
+from nonautodyn.space import coord_point
 
 
 @pytest.fixture
@@ -168,9 +171,16 @@ def test_reproduce_with_small_overrides(capsys):
 
 def test_bound_subcommand(spec_file, capsys):
     assert main(["bound", str(spec_file), "--n", "1", "--k", "2"]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert {"measured", "bound", "holds", "n", "k"} <= set(doc)
     assert doc["n"] == 1 and doc["k"] == 2
+    # the record the subcommand prints, written by json.dumps
+    spec = report.ScenarioSpec.from_json(json.loads(spec_file.read_text()))
+    fam = spec.build_family()
+    x0 = coord_point(checker_grid(fam.space, spec.check)[0], fam.space.kind)
+    rec = shifted_deviation_check(fam, x0, 1, 2, spec.check.tol, BoundLedger.for_family(fam, 3))
+    assert out == json.dumps(rec.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 def test_check_subcommand(spec_file, capsys):

@@ -97,9 +97,17 @@ def test_arc_wraps_to_full_cover():
 
 def test_plateau_collapse_detected():
     image = _ball(INTERVAL, 0.25, 0.1, PLATEAU_HEAD)
-    step, midpoint = image.collapse(0)
+    step, midpoint = image.collapses()[0]
     assert step == 1
     assert midpoint == 1.0
+
+
+def test_collapses_are_read_per_chain():
+    # the tent map, the flat head, the tent map: balls inside [0, 1/2) after
+    # the first step collapse at the second, the others never do
+    centers, radii = np.array([0.25, 0.9, 0.05, 0.6]), np.array([0.1, 0.05, 0.04, 0.3])
+    image = ball_chains(INTERVAL, centers, radii, [TENT, PLATEAU_HEAD, TENT])
+    assert image.collapses() == [None, (2, 0.0), (2, 0.0), None]
 
 
 def test_rotation_preserves_arc_length():

@@ -3,7 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonautodyn.checkers import CheckConfig
 from nonautodyn.report import (
@@ -15,11 +18,12 @@ from nonautodyn.report import (
     _consistent,
     emit,
     golden_path,
+    json_text,
     resolve_scenario_id,
     run_comparison,
 )
 from nonautodyn.space import SpaceError
-from nonautodyn.verdict import holds, inconclusive, refuted
+from nonautodyn.verdict import Outcome, holds, inconclusive, refuted
 
 
 def small_spec(builtin, properties, **check_overrides):
@@ -205,3 +209,50 @@ class TestCatalog:
         )
         report = run_comparison(spec)
         assert len(report.rows) == 1  # row present regardless of outcome
+
+
+def _plain(obj):
+    """The reference conversion for json_text: str keys, numpy scalars as
+    Python values, Outcome members as their values; json.dumps does the rest."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, Outcome):
+        return obj.value
+    return obj
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+INTS = st.integers() | st.integers(min_value=2**63).map(lambda n: n * 7**40)
+TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\U0001d53d') | st.characters())
+SCALARS = st.one_of(
+    st.none(), st.booleans(), INTS, FLOATS, TEXT,
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.sampled_from(Outcome),
+)
+# lists of one scalar type take the writer's join, [1, 1.0, True] the walk
+SCALAR_LISTS = st.one_of(
+    st.lists(FLOATS), st.lists(st.booleans()), st.lists(INTS), st.lists(TEXT),
+    st.lists(st.none()), st.just([1, 1.0, True]), st.just([math.nan, 1.0]),
+)
+KEYS = TEXT | st.integers(-20, 20) | st.booleans() | st.sampled_from(Outcome)
+DOCS = st.recursive(
+    SCALARS | SCALAR_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_json_text_matches_json_dumps(doc):
+    assert json_text(doc) == json.dumps(_plain(doc), sort_keys=True, indent=2)
