@@ -145,7 +145,8 @@ def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
     (N+1) rows of ball_count points per ball, the pair table, one byte from
     each pair-pool point to each pool point, and dense periodicity's sweep,
     P*R+1 rows of the ball_count samples of every eps-ball, from the
-    config's shapes alone."""
+    config's shapes alone. Sampled balls build the pair table from the ball
+    sweep while it is alive; region chains leave it a sweep of the pools."""
     G = grid_size(space, cfg.grid_resolution)
     itemsize = point_coords([], space.kind).itemsize
     points = G * len(_rungs(space, cfg, 0.25, 3)) * cfg.ball_count
@@ -227,18 +228,55 @@ def _cloud_diam_series(kind: SpaceKind, orbits: np.ndarray, cols: list[np.ndarra
     """Max pairwise distance per time row of the orbit columns cols[k] of each
     ball k, shape (len(cols), rows); 0 for fewer than two columns. Balls of
     one size are measured together, in blocks of at most _DIAM_BLOCK
-    distances or one ball."""
+    distances or one ball; on the interval, max - min, which bounds every
+    |a - b| as rounding is monotone (abs sends -0.0 to 0.0)."""
     diams = np.zeros((len(cols), len(orbits)))
     for size in sorted(set(map(len, cols)) - {0, 1}):
         balls = [k for k, idx in enumerate(cols) if len(idx) == size]
         i, j = np.triu_indices(size, 1)
         if kind is SpaceKind.BINARY_SEQ:  # the first column against the rest, broadcast
             i, j = i[:1], j[: size - 1]
+        elif kind is SpaceKind.UNIT_INTERVAL:  # one gathered value per column
+            i = j = np.arange(size)
         for block in _blocks(len(balls), max(1, _DIAM_BLOCK // (len(orbits) * len(j)))):
             idx = np.array([cols[k] for k in balls[block]])
-            d = coord_distances(kind, orbits[:, idx[:, i]], orbits[:, idx[:, j]])
-            diams[balls[block]] = d.max(axis=2, initial=0.0).T
+            if kind is SpaceKind.UNIT_INTERVAL:
+                v = orbits[:, idx]
+                diams[balls[block]] = np.abs(v.max(axis=2) - v.min(axis=2)).T
+            else:
+                d = coord_distances(kind, orbits[:, idx[:, i]], orbits[:, idx[:, j]])
+                diams[balls[block]] = d.max(axis=2, initial=0.0).T
     return diams
+
+
+def _padded(cols: list[np.ndarray], least: int = 1) -> np.ndarray:
+    """The column lists cols as the rows of one array, as wide as the longest
+    or least, each repeating its own columns: a repeat changes no max, any,
+    all or first index along a row."""
+    lens = np.array([len(c) for c in cols])
+    width = np.arange(max(least, lens.max()))
+    return np.concatenate(cols)[(np.cumsum(lens) - lens)[:, None] + width % lens[:, None]]
+
+
+def _separations(
+    kind: SpaceKind, orbits: np.ndarray, idx: np.ndarray, t0: int = 0, best=None, at=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each ball's largest center-to-partner distance over the orbit rows,
+    row 0 being time t0, and its first (time, partner) position, for balls
+    whose columns are the rows of idx, center first. Given the best and at
+    of earlier rows, a ball's are replaced only where these rows are larger.
+    Balls are measured in blocks of at most _DIAM_BLOCK distances or one."""
+    if best is None:
+        best, at = np.full(len(idx), -np.inf), np.zeros((2, len(idx)), dtype=np.int64)
+    for block in _blocks(len(idx), max(1, _DIAM_BLOCK // (len(orbits) * idx.shape[1]))):
+        balls = orbits[:, idx[block]].transpose(1, 0, 2)  # ball, time, sample
+        seps = coord_distances(kind, balls[..., 1:], balls[..., :1])
+        flat = seps.reshape(len(seps), -1)
+        sep, (t, j) = flat.max(axis=1), np.divmod(flat.argmax(axis=1), seps.shape[2])
+        larger = sep > best[block]
+        np.copyto(best[block], sep, where=larger)
+        np.copyto(at[:, block], [t0 + t, j], where=larger)
+    return best, at
 
 
 def _rungs(space: PhaseSpace, cfg: CheckConfig, ratio: float, count: int) -> list[float]:
@@ -305,7 +343,10 @@ class _BallEvidence:
     hits[u, v, n], image n of ball u within eps of center v, dense[u, n],
     image n of ball u within eps of every point of the grid (its covering
     defect below eps), and final_defects[u], how far image N of ball u is
-    from covering the grid."""
+    from covering the grid. Sampled balls leave what other checks read from
+    their sweep: _separations per rung, the pair table, and first visits of
+    each grid start (sample 0 of its eps-ball) to each cell, with the starts'
+    orbits when a cell is unvisited."""
 
     centers: np.ndarray  # coordinates, shape (G,)
     balls: list[tuple[np.ndarray, float]]
@@ -314,6 +355,9 @@ class _BallEvidence:
     hits: np.ndarray  # bool, shape (G, G, N+1)
     dense: np.ndarray  # bool, shape (G, N+1)
     final_defects: np.ndarray  # float, shape (G,)
+    separations: dict | None = None  # rung: (best, at), shapes (G,) and (2, G)
+    visits: tuple[np.ndarray, np.ndarray | None] | None = None  # (G, cells), (N+1, G)
+    pairs: _PairTable | None = None
 
     def collapse(self, u: int) -> tuple[int, float] | None:
         """Collapse of the eps-ball around center u."""
@@ -331,7 +375,7 @@ def eps_ball_diameters(sys: SystemView, cfg: CheckConfig) -> np.ndarray:
 
 def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     """One region chain or one orbit sweep over every ball; only the arrays
-    derived from it are kept."""
+    derived from it are kept, never the sweep."""
     kind, N = sys.space.kind, cfg.horizon
     centers = checker_grid(sys.space, cfg)
     rungs = _rungs(sys.space, cfg, 0.25, 3)
@@ -351,49 +395,67 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
 
     per_rung = [ball_coords(sys.space, centers, r, cfg.ball_count) for r in rungs]
     orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
-    # the first rung is eps
-    table = _sampled_ball_table(sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, cols[::R])
-    diams = _cloud_diam_series(kind, orbits, cols)
-    return _BallEvidence(centers, balls, diams, [None] * (G * R), *table)
+    pools = cols[::R]  # the first rung is eps: the pair pools, each starting at its center
+    starts = np.array([c[0] for c in pools])
+    # the pair codes' transients come before the hit table, not on top of it
+    pairs = _compute_pair_table(sys, cfg, centers, _PAIR_POOL, (orbits, [starts] + pools))
+    *table, visits = _sampled_ball_table(
+        sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, pools
+    )
+    best, at = _separations(kind, orbits, _padded(cols, 2))
+    return _BallEvidence(
+        centers, balls, _cloud_diam_series(kind, orbits, cols), [None] * (G * R), *table,
+        separations={r: (best[i::R], at[:, i::R]) for i, r in enumerate(rungs)},
+        # the refutation rules read the starts' orbits only when a cell is unvisited
+        visits=(visits, orbits[:, starts] if (visits < 0).any() else None),
+        pairs=pairs,
+    )
 
 
 def _sampled_ball_table(
     space: PhaseSpace, resolution: int, eps: float, centers: np.ndarray,
     orbits: np.ndarray, cols: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The hits, dense flags and final defects of _BallEvidence for balls
     whose samples are the orbit columns cols[u], with centers the checker
     grid of grid_coords(space, resolution), which it equals on continuum
-    spaces. Each sample is measured only against its grid_window, in row
-    blocks of at most half as many window elements as one ball's samples
-    against the whole grid over every row: each element also takes an index
-    and a gathered grid point."""
+    spaces, and the first visits of each ball's first sample to the cells of
+    grid_coords, read from the same distances with <= eps. Each sample is
+    measured only against its grid_window, in row blocks of at most half as
+    many window elements as one ball's samples against the whole grid over
+    every row: each element also takes an index and a gathered grid point."""
     kind, T, G, B = space.kind, len(orbits), len(centers), len(cols)
     sizes = [len(idx) for idx in cols]
-    # the samples: column idx[s] of ball owner[s]
+    # the samples: column idx[s] of ball owner[s]; ball u starts at sample firsts[u]
     idx, owner = np.concatenate(cols), np.repeat(np.arange(B), sizes)[:, None]
+    firsts = np.cumsum([0] + sizes[:-1])
     full = grid_coords(space, resolution)
     binary = kind is SpaceKind.BINARY_SEQ
     hits = np.zeros((B, G, T), dtype=bool)
     dense = np.empty((T, B), dtype=bool)
+    visits = np.full(B * len(full), T)
     width = grid_window(space, resolution, full[:0], eps).shape[1]
     step = max(1, T * max(sizes) * G // (2 * len(idx) * width + binary * B * G))
     for rows in _blocks(T, step):
         cloud = orbits[rows, idx]
         window = grid_window(space, resolution, cloud, eps)
         n = np.arange(len(cloud))[:, None, None]
-        near = coord_distances(kind, cloud[..., None], centers.take(window)) < eps
-        hits.reshape(-1)[((owner * G + window) * T + rows.start + n)[near]] = True
+        d = coord_distances(kind, cloud[..., None], centers.take(window))
+        hits.reshape(-1)[((owner * G + window) * T + rows.start + n)[d < eps]] = True
         if binary:  # grid words end at the grid's coordinates, centers at the word length
-            near = coord_distances(kind, cloud[..., None], full.take(window)) < eps
+            d = coord_distances(kind, cloud[..., None], full.take(window))
             covered = np.zeros((len(cloud), B, G), dtype=bool)
-            covered.reshape(-1)[((n * B + owner) * G + window)[near]] = True
+            covered.reshape(-1)[((n * B + owner) * G + window)[d < eps]] = True
             dense[rows] = covered.all(axis=2)
+        # d is against grid_coords now on every space, which minimality reads
+        near = d[:, firsts] <= eps
+        cell = owner[firsts] * len(full) + window[:, firsts]
+        np.minimum.at(visits, cell[near], np.broadcast_to(rows.start + n, near.shape)[near])
     dense = np.ascontiguousarray(dense.T) if binary else hits.all(axis=1)
     # per ball, the grid point farthest from its nearest sample at the last row
     last = coord_distances(kind, orbits[-1, idx, None], full)
-    final = np.minimum.reduceat(last, np.cumsum([0] + sizes[:-1]), axis=0).max(axis=1)
-    return hits, dense, final
+    final = np.minimum.reduceat(last, firsts, axis=0).max(axis=1)
+    return hits, dense, final, np.where(visits < T, visits, -1).reshape(B, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,45 +465,37 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     """Search a ladder of pair separations delta' for one that keeps all
     sampled pairs within eps for every time up to the horizon.
 
-    Each rung is swept in row blocks. A rung other than the last stops at the
-    first block with a separation above eps, since only its failure is read;
-    a rung that holds, and the last rung, cover the whole horizon."""
+    Sampled balls read rungs eps * 0.5**(2j), the ball rungs eps * 0.25**j
+    bit for bit, from the ball sweep; other rungs are swept in row blocks. A
+    rung other than the last stops at the first block with a separation
+    above eps, since only its failure is read; a rung that holds, and the
+    last rung, cover the whole horizon."""
     cfg.validate(sys.space)
     space = sys.space
     N = cfg.horizon
     rungs = _rungs(space, cfg, 0.5, 5)
     centers = checker_grid(space, cfg)
+    shared = _ball_evidence(sys, cfg).separations or {}
 
     worst_for_smallest: tuple[np.ndarray, np.ndarray, int, float] | None = None
     for rung in rungs:
         worst_sep = 0.0
         worst_pair: tuple[np.ndarray, np.ndarray, int] | None = None
         # each ball's samples: its center, then its partners
-        groups = [
-            (u, g) for u, g in enumerate(ball_coords(space, centers, rung, cfg.ball_count))
-            if len(g) > 1
-        ]
-        if groups:
-            starts, cols = _sweep_groups(sys, [g for _, g in groups], 0)
-            # balls padded to one width with their own columns, never a first largest separation
-            idx = np.array([np.resize(c, max(map(len, cols))) for c in cols])
-            # per ball, its largest separation so far, first in (time, partner)
-            # order, and where it is: a later block replaces it only when larger
-            best, at = np.full(len(idx), -np.inf), np.zeros((2, len(idx)), dtype=np.int64)
+        samples = ball_coords(space, centers, rung, cfg.ball_count)
+        if rung in shared:
+            best, at = shared[rung]
+        else:
+            starts, cols = _sweep_groups(sys, samples, 0)
+            idx, best, at = _padded(cols, 2), None, None
             for t0, orbits in _row_blocks(sys, starts[0], N):
-                for block in _blocks(len(idx), max(1, _DIAM_BLOCK // (len(orbits) * idx.shape[1]))):
-                    balls = orbits[:, idx[block]].transpose(1, 0, 2)  # ball, time, sample
-                    seps = coord_distances(space.kind, balls[..., 1:], balls[..., :1])
-                    flat = seps.reshape(len(seps), -1)
-                    sep, (t, j) = flat.max(axis=1), np.divmod(flat.argmax(axis=1), seps.shape[2])
-                    larger = sep > best[block]
-                    np.copyto(best[block], sep, where=larger)
-                    np.copyto(at[:, block], [t0 + t, j], where=larger)
+                best, at = _separations(space.kind, orbits, idx, t0, best, at)
                 if rung != rungs[-1] and best.max() > cfg.eps:
                     break
-            for (u, g), sep, t, j in zip(groups, best, *at):
-                if sep > worst_sep:
-                    worst_sep, worst_pair = float(sep), (centers[u], g[j + 1], int(t))
+        # a ball of one sample, padded with itself, stays at 0
+        for u, (g, sep, t, j) in enumerate(zip(samples, best, *at)):
+            if sep > worst_sep:
+                worst_sep, worst_pair = float(sep), (centers[u], g[j + 1], int(t))
         if worst_sep <= cfg.eps:
             return V.holds(
                 {"delta_prime": rung, "max_separation": worst_sep, "horizon": N},
@@ -810,21 +864,26 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
     starts = checker_grid(space, cfg)
     targets = grid_coords(space, cfg.grid_resolution)
 
-    # first[i, t]: the first time start i visits target t, or -1
-    first = np.full((len(starts), len(targets)), -1)
-    orbits = np.empty((N + 1, len(starts)), dtype=starts.dtype)
-    for t0, block in _row_blocks(sys, starts, N):
+    # first[i, t]: the first time start i visits target t, or -1; sampled
+    # balls read it and the orbits from the ball sweep and sweep no row
+    visits = _ball_evidence(sys, cfg).visits
+    first, orbits = visits or (
+        np.full((len(starts), len(targets)), -1), np.empty((N + 1, len(starts)), dtype=starts.dtype)
+    )
+    for t0, block in _row_blocks(sys, starts, 0 if visits else N):
         orbits[t0 : t0 + len(block)] = block
         for i in np.flatnonzero((first < 0).any(axis=1)):
             ok = coord_distances(kind, block[:, i, None], targets) <= cfg.eps
             new = ok.any(axis=0) & (first[i] < 0)
             first[i, new] = t0 + ok.argmax(axis=0)[new]
         if (first >= 0).all():
-            worst = int(first.max())
-            return V.holds(
-                {"max_cell_visit_time": worst, "starts": len(starts), "targets": len(targets)},
-                f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
-            )
+            break
+    if (first >= 0).all():
+        worst = int(first.max())
+        return V.holds(
+            {"max_cell_visit_time": worst, "starts": len(starts), "targets": len(targets)},
+            f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
+        )
     # start and first missed target
     uncovered = [(i, int(np.argmax(miss))) for i, miss in enumerate(first < 0) if miss.any()]
 
@@ -1080,20 +1139,21 @@ _BLOCK = 1 << 20
 
 
 def _pair_codes(
-    kind: SpaceKind, cfg: CheckConfig, orbits: np.ndarray, sources: np.ndarray
+    kind: SpaceKind, cfg: CheckConfig, orbits: np.ndarray, keep: np.ndarray, sources: np.ndarray
 ) -> np.ndarray:
-    """The code from each source column to every column of a pair sweep, read
-    from row 0 and the tail window alone. Columns equal over the whole tail
-    window have the same near and far bits, so those are measured between
-    distinct tail columns only, one distinct source at a time, so no
-    transient outgrows one source's tail distances. Each row of a sweep is
-    its step map applied to the row before, so columns equal on the tail's
-    first row are equal over the whole tail."""
+    """The code from each source to every kept column of a pair sweep, read
+    from row 0 and the tail window alone: keep holds increasing column
+    indices, and sources and the codes' columns index keep. Columns equal
+    over the whole tail window have the same near and far bits, so those are
+    measured between distinct tail columns only, one distinct source at a
+    time, so no transient outgrows one source's tail distances. Each row of
+    a sweep is its step map applied to the row before, so columns equal on
+    the tail's first row are equal over the whole tail."""
     tail = orbits[-(cfg.tail_window + 1) :]
     _, first, inverse = np.unique(
-        tail[0].view(f"V{tail.itemsize}"), return_index=True, return_inverse=True
+        tail[0, keep].view(f"V{tail.itemsize}"), return_index=True, return_inverse=True
     )
-    distinct, inverse = tail[:, first], inverse.reshape(-1)
+    distinct, inverse = tail[:, keep[first]], inverse.reshape(-1)
     # the distinct columns of the sources, by a mask: np.unique on integers
     # raises resident memory by 0.65 MiB on its first use in a process
     used = np.zeros(len(first), dtype=bool)
@@ -1103,7 +1163,7 @@ def _pair_codes(
         d = coord_distances(kind, distinct[:, c, None], distinct)
         bits[k] = (d < cfg.eps).any(axis=0) * _NEAR | (d > cfg.delta).any(axis=0) * _FAR
     codes = bits[(np.cumsum(used) - 1)[inverse[sources]]][:, inverse]
-    codes[coord_distances(kind, orbits[0, sources, None], orbits[0]) == 0.0] |= _SAME
+    codes[coord_distances(kind, orbits[0, keep[sources], None], orbits[0, keep]) == 0.0] |= _SAME
     return codes
 
 
@@ -1132,7 +1192,7 @@ def _pair_check(
     kind = sys.space.kind
     # a sweep as _compute_pair_table makes, of the two points alone
     orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
-    code = _pair_codes(kind, cfg, orbits, np.array([i]))[0, j]
+    code = _pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), np.array([i]))[0, j]
     holds, refuted = (bool(f) for f in _pair_outcomes(sys, predicate, code))
     series = coord_distances(kind, orbits[:, j], orbits[:, i])
     tail = series[-(cfg.tail_window + 1) :]
@@ -1206,28 +1266,37 @@ class _PairTable(NamedTuple):
 
 
 def _compute_pair_table(
-    sys: SystemView, cfg: CheckConfig, xs: np.ndarray, pool_sources: int
+    sys: SystemView, cfg: CheckConfig, xs: np.ndarray, pool_sources: int, sweep=None
 ) -> _PairTable:
-    """The pair table of xs; its sources add the first pool_sources of each pool."""
+    """The pair table of xs; its sources add the first pool_sources of each
+    pool. It reads sweep, an orbit matrix and the columns of xs and each pool
+    in it, when given."""
     centers = checker_grid(sys.space, cfg)
     pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
-    # isometric steps keep every pair distance at its time-0 value, so their
-    # sweep stops at row 0, which is then the whole tail window
-    orbits, cols = _sweep_groups(sys, [xs] + pools, 0 if sys.steps_isometric else cfg.horizon)
-    width = max(map(len, pools))
-    pool_cols = np.array([np.resize(c, width) for c in cols[1:]])
-    # a mask, not np.unique, which imports numpy.ma (half a MiB) on first use
-    source = np.zeros(orbits.shape[1], dtype=bool)
+    # isometric steps keep every pair distance at its time-0 value, so row 0
+    # is then the whole tail window, and their own sweep stops there
+    orbits, cols = sweep or _sweep_groups(
+        sys, [xs] + pools, 0 if sys.steps_isometric else cfg.horizon
+    )
+    # masks, not np.unique, which imports numpy.ma (half a MiB) on first use
+    keep = np.zeros(orbits.shape[1], dtype=bool)
+    keep[np.concatenate(cols)] = True
+    at = np.cumsum(keep) - 1
+    cols = [at[c] for c in cols]
+    pool_cols = _padded(cols[1:])
+    source = np.zeros(keep.sum(), dtype=bool)
     source[cols[0]] = source[pool_cols[:, :pool_sources]] = True
     rows = np.where(source, np.cumsum(source) - 1, -1)
-    codes = _pair_codes(sys.space.kind, cfg, orbits, np.flatnonzero(source))
+    tail = orbits[:1] if sys.steps_isometric else orbits
+    codes = _pair_codes(sys.space.kind, cfg, tail, np.flatnonzero(keep), np.flatnonzero(source))
     return _PairTable(centers, pools, cols[0], pool_cols, rows, codes)
 
 
 def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
-    """The pair table of the grid, built once per view and config; the proximal
-    pairs, proximal cell and Li-Yorke cell checks all read it."""
-    return _cached(
+    """The pair table of the grid, built once per view and config, from the
+    ball-table sweep on sampled balls; the proximal pairs, proximal cell and
+    Li-Yorke cell checks all read it."""
+    return _ball_evidence(sys, cfg).pairs or _cached(
         sys, ("pair_table", cfg),
         lambda: _compute_pair_table(sys, cfg, checker_grid(sys.space, cfg), _PAIR_POOL),
     )

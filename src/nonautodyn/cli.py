@@ -7,8 +7,8 @@ Subcommands:
   bound <spec.json> --n --k deviation and window-bound checks
   check <prop> <spec.json>  run one property in both modes
 
-Exit codes: 0 completed, 2 inconsistency detected, 3 config error,
-4 a checker failed.
+Exit codes: 0 completed, 2 inconsistency detected, 3 config error (before
+any work), 4 a checker or a later stage of the run failed.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from .bounds import BoundLedger, deviation_check, shifted_deviation_check
 from .checkers import CheckConfig, Mode, checker_grid, verdict_record
+from .family import MapFamily
 from .report import (
     ALIASES,
     ALL_PROPERTIES,
@@ -41,6 +43,26 @@ EXIT_CONFIG = 3
 EXIT_CHECKER_FAILED = 4
 
 
+class _ConfigError(Exception):
+    """A spec that cannot be loaded, overridden, built or validated."""
+
+
+def _prepared(args: argparse.Namespace) -> tuple[ScenarioSpec, MapFamily]:
+    """The command's spec, a builtin or a spec file, with its overrides, and
+    its family, validated against its config: any failure is a config error."""
+    try:
+        if args.command == "reproduce":
+            spec = CATALOG[resolve_scenario_id(args.example_id)]
+        else:
+            spec = ScenarioSpec.from_json(json.loads(Path(args.spec).read_text()))
+        spec = _apply_overrides(spec, args)
+        fam = spec.build_family()
+        spec.check.validate(fam.space)
+    except (SpaceError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+        raise _ConfigError(exc) from exc
+    return spec, fam
+
+
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     check = spec.check.to_json()
     if getattr(args, "horizon", None) is not None:
@@ -58,11 +80,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         output_dir=getattr(args, "out", None) or spec.output_dir,
         formats=(args.format,) if getattr(args, "format", None) else spec.formats,
     )
-
-
-def _load_spec(path: str) -> ScenarioSpec:
-    doc = json.loads(Path(path).read_text())
-    return ScenarioSpec.from_json(doc)
 
 
 def _emit_report(report: ComparisonReport, spec: ScenarioSpec) -> None:
@@ -112,27 +129,18 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
+    """run and reproduce: the report's rows, and its files when the spec or
+    --out names an output directory."""
+    spec, _ = _prepared(args)
     report = run_comparison(spec)
     _print_rows(report)
-    if spec.output_dir or args.out:
-        _emit_report(report, spec)
-    return _exit_code(report)
-
-
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    key = resolve_scenario_id(args.example_id)
-    spec = _apply_overrides(CATALOG[key], args)
-    report = run_comparison(spec)
-    _print_rows(report)
-    if args.out:
+    if spec.output_dir:
         _emit_report(report, spec)
     return _exit_code(report)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    fam = spec.build_family()
+    spec, fam = _prepared(args)
     ledger = BoundLedger.for_family(fam, args.n + args.k)
     x0 = coord_point(checker_grid(fam.space, spec.check)[0], fam.space.kind)
     if args.n == 0:
@@ -147,7 +155,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.property not in PROPERTY_BY_NAME:
         print(f"unknown property {args.property!r}; known: {', '.join(ALL_PROPERTIES)}")
         return EXIT_CONFIG
-    spec = replace(_apply_overrides(_load_spec(args.spec), args), properties=(args.property,))
+    spec = replace(_prepared(args)[0], properties=(args.property,))
     report = run_comparison(spec)
     _print_rows(report)
     row = report.rows[0]
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a builtin scenario")
     p.add_argument("example_id")
     add_common(p)
-    p.set_defaults(func=cmd_reproduce)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bound", help="orbit-deviation bound checks")
     p.add_argument("spec")
@@ -210,9 +218,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpaceError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except _ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    except Exception:  # a program error past the config, never a config error
+        traceback.print_exc()
+        return EXIT_CHECKER_FAILED
 
 
 if __name__ == "__main__":

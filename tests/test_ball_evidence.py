@@ -119,8 +119,8 @@ def _per_source_codes(kind, cfg, orbits, sources):
 @st.composite
 def _repeated_tails(draw):
     """Sweeps of a few values under maps that merge some of them, so columns
-    that differ at row 0 can repeat one tail column, with a tail window and
-    sources among the columns."""
+    that differ at row 0 can repeat one tail column, with a tail window, the
+    columns kept and sources among them."""
     kind = draw(st.sampled_from([SpaceKind.UNIT_INTERVAL, SpaceKind.BINARY_SEQ]))
     rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     pool = [0.0, -0.0, 0.1, 0.3, 0.5, 0.95] if kind is SpaceKind.UNIT_INTERVAL else [0, 1, 2, 6, 7]
@@ -135,16 +135,18 @@ def _repeated_tails(draw):
     else:
         orbits = values.astype(float)
     cfg = CheckConfig(horizon=rows, tail_window=draw(st.integers(1, rows)), eps=0.2, delta=0.3)
-    sources = np.array(sorted(draw(st.sets(st.integers(0, width - 1), min_size=1))))
-    return kind, cfg, orbits, sources
+    keep = np.array(sorted(draw(st.sets(st.integers(0, width - 1), min_size=1))))
+    sources = np.array(sorted(draw(st.sets(st.integers(0, len(keep) - 1), min_size=1))))
+    return kind, cfg, orbits, keep, sources
 
 
 @settings(max_examples=300, deadline=None)
 @given(_repeated_tails())
 def test_pair_codes_match_per_source_rule(case):
+    kind, cfg, orbits, keep, sources = case
     codes = _pair_codes(*case)
     assert codes.dtype == np.uint8
-    assert np.array_equal(codes, _per_source_codes(*case))
+    assert np.array_equal(codes, _per_source_codes(kind, cfg, orbits[:, keep], sources))
 
 
 def test_one_alternating_rotation_report_steps_each_view_once(monkeypatch):

@@ -15,7 +15,7 @@ from nonautodyn.cli import (
     EXIT_OK,
     main,
 )
-from nonautodyn.space import coord_point
+from nonautodyn.space import ResolutionError, coord_point
 
 
 @pytest.fixture
@@ -156,6 +156,18 @@ def test_config_over_memory_budget_is_refused_before_any_work(monkeypatch, capsy
     monkeypatch.setattr(report, "profile_hypotheses", no_work)
     assert main(["reproduce", "odometer-deletion", "--grid", "12"]) == EXIT_CONFIG
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError("no such field"), ResolutionError("no coordinate left")])
+def test_program_error_after_the_config_exits_4(monkeypatch, capsys, error):
+    # the spec loads, builds and validates, so a later failure is the program's
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(report, "_bound_summary", broken)
+    assert main(["reproduce", "sens", "--horizon", "150"]) == EXIT_CHECKER_FAILED
+    err = capsys.readouterr().err
+    assert f"{type(error).__name__}: {error}" in err and "config error" not in err
 
 
 def test_unknown_example_id(capsys):

@@ -1,6 +1,6 @@
-"""The sampled ball table from grid windows: windowed hits, dense flags and
-final defects against dense distances, and how many elements the odometer
-ball table measures."""
+"""The sampled ball table from grid windows: windowed hits, dense flags,
+final defects and first visits against dense distances, and how many
+elements the odometer ball table measures."""
 
 import math
 import sys
@@ -34,16 +34,19 @@ from nonautodyn.space import (
 
 def _dense_table(space, resolution, eps, centers, orbits, cols):
     """Hits, dense flags and final defects from every sample against every
-    grid point."""
+    grid point, and the first time each ball's first sample comes within eps
+    (<= eps) of each grid point, or -1."""
     full = grid_coords(space, resolution)
-    hits, dense, final = [], [], []
+    hits, dense, final, visits = [], [], [], []
     for idx in cols:
         cloud = orbits[:, idx, None]
         hits.append((coord_distances(space.kind, cloud, centers).min(axis=1) < eps).T)
         defects = coord_distances(space.kind, cloud, full).min(axis=1)
         dense.append((defects < eps).all(axis=1))
         final.append(defects[-1].max())
-    return np.array(hits), np.array(dense), np.array(final)
+        near = coord_distances(space.kind, cloud[:, 0], full) <= eps
+        visits.append(np.where(near.any(axis=0), near.argmax(axis=0), -1))
+    return np.array(hits), np.array(dense), np.array(final), np.array(visits)
 
 
 def _eps(draw, unit: float) -> float:
@@ -143,6 +146,7 @@ def test_windowed_table_matches_dense_distances(table):
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2].tobytes() == want[2].tobytes()
+    assert np.array_equal(got[3], want[3])
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,7 +159,8 @@ def test_window_holds_every_grid_point_within_eps(table):
     inside = np.zeros(orbits.shape + (len(grid),), dtype=bool)
     np.put_along_axis(inside, window, True, axis=-1)
     for centers in (grid, checker_grid_of(space, resolution)):
-        near = coord_distances(space.kind, orbits[..., None], centers) < eps
+        # minimality reads the window's distances with <= eps, the hits with < eps
+        near = coord_distances(space.kind, orbits[..., None], centers) <= eps
         assert not (near & ~inside).any()
 
 
@@ -177,13 +182,15 @@ def test_odometer_ball_table_measures_only_window_candidates(monkeypatch):
     measured = []
 
     def counting(kind, a, b):
-        if sys._getframe(1).f_code.co_name != "_cloud_diam_series":
+        if sys._getframe(1).f_code.co_name == "_sampled_ball_table":
             measured.append(np.broadcast(a, b).size)
         return coord_distances(kind, a, b)
 
     monkeypatch.setattr(checkers, "coord_distances", counting)
     _compute_ball_evidence(SystemView(spec.build_family(), Mode.NON_AUTONOMOUS), cfg)
-    # hits and dense flags over the windows of every row, the last row densely;
-    # every sample against every grid point would be 2 * (N+1) * S * G
+    # hits, dense flags and the grid starts' first visits over the windows of
+    # every row, the last row densely; every sample against every grid point
+    # would be 2 * (N+1) * S * G. The evidence also measures its balls'
+    # separations and the pair codes from the same sweep, apart from the table
     assert (W, G) == (4, 64)
     assert sum(measured) <= 2 * (N + 1) * S * W + S * G
