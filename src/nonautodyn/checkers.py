@@ -33,7 +33,7 @@ from .descriptors import (
     pl_fixed_points,
 )
 from .orbit import Mode, SystemView, orbit_matrix
-from .regions import RegionChains, ball_chains
+from .regions import ball_chains, exact_chains
 from .space import (
     TWO_PI,
     MAX_WORD_BITS,
@@ -208,12 +208,10 @@ def _row_blocks(sys: SystemView, coords: np.ndarray, horizon: int):
         t, k, coords = t + k, 2 * k, block[-1]
 
 
-def _ball_chains(
-    sys: SystemView, centers: np.ndarray, radii: np.ndarray, horizon: int
-) -> RegionChains | None:
-    """Region chains of the balls around the center coordinates through
-    steps 1..horizon; None when some step has no exact region image."""
-    return ball_chains(sys.space.kind, centers, radii, sys.steps(horizon)[1 : horizon + 1])
+def _exact(sys: SystemView, horizon: int) -> bool:
+    """Whether the view's balls take exact region chains through steps
+    1..horizon, which alone decide it; else their samples are swept."""
+    return exact_chains(sys.space.kind, sys.steps(horizon)[1 : horizon + 1])
 
 
 #: the most distances _cloud_diam_series and check_equicontinuity measure at
@@ -382,8 +380,9 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     G, R = len(centers), len(rungs)
     balls = [(c, r) for c in centers for r in rungs]
 
-    chains = _ball_chains(sys, np.repeat(centers, R), np.tile(rungs, G), N)
-    if chains is not None:
+    steps = sys.steps(N)[1 : N + 1]
+    if exact_chains(kind, steps):
+        chains = ball_chains(kind, np.repeat(centers, R), np.tile(rungs, G), steps)
         hits = np.zeros((G, G, N + 1), dtype=bool)
         chains.hits(R, centers, cfg.eps, hits)
         defects = chains.covering_defects()[:, ::R]
@@ -475,7 +474,7 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     N = cfg.horizon
     rungs = _rungs(space, cfg, 0.5, 5)
     centers = checker_grid(space, cfg)
-    shared = _ball_evidence(sys, cfg).separations or {}
+    shared = {} if _exact(sys, N) else _ball_evidence(sys, cfg).separations
 
     worst_for_smallest: tuple[np.ndarray, np.ndarray, int, float] | None = None
     for rung in rungs:
@@ -866,7 +865,7 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
     # first[i, t]: the first time start i visits target t, or -1; sampled
     # balls read it and the orbits from the ball sweep and sweep no row
-    visits = _ball_evidence(sys, cfg).visits
+    visits = None if _exact(sys, N) else _ball_evidence(sys, cfg).visits
     first, orbits = visits or (
         np.full((len(starts), len(targets)), -1), np.empty((N + 1, len(starts)), dtype=starts.dtype)
     )
@@ -1296,7 +1295,9 @@ def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
     """The pair table of the grid, built once per view and config, from the
     ball-table sweep on sampled balls; the proximal pairs, proximal cell and
     Li-Yorke cell checks all read it."""
-    return _ball_evidence(sys, cfg).pairs or _cached(
+    if not _exact(sys, cfg.horizon):
+        return _ball_evidence(sys, cfg).pairs
+    return _cached(
         sys, ("pair_table", cfg),
         lambda: _compute_pair_table(sys, cfg, checker_grid(sys.space, cfg), _PAIR_POOL),
     )

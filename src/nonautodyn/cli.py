@@ -27,6 +27,7 @@ from .report import (
     ALIASES,
     ALL_PROPERTIES,
     CATALOG,
+    FORMATS,
     ComparisonReport,
     PROPERTY_BY_NAME,
     ScenarioSpec,
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json", "plotdata"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
 
     p = sub.add_parser("list", help="show the scenario catalog")
     p.set_defaults(func=cmd_list)

@@ -13,10 +13,10 @@ as a flag, below eps or not, except on the last step.
 
 Regions are never objects. `region_chains` steps many regions at once from
 their row-0 arrays (arc starts and lengths, or interval lows and highs), and
-`ball_chains` builds that row for open balls. Whether a family supports
-exact images is decided by the kernel alone: it returns None at the first
-step without one, and callers then fall back to sampling. Binary-sequence
-maps have no images here, so `ball_chains` returns None on that space.
+`ball_chains` builds that row for open balls. `exact_chains` decides from
+the steps alone whether they have exact images, and callers sample where
+they have not: every circle map is affine, a binary-sequence map never has
+one, and an interval step has one when it is piecewise linear.
 
 An interval image is what the map's one rule (`descriptors.apply_batch`)
 reaches on the region's floats, so a swept point stays in the images of its
@@ -32,12 +32,12 @@ rows they decide with one broadcast:
   (`descriptors.repeat_end`), and stepping resumes at the first different
   map;
 - on the circle, every arc of row n is full: a full arc keeps its start and
-  its length under any circle step, so the rows stay equal to the end. The
-  later steps are still flattened, so the kernel returns None at a later
-  step without an exact image as before.
+  its length under any circle step, so the rows stay equal to the end.
 
-Slope-1 runs: while no arc is full, slope-1 steps keep every length and move
-each start by the sweep rule fmod(a + offset, 2pi); a run's lengths are one
+Arc starts move by a sweep's rule, `apply_batch`, a composition operand by
+operand, and lengths by the flattened slope. Slope-1 runs: while no arc is
+full, single slope-1 steps keep every length and move each start by
+apply_batch's own sum fmod(a + offset, 2pi) inline; a run's lengths are one
 broadcast, written before each power-of-two check and where the run ends.
 """
 
@@ -53,6 +53,7 @@ from .descriptors import (
     Compose,
     MapDescriptor,
     PiecewiseLinear,
+    apply_batch,
     as_piecewise_linear,
     circle_canonical,
     pl_image_batch,
@@ -126,12 +127,11 @@ class RegionChains:
         ]
 
 
-def _step_arcs(slope: int, offset: float, a: np.ndarray, b: np.ndarray, n: int) -> None:
-    """Row n of arc starts a and lengths b, the images of row n-1 under theta ->
-    slope*theta + offset, slope >= 2 or a full arc in row n-1 (else a slope-1
-    run). Full arcs keep their start and, as slope >= 1, their length."""
-    r = reduce_angles(float(slope) * a[n - 1] + offset)
-    a[n] = np.where(b[n - 1] >= TWO_PI, a[n - 1], r)
+def _step_arcs(m: MapDescriptor, slope: int, a: np.ndarray, b: np.ndarray, n: int) -> None:
+    """Row n of arc starts a and lengths b, the images of row n-1 under circle
+    step m of flattened slope slope, outside slope-1 runs. Full arcs keep their
+    start and, as slope >= 1, their length; other starts move as swept."""
+    a[n] = np.where(b[n - 1] >= TWO_PI, a[n - 1], apply_batch(m, a[n - 1], SpaceKind.CIRCLE))
     np.minimum(float(slope) * b[n - 1], TWO_PI, out=b[n])
 
 
@@ -145,19 +145,26 @@ def _pl_factors(m: MapDescriptor) -> tuple[PiecewiseLinear, ...] | None:
     return None if pl is None else (pl,)
 
 
+def exact_chains(kind: SpaceKind, steps: Sequence[MapDescriptor]) -> bool:
+    """Whether regions of the space have exact images under all the steps:
+    always on the circle, whose maps are all affine, never on binary words,
+    and on the interval when every distinct step object is piecewise linear."""
+    if kind is not SpaceKind.UNIT_INTERVAL:
+        return kind is SpaceKind.CIRCLE
+    return all(_pl_factors(m) is not None for m in {id(m): m for m in steps}.values())
+
+
 def region_chains(
     kind: SpaceKind, a0: np.ndarray, b0: np.ndarray, steps: Sequence[MapDescriptor]
-) -> RegionChains | None:
+) -> RegionChains:
     """Exact images of the start regions (a0[j], b0[j]) under steps[0], then
-    steps[1], ...
+    steps[1], ..., for steps that exact_chains accepts.
 
     On the circle the starts are arc starts in [0, 2pi) and lengths capped
     at 2pi, on the unit interval lows and highs within [0, 1]. Each step is
-    flattened once for all regions: a circle step to one affine map, an
-    interval step to the piecewise-linear maps it applies in turn. Returns
-    None at the first step without an exact image; that depends on the step
-    alone, never on the regions. Still tails are filled, not stepped (see
-    the module docstring).
+    flattened once for all regions: a circle step to its slope, an interval
+    step to the piecewise-linear maps it applies in turn. Still tails are
+    filled, not stepped (see the module docstring).
     """
     arcs = kind is SpaceKind.CIRCLE
     flatten = circle_canonical if arcs else _pl_factors
@@ -171,9 +178,8 @@ def region_chains(
         m = steps[n - 1]
         if m is not prev:
             prev, flat = m, flatten(m)
-        if flat is None:
-            return None
-        if arcs and flat[0] == 1 and b[n - 1].max(initial=0.0) < TWO_PI:  # a slope-1 run
+        single = arcs and flat[0] == 1 and not isinstance(m, Compose)  # apply_batch's sum, inline
+        if single and b[n - 1].max(initial=0.0) < TWO_PI:  # a slope-1 run
             s, row, stop = n, a[n - 1], min(N, 1 << (n - 1).bit_length())
             while True:
                 row = np.add(row, flat[1], out=a[n])
@@ -182,12 +188,12 @@ def region_chains(
                     break
                 if steps[n] is not prev:
                     prev, flat = steps[n], flatten(steps[n])
-                    if flat is None or flat[0] != 1:
+                    if flat[0] != 1 or isinstance(prev, Compose):
                         break
                 n += 1
             b[s : n + 1] = b[s - 1]
         elif arcs:
-            _step_arcs(*flat, a, b, n)
+            _step_arcs(m, flat[0], a, b, n)
         else:
             a[n], b[n] = a[n - 1], b[n - 1]
             for pl in flat:
@@ -195,10 +201,6 @@ def region_chains(
         if n & (n - 1) == 0:
             k = n  # the last row the still rules decide from row n
             if arcs and b[n].min(initial=TWO_PI) >= TWO_PI:
-                for m in steps[n:]:
-                    if m is not prev and flatten(m) is None:
-                        return None
-                    prev = m
                 k = N
             elif a[n].tobytes() == a[n - 1].tobytes() and b[n].tobytes() == b[n - 1].tobytes():
                 k = repeat_end(steps, n - 1, N) + 1
@@ -210,12 +212,10 @@ def region_chains(
 
 def ball_chains(
     kind: SpaceKind, centers: np.ndarray, radii: np.ndarray, steps: Sequence[MapDescriptor]
-) -> RegionChains | None:
+) -> RegionChains:
     """region_chains of the open balls around the center coordinates, with
-    radii below pi, clipped to the space; None on binary sequence space."""
+    radii below pi, clipped to the space: arcs, or else intervals."""
     if kind is SpaceKind.CIRCLE:
         return region_chains(kind, reduce_angles(centers - radii), 2.0 * radii, steps)
-    if kind is SpaceKind.UNIT_INTERVAL:
-        lo, hi = np.maximum(centers - radii, 0.0), np.minimum(centers + radii, 1.0)
-        return region_chains(kind, lo, hi, steps)
-    return None
+    lo, hi = np.maximum(centers - radii, 0.0), np.minimum(centers + radii, 1.0)
+    return region_chains(kind, lo, hi, steps)

@@ -54,8 +54,7 @@ from .family import (
     profile_hypotheses,
 )
 from .space import SpaceError, coord_point, point_to_json
-from .verdict import Verdict
-from . import verdict as V
+from .verdict import Outcome, Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +134,10 @@ ALL_PROPERTIES = tuple(rule.name for rule in PROPERTY_RULES)
 # ---------------------------------------------------------------------------
 # scenario specs and reports
 
+#: the formats emit writes; a spec without output formats asks for the first
+FORMATS = ("json", "csv", "plotdata")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Parsed scenario: family, checker config, property list, output paths."""
@@ -145,7 +148,7 @@ class ScenarioSpec:
     label: str
     seed: int = 0
     output_dir: str | None = None
-    formats: tuple[str, ...] = ("json",)
+    formats: tuple[str, ...] = FORMATS[:1]
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
@@ -155,6 +158,8 @@ class ScenarioSpec:
         props = doc.get("properties", "all")
         if props == "all":
             props = ALL_PROPERTIES
+        elif not isinstance(props, (list, tuple)):
+            raise SpaceError(f'properties must be "all" or a list of property names, got {props!r}')
         else:
             unknown = [p for p in props if p not in PROPERTY_BY_NAME]
             if unknown:
@@ -162,6 +167,9 @@ class ScenarioSpec:
             props = tuple(props)
         check = CheckConfig.from_json(doc.get("check", {}))
         out = doc.get("output", {})
+        formats = out.get("formats", FORMATS[:1])
+        if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
+            raise SpaceError(f"output formats must be a list of {list(FORMATS)}, got {formats!r}")
         return cls(
             family_config=fam_doc,
             check=check,
@@ -169,7 +177,7 @@ class ScenarioSpec:
             label=doc.get("label", fam_doc.get("builtin", "custom")),
             seed=int(doc.get("seed", 0)),
             output_dir=out.get("dir"),
-            formats=tuple(out.get("formats", ("json",))),
+            formats=tuple(formats),
         )
 
     def to_json(self) -> dict:
@@ -288,7 +296,7 @@ class ComparisonReport:
     @property
     def any_checker_failed(self) -> bool:
         verdicts = [v for r in self.rows for v in (r.verdict_nonautonomous, r.verdict_limit)]
-        return any("error" in v.witness for v in verdicts)
+        return any(v.outcome is Outcome.ERROR for v in verdicts)
 
     def to_json(self) -> dict:
         return json.loads(self.to_json_text())
@@ -331,7 +339,7 @@ def _applicable(rule: PropertyRule, profile: HypothesisProfile) -> tuple[bool, s
 
 
 def _consistent(rule: PropertyRule, vF: Verdict, vf: Verdict, applicable: bool) -> tuple[bool, str]:
-    errors = [v.witness["error"] for v in (vF, vf) if "error" in v.witness]
+    errors = [v.witness["error"] for v in (vF, vf) if v.outcome is Outcome.ERROR]
     if errors:
         return False, f"a checker failed: {errors[0]}"
     if not applicable:
@@ -378,8 +386,8 @@ def run_comparison(spec: ScenarioSpec) -> ComparisonReport:
             try:
                 verdicts[key] = rule.runner(sys, cfg)
             except Exception as exc:  # recorded per row, never aborts the report
-                verdicts[key] = V.inconclusive(
-                    {"error": f"{type(exc).__name__}: {exc}"}, "checker failed"
+                verdicts[key] = Verdict(
+                    Outcome.ERROR, {"error": f"{type(exc).__name__}: {exc}"}, "checker failed"
                 )
         ok, detail = _consistent(rule, verdicts["F"], verdicts["f"], applicable)
         rows.append(
@@ -533,7 +541,9 @@ def golden_path(example_id: str) -> Path:
 # emission
 
 def emit(report: ComparisonReport, fmt: str, out_dir: str | Path) -> list[Path]:
-    """Write a report as json, csv, or plotdata files; returns written paths."""
+    """Write a report in one of FORMATS; returns written paths."""
+    if fmt not in FORMATS:
+        raise SpaceError(f"unknown emission format: {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -552,7 +562,7 @@ def emit(report: ComparisonReport, fmt: str, out_dir: str | Path) -> list[Path]:
             )
         p.write_text("\n".join(lines) + "\n")
         written.append(p)
-    elif fmt == "plotdata":
+    else:
         dev = report.plot_series["deviation_bound"]
         p1 = out / f"{stem}_deviation.csv"
         rows = ["k,measured,bound"]
@@ -574,6 +584,4 @@ def emit(report: ComparisonReport, fmt: str, out_dir: str | Path) -> list[Path]:
         rows += [f"{n},{t!r}" for n, t in zip(tail["n"], tail["tail_sup"])]
         p3.write_text("\n".join(rows) + "\n")
         written.append(p3)
-    else:
-        raise SpaceError(f"unknown emission format: {fmt!r}")
     return written

@@ -1,8 +1,9 @@
-"""Three-valued outcomes for finite-horizon property checks.
+"""Outcomes of finite-horizon property checks.
 
 Every check in this package is a semi-decision: it either finds a witness,
 finds a counterexample, or runs out of horizon. Verdicts carry the evidence
-so they can be replayed and serialized.
+so they can be replayed and serialized. A fourth outcome, error, marks a
+checker that crashed, so that no reader takes it for a finite-horizon result.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ class Outcome(str, Enum):
     HOLDS = "holds"
     REFUTED = "refuted"
     INCONCLUSIVE = "inconclusive"
+    ERROR = "error"  # the checker crashed; the witness names the exception
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Circle steps on one reduction rule: apply_batch's fmod against an np.mod
 reference, slope-1 arc runs in region_chains against a plain per-step loop,
-and arc starts under rotations against sweep columns."""
+and arc starts under every circle step against sweep columns."""
 
 import dataclasses
 import math
@@ -13,7 +13,7 @@ from nonautodyn.descriptors import AffineCircle, Compose, Rotation, apply_batch,
 from nonautodyn.family import MapFamily
 from nonautodyn.orbit import Mode, SystemView, orbit_matrix
 from nonautodyn.regions import region_chains
-from nonautodyn.space import TWO_PI, PhaseSpace, SpaceKind, reduce_angles
+from nonautodyn.space import TWO_PI, PhaseSpace, SpaceKind
 
 BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
@@ -62,14 +62,11 @@ def test_a_negative_zero_amount_is_stored_as_zero():
 # ---------------------------------------------------------------------------
 # slope-1 runs against a plain per-step loop
 
-def _plain_step_arcs(slope, offset, a, b, n):
-    """The arc step rule, one row at a time, with its own slope-1 branch."""
-    if slope == 1 and b[n - 1].max(initial=0.0) < TWO_PI:
-        a[n] = reduce_angles(a[n - 1] + offset)
-        b[n] = b[n - 1]
-        return
-    r = reduce_angles(float(slope) * a[n - 1] + offset)
-    a[n] = np.where(b[n - 1] >= TWO_PI, a[n - 1], r)
+def _plain_step_arcs(m, a, b, n):
+    """The arc step rule, one row at a time: starts that are not full move by
+    the mod rule, operand by operand, lengths by the flattened slope."""
+    slope = circle_canonical(m)[0]
+    a[n] = np.where(b[n - 1] >= TWO_PI, a[n - 1], _mod_rule(m, a[n - 1]))
     b[n] = np.minimum(float(slope) * b[n - 1], TWO_PI)
 
 
@@ -77,7 +74,7 @@ def _plain_arcs(a0, b0, steps):
     a, b = np.empty((len(steps) + 1, len(a0))), np.empty((len(steps) + 1, len(a0)))
     a[0], b[0] = a0, b0
     for n, m in enumerate(steps, 1):
-        _plain_step_arcs(*circle_canonical(m), a, b, n)
+        _plain_step_arcs(m, a, b, n)
     return a, b
 
 
@@ -126,18 +123,31 @@ def test_arc_runs_match_a_plain_loop(runs, arcs):
 
 
 # ---------------------------------------------------------------------------
-# arc starts under rotations are sweep columns
+# arc starts are sweep columns until their arc is full
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.tuples(AMOUNTS, st.integers(1, 40)), min_size=1, max_size=5),
-    st.lists(st.tuples(REDUCED, st.floats(0.0, 6.0)), min_size=1, max_size=6),
+    st.lists(st.tuples(CIRCLE_MAPS, st.integers(1, 40)), min_size=1, max_size=5),
+    st.lists(st.tuples(REDUCED, st.floats(0.0, 6.0) | st.just(TWO_PI)), min_size=1, max_size=6),
 )
-@example([(-0.0, 3), (1.0, 70)], [(-0.0, 0.5), (BELOW_TWO_PI, 0.25)])
-def test_rotated_arc_starts_are_sweep_columns(amounts, arcs):
-    steps = [Rotation(x) for x, length in amounts for _ in range(length)]
+@example([(Rotation(-0.0), 3), (Rotation(1.0), 70)], [(-0.0, 0.5), (BELOW_TWO_PI, 0.25)])
+# the flattened offset 6.5 - 2pi moves 0.1 to another float than the operands do
+@example([(Compose(Rotation(0.5), Rotation(6.0)), 1)], [(0.1, 0.5)])
+# doubling turns the first arc full mid-table, where its start stops
+@example(
+    [(AffineCircle(2, 0.3), 3), (Compose(Rotation(0.5), Rotation(6.0)), 4)],
+    [(0.1, 1.0), (2.0, 0.01)],
+)
+def test_arc_starts_are_sweep_columns_until_full(runs, arcs):
+    steps = [m for m, length in runs for _ in range(length)]
     a0, b0 = (np.array(v) for v in zip(*arcs))
-    fam = MapFamily(PhaseSpace.circle(), lambda n: steps[n - 1], steps[-1], "rotations")
+    fam = MapFamily(PhaseSpace.circle(), lambda n: steps[n - 1], steps[-1], "circle maps")
     rows = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), a0, len(steps))
-    assert region_chains(SpaceKind.CIRCLE, a0, b0, steps).a.tobytes() == rows.tobytes()
+    chains = region_chains(SpaceKind.CIRCLE, a0, b0, steps)
+    # the row in which each arc is first full, else the last row
+    full = chains.b >= TWO_PI
+    until = np.where(full.any(axis=0), full.argmax(axis=0), len(steps))
+    for j, k in enumerate(until):
+        assert chains.a[: k + 1, j].tobytes() == rows[: k + 1, j].tobytes()
+        assert chains.a[k:, j].tobytes() == np.repeat(chains.a[k, j], len(steps) + 1 - k).tobytes()

@@ -16,6 +16,7 @@ from nonautodyn.cli import (
     main,
 )
 from nonautodyn.space import ResolutionError, coord_point
+from nonautodyn.verdict import Outcome
 
 
 @pytest.fixture
@@ -170,6 +171,38 @@ def test_program_error_after_the_config_exits_4(monkeypatch, capsys, error):
     assert f"{type(error).__name__}: {error}" in err and "config error" not in err
 
 
+def _no_work(monkeypatch):
+    """Make the hypothesis profile, the first work a report does, fail loudly."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the report started before the spec was checked")
+
+    monkeypatch.setattr(report, "profile_hypotheses", no_work)
+
+
+@pytest.mark.parametrize("formats", [["xml"], "json", ["json", "yaml"], {"json": 1}])
+def test_unknown_output_format_is_refused_before_any_work(
+    spec_file, tmp_path, monkeypatch, capsys, formats
+):
+    _no_work(monkeypatch)
+    doc = json.loads(spec_file.read_text())
+    doc["output"] = {"dir": str(tmp_path / "out"), "formats": formats}
+    spec_file.write_text(json.dumps(doc))
+    assert main(["run", str(spec_file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "output formats must be a list of ['json', 'csv', 'plotdata']" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_properties_as_a_string_names_the_expected_list(spec_file, monkeypatch, capsys):
+    _no_work(monkeypatch)
+    doc = json.loads(spec_file.read_text())
+    doc["properties"] = "sensitivity"
+    spec_file.write_text(json.dumps(doc))
+    assert main(["run", str(spec_file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "a list of property names, got 'sensitivity'" in err and "'s'" not in err
+
+
 def test_unknown_example_id(capsys):
     assert main(["reproduce", "not-a-scenario"]) == EXIT_CONFIG
 
@@ -242,5 +275,9 @@ def test_crashed_checker_exits_4(spec_file, monkeypatch, capsys, command):
     spec = report.ScenarioSpec.from_json(json.loads(spec_file.read_text()))
     row = report.run_comparison(spec).rows[0]
     assert row.verdict_nonautonomous.witness == {"error": "RuntimeError: boom"}
+    # its own outcome, which no reader takes for a finite-horizon result
+    assert row.verdict_nonautonomous.outcome is Outcome.ERROR
+    assert row.to_json()["verdict_limit"]["outcome"] == "error"
+    assert report.run_comparison(spec).any_checker_failed
     assert not row.consistent
     assert "a checker failed" in row.note

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonautodyn.checkers import CheckConfig, Mode, SystemView, _ball_chains, orbit_matrix
+from nonautodyn.checkers import CheckConfig, Mode, SystemView, _exact, orbit_matrix
 from nonautodyn.descriptors import (
     AffineCircle,
     Compose,
@@ -20,7 +20,7 @@ from nonautodyn.descriptors import (
     circle_canonical,
 )
 from nonautodyn.family import PLATEAU_HEAD, TENT, MapFamily
-from nonautodyn.regions import _step_arcs, region_chains
+from nonautodyn.regions import ball_chains, exact_chains, region_chains
 from nonautodyn.report import ALL_PROPERTIES, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     TWO_PI,
@@ -30,6 +30,7 @@ from nonautodyn.space import (
     SpaceKind,
     point_coords,
     reduce_angle,
+    reduce_angles,
 )
 
 # ---------------------------------------------------------------------------
@@ -85,15 +86,20 @@ def _ref_pl_eval(pl, x):
     return ((y1 - y0) / (x1 - x0)) * (x - x0) + y0
 
 
+def _ref_start(start, m):
+    """An arc start under a circle step, operand by operand as a sweep moves it."""
+    if isinstance(m, Compose):
+        return _ref_start(_ref_start(start, m.inner), m.outer)
+    slope, offset = circle_canonical(m)
+    return reduce_angle(slope * start + offset)
+
+
 def _ref_step(region, m):
     if isinstance(region, ArcRegion):
-        canon = circle_canonical(m)
-        if canon is None:
-            return None
-        slope, offset = canon
+        # a full arc stays put; the length grows by the flattened slope
         if region.full:
             return region
-        return ArcRegion(slope * region.start + offset, slope * region.length)
+        return ArcRegion(_ref_start(region.start, m), circle_canonical(m)[0] * region.length)
     if isinstance(m, Compose):
         # the inner step's image, then the outer step's, as a sweep applies them
         inner = _ref_step(region, m.inner)
@@ -123,11 +129,14 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _kind(starts):
+    return SpaceKind.CIRCLE if isinstance(starts[0], ArcRegion) else SpaceKind.UNIT_INTERVAL
+
+
 def _chains(starts, steps):
     """The kernel on the start records' row-0 arrays."""
-    kind = SpaceKind.CIRCLE if isinstance(starts[0], ArcRegion) else SpaceKind.UNIT_INTERVAL
     a0, b0 = zip(*(_fields(r) for r in starts))
-    return region_chains(kind, np.array(a0), np.array(b0), steps)
+    return region_chains(_kind(starts), np.array(a0), np.array(b0), steps)
 
 
 def _assert_matches_reference(starts, steps):
@@ -137,10 +146,11 @@ def _assert_matches_reference(starts, steps):
             chain.append(_ref_step(chain[-1], m))
         if any(chain[-1] is None for chain in ref):
             break
-    chains = _chains(starts, steps)
     if any(chain[-1] is None for chain in ref):
-        assert chains is None
+        assert not exact_chains(_kind(starts), steps)
         return
+    assert exact_chains(_kind(starts), steps)
+    chains = _chains(starts, steps)
     assert chains.a.shape == chains.b.shape == (len(steps) + 1, len(starts))
     for j, chain in enumerate(ref):
         a, b = zip(*(_fields(r) for r in chain))
@@ -263,23 +273,22 @@ def test_arcs_through_zero_and_to_full():
 
 
 def test_arc_starts_reduce_like_reduce_angle():
-    # valid arcs never step to a negative angle, so both corrections are
-    # probed here directly; -1e-300 + 2pi rounds to 2pi and needs the second
+    # ball_chains reduces the starts of row 0, centers minus radii, with
+    # reduce_angles; both corrections are probed here directly, and
+    # -1e-300 + 2pi rounds to 2pi and needs the second
     raw = np.array([-1e-300, -1.0, -TWO_PI, 7.0, -0.0, 0.0])
-    a, b = np.stack([raw, np.empty(raw.size)]), np.zeros((2, raw.size))
-    _step_arcs(1, 0.0, a, b, 1)
-    starts = a[1]
+    starts = reduce_angles(1 * raw + 0.0)
     assert _bits(starts) == _bits([reduce_angle(1 * t + 0.0) for t in raw.tolist()])
 
 
 def test_nearest_lookup_step_has_no_image():
     nearest = Lookup((0.0, 0.5, 1.0), "nearest")
-    assert _chains([IntervalRegion(0.0, 0.5)], [TENT, nearest, TENT]) is None
+    assert not exact_chains(SpaceKind.UNIT_INTERVAL, [TENT, nearest, TENT])
     _assert_matches_reference([IntervalRegion(0.0, 0.5)], [TENT, nearest, TENT])
 
 
-# A family whose step 70 has no exact image: the kernel refuses it, and every
-# checker falls back to sampling in the non-autonomous mode.
+# A family whose step 70 has no exact image: its steps refuse exact chains,
+# and every checker falls back to sampling in the non-autonomous mode.
 NEAREST = Lookup(tuple(min(1.0, 2 * i / 16, 2 - 2 * i / 16) for i in range(17)), "nearest")
 
 
@@ -311,12 +320,11 @@ LATE_SPEC = _LateNearestSpec(
 
 
 def test_late_nearest_step_falls_back_to_sampling():
-    starts = [IntervalRegion(0.2, 0.4)]
     sys_F = SystemView(LATE_NEAREST, Mode.NON_AUTONOMOUS)
-    assert _chains(starts, sys_F.steps(100)[1:101]) is None
-    assert _chains(starts, sys_F.steps(69)[1:70]) is not None
+    assert not exact_chains(SpaceKind.UNIT_INTERVAL, sys_F.steps(100)[1:101])
+    assert exact_chains(SpaceKind.UNIT_INTERVAL, sys_F.steps(69)[1:70])
     sys_f = SystemView(LATE_NEAREST, Mode.AUTONOMOUS_LIMIT)
-    assert _chains(starts, sys_f.steps(100)[1:101]) is not None
+    assert exact_chains(SpaceKind.UNIT_INTERVAL, sys_f.steps(100)[1:101])
 
 
 def test_steps_alone_decide_exact_chains():
@@ -330,9 +338,10 @@ def test_steps_alone_decide_exact_chains():
     balls = [(IntervalPoint(0.3), 0.1), (IntervalPoint(0.9), 0.025)]
     centers = point_coords([c for c, _ in balls], fam.space.kind)
     radii = np.array([r for _, r in balls])
-    chains = _ball_chains(SystemView(fam, Mode.NON_AUTONOMOUS), centers, radii, 50)
-    assert chains is not None and chains.a.shape == (51, 2)
-    assert _ball_chains(SystemView(fam, Mode.AUTONOMOUS_LIMIT), centers, radii, 50) is None
+    sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
+    assert _exact(sys_F, 50)
+    assert ball_chains(fam.space.kind, centers, radii, sys_F.steps(50)[1:51]).a.shape == (51, 2)
+    assert not _exact(SystemView(fam, Mode.AUTONOMOUS_LIMIT), 50)
 
 
 def test_late_nearest_report_is_pinned():

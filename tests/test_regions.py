@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonautodyn import regions
-from nonautodyn.checkers import _ball_chains, _ball_evidence, _compute_ball_evidence, _rungs
+from nonautodyn.checkers import _ball_evidence, _compute_ball_evidence, _exact, _rungs
 from nonautodyn.descriptors import AffineCircle, Rotation, apply
 from nonautodyn.family import PLATEAU_HEAD, TENT
 from nonautodyn.orbit import Mode, SystemView
-from nonautodyn.regions import RegionChains, ball_chains, region_chains
+from nonautodyn.regions import RegionChains, ball_chains, exact_chains, region_chains
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
     TWO_PI,
@@ -152,11 +152,11 @@ def test_diameter_caps_at_geodesic_diameter():
 
 
 def test_kernel_decides_support():
-    assert _ball(ARC, 1.0, 0.1, Rotation(1.0), AffineCircle(2, 0.1)) is not None
-    assert _ball(INTERVAL, 0.5, 0.1, TENT, PLATEAU_HEAD) is not None
+    assert exact_chains(ARC, [Rotation(1.0), AffineCircle(2, 0.1)])
+    assert exact_chains(INTERVAL, [TENT, PLATEAU_HEAD])
     from nonautodyn.descriptors import OdometerAdd
 
-    assert _ball(SpaceKind.BINARY_SEQ, 0.0, 0.1, OdometerAdd()) is None
+    assert not exact_chains(SpaceKind.BINARY_SEQ, [OdometerAdd()])
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +241,11 @@ def test_builtin_hits_match_the_distance_rule(name, mode):
     ev = _ball_evidence(sys, cfg)
     G, R = len(ev.centers), len(ev.balls) // len(ev.centers)
     radii = np.tile(_rungs(sys.space, cfg, 0.25, 3), G)
-    chains = _ball_chains(sys, np.repeat(ev.centers, R), radii, cfg.horizon)
-    if chains is None:
+    if not _exact(sys, cfg.horizon):
         assert sys.space.kind is SpaceKind.BINARY_SEQ
         return
+    steps = sys.steps(cfg.horizon)[1 : cfg.horizon + 1]
+    chains = ball_chains(sys.space.kind, np.repeat(ev.centers, R), radii, steps)
     assert np.array_equal(ev.hits, _ref_hits(chains, R, ev.centers, cfg.eps, G))
 
 

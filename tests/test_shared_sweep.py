@@ -5,9 +5,12 @@ ball rungs, and minimality's first visits.
 The oracles below are the separate sweeps those tables came from before:
 equicontinuity's row-block ladder over every rung, the pair table's own
 sweep of the grid and its eps-pools, and minimality's row-block loop. Every
-verdict they give must be byte-identical to the report's.
+verdict they give must be byte-identical to the report's. So must each
+property's verdict when it runs alone on a fresh view, and on the region
+path a property that reads no ball table builds none.
 """
 
+import dataclasses
 import json
 import random
 from unittest import mock
@@ -38,7 +41,7 @@ from nonautodyn.checkers import (
 )
 from nonautodyn.descriptors import apply_batch
 from nonautodyn.orbit import Mode, SystemView
-from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
+from nonautodyn.report import CATALOG, PROPERTY_BY_NAME, ScenarioSpec, run_comparison
 from nonautodyn.space import SpaceKind, ball_coords, coord_distances, coord_to_json, grid_coords
 
 PAIR_ROWS = (check_proximal_cell_density, check_proximal_pairs_density, check_li_yorke_cell_density)
@@ -370,6 +373,51 @@ def test_lookup_verdicts_match_the_separate_sweeps(spec):
         sys = SystemView(fam, mode)
         checks = (check_equicontinuity, check_minimality, *PAIR_ROWS)
         assert [_text(check(sys, cfg)) for check in checks] == _oracle(fam, mode, cfg)
+
+
+# ---------------------------------------------------------------------------
+# single properties
+
+
+def _short(spec: ScenarioSpec, horizon: int = 50) -> ScenarioSpec:
+    check = dataclasses.replace(
+        spec.check, horizon=horizon, tail_window=min(spec.check.tail_window, horizon)
+    )
+    return dataclasses.replace(spec, check=check)
+
+
+SHORT_SPECS = [_short(spec) for spec in CATALOG.values()]
+
+
+@pytest.mark.parametrize(
+    "spec", SHORT_SPECS + [ScenarioSpec.from_json(_tabulated_doc(0))], ids=lambda s: s.label
+)
+def test_single_property_verdicts_equal_the_report_rows(spec):
+    fam = spec.build_family()
+    for row in run_comparison(spec).rows:
+        runner = PROPERTY_BY_NAME[row.property].runner
+        for mode, verdict in zip(Mode, (row.verdict_nonautonomous, row.verdict_limit)):
+            alone = runner(SystemView(fam, mode), spec.check)
+            assert _text(alone) == _text(verdict), (row.property, mode)
+
+
+@pytest.mark.parametrize("name", ["alternating-rotation", "plateau-tent"])
+def test_single_region_properties_build_no_ball_chains(monkeypatch, name):
+    # these rows read no table of the ball evidence on the region path, so
+    # the path is decided from the steps and no chain is built
+    spec = _short(CATALOG[name])
+    chains = []
+    real = checkers.ball_chains
+
+    def counted(*args):
+        chains.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checkers, "ball_chains", counted)
+    for mode in Mode:
+        for check in (check_equicontinuity, check_minimality, *PAIR_ROWS):
+            check(SystemView(spec.build_family(), mode), spec.check)
+    assert chains == []
 
 
 # ---------------------------------------------------------------------------

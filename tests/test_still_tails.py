@@ -13,7 +13,6 @@ from nonautodyn import checkers, orbit, regions
 from nonautodyn import verdict as V
 from nonautodyn.checkers import (
     CheckConfig,
-    _ball_chains,
     _confinement_gaps,
     check_equicontinuity,
     check_minimality,
@@ -97,24 +96,19 @@ def _plain_regions(kind, a0, b0, steps):
     a, b = np.empty((len(steps) + 1, len(a0))), np.empty((len(steps) + 1, len(a0)))
     a[0], b[0] = a0, b0
     for n, m in enumerate(steps, 1):
-        flat = circle_canonical(m) if arcs else _pl_factors(m)
-        if flat is None:
-            return None
         if arcs:
-            _step_arcs(*flat, a, b, n)
+            _step_arcs(m, circle_canonical(m)[0], a, b, n)
         else:
             a[n], b[n] = a[n - 1], b[n - 1]
-            for pl in flat:
+            for pl in _pl_factors(m):
                 a[n], b[n] = pl_image_batch(pl, a[n], b[n])
     return a, b
 
 
 def _same_regions(kind, a0, b0, steps):
     got, want = region_chains(kind, a0, b0, steps), _plain_regions(kind, a0, b0, steps)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.a.tobytes() == want[0].tobytes()
-        assert got.b.tobytes() == want[1].tobytes()
+    assert got.a.tobytes() == want[0].tobytes()
+    assert got.b.tobytes() == want[1].tobytes()
 
 
 ANGLES = st.sampled_from([0.0, -0.0, 1.0, math.pi, 6.0]) | st.floats(0.0, TWO_PI, exclude_max=True)
@@ -186,13 +180,6 @@ def test_full_arcs_under_changing_doubling_maps(length):
     _same_regions(SpaceKind.CIRCLE, a0, b0, steps)
 
 
-def test_full_arcs_still_meet_a_step_without_an_exact_image():
-    steps = [AffineCircle(2, 0.0)] * 20 + [TENT] + [AffineCircle(2, 0.0)] * 5
-    a0, b0 = np.array([1.0]), np.array([1.0])
-    assert region_chains(SpaceKind.CIRCLE, a0, b0, steps) is None
-    assert region_chains(SpaceKind.CIRCLE, a0, b0, steps[:20]) is not None
-
-
 INTERVALS = st.lists(
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
     | st.sampled_from([(0.0, 0.0), (0.0, 1.0), (0.5, 0.5)]),
@@ -213,7 +200,7 @@ def test_interval_chains_match_a_plain_loop(runs, intervals):
 def test_still_interval_chain_meets_a_step_without_an_exact_image():
     steps = [TENT] * 40 + [Lookup((0.0, 1.0), "nearest")] + [TENT] * 40
     lo, hi = np.array([0.0, 0.0]), np.array([0.0, 1.0])
-    assert region_chains(SpaceKind.UNIT_INTERVAL, lo, hi, steps) is None
+    assert not regions.exact_chains(SpaceKind.UNIT_INTERVAL, steps)
     _same_regions(SpaceKind.UNIT_INTERVAL, lo, hi, steps[:40])
 
 
@@ -415,8 +402,10 @@ def test_expanding_ball_chains_stop_stepping(monkeypatch, name, mode):
     stepper = "_step_arcs" if name == "perturbed-doubling" else "pl_image_batch"
     steps = _counting(monkeypatch, regions, stepper)
     centers = checker_grid(sys.space, spec.check)
-    chains = _ball_chains(sys, centers, np.full(len(centers), spec.check.eps), spec.check.horizon)
-    assert chains.a.shape[0] == spec.check.horizon + 1
+    N = spec.check.horizon
+    radii = np.full(len(centers), spec.check.eps)
+    chains = regions.ball_chains(sys.space.kind, centers, radii, sys.steps(N)[1 : N + 1])
+    assert chains.a.shape[0] == N + 1
     assert len(steps) <= 16
 
 
