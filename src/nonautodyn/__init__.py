@@ -18,15 +18,11 @@ from .space import (
     IntervalPoint,
     PhaseSpace,
     Point,
-    PointCloud,
     ResolutionError,
     SpaceError,
     SpaceKind,
-    ball_sample,
     distance,
     distance_info,
-    hausdorff_distance,
-    sample_grid,
 )
 from .descriptors import (
     AffineCircle,
@@ -48,7 +44,6 @@ from .family import (
     SummabilityReport,
     TENT,
     PLATEAU_HEAD,
-    autonomous_family,
     commutes_with_limit,
     family_from_config,
     feeble_open_check,
@@ -58,7 +53,7 @@ from .family import (
     summability_estimate,
     surjectivity_check,
 )
-from .orbit import Trajectory, limit_iterate, limit_trajectory, omega, omega_window, trajectory
+from .orbit import omega
 from .bounds import (
     BoundLedger,
     ConvergenceProfile,
@@ -75,18 +70,14 @@ from .checkers import (
     Mode,
     PairPredicate,
     SystemView,
-    cell_density,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
     check_minimality,
-    check_periodic,
     check_sensitivity,
     check_topological_mixing,
     check_transitivity,
     check_weak_mixing,
-    li_yorke_check,
-    proximal_check,
 )
 from .report import reproduce
 from .verdict import Outcome, Verdict
@@ -95,28 +86,26 @@ __all__ = [
     "__version__",
     # space
     "BinaryWord", "CircleAngle", "DistanceInfo", "IntervalPoint", "PhaseSpace",
-    "Point", "PointCloud", "ResolutionError", "SpaceError", "SpaceKind",
-    "ball_sample", "distance", "distance_info", "hausdorff_distance", "sample_grid",
+    "Point", "ResolutionError", "SpaceError", "SpaceKind", "distance", "distance_info",
     # descriptors
     "AffineCircle", "Compose", "Delete", "Lookup", "MapDescriptor", "OdometerAdd",
     "PiecewiseLinear", "Rotation", "SupEstimate", "apply", "compose", "sup_metric",
     # family
     "HypothesisProfile", "MapFamily", "SummabilityReport", "TENT", "PLATEAU_HEAD",
-    "autonomous_family", "commutes_with_limit", "family_from_config",
+    "commutes_with_limit", "family_from_config",
     "feeble_open_check", "isometry_shrinking_check", "make_builtin_family",
     "profile_hypotheses", "summability_estimate", "surjectivity_check",
     # orbit
-    "Trajectory", "limit_iterate", "limit_trajectory", "omega", "omega_window", "trajectory",
+    "omega",
     # bounds
     "BoundLedger", "ConvergenceProfile", "DeviationRecord", "HypothesisNotMetError",
     "collective_convergence_profile", "deviation_check", "deviation_series",
     "isometry_bound_check", "shifted_deviation_check",
     # checkers
-    "CheckConfig", "Mode", "PairPredicate", "SystemView", "cell_density",
+    "CheckConfig", "Mode", "PairPredicate", "SystemView",
     "check_cofinite_sensitivity", "check_dense_periodicity", "check_equicontinuity",
-    "check_minimality", "check_periodic", "check_sensitivity",
-    "check_topological_mixing", "check_transitivity", "check_weak_mixing",
-    "li_yorke_check", "proximal_check",
+    "check_minimality", "check_sensitivity", "check_topological_mixing",
+    "check_transitivity", "check_weak_mixing",
     # report
     "reproduce",
     # verdicts

@@ -38,7 +38,6 @@ from .space import (
     TWO_PI,
     MAX_WORD_BITS,
     PhaseSpace,
-    Point,
     SpaceError,
     SpaceKind,
     ball_coords,
@@ -397,7 +396,7 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     pools = cols[::R]  # the first rung is eps: the pair pools, each starting at its center
     starts = np.array([c[0] for c in pools])
     # the pair codes' transients come before the hit table, not on top of it
-    pairs = _compute_pair_table(sys, cfg, centers, _PAIR_POOL, (orbits, [starts] + pools))
+    pairs = _compute_pair_table(sys, cfg, (orbits, pools))
     *table, visits = _sampled_ball_table(
         sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, pools
     )
@@ -953,7 +952,7 @@ def _periods(kind: SpaceKind, orbits: np.ndarray, P: int, R: int, tol: float) ->
 def _periodic_verdict(
     kind: SpaceKind, orbit: np.ndarray, period: int, P: int, R: int, tol: float
 ) -> Verdict:
-    """check_periodic's verdict on orbit[0] from its orbit column and its period."""
+    """The periodicity verdict on orbit[0] from its orbit column and its period."""
     returns = coord_distances(kind, orbit, orbit[0])
     if period:
         return V.holds(
@@ -970,20 +969,6 @@ def _periodic_verdict(
         {"point": coord_to_json(orbit[0], kind), "max_period": P, "min_recurrence_gap": closest},
         f"no period up to {P}; closest return misses by {closest:.3g}",
     )
-
-
-def check_periodic(sys: SystemView, x: Point, cfg: CheckConfig) -> Verdict:
-    """Least n <= P with orbit returns at every multiple n*k, k <= R, within tol.
-
-    Both modes use the same multiple-revisit rule so that autonomous wrappers
-    produce identical verdicts in either mode.
-    """
-    cfg.validate(sys.space)
-    P, R = cfg.max_period, cfg.repetitions
-    kind = sys.space.kind
-    orbit = orbit_matrix(sys, point_coords([x], kind), P * R)
-    period = _periods(kind, orbit, P, R, cfg.tol)[0]
-    return _periodic_verdict(kind, orbit[:, 0], period, P, R, cfg.tol)
 
 
 def _refute_periodicity(
@@ -1182,113 +1167,42 @@ def _pair_outcomes(
     return near & far, same
 
 
-def _pair_check(
-    sys: SystemView, xy: np.ndarray, cfg: CheckConfig, predicate: PairPredicate
-) -> Verdict:
-    """The verdict on the coordinate pair xy: its outcome comes from
-    _pair_outcomes, and this formats its witness from its distance series."""
-    cfg.validate(sys.space)
-    kind = sys.space.kind
-    # a sweep as _compute_pair_table makes, of the two points alone
-    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
-    code = _pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), np.array([i]))[0, j]
-    holds, refuted = (bool(f) for f in _pair_outcomes(sys, predicate, code))
-    series = coord_distances(kind, orbits[:, j], orbits[:, i])
-    tail = series[-(cfg.tail_window + 1) :]
-    d0, tail_min, tail_max = float(series[0]), float(tail.min()), float(tail.max())
-    pair = [coord_to_json(c, kind) for c in xy]
-    proximal = predicate is PairPredicate.PROXIMAL
-    if d0 == 0.0 and proximal:
-        return V.holds(
-            {"pair": pair, "tail_min": 0.0, "time": cfg.horizon},
-            "identical points stay at distance zero",
-        )
-    if d0 == 0.0:
-        return V.refuted(
-            {"pair": pair, "tail_max": 0.0}, "identical points have zero spread forever"
-        )
-    if refuted:  # by isometric steps
-        return V.refuted(
-            {"pair": pair, "distance": d0, "rule": "isometric-steps"},
-            "isometric steps keep the pair distance constant, never below eps"
-            if proximal
-            else "a constant pair distance cannot both vanish and exceed delta",
-        )
-    parts = {"pair": pair, "tail_min": tail_min}
-    if proximal and holds:
-        # the time of the tail's first row is horizon + 1 - len(tail)
-        time = cfg.horizon + 1 - len(tail) + int(tail.argmin())
-        return V.holds(
-            {**parts, "time": time},
-            "isometric steps keep the pair closer than eps forever"
-            if sys.steps_isometric
-            else f"pair distance falls to {tail_min:.3g} inside the tail window",
-        )
-    if proximal:
-        return V.inconclusive(
-            {**parts, "overall_min": float(series.min()), "horizon": cfg.horizon},
-            "pair never approached within eps at this horizon",
-        )
-    parts.update(tail_max=tail_max, eps=cfg.eps, delta=cfg.delta)
-    if holds:
-        return V.holds(parts, "the pair both approaches and separates inside the tail window")
-    return V.inconclusive(
-        {**parts, "horizon": cfg.horizon},
-        "tail window does not show both approach and separation",
-    )
-
-
-def proximal_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
-    """Tail-window minimum of the pair distance as a liminf proxy."""
-    return _pair_check(sys, point_coords([x, y], sys.space.kind), cfg, PairPredicate.PROXIMAL)
-
-
-def li_yorke_check(sys: SystemView, x: Point, y: Point, cfg: CheckConfig) -> Verdict:
-    """Tail min below eps and tail max above delta, components reported."""
-    return _pair_check(sys, point_coords([x, y], sys.space.kind), cfg, PairPredicate.LI_YORKE)
-
-
 class _PairTable(NamedTuple):
-    """Pair codes from one sweep over some point coordinates xs and the
-    eps-ball pool of every grid center: xs take columns cols, and pool k the
-    columns in row k of pool_cols, where a shorter pool repeats its own
-    columns, which changes no any, all or first index along a row. rows[c]
-    is the row of codes of source column c: the columns of xs and of each
-    pool's first points."""
+    """Pair codes from one sweep over the eps-ball pool of every grid center:
+    pool k takes the columns in row k of pool_cols, where a shorter pool
+    repeats its own columns, which changes no any, all or first index along
+    a row. Each pool starts with its center, so column 0 of pool_cols is the
+    grid. rows[c] is the row of codes of source column c: the columns of the
+    first _PAIR_POOL points of each pool."""
 
     centers: np.ndarray
     pools: list[np.ndarray]
-    cols: np.ndarray
     pool_cols: np.ndarray
     rows: np.ndarray
     codes: np.ndarray  # uint8, shape (sources, columns)
 
 
-def _compute_pair_table(
-    sys: SystemView, cfg: CheckConfig, xs: np.ndarray, pool_sources: int, sweep=None
-) -> _PairTable:
-    """The pair table of xs; its sources add the first pool_sources of each
-    pool. It reads sweep, an orbit matrix and the columns of xs and each pool
-    in it, when given."""
+def _compute_pair_table(sys: SystemView, cfg: CheckConfig, sweep=None) -> _PairTable:
+    """The pair table of the grid. It reads sweep, an orbit matrix and the
+    columns of each pool in it, when given."""
     centers = checker_grid(sys.space, cfg)
     pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
     # isometric steps keep every pair distance at its time-0 value, so row 0
     # is then the whole tail window, and their own sweep stops there
     orbits, cols = sweep or _sweep_groups(
-        sys, [xs] + pools, 0 if sys.steps_isometric else cfg.horizon
+        sys, pools, 0 if sys.steps_isometric else cfg.horizon
     )
     # masks, not np.unique, which imports numpy.ma (half a MiB) on first use
     keep = np.zeros(orbits.shape[1], dtype=bool)
     keep[np.concatenate(cols)] = True
     at = np.cumsum(keep) - 1
-    cols = [at[c] for c in cols]
-    pool_cols = _padded(cols[1:])
+    pool_cols = _padded([at[c] for c in cols])
     source = np.zeros(keep.sum(), dtype=bool)
-    source[cols[0]] = source[pool_cols[:, :pool_sources]] = True
+    source[pool_cols[:, :_PAIR_POOL]] = True
     rows = np.where(source, np.cumsum(source) - 1, -1)
     tail = orbits[:1] if sys.steps_isometric else orbits
     codes = _pair_codes(sys.space.kind, cfg, tail, np.flatnonzero(keep), np.flatnonzero(source))
-    return _PairTable(centers, pools, cols[0], pool_cols, rows, codes)
+    return _PairTable(centers, pools, pool_cols, rows, codes)
 
 
 def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
@@ -1297,18 +1211,15 @@ def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
     Li-Yorke cell checks all read it."""
     if not _exact(sys, cfg.horizon):
         return _ball_evidence(sys, cfg).pairs
-    return _cached(
-        sys, ("pair_table", cfg),
-        lambda: _compute_pair_table(sys, cfg, checker_grid(sys.space, cfg), _PAIR_POOL),
-    )
+    return _cached(sys, ("pair_table", cfg), lambda: _compute_pair_table(sys, cfg))
 
 
 def _cell_outcomes(
     sys: SystemView, predicate: PairPredicate, table: _PairTable, xs: slice
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (holds, refuted) flags of the points xs names with sample j of pool
-    k, at [i, k, j] for the i-th of them."""
-    codes = table.codes[table.rows[table.cols[xs]][:, None, None], table.pool_cols]
+    """The (holds, refuted) flags of the grid points xs names with sample j
+    of pool k, at [i, k, j] for the i-th of them."""
+    codes = table.codes[table.rows[table.pool_cols[xs, 0]][:, None, None], table.pool_cols]
     holds, refuted = _pair_outcomes(sys, predicate, codes)
     if predicate is PairPredicate.LI_YORKE:
         # x is no Li-Yorke partner of itself, so it is skipped
@@ -1317,49 +1228,60 @@ def _cell_outcomes(
     return holds, refuted
 
 
-def cell_density(sys: SystemView, x: Point, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
-    """Every eps-ball on the grid contains a partner for x under the predicate."""
+def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
+    """Cell density of every grid point under the predicate, decided from the
+    pair table in blocks of points; only the cell reported is formatted."""
     cfg.validate(sys.space)
-    xs = point_coords([x], sys.space.kind)
-    return _cell_density(sys, cfg, predicate, xs, _compute_pair_table(sys, cfg, xs, 0), 0)
-
-
-def _cell_density(
-    sys: SystemView, cfg: CheckConfig, predicate: PairPredicate, x: np.ndarray,
-    table: _PairTable, i: int,
-) -> Verdict:
-    """Cell density of the one-point coordinate array x, point i of the
-    table's xs."""
+    table = _pair_table(sys, cfg)
     kind, centers, pools = sys.space.kind, table.centers, table.pools
-    holds, refuted = (a[0] for a in _cell_outcomes(sys, predicate, table, slice(i, i + 1)))
-    found = holds.any(axis=1)
-    if found.all():
-        witnesses = [
-            {
-                "center": coord_to_json(c, kind),
-                "partner": coord_to_json(pools[k][holds[k].argmax()], kind),
-            }
-            for k, c in enumerate(centers[:8])
-        ]
+    # per point and ball: a sample holds; a sample holds or is refuted
+    found, covered = (np.empty((len(pools), len(pools)), dtype=bool) for _ in range(2))
+    for xs in _blocks(len(pools), max(1, _BLOCK // table.pool_cols.size)):
+        holds, refuted = _cell_outcomes(sys, predicate, table, xs)
+        found[xs], covered[xs] = holds.any(axis=2), (holds | refuted).any(axis=2)
+    dense = found.all(axis=1)
+    if dense.all():
         return V.holds(
-            {"balls": len(centers), "witnesses": witnesses, "predicate": predicate.value},
-            f"every {cfg.eps:g}-ball contains a {predicate.value} partner",
+            {"points": len(centers), "predicate": predicate.value},
+            f"the {predicate.value} cell of every sampled point is dense",
         )
-    unfilled = np.flatnonzero(~found)
-    if sys.steps_isometric and refuted[unfilled].any(axis=1).all():
-        # the witness is the first refuted sample of the first unfilled ball
+    # a cell is refuted when every unfilled ball holds a refuted sample; the
+    # first refuted cell is reported, else the first unresolved one
+    refutable = covered.all(axis=1) & ~dense
+    g = int(refutable.argmax() if sys.steps_isometric and refutable.any() else dense.argmin())
+    x, point = centers[g : g + 1], coord_to_json(centers[g], kind)
+    unfilled = np.flatnonzero(~found[g])
+    if sys.steps_isometric and refutable[g]:
+        # the witness is the first refuted sample of the first unfilled ball;
+        # isometric steps keep the pair at its time-0 distance, which is not
+        # 0: a refuted proximal pair is not near, a refuted Li-Yorke pair
+        # not the same point
         k = unfilled[0]
-        j = refuted[k].argmax()
-        v = _pair_check(sys, np.concatenate([x, pools[k][j : j + 1]]), cfg, predicate)
-        return V.refuted(
+        j = _cell_outcomes(sys, predicate, table, slice(g, g + 1))[1][0, k].argmax()
+        y = pools[k][j : j + 1]
+        sample = V.refuted(
+            {
+                "pair": [coord_to_json(x[0], kind), coord_to_json(y[0], kind)],
+                "distance": float(coord_distances(kind, y, x)[0]),
+                "rule": "isometric-steps",
+            },
+            "isometric steps keep the pair distance constant, never below eps"
+            if predicate is PairPredicate.PROXIMAL
+            else "a constant pair distance cannot both vanish and exceed delta",
+        )
+        cell = V.refuted(
             {
                 "ball_center": coord_to_json(centers[k], kind),
-                "sample_verdict": v.to_json(),
+                "sample_verdict": sample.to_json(),
                 "predicate": predicate.value,
             },
             "isometric steps exclude such partners in some balls",
         )
-    return V.inconclusive(
+        return V.refuted(
+            {"point": point, "cell_verdict": cell.to_json()},
+            f"a sampled point has a provably non-dense {predicate.value} cell",
+        )
+    cell = V.inconclusive(
         {
             "unfilled_balls": [coord_to_json(centers[k], kind) for k in unfilled[:8]],
             "unfilled_count": len(unfilled),
@@ -1367,38 +1289,8 @@ def _cell_density(
         },
         f"{len(unfilled)} balls produced no {predicate.value} partner at this horizon",
     )
-
-
-def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
-    """Cell density of every grid point under the predicate, decided from the
-    pair table in blocks of points; only the cell reported is formatted."""
-    cfg.validate(sys.space)
-    table = _pair_table(sys, cfg)
-    # per point and ball: a sample holds; a sample holds or is refuted
-    found, covered = (np.empty((len(table.cols), len(table.pools)), dtype=bool) for _ in range(2))
-    for xs in _blocks(len(table.cols), max(1, _BLOCK // table.pool_cols.size)):
-        holds, refuted = _cell_outcomes(sys, predicate, table, xs)
-        found[xs], covered[xs] = holds.any(axis=2), (holds | refuted).any(axis=2)
-    dense = found.all(axis=1)
-    if dense.all():
-        return V.holds(
-            {"points": len(table.centers), "predicate": predicate.value},
-            f"the {predicate.value} cell of every sampled point is dense",
-        )
-    # a cell is refuted when every unfilled ball holds a refuted sample; the
-    # first refuted cell is reported, else the first unresolved one
-    refutable = covered.all(axis=1) & ~dense
-    g = int(refutable.argmax() if sys.steps_isometric and refutable.any() else dense.argmin())
-    x = table.centers[g : g + 1]
-    v = _cell_density(sys, cfg, predicate, x, table, g)
-    point = coord_to_json(x[0], sys.space.kind)
-    if v.refuted:
-        return V.refuted(
-            {"point": point, "cell_verdict": v.to_json()},
-            f"a sampled point has a provably non-dense {predicate.value} cell",
-        )
     return V.inconclusive(
-        {"point": point, "cell_verdict": v.to_json()},
+        {"point": point, "cell_verdict": cell.to_json()},
         f"density of some {predicate.value} cells is unresolved",
     )
 

@@ -92,25 +92,6 @@ class MapFamily:
         return self.generator(n)
 
 
-def autonomous_family(space: PhaseSpace, m: MapDescriptor, label: str | None = None) -> MapFamily:
-    """Wrap a single map as the constant family f_n = m with limit m."""
-    if m.space_kind != space.kind:
-        raise SpaceError("map does not act on the given space")
-    iso = isinstance(m, (Rotation, OdometerAdd))
-    return MapFamily(
-        space=space,
-        generator=lambda n: m,
-        limit=m,
-        label=label or f"autonomous-{type(m).__name__.lower()}",
-        term_formula=lambda n: 0.0,
-        series_limit=0.0,
-        series_divergent=False,
-        series_tail_bound=lambda n: 0.0,
-        eventually_constant_from=1,
-        steps_isometric=iso,
-    )
-
-
 def _looks_rational_angle(alpha: float, max_den: int = 64) -> bool:
     """True when alpha/(2pi) is (numerically) a small-denominator rational."""
     ratio = alpha / (2.0 * math.pi)
@@ -209,7 +190,10 @@ def family_from_config(doc: dict) -> MapFamily:
     limit map beyond it.
     """
     if "builtin" in doc:
-        return make_builtin_family(doc["builtin"], **doc.get("params", {}))
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise SpaceError(f"family params must be an object, got {params!r}")
+        return make_builtin_family(doc["builtin"], **params)
     if "custom" not in doc:
         raise SpaceError("family config needs 'builtin' or 'custom'")
     spec = doc["custom"]

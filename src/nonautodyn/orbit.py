@@ -5,10 +5,11 @@ Orbits index from 0 with the identity, so states[n] is the point after maps
 1..n have been applied. A sweep may start after step n, applying maps
 n+1..n+k, which makes the semigroup identity
 
-    omega(fam, x, n + k) == omega_window(fam, omega(fam, x, n), n, k)
+    omega(fam, x, n + k) == the last row of orbit_matrix(view, y, k, start=n)
 
-hold bit-exactly: both sides perform the same float operations in the same
-order. Evaluation is forward-only; no inverse maps are ever computed.
+for y the coordinates of omega(fam, x, n), hold bit-exactly: both sides
+perform the same float operations in the same order. Evaluation is
+forward-only; no inverse maps are ever computed.
 
 Still tails: a step is a pure elementwise function of its map and the row
 before, so once row j is bitwise equal to row j-1, every later row that the
@@ -18,10 +19,9 @@ about log2(horizon) comparisons) and then fills the rows up to the first
 different map with one broadcast (``descriptors.repeat_end``). Bytes, not
 ``==``, so that -0.0 and 0.0 stay apart.
 
-The scalar functions below (``omega``, ``omega_window``, ``limit_iterate``,
-``trajectory``, ``limit_trajectory``) sweep one column through the kernel.
-Binary words are packed (``space.point_coords``), so words longer than
-``space.MAX_WORD_BITS`` coordinates raise ``SpaceError``.
+``omega``, the one-point orbit operator, sweeps one column through the
+kernel. Binary words are packed (``space.point_coords``), so words longer
+than ``space.MAX_WORD_BITS`` coordinates raise ``SpaceError``.
 """
 
 from __future__ import annotations
@@ -105,60 +105,11 @@ def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int, start: int =
     return rows
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Realized orbit: states[n] is the point after n steps, states[0] the start."""
-
-    start: Point
-    states: tuple[Point, ...]
-    horizon: int
-
-    def __post_init__(self):
-        if len(self.states) != self.horizon + 1:
-            raise SpaceError("trajectory length must be horizon + 1")
-        if self.states[0] != self.start:
-            raise SpaceError("trajectory must begin at its start point")
-
-
-def _column(fam: MapFamily, mode: Mode, x: Point, k: int, start: int = 0) -> np.ndarray:
-    """The orbit of x through steps start+1..start+k, one row per state."""
-    if k < 0 or start < 0:
-        raise SpaceError("orbit indices must be nonnegative")
-    fam.space.require(x)
-    coords = point_coords([x], fam.space.kind)
-    return orbit_matrix(SystemView(fam, mode), coords, k, start)[:, 0]
-
-
-def _last(fam: MapFamily, mode: Mode, x: Point, k: int, start: int = 0) -> Point:
-    return coord_point(_column(fam, mode, x, k, start)[-1], fam.space.kind)
-
-
-def _trajectory(fam: MapFamily, mode: Mode, x: Point, horizon: int) -> Trajectory:
-    rows = _column(fam, mode, x, horizon)
-    states = (x,) + tuple(coord_point(c, fam.space.kind) for c in rows[1:])
-    return Trajectory(x, states, horizon)
-
-
 def omega(fam: MapFamily, x: Point, n: int) -> Point:
     """Apply maps 1..n in order; n = 0 returns x unchanged."""
-    return _last(fam, Mode.NON_AUTONOMOUS, x, n)
-
-
-def omega_window(fam: MapFamily, x: Point, n: int, k: int) -> Point:
-    """Apply maps n+1..n+k in order; k = 0 returns x unchanged."""
-    return _last(fam, Mode.NON_AUTONOMOUS, x, k, n)
-
-
-def limit_iterate(fam: MapFamily, x: Point, k: int) -> Point:
-    """k-fold application of the limit map."""
-    return _last(fam, Mode.AUTONOMOUS_LIMIT, x, k)
-
-
-def trajectory(fam: MapFamily, x: Point, horizon: int) -> Trajectory:
-    """Forward orbit sweep; states[n] equals omega(fam, x, n) for every n."""
-    return _trajectory(fam, Mode.NON_AUTONOMOUS, x, horizon)
-
-
-def limit_trajectory(fam: MapFamily, x: Point, horizon: int) -> Trajectory:
-    """Forward orbit of the autonomous limit system."""
-    return _trajectory(fam, Mode.AUTONOMOUS_LIMIT, x, horizon)
+    if n < 0:
+        raise SpaceError("orbit indices must be nonnegative")
+    fam.space.require(x)
+    kind = fam.space.kind
+    rows = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), point_coords([x], kind), n)
+    return coord_point(rows[-1, 0], kind)

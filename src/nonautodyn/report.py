@@ -138,6 +138,14 @@ ALL_PROPERTIES = tuple(rule.name for rule in PROPERTY_RULES)
 FORMATS = ("json", "csv", "plotdata")
 
 
+def _object(value, field: str) -> dict:
+    """value, when it is a JSON object: a spec field of another shape is a
+    config error that names the field."""
+    if not isinstance(value, dict):
+        raise SpaceError(f"{field} must be an object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Parsed scenario: family, checker config, property list, output paths."""
@@ -152,21 +160,24 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
-        fam_doc = doc["family"]
+        fam_doc = _object(_object(doc, "a scenario spec")["family"], "family")
         if "custom" in fam_doc and "space" not in fam_doc:
             fam_doc = {**fam_doc, "space": doc["space"]}
         props = doc.get("properties", "all")
         if props == "all":
             props = ALL_PROPERTIES
-        elif not isinstance(props, (list, tuple)):
+        elif not isinstance(props, (list, tuple)) or not all(isinstance(p, str) for p in props):
             raise SpaceError(f'properties must be "all" or a list of property names, got {props!r}')
         else:
             unknown = [p for p in props if p not in PROPERTY_BY_NAME]
             if unknown:
                 raise SpaceError(f"unknown properties: {unknown}")
             props = tuple(props)
-        check = CheckConfig.from_json(doc.get("check", {}))
-        out = doc.get("output", {})
+        check = CheckConfig.from_json(_object(doc.get("check", {}), "check"))
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise SpaceError(f"seed must be an integer, got {seed!r}")
+        out = _object(doc.get("output", {}), "output")
         formats = out.get("formats", FORMATS[:1])
         if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
             raise SpaceError(f"output formats must be a list of {list(FORMATS)}, got {formats!r}")
@@ -175,7 +186,7 @@ class ScenarioSpec:
             check=check,
             properties=props,
             label=doc.get("label", fam_doc.get("builtin", "custom")),
-            seed=int(doc.get("seed", 0)),
+            seed=seed,
             output_dir=out.get("dir"),
             formats=tuple(formats),
         )

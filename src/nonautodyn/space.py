@@ -185,27 +185,6 @@ class PhaseSpace:
         raise SpaceError(f"unknown space kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """A finite, ordered, nonempty set of points from one space."""
-
-    points: tuple[Point, ...]
-    source_kind: SpaceKind
-
-    def __post_init__(self):
-        if not self.points:
-            raise SpaceError("empty point cloud")
-        for p in self.points:
-            if p.kind != self.source_kind:
-                raise SpaceError("cloud contains a point from another space")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 class DistanceInfo(NamedTuple):
     """Metric value plus a flag for binary words that agree to full resolution."""
 
@@ -227,16 +206,6 @@ def distance_info(space: PhaseSpace, x: Point, y: Point) -> DistanceInfo:
 
 def distance(space: PhaseSpace, x: Point, y: Point) -> float:
     return distance_info(space, x, y).value
-
-
-def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """max(sup_{x in a} inf_{y in b} d, sup_{y in b} inf_{x in a} d), from
-    the distances of every pair."""
-    if a.source_kind != b.source_kind:
-        raise SpaceError("clouds from different spaces")
-    kind = a.source_kind
-    d = coord_distances(kind, point_coords(a, kind)[:, None], point_coords(b, kind))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def grid_size(space: PhaseSpace, resolution: int) -> int:
@@ -345,22 +314,6 @@ def ball_coords(space: PhaseSpace, centers: np.ndarray, radius: float, count: in
     first = np.ones(v.shape, dtype=bool)
     np.put_along_axis(first, order[:, 1:], s[:, 1:] != s[:, :-1], axis=1)
     return [row[keep] for row, keep in zip(v, first)]
-
-
-def _cloud(coords: np.ndarray, kind: SpaceKind) -> PointCloud:
-    return PointCloud(tuple(coord_point(c, kind) for c in coords), kind)
-
-
-def sample_grid(space: PhaseSpace, resolution: int, step: int = 1) -> PointCloud:
-    """The points of grid_coords(space, resolution, step)."""
-    return _cloud(grid_coords(space, resolution, step), space.kind)
-
-
-def ball_sample(space: PhaseSpace, center: Point, radius: float, count: int) -> PointCloud:
-    """The points of ball_coords around one center point."""
-    space.require(center)
-    (coords,) = ball_coords(space, point_coords([center], space.kind), radius, count)
-    return _cloud(coords, space.kind)
 
 
 # Coordinate arrays: one float per continuum point, one packed record per

@@ -21,41 +21,42 @@ from nonautodyn.bounds import (
 from nonautodyn.checkers import (
     CheckConfig,
     Mode,
-    PairPredicate,
     SystemView,
-    cell_density,
-    check_cofinite_sensitivity,
-    check_dense_periodicity,
-    check_equicontinuity,
+    _periods,
     check_minimality,
-    check_periodic,
     check_sensitivity,
     check_topological_mixing,
     check_transitivity,
-    check_weak_mixing,
     checker_grid,
-    li_yorke_check,
-    proximal_check,
+    orbit_matrix,
 )
+from nonautodyn.descriptors import descriptor_to_json
 from nonautodyn.family import (
     PLATEAU_HEAD,
     TENT,
-    autonomous_family,
+    family_from_config,
     feeble_open_check,
     make_builtin_family,
     summability_estimate,
 )
-from nonautodyn.orbit import limit_trajectory, omega, omega_window, trajectory
-from nonautodyn.report import CATALOG, ScenarioSpec, golden_path, reproduce, run_comparison
+from nonautodyn.orbit import omega
+from nonautodyn.report import (
+    CATALOG,
+    PROPERTY_RULES,
+    ScenarioSpec,
+    golden_path,
+    reproduce,
+    run_comparison,
+)
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
     IntervalPoint,
-    PhaseSpace,
     SpaceKind,
+    coord_distances,
     coord_point,
-    distance,
-    sample_grid,
+    grid_coords,
+    point_coords,
 )
 
 GOLDEN_ALPHA = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,18 +90,19 @@ def test_criterion_01_deviation_bound_suite():
         ]
         for fam in families:
             ledger = BoundLedger.for_family(fam, 200)
-            for x in sample_grid(fam.space, 100):
-                states = trajectory(fam, x, 200).states
-                lim = limit_trajectory(fam, x, 200).states
-                for k in range(1, 201):
-                    measured = distance(fam.space, states[k], lim[k])
-                    bound = ledger.prefix(k)
-                    assert measured <= bound + 1e-9
-                    if fam.label == "inverse-square-rotation":
-                        assert abs(measured - bound) <= 1e-12
+            grid = grid_coords(fam.space, 100)
+            states = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), grid, 200)
+            lim = orbit_matrix(SystemView(fam, Mode.AUTONOMOUS_LIMIT), grid, 200)
+            # row k: d(omega_k(x), f^k(x)) for every grid point x
+            measured = coord_distances(fam.space.kind, states, lim)
+            for k in range(1, 201):
+                bound = ledger.prefix(k)
+                assert (measured[k] <= bound + 1e-9).all()
+                if fam.label == "inverse-square-rotation":
+                    assert (abs(measured[k] - bound) <= 1e-12).all()
             # spot-check the record-producing operation on a few grid points
-            for x in list(sample_grid(fam.space, 5)):
-                rec = deviation_check(fam, x, 200, 1e-9, ledger)
+            for c in grid_coords(fam.space, 5):
+                rec = deviation_check(fam, coord_point(c, fam.space.kind), 200, 1e-9, ledger)
                 assert rec.holds
 
 
@@ -129,14 +131,13 @@ def test_criterion_03_inverse_square_scenario():
             horizon=500, grid_resolution=50, ball_count=7, eps=0.1, delta=0.3,
             tol=1e-9, tail_window=200, max_period=100, repetitions=5,
         )
-        sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
-        sys_f = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
-        thetas = list(sample_grid(fam.space, 50))
+        thetas = grid_coords(fam.space, 50)
         assert len(thetas) == 50
-        for th in thetas:
-            assert check_periodic(sys_F, th, cfg).refuted
-        v = check_periodic(sys_f, thetas[7], cfg)
-        assert v.holds and v.witness["period"] == 1
+        P, R = cfg.max_period, cfg.repetitions
+        for mode, want in ((Mode.NON_AUTONOMOUS, 0), (Mode.AUTONOMOUS_LIMIT, 1)):
+            orbits = orbit_matrix(SystemView(fam, mode), thetas, P * R)
+            # 0 is no period up to P, a refuted periodic point
+            assert (_periods(fam.space.kind, orbits, P, R, cfg.tol) == want).all()
 
 
 def test_criterion_04_alternating_rotation_scenario():
@@ -144,10 +145,10 @@ def test_criterion_04_alternating_rotation_scenario():
     with _Clock(60.0, "4 alternating-rotation-scenario"):
         fam = make_builtin_family("alternating-rotation", alpha=GOLDEN_ALPHA)
         th = 0.8128
-        states = trajectory(fam, CircleAngle(th), 2000).states
+        states = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), np.array([th]), 2000)
         for n in range(1, 1001):
             want = (th + 2 * n * GOLDEN_ALPHA) % (2 * math.pi)
-            got = states[2 * n].theta
+            got = states[2 * n, 0]
             gap = abs(got - want)
             assert min(gap, 2 * math.pi - gap) <= 1e-9
         cfg = CheckConfig(
@@ -181,34 +182,22 @@ def test_criterion_05_plateau_tent_scenario():
 def test_criterion_06_mode_consistency_all_checkers():
     """All 12 checkers agree between modes on an autonomous tent wrapper."""
     with _Clock(30.0, "6 mode-consistency"):
-        fam = autonomous_family(PhaseSpace.unit_interval(), TENT, "tent-wrapper")
+        # a custom family with no steps: f_n = TENT for every n
+        fam = family_from_config({
+            "space": {"kind": "unit_interval"},
+            "custom": {"limit": descriptor_to_json(TENT), "label": "tent-wrapper"},
+        })
         cfg = CheckConfig(
             horizon=400, grid_resolution=12, ball_count=7, eps=0.1, delta=0.25,
             tol=1e-9, tail_window=150, max_period=6, repetitions=2,
         )
         a = SystemView(fam, Mode.NON_AUTONOMOUS)
         b = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
-        x = IntervalPoint(0.3)
-        y = IntervalPoint(0.7)
-        checkers = [
-            ("equicontinuity", lambda s: check_equicontinuity(s, cfg)),
-            ("sensitivity", lambda s: check_sensitivity(s, cfg)),
-            ("cofinite_sensitivity", lambda s: check_cofinite_sensitivity(s, cfg)),
-            ("transitivity", lambda s: check_transitivity(s, cfg)),
-            ("weak_mixing", lambda s: check_weak_mixing(s, cfg)),
-            ("topological_mixing", lambda s: check_topological_mixing(s, cfg)),
-            ("minimality", lambda s: check_minimality(s, cfg)),
-            ("periodic", lambda s: check_periodic(s, x, cfg)),
-            ("dense_periodicity", lambda s: check_dense_periodicity(s, cfg)),
-            ("proximal", lambda s: proximal_check(s, x, y, cfg)),
-            ("li_yorke", lambda s: li_yorke_check(s, x, y, cfg)),
-            ("cell_density", lambda s: cell_density(s, x, cfg, PairPredicate.PROXIMAL)),
-        ]
-        assert len(checkers) == 12
-        for name, run in checkers:
-            va, vb = run(a), run(b)
-            assert va.outcome == vb.outcome, name
-            assert va.witness == vb.witness, name
+        assert len(PROPERTY_RULES) == 12
+        for rule in PROPERTY_RULES:
+            va, vb = rule.runner(a, cfg), rule.runner(b, cfg)
+            assert va.outcome == vb.outcome, rule.name
+            assert va.witness == vb.witness, rule.name
 
 
 def test_criterion_07_semigroup_identity():
@@ -231,7 +220,10 @@ def test_criterion_07_semigroup_identity():
                 x = IntervalPoint(rng.random())
             else:
                 x = BinaryWord(tuple(rng.randint(0, 1) for _ in range(24)), 24)
-            assert omega(fam, x, n + k) == omega_window(fam, omega(fam, x, n), n, k)
+            # the sweep of omega_n(x) through steps n+1..n+k
+            y = point_coords([omega(fam, x, n)], fam.space.kind)
+            window = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), y, k, start=n)
+            assert omega(fam, x, n + k) == coord_point(window[-1, 0], fam.space.kind)
 
 
 def test_criterion_08_collective_convergence_profile():
@@ -259,13 +251,10 @@ def test_criterion_09_periodic_transfer_direction():
             horizon=100, grid_resolution=12, ball_count=7, eps=0.1, delta=0.25,
             tol=1e-9, tail_window=50, max_period=8, repetitions=3,
         )
-        sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
-        sys_f = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
-        for p in (coord_point(c, fam.space.kind) for c in checker_grid(fam.space, cfg)):
-            vF = check_periodic(sys_F, p, cfg)
-            assert vF.holds and vF.witness["period"] == 2
-            vf = check_periodic(sys_f, p, cfg)
-            assert vf.holds and vf.witness["period"] == 1
+        grid, P, R = checker_grid(fam.space, cfg), cfg.max_period, cfg.repetitions
+        for mode, want in ((Mode.NON_AUTONOMOUS, 2), (Mode.AUTONOMOUS_LIMIT, 1)):
+            orbits = orbit_matrix(SystemView(fam, mode), grid, P * R)
+            assert (_periods(fam.space.kind, orbits, P, R, cfg.tol) == want).all()
         spec = ScenarioSpec(
             family_config={"builtin": "alternating-rotation", "params": {"alpha": 0.0}},
             check=cfg,

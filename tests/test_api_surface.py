@@ -24,6 +24,15 @@ ALLOWED_MEMBERS = {
     ("bounds", "BoundLedger", "prefix"),
 }
 
+#: the public names that nothing in src/ reads, each with why it stays
+KEPT_PUBLIC = {
+    "apply": "a map on one point, the scalar reference for apply_batch",
+    "distance": "the metric on two points, without coordinate arrays",
+    "omega": "the paper's orbit operator omega_n on one point",
+    "isometry_bound_check": "the paper's deviation bound under an isometric or shrinking limit",
+    "reproduce": "a builtin scenario's report in one call, as `nonautodyn reproduce` makes it",
+}
+
 
 def _defined(stmt: ast.stmt) -> list[str]:
     """Names a module-level statement defines."""
@@ -68,6 +77,16 @@ def test_no_module_level_name_is_used_only_by_tests():
         and (module, name) not in ALLOWED
     ]
     assert not unused, f"defined in src/ but used by nothing there: {unused}"
+
+
+def test_every_public_name_is_read_in_src_or_kept_for_a_reason():
+    # a public name that only tests read is a candidate for deletion; the
+    # unread names must be exactly those kept, so a stale entry fails too
+    uses = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            uses |= _referenced(stmt) - set(_defined(stmt))
+    assert set(nonautodyn.__all__) - uses == set(KEPT_PUBLIC)
 
 
 def _attributes(node: ast.AST, name: str | None = None) -> list[str]:

@@ -34,9 +34,7 @@ from nonautodyn.space import (
     SpaceError,
     SpaceKind,
     ball_coords,
-    ball_sample,
     coord_distances,
-    coord_point,
     coord_to_json,
     point_coords,
 )
@@ -185,8 +183,8 @@ def test_cell_evidence_is_swept_once_per_view(name, mode, monkeypatch):
 
 
 def test_pair_rows_sweep_one_table_per_view(monkeypatch):
-    # a pair verdict's witness is recomputed from a sweep of its two points;
-    # any wider sweep in the three pair rows builds the table
+    # a pair verdict's witness is read from the pair's time-0 distance, so
+    # the only sweep in the three pair rows builds the table
     widths = []
     sweep = checkers.orbit_matrix
 
@@ -209,7 +207,7 @@ def test_pair_rows_sweep_one_table_per_view(monkeypatch):
             check(sys, spec.check)
         monkeypatch.setattr(checkers, "orbit_matrix", sweep)
     assert builds == list(Mode)
-    assert [mode for mode, width in widths if width > 2] == list(Mode)
+    assert [mode for mode, _ in widths] == list(Mode)
     builds.clear()
     run_comparison(spec)
     assert sorted(builds) == sorted(Mode)
@@ -221,10 +219,10 @@ def test_cloud_diameters_match_pairwise_loop(name):
     fam = spec.build_family()
     kind = fam.space.kind
     sys = SystemView(fam, Mode.NON_AUTONOMOUS)
-    center = coord_point(checker_grid(fam.space, spec.check)[3], kind)
+    center = checker_grid(fam.space, spec.check)[3:4]
     for count in (1, 2, 5, 9):
-        cloud = list(ball_sample(fam.space, center, spec.check.eps, count))
-        orbits = orbit_matrix(sys, point_coords(cloud, kind), 50)
+        (cloud,) = ball_coords(fam.space, center, spec.check.eps, count)
+        orbits = orbit_matrix(sys, cloud, 50)
         want = np.zeros(51)
         for i in range(len(cloud)):
             for j in range(i + 1, len(cloud)):

@@ -15,11 +15,10 @@ from nonautodyn.bounds import (
     isometry_bound_check,
     shifted_deviation_check,
 )
-from nonautodyn.descriptors import Delete, OdometerAdd
+from nonautodyn.descriptors import Delete, OdometerAdd, descriptor_to_json
 from nonautodyn.family import (
     TENT,
     MapFamily,
-    autonomous_family,
     family_from_config,
     make_builtin_family,
 )
@@ -32,13 +31,18 @@ from nonautodyn.space import (
     ResolutionError,
     SpaceKind,
     coord_distances,
+    coord_point,
     grid_coords,
-    sample_grid,
 )
 
 ALT = make_builtin_family("alternating-rotation", alpha=1.1)
 INV = make_builtin_family("inverse-square-rotation")
 PD = make_builtin_family("perturbed-doubling")
+
+#: a custom family with no steps: f_n = TENT for every n
+TENT_FAMILY = family_from_config(
+    {"space": {"kind": "unit_interval"}, "custom": {"limit": descriptor_to_json(TENT)}}
+)
 
 
 class TestLedger:
@@ -68,7 +72,7 @@ class TestDeviation:
         assert rec.holds and rec.bound_exact
 
     def test_autonomous_family_zero(self):
-        fam = autonomous_family(PhaseSpace.unit_interval(), TENT)
+        fam = TENT_FAMILY
         rec = deviation_check(fam, IntervalPoint(0.3), 7)
         assert rec.measured == 0.0 and rec.bound == 0.0 and rec.holds
 
@@ -91,7 +95,7 @@ class TestDeviation:
                                       "plateau-tent", "odometer-deletion"])
     def test_series_matches_single_checks(self, name):
         fam = make_builtin_family(name)
-        x = sample_grid(fam.space, 5).points[1]
+        x = coord_point(grid_coords(fam.space, 5)[1], fam.space.kind)
         ledger = BoundLedger.for_family(fam, 40)
         series = deviation_series(fam, x, 40)
         assert [r.k for r in series] == list(range(1, 41))
@@ -127,7 +131,7 @@ class TestShiftedDeviation:
 
 class TestCollectiveProfile:
     def test_autonomous_profile_vanishes(self):
-        fam = autonomous_family(PhaseSpace.unit_interval(), TENT)
+        fam = TENT_FAMILY
         prof = collective_convergence_profile(fam, 6, 6, grid_resolution=16)
         assert all(v == 0.0 for row in prof.matrix for v in row)
         assert prof.collective_likely

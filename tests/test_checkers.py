@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nonautodyn import checkers
@@ -13,23 +14,20 @@ from nonautodyn.checkers import (
     Mode,
     PairPredicate,
     SystemView,
-    cell_density,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
     check_minimality,
-    check_periodic,
     check_periodic_points,
     check_sensitivity,
     check_topological_mixing,
     check_transitivity,
     check_weak_mixing,
     checker_grid,
-    li_yorke_check,
-    proximal_check,
+    orbit_matrix,
 )
-from nonautodyn.descriptors import apply, compose
-from nonautodyn.family import TENT, autonomous_family, family_from_config, make_builtin_family
+from nonautodyn.descriptors import apply, compose, descriptor_to_json
+from nonautodyn.family import TENT, family_from_config, make_builtin_family
 from nonautodyn.report import CATALOG, golden_path
 from nonautodyn.space import (
     BinaryWord,
@@ -37,11 +35,13 @@ from nonautodyn.space import (
     IntervalPoint,
     PhaseSpace,
     SpaceError,
-    ball_sample,
+    ball_coords,
+    coord_distances,
     coord_point,
     distance,
+    grid_coords,
+    point_coords,
     point_to_json,
-    sample_grid,
 )
 
 GOLDEN_ALPHA = 2 * math.pi * (math.sqrt(5) - 1) / 2
@@ -67,6 +67,30 @@ def F(fam):
 
 def limit(fam):
     return SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+
+
+def period(sys, x, cfg):
+    """_periods of the orbit column of x, and the column."""
+    kind, P, R = sys.space.kind, cfg.max_period, cfg.repetitions
+    orbits = orbit_matrix(sys, point_coords([x], kind), P * R)
+    return checkers._periods(kind, orbits, P, R, cfg.tol)[0], orbits[:, 0]
+
+
+def pair_flags(sys, cfg, predicate, x, ys):
+    """The (holds, refuted) flags of x paired with each coordinate of ys, from
+    the codes of one sweep, as the pair table measures them."""
+    kind = sys.space.kind
+    xy = np.concatenate([point_coords([x], kind), ys])
+    orbits, (cols,) = checkers._sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
+    codes = checkers._pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), cols[:1])
+    return checkers._pair_outcomes(sys, predicate, codes[0, cols[1:]])
+
+
+def cell_flags(sys, cfg, predicate, x):
+    """pair_flags of x with the samples of each eps-ball on the grid, one array per ball."""
+    pools = ball_coords(sys.space, checker_grid(sys.space, cfg), cfg.eps, cfg.ball_count)
+    at = np.cumsum([len(p) for p in pools])[:-1]
+    return [np.split(f, at) for f in pair_flags(sys, cfg, predicate, x, np.concatenate(pools))]
 
 
 class TestConfigValidation:
@@ -286,21 +310,18 @@ class TestMinimality:
 class TestPeriodic:
     def test_inverse_square_family_never_returns(self):
         cfg = dataclasses.replace(SMALL, max_period=20, repetitions=3)
-        v = check_periodic(F(INV), CircleAngle(0.9), cfg)
-        assert v.refuted
+        p, orbit = period(F(INV), CircleAngle(0.9), cfg)
+        assert p == 0
         # displacement first reaches 1 and never returns near the start
-        assert v.witness["min_recurrence_gap"] > 0.3
+        assert coord_distances(INV.space.kind, orbit[1:21], orbit[0]).min() > 0.3
 
     def test_identity_limit_period_one(self):
-        v = check_periodic(limit(INV), CircleAngle(0.9), SMALL)
-        assert v.holds and v.witness["period"] == 1
+        assert period(limit(INV), CircleAngle(0.9), SMALL)[0] == 1
 
     def test_alternating_zero_alpha_period_two(self):
         fam = make_builtin_family("alternating-rotation", alpha=0.0)
-        vF = check_periodic(F(fam), CircleAngle(0.9), SMALL)
-        assert vF.holds and vF.witness["period"] == 2
-        vf = check_periodic(limit(fam), CircleAngle(0.9), SMALL)
-        assert vf.holds and vf.witness["period"] == 1
+        assert period(F(fam), CircleAngle(0.9), SMALL)[0] == 2
+        assert period(limit(fam), CircleAngle(0.9), SMALL)[0] == 1
 
 
 class TestDensePeriodicity:
@@ -330,56 +351,64 @@ class TestDensePeriodicity:
 
 
 class TestProximality:
+    @staticmethod
+    def outcome(sys, cfg, predicate, x, y):
+        holds, refuted = pair_flags(sys, cfg, predicate, x, point_coords([y], sys.space.kind))
+        return bool(holds[0]), bool(refuted[0])
+
     def test_identical_points_proximal(self):
         x = CircleAngle(0.4)
-        assert proximal_check(F(ALT), x, x, SMALL).holds
+        assert self.outcome(F(ALT), SMALL, PairPredicate.PROXIMAL, x, x) == (True, False)
 
     def test_rotation_pair_refuted(self):
-        v = proximal_check(F(ALT), CircleAngle(0.0), CircleAngle(1.0), SMALL)
-        assert v.refuted
-        assert v.witness["rule"] == "isometric-steps"
+        # refuted by the isometric-steps rule, the only proximal refutation
+        sys = F(ALT)
+        assert sys.steps_isometric
+        v = self.outcome(sys, SMALL, PairPredicate.PROXIMAL, CircleAngle(0.0), CircleAngle(1.0))
+        assert v == (False, True)
 
     def test_plateau_collapse_pair(self):
-        v = proximal_check(F(PLAT), IntervalPoint(0.1), IntervalPoint(0.3), SMALL)
-        assert v.holds
-        assert v.witness["tail_min"] == 0.0
+        x, y = IntervalPoint(0.1), IntervalPoint(0.3)
+        assert self.outcome(F(PLAT), SMALL, PairPredicate.PROXIMAL, x, y) == (True, False)
 
     def test_li_yorke_identical_refuted(self):
         x = IntervalPoint(0.2)
-        assert li_yorke_check(limit(PLAT), x, x, SMALL).refuted
+        assert self.outcome(limit(PLAT), SMALL, PairPredicate.LI_YORKE, x, x)[1]
 
     def test_li_yorke_rotation_refuted(self):
-        assert li_yorke_check(F(ALT), CircleAngle(0.0), CircleAngle(1.0), SMALL).refuted
+        v = self.outcome(F(ALT), SMALL, PairPredicate.LI_YORKE, CircleAngle(0.0), CircleAngle(1.0))
+        assert v[1]
 
     def test_li_yorke_doubling_witness(self):
         cfg = CheckConfig(
             horizon=5000, grid_resolution=12, ball_count=7, eps=0.01, delta=0.5,
             tail_window=2000, max_period=8, repetitions=3,
         )
-        v = li_yorke_check(limit(PD), CircleAngle(0.0), CircleAngle(0.001), cfg)
-        assert v.holds
-        assert v.witness["tail_min"] < 0.01 and v.witness["tail_max"] > 0.5
+        x, y = CircleAngle(0.0), CircleAngle(0.001)
+        assert self.outcome(limit(PD), cfg, PairPredicate.LI_YORKE, x, y) == (True, False)
 
 
 class TestCellDensity:
     def test_plateau_proximal_cell_matches_brute_force(self):
-        from nonautodyn.orbit import trajectory
-        from nonautodyn.space import ball_sample
-
         cfg = CheckConfig(
             horizon=500, grid_resolution=10, ball_count=7, eps=0.1, delta=0.25,
             tail_window=200, max_period=8, repetitions=3,
         )
         sys = F(PLAT)
         x = IntervalPoint(0.2)
-        v = cell_density(sys, x, cfg, PairPredicate.PROXIMAL)
+        holds, _ = cell_flags(sys, cfg, PairPredicate.PROXIMAL, x)
+        dense = all(h.any() for h in holds)
+
+        def states(c):
+            return orbit_matrix(sys, np.array([c]), cfg.horizon)[:, 0].tolist()
+
         # independent sweep: orbit tails of all ball samples against x
-        x_states = [p.x for p in trajectory(PLAT, x, cfg.horizon).states]
+        x_states = states(x.x)
         every_ball_filled = True
-        for c in sample_grid(PLAT.space, cfg.grid_resolution):
+        for c in grid_coords(PLAT.space, cfg.grid_resolution):
             filled = False
-            for y in ball_sample(PLAT.space, c, cfg.eps, cfg.ball_count):
-                y_states = [p.x for p in trajectory(PLAT, y, cfg.horizon).states]
+            for y in ball_coords(PLAT.space, np.array([c]), cfg.eps, cfg.ball_count)[0]:
+                y_states = states(y)
                 tail = [
                     abs(a - b)
                     for a, b in zip(x_states[cfg.horizon - cfg.tail_window:],
@@ -389,11 +418,13 @@ class TestCellDensity:
                     filled = True
                     break
             every_ball_filled &= filled
-        assert v.holds == every_ball_filled
+        assert dense == every_ball_filled
 
     def test_rotation_cells_refuted(self):
-        v = cell_density(F(ALT), CircleAngle(0.0), SMALL, PairPredicate.PROXIMAL)
-        assert v.refuted
+        # some ball holds no partner, and every such ball a refuted sample
+        holds, refuted = cell_flags(F(ALT), SMALL, PairPredicate.PROXIMAL, CircleAngle(0.0))
+        unfilled = [k for k, h in enumerate(holds) if not h.any()]
+        assert unfilled and all(refuted[k].any() for k in unfilled)
 
     def test_doubling_origin_both_predicates(self):
         cfg = CheckConfig(
@@ -401,19 +432,17 @@ class TestCellDensity:
             tail_window=800, max_period=8, repetitions=3,
         )
         sys = limit(PD)
-        prox = cell_density(sys, CircleAngle(0.0), cfg, PairPredicate.PROXIMAL)
-        ly = cell_density(sys, CircleAngle(0.0), cfg, PairPredicate.LI_YORKE)
-        assert prox.holds and ly.holds
-        # sensitivity plus dense proximal cells must not contradict dense
-        # Li-Yorke cells (verdict-level compatibility)
-        sens = check_sensitivity(sys, cfg)
-        if sens.holds and prox.holds:
-            assert not ly.refuted
+        for predicate in PairPredicate:
+            holds, _ = cell_flags(sys, cfg, predicate, CircleAngle(0.0))
+            assert all(h.any() for h in holds)
 
 
 class TestModeConsistency:
     def test_autonomous_wrapper_identical_verdicts(self):
-        fam = autonomous_family(PhaseSpace.unit_interval(), TENT, "tent-wrap")
+        fam = family_from_config({
+            "space": {"kind": "unit_interval"},
+            "custom": {"limit": descriptor_to_json(TENT), "label": "tent-wrap"},
+        })
         cfg = CheckConfig(
             horizon=300, grid_resolution=10, ball_count=7, eps=0.1, delta=0.25,
             tail_window=100, max_period=6, repetitions=2,
@@ -506,7 +535,7 @@ class TestBinaryGrid:
 # -- periodicity against the scalar loop --------------------------------------
 
 def _scalar_periodic(sys, x, cfg):
-    """Plain-Python check_periodic: an apply loop and scalar distances."""
+    """Plain-Python periodicity verdict on x: an apply loop and scalar distances."""
     P, R = cfg.max_period, cfg.repetitions
     orbit = [x]
     for n in range(1, P * R + 1):
@@ -548,9 +577,14 @@ def _scalar_periodic_points(sys, cfg):
 def test_batched_periodic_verdicts_match_scalar_loop(name, mode):
     spec = CATALOG[name]
     sys, cfg = SystemView(spec.build_family(), mode), spec.check
-    grid = [coord_point(c, sys.space.kind) for c in checker_grid(sys.space, cfg)]
-    for x in grid + list(ball_sample(sys.space, grid[1], cfg.eps, 5)):
-        assert check_periodic(sys, x, cfg) == _scalar_periodic(sys, x, cfg)
+    kind, P, R = sys.space.kind, cfg.max_period, cfg.repetitions
+    grid = checker_grid(sys.space, cfg)
+    coords = np.concatenate([grid, *ball_coords(sys.space, grid[1:2], cfg.eps, 5)])
+    orbits = orbit_matrix(sys, coords, P * R)
+    periods = checkers._periods(kind, orbits, P, R, cfg.tol)
+    for j, c in enumerate(coords):
+        v = checkers._periodic_verdict(kind, orbits[:, j], periods[j], P, R, cfg.tol)
+        assert v == _scalar_periodic(sys, coord_point(c, kind), cfg)
     v = check_periodic_points(sys, cfg)
     if v.witness.get("rule") != "nonzero-displacement":
         assert v == _scalar_periodic_points(sys, cfg)

@@ -203,6 +203,29 @@ def test_properties_as_a_string_names_the_expected_list(spec_file, monkeypatch, 
     assert "a list of property names, got 'sensitivity'" in err and "'s'" not in err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"output": ["json"]}, "output must be an object, got ['json']"),
+        ({"family": "plateau-tent"}, "family must be an object, got 'plateau-tent'"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"properties": [{"a": 1}]}, "list of property names, got [{'a': 1}]"),
+        (None, "a scenario spec must be an object, got [1, 2]"),
+        ({"family": {"builtin": "plateau-tent", "params": [1]}}, "family params must be an object"),
+        ({"check": [1]}, "check must be an object, got [1]"),
+    ],
+    ids=["output", "family", "seed", "properties", "top-level", "params", "check"],
+)
+def test_spec_of_the_wrong_shape_exits_3(spec_file, monkeypatch, capsys, fields, message):
+    # None stands for a document that is a list, not an object
+    _no_work(monkeypatch)
+    doc = json.loads(spec_file.read_text())
+    spec_file.write_text(json.dumps([1, 2] if fields is None else {**doc, **fields}))
+    assert main(["run", str(spec_file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: " in err and message in err and "Traceback" not in err
+
+
 def test_unknown_example_id(capsys):
     assert main(["reproduce", "not-a-scenario"]) == EXIT_CONFIG
 

@@ -38,8 +38,9 @@ from nonautodyn.space import (
     ResolutionError,
     SpaceError,
     SpaceKind,
+    coord_point,
     distance,
-    sample_grid,
+    grid_coords,
 )
 
 CIRCLE = PhaseSpace.circle()
@@ -231,7 +232,7 @@ class TestSupMetric:
                 apply(AffineCircle(2, 0.0), x),
                 apply(AffineCircle(2, 0.2), x),
             )
-            for x in sample_grid(CIRCLE, 512)
+            for x in (coord_point(c, CIRCLE.kind) for c in grid_coords(CIRCLE, 512))
         )
         assert worst == pytest.approx(0.2, abs=1e-12)
 
@@ -273,9 +274,8 @@ class TestSupMetric:
     def test_grid_estimate_matches_scalar_loop(self, space, g, h):
         for r in (4, 12, 33):
             est = sup_metric(space, g, h, r)
-            want = max(
-                distance(space, apply(g, x), apply(h, x)) for x in sample_grid(space, r)
-            )
+            grid = (coord_point(c, space.kind) for c in grid_coords(space, r))
+            want = max(distance(space, apply(g, x), apply(h, x)) for x in grid)
             assert not est.exact and est.value == want
 
 

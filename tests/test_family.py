@@ -15,12 +15,12 @@ from nonautodyn.descriptors import (
     Rotation,
     apply,
     compose,
+    descriptor_to_json,
 )
 from nonautodyn import space
 from nonautodyn.family import (
     PLATEAU_HEAD,
     TENT,
-    autonomous_family,
     commutes_with_limit,
     family_feeble_open,
     family_from_config,
@@ -32,10 +32,25 @@ from nonautodyn.family import (
     surjectivity_check,
     term,
 )
-from nonautodyn.space import PhaseSpace, SpaceError, distance, point_to_json, sample_grid
+from nonautodyn.space import (
+    PhaseSpace,
+    SpaceError,
+    coord_point,
+    distance,
+    grid_coords,
+    point_to_json,
+)
 
 CIRCLE = PhaseSpace.circle()
 INTERVAL = PhaseSpace.unit_interval()
+#: a custom family with no steps: f_n = TENT for every n
+TENT_FAMILY = family_from_config(
+    {"space": {"kind": "unit_interval"}, "custom": {"limit": descriptor_to_json(TENT)}}
+)
+
+
+def grid_points(space, resolution):
+    return [coord_point(c, space.kind) for c in grid_coords(space, resolution)]
 
 
 class TestBuiltins:
@@ -120,8 +135,7 @@ class TestCommutation:
         assert v.witness["gap"] == pytest.approx(1.0)
 
     def test_constant_family_commutes(self):
-        fam = autonomous_family(INTERVAL, TENT)
-        assert commutes_with_limit(fam).holds
+        assert commutes_with_limit(TENT_FAMILY).holds
 
 
 class TestFeebleOpen:
@@ -172,7 +186,7 @@ class TestSummability:
         assert rep.flag.startswith("divergent")
 
     def test_constant_family_all_zero(self):
-        rep = summability_estimate(autonomous_family(INTERVAL, TENT), 16)
+        rep = summability_estimate(TENT_FAMILY, 16)
         assert set(rep.partial_sums) == {0.0}
         assert rep.flag.startswith("summable")
 
@@ -240,7 +254,7 @@ class TestScalarReference:
         n = v.witness["index"]
         fwd = compose(fam.member(n), fam.limit)
         bwd = compose(fam.limit, fam.member(n))
-        grid = list(sample_grid(fam.space, 64))
+        grid = grid_points(fam.space, 64)
         gaps = [distance(fam.space, apply(fwd, x), apply(bwd, x)) for x in grid]
         assert v.witness["point"] == point_to_json(grid[gaps.index(max(gaps))])
 
@@ -256,7 +270,7 @@ class TestScalarReference:
         ],
     )
     def test_isometry_and_surjectivity_match_pair_loops(self, space, m):
-        grid = list(sample_grid(space, 24))
+        grid = grid_points(space, 24)
         if len(grid) > 48:
             grid = grid[:: len(grid) // 48]
         pairs = [(x, y) for i, x in enumerate(grid) for y in grid[i + 1 :]]
@@ -267,7 +281,7 @@ class TestScalarReference:
         assert isometry_shrinking_check(space, m) == (iso, shrink)
 
         # a coarse grid keeps the word space at 64 words
-        grid = list(sample_grid(space, 6))
+        grid = grid_points(space, 6)
         image = [apply(m, x) for x in grid]
         defect = max(min(distance(space, x, y) for y in image) for x in grid)
         v = surjectivity_check(space, m, grid_resolution=6)

@@ -1,4 +1,4 @@
-"""Orbit composition identities, trajectory sweeps, and the orbit kernel."""
+"""Orbit composition identities, orbit columns, and the orbit kernel."""
 
 import math
 import random
@@ -15,16 +15,11 @@ from nonautodyn.descriptors import (
     PiecewiseLinear,
     Rotation,
     apply,
+    descriptor_to_json,
 )
 from nonautodyn.checkers import Mode, SystemView, orbit_matrix
-from nonautodyn.family import TENT, MapFamily, autonomous_family, make_builtin_family
-from nonautodyn.orbit import (
-    limit_iterate,
-    limit_trajectory,
-    omega,
-    omega_window,
-    trajectory,
-)
+from nonautodyn.family import TENT, MapFamily, family_from_config, make_builtin_family
+from nonautodyn.orbit import omega
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -52,6 +47,13 @@ def random_point(fam, rng):
     return BinaryWord(tuple(rng.randint(0, 1) for _ in range(24)), 24)
 
 
+def states(fam, x, horizon, mode=Mode.NON_AUTONOMOUS, start=0):
+    """The orbit_matrix column of x as points: entry n after steps start+1..start+n."""
+    kind = fam.space.kind
+    rows = orbit_matrix(SystemView(fam, mode), point_coords([x], kind), horizon, start)
+    return [coord_point(c, kind) for c in rows[:, 0]]
+
+
 class TestOmega:
     def test_alternating_pair_cancellation(self):
         th = 0.3
@@ -70,10 +72,10 @@ class TestOmega:
 class TestWindow:
     def test_zero_length_window(self):
         x = IntervalPoint(0.4)
-        assert omega_window(PLAT, x, 3, 0) == x
+        assert states(PLAT, x, 0, start=3) == [x]
 
     def test_perturbed_doubling_single_step(self):
-        got = omega_window(PD, CircleAngle(0.0), 1, 1)
+        got = states(PD, CircleAngle(0.0), 1, start=1)[-1]
         assert got.theta == pytest.approx(0.5)  # f_2(0) = 2*0 + 1/2
 
     def test_semigroup_identity_bit_exact(self):
@@ -82,72 +84,69 @@ class TestWindow:
             fam = rng.choice(FAMILIES)
             x = random_point(fam, rng)
             n, k = rng.randint(0, 20), rng.randint(0, 20)
-            assert omega(fam, x, n + k) == omega_window(fam, omega(fam, x, n), n, k)
+            assert omega(fam, x, n + k) == states(fam, omega(fam, x, n), k, start=n)[-1]
 
 
 class TestLimitIterate:
     def test_doubling_powers(self):
-        got = limit_iterate(PD, CircleAngle(0.1), 3)
+        got = states(PD, CircleAngle(0.1), 3, Mode.AUTONOMOUS_LIMIT)[-1]
         assert got.theta == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_iterations(self):
         x = IntervalPoint(0.9)
-        assert limit_iterate(PLAT, x, 0) == x
+        assert states(PLAT, x, 0, Mode.AUTONOMOUS_LIMIT) == [x]
 
     def test_identity_limit(self):
         x = CircleAngle(2.5)
-        assert limit_iterate(INV, x, 17) == x
+        assert states(INV, x, 17, Mode.AUTONOMOUS_LIMIT)[-1] == x
 
 
 class TestTrajectory:
     def test_zero_horizon(self):
         x = CircleAngle(0.4)
-        t = trajectory(ALT, x, 0)
-        assert t.states == (x,)
+        assert states(ALT, x, 0) == [x]
 
     def test_plateau_hand_computed(self):
-        t = trajectory(PLAT, IntervalPoint(0.25), 3)
-        assert [p.x for p in t.states] == [0.25, 1.0, 0.0, 0.0]
+        assert [p.x for p in states(PLAT, IntervalPoint(0.25), 3)] == [0.25, 1.0, 0.0, 0.0]
 
     def test_inverse_square_partial_sums(self):
-        t = trajectory(INV, CircleAngle(0.0), 2)
-        assert [p.theta for p in t.states] == pytest.approx([0.0, 1.0, 1.25])
+        got = states(INV, CircleAngle(0.0), 2)
+        assert [p.theta for p in got] == pytest.approx([0.0, 1.0, 1.25])
 
     def test_states_bit_identical_to_omega(self):
         rng = random.Random(5)
         for fam in FAMILIES:
             x = random_point(fam, rng)
-            t = trajectory(fam, x, 12)
+            column = states(fam, x, 12)
             for n in range(13):
-                assert t.states[n] == omega(fam, x, n)
+                assert column[n] == omega(fam, x, n)
 
     def test_autonomous_family_matches_limit_iterates(self):
-        fam = autonomous_family(PhaseSpace.unit_interval(), TENT)
+        # a custom family with no steps is f_n = f for every n
+        fam = family_from_config(
+            {"space": {"kind": "unit_interval"}, "custom": {"limit": descriptor_to_json(TENT)}}
+        )
         x = IntervalPoint(0.3123)
+        limit = states(fam, x, 9, Mode.AUTONOMOUS_LIMIT)
         for n in range(10):
-            assert omega(fam, x, n) == limit_iterate(fam, x, n)
+            assert omega(fam, x, n) == limit[n]
 
     def test_limit_trajectory_matches_limit_iterate(self):
         x = CircleAngle(1.9)
-        t = limit_trajectory(PD, x, 8)
+        column = states(PD, x, 8, Mode.AUTONOMOUS_LIMIT)
         for n in range(9):
-            assert t.states[n] == limit_iterate(PD, x, n)
+            assert column[n] == states(PD, x, n, Mode.AUTONOMOUS_LIMIT)[-1]
 
 
 class TestWrapperLimits:
     def test_words_longer_than_a_packed_word_raise(self):
         fam = make_builtin_family("odometer-deletion", word_length=64)
-        x = BinaryWord((0,) * 64, 64)
-        for run in (lambda: omega(fam, x, 3), lambda: trajectory(fam, x, 3),
-                    lambda: limit_iterate(fam, x, 3), lambda: omega_window(fam, x, 1, 2)):
-            with pytest.raises(SpaceError, match="cannot be packed"):
-                run()
+        with pytest.raises(SpaceError, match="cannot be packed"):
+            omega(fam, BinaryWord((0,) * 64, 64), 3)
 
     def test_negative_indices_raise(self):
         with pytest.raises(SpaceError):
             omega(ALT, CircleAngle(0.1), -1)
-        with pytest.raises(SpaceError):
-            omega_window(ALT, CircleAngle(0.1), -1, 2)
 
 
 # -- the kernel against scalar apply, one step at a time ---------------------

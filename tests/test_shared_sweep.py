@@ -106,8 +106,10 @@ def _old_pair_table(sys, cfg):
     pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
     orbits, cols = _sweep_groups(sys, [centers] + pools, 0 if sys.steps_isometric else cfg.horizon)
     pool_cols = np.array([np.resize(c, max(map(len, pools))) for c in cols[1:]])
+    # each pool starts with its center: the grid's columns are the pools' first
+    assert (pool_cols[:, 0] == cols[0]).all()
     source = np.zeros(orbits.shape[1], dtype=bool)
-    source[cols[0]] = source[pool_cols[:, :_PAIR_POOL]] = True
+    source[pool_cols[:, :_PAIR_POOL]] = True
     tail = orbits[-(cfg.tail_window + 1) :]
     codes = np.empty((source.sum(), orbits.shape[1]), dtype=np.uint8)
     for k, s in enumerate(np.flatnonzero(source)):
@@ -118,7 +120,7 @@ def _old_pair_table(sys, cfg):
             | (d > cfg.delta).any(axis=0) * checkers._FAR
         )
     rows = np.where(source, np.cumsum(source) - 1, -1)
-    return _PairTable(centers, pools, cols[0], pool_cols, rows, codes)
+    return _PairTable(centers, pools, pool_cols, rows, codes)
 
 
 def _old_minimality(sys, cfg):

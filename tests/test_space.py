@@ -13,31 +13,22 @@ from nonautodyn.space import (
     CircleAngle,
     IntervalPoint,
     PhaseSpace,
-    PointCloud,
     ResolutionError,
     SpaceError,
     SpaceKind,
-    ball_sample,
+    ball_coords,
     distance,
     coord_distances,
     coord_point,
     distance_info,
+    grid_coords,
     grid_size,
-    hausdorff_distance,
     point_coords,
-    sample_grid,
 )
 
 CIRCLE = PhaseSpace.circle()
 INTERVAL = PhaseSpace.unit_interval()
 BIN8 = PhaseSpace.binary_seq(8)
-
-
-def brute_hausdorff(space, a, b):
-    """Independent double-loop oracle for the Hausdorff distance."""
-    d_ab = max(min(distance(space, x, y) for y in b) for x in a)
-    d_ba = max(min(distance(space, y, x) for x in a) for y in b)
-    return max(d_ab, d_ba)
 
 
 class TestDistance:
@@ -107,94 +98,67 @@ def test_circle_distance_symmetric_and_zero_on_self(a, b):
     assert distance(CIRCLE, x, x) == 0.0
 
 
-class TestHausdorff:
-    def test_equal_clouds(self):
-        a = PointCloud(tuple(sample_grid(INTERVAL, 7)), SpaceKind.UNIT_INTERVAL)
-        assert hausdorff_distance(a, a) == 0.0
-
-    def test_one_sided_excess(self):
-        a = PointCloud((IntervalPoint(0.0),), SpaceKind.UNIT_INTERVAL)
-        b = PointCloud((IntervalPoint(0.0), IntervalPoint(0.5)), SpaceKind.UNIT_INTERVAL)
-        assert hausdorff_distance(a, b) == 0.5
-
-    def test_shifted_circle_grid(self):
-        a = sample_grid(CIRCLE, 100)
-        shift = TWO_PI / 200.0
-        b = PointCloud(
-            tuple(CircleAngle(p.theta + shift) for p in a), SpaceKind.CIRCLE
-        )
-        d = hausdorff_distance(a, b)
-        assert d == pytest.approx(shift, abs=1e-12)
-        assert d == pytest.approx(brute_hausdorff(CIRCLE, list(a), list(b)), abs=0)
-
-    def test_symmetry_random_clouds(self):
-        rng = np.random.default_rng(7)
-        a = PointCloud(tuple(IntervalPoint(v) for v in rng.random(9)), SpaceKind.UNIT_INTERVAL)
-        b = PointCloud(tuple(IntervalPoint(v) for v in rng.random(5)), SpaceKind.UNIT_INTERVAL)
-        assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
-        assert hausdorff_distance(a, b) == pytest.approx(
-            brute_hausdorff(INTERVAL, list(a), list(b)), abs=0
-        )
-
-
 class TestSampleGrid:
     def test_circle_resolution_4(self):
-        pts = [p.theta for p in sample_grid(CIRCLE, 4)]
+        pts = grid_coords(CIRCLE, 4).tolist()
         assert pts == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
     def test_interval_resolution_3(self):
-        assert [p.x for p in sample_grid(INTERVAL, 3)] == [0.0, 0.5, 1.0]
+        assert grid_coords(INTERVAL, 3).tolist() == [0.0, 0.5, 1.0]
 
     def test_binary_length_2(self):
-        words = [str(p) for p in sample_grid(PhaseSpace.binary_seq(2), 2)]
+        grid = grid_coords(PhaseSpace.binary_seq(2), 2)
+        words = [str(coord_point(c, SpaceKind.BINARY_SEQ)) for c in grid]
         assert words == ["00", "01", "10", "11"]
 
     def test_binary_enumeration_capped(self):
-        assert len(sample_grid(PhaseSpace.binary_seq(24), 20)) == 2**12
+        assert len(grid_coords(PhaseSpace.binary_seq(24), 20)) == 2**12
 
     def test_binary_grid_words_no_longer_than_the_space_words(self):
         # ten-coordinate grid words read 0.1 apart, below the 1/8 an
         # eight-coordinate space resolves
         space = PhaseSpace.binary_seq(8)
-        words = list(sample_grid(space, 10))
+        words = grid_coords(space, 10)
         assert len(words) == grid_size(space, 10) == 2**8
-        assert all(len(w.bits) == w.effective_length == 8 for w in words)
-        assert min(distance(space, words[0], w) for w in words[1:]) == space.resolution_floor
+        assert (words["length"] == 8).all() and (words["eff"] == 8).all()
+        assert coord_distances(space.kind, words[:1], words[1:]).min() == space.resolution_floor
 
     def test_deterministic(self):
         for space, res in ((CIRCLE, 13), (INTERVAL, 9), (BIN8, 4)):
-            assert sample_grid(space, res) == sample_grid(space, res)
+            assert grid_coords(space, res).tobytes() == grid_coords(space, res).tobytes()
 
 
 class TestBallSample:
     def test_interval_pattern(self):
-        pts = [p.x for p in ball_sample(INTERVAL, IntervalPoint(0.5), 0.1, 3)]
-        assert pts == [0.5, 0.45, 0.55]
+        (pts,) = ball_coords(INTERVAL, np.array([0.5]), 0.1, 3)
+        assert pts.tolist() == [0.5, 0.45, 0.55]
 
     def test_circle_count_one(self):
-        pts = ball_sample(CIRCLE, CircleAngle(0.0), 0.1, 1)
-        assert [p.theta for p in pts] == [0.0]
+        (pts,) = ball_coords(CIRCLE, np.array([0.0]), 0.1, 1)
+        assert pts.tolist() == [0.0]
 
     def test_all_points_inside_open_ball(self):
         for count in (1, 2, 5, 9, 16):
-            pts = ball_sample(CIRCLE, CircleAngle(1.0), 0.3, count)
-            assert all(distance(CIRCLE, p, CircleAngle(1.0)) < 0.3 for p in pts)
+            (pts,) = ball_coords(CIRCLE, np.array([1.0]), 0.3, count)
+            assert (coord_distances(CIRCLE.kind, pts, np.array([1.0])) < 0.3).all()
 
     def test_binary_prefix_agreement(self):
         center = BinaryWord((0, 1, 0, 1, 0, 1, 0, 1), 8)
-        pts = ball_sample(BIN8, center, 1 / 3, 6)
-        for p in pts:
+        (pts,) = ball_coords(BIN8, point_coords([center], BIN8.kind), 1 / 3, 6)
+        for c in pts:
+            p = coord_point(c, BIN8.kind)
             assert p.bits[:3] == center.bits[:3]
             assert distance(BIN8, p, center) < 1 / 3
 
     def test_binary_unresolvable_radius(self):
+        center = point_coords([BinaryWord((0, 1, 0, 1, 0, 1, 0, 1), 8)], BIN8.kind)
         with pytest.raises(ResolutionError):
-            ball_sample(BIN8, BinaryWord((0, 1, 0, 1, 0, 1, 0, 1), 8), 0.05, 3)
+            ball_coords(BIN8, center, 0.05, 3)
 
     def test_deterministic(self):
-        a = ball_sample(INTERVAL, IntervalPoint(0.3), 0.2, 7)
-        b = ball_sample(INTERVAL, IntervalPoint(0.3), 0.2, 7)
-        assert a == b
+        (a,) = ball_coords(INTERVAL, np.array([0.3]), 0.2, 7)
+        (b,) = ball_coords(INTERVAL, np.array([0.3]), 0.2, 7)
+        assert a.tobytes() == b.tobytes()
 
 
 @st.composite

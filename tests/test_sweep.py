@@ -14,18 +14,15 @@ from nonautodyn.checkers import (
     PairPredicate,
     SystemView,
     _SAME,
-    _compute_pair_table,
+    _pair_codes,
     _pair_outcomes,
     _pair_table,
     _sweep_groups,
     checker_grid,
-    li_yorke_check,
     orbit_matrix,
-    proximal_check,
 )
 from nonautodyn.descriptors import Compose, Delete, OdometerAdd, apply
-from nonautodyn.family import autonomous_family, family_from_config, make_builtin_family
-from nonautodyn.orbit import limit_trajectory, trajectory
+from nonautodyn.family import MapFamily, family_from_config, make_builtin_family
 from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     BinaryWord,
@@ -34,7 +31,7 @@ from nonautodyn.space import (
     PhaseSpace,
     ResolutionError,
     SpaceKind,
-    ball_sample,
+    ball_coords,
     coord_point,
     distance,
     point_coords,
@@ -147,6 +144,14 @@ def test_nearest_lookup_report_is_pinned():
     )
 
 
+def _pair_code(sys, cfg, xy):
+    """The code from xy[0] to xy[1], from a sweep of the two points alone,
+    and whether they took separate columns."""
+    kind = sys.space.kind
+    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
+    return _pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), np.array([i]))[0, j], i != j
+
+
 def _old_pair_rule(predicate, same, isometric, d0, tail_min, tail_max, cfg):
     """(holds, refuted) of one pair, as the per-pair rules decided it."""
     if predicate is PairPredicate.PROXIMAL:
@@ -175,50 +180,35 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
         spec.check, horizon=HORIZON, tail_window=min(spec.check.tail_window, HORIZON // 2)
     )
     sys = SystemView(fam, mode)
-    grid = [coord_point(c, fam.space.kind) for c in checker_grid(fam.space, cfg)]
-    x = grid[1]
+    kind = fam.space.kind
+    grid = checker_grid(fam.space, cfg)
+    x = coord_point(grid[1], kind)
     # the ball around x starts with x itself; the second ball lies far away
-    partners = [
-        y
-        for c in (x, grid[len(grid) // 2])
-        for y in ball_sample(fam.space, c, cfg.eps, cfg.ball_count)
-    ]
+    balls = ball_coords(fam.space, grid[[1, len(grid) // 2]], cfg.eps, cfg.ball_count)
+    partners = [coord_point(c, kind) for c in np.concatenate(balls)]
     table = _pair_table(sys, cfg)
     # row k of pool_cols holds the columns of the pool of grid point k
     pools = np.concatenate([table.pools[1], table.pools[len(grid) // 2]])
-    assert [coord_point(c, fam.space.kind) for c in pools] == partners
+    assert [coord_point(c, kind) for c in pools] == partners
     cols = [table.pool_cols[k, : len(table.pools[k])] for k in (1, len(grid) // 2)]
-    codes = table.codes[table.rows[table.cols[1]], np.concatenate(cols)]
+    codes = table.codes[table.rows[table.pool_cols[1, 0]], np.concatenate(cols)]
 
-    orbit = trajectory if mode is Mode.NON_AUTONOMOUS else limit_trajectory
-    xs = orbit(fam, x, HORIZON).states
+    # the orbit columns of x and of each partner, as points
+    orbits = orbit_matrix(sys, point_coords([x] + partners, kind), HORIZON)
+    states = [[coord_point(c, kind) for c in row] for row in orbits]
     tail = range(HORIZON - cfg.tail_window, HORIZON + 1)
-    for predicate, check in (
-        (PairPredicate.PROXIMAL, proximal_check), (PairPredicate.LI_YORKE, li_yorke_check)
-    ):
+    for predicate in PairPredicate:
         holds, refuted = _pair_outcomes(sys, predicate, codes)
         for j, y in enumerate(partners):
-            ys = orbit(fam, y, HORIZON).states
-            gaps = [distance(fam.space, xs[n], ys[n]) for n in tail]
+            gaps = [distance(fam.space, states[n][0], states[n][j + 1]) for n in tail]
             d0 = distance(fam.space, x, y)
             want = _old_pair_rule(
                 predicate, x == y, sys.steps_isometric, d0, min(gaps), max(gaps), cfg
             )
             assert (bool(holds[j]), bool(refuted[j])) == want, (predicate, y)
             assert bool(codes[j] & _SAME) == (d0 == 0.0)
-            v = check(sys, x, y, cfg)
-            assert (v.holds, v.refuted) == want
-            if sys.steps_isometric:
-                assert v.witness.get("distance", d0) == d0
-                continue
-            k = int(np.argmin(gaps))
-            if d0 == 0.0:
+            if d0 == 0.0 and not sys.steps_isometric:
                 assert max(gaps) == 0.0
-            elif predicate is PairPredicate.LI_YORKE:
-                assert (v.witness["tail_min"], v.witness["tail_max"]) == (gaps[k], max(gaps))
-            else:
-                assert v.witness["tail_min"] == gaps[k]
-                assert v.witness.get("time", tail[k]) == tail[k]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -226,19 +216,11 @@ def test_pair_at_distance_zero_is_one_point(mode):
     # 0.0 and -0.0 take separate sweep columns, yet they are one point
     sys = SystemView(FAMILIES["plateau-tent"], mode)
     cfg = dataclasses.replace(CATALOG["plateau-tent"].check, horizon=50, tail_window=20)
-    x, y = IntervalPoint(0.0), IntervalPoint(-0.0)
-    table = _compute_pair_table(sys, cfg, point_coords([x, y], SpaceKind.UNIT_INTERVAL), 0)
-    i, j = table.cols
-    assert i != j
-    code = table.codes[table.rows[i], j]
+    code, separate = _pair_code(sys, cfg, np.array([0.0, -0.0]))
+    assert separate
     assert code & _SAME
     assert [bool(f) for f in _pair_outcomes(sys, PairPredicate.PROXIMAL, code)] == [True, False]
     assert [bool(f) for f in _pair_outcomes(sys, PairPredicate.LI_YORKE, code)] == [False, True]
-    v = proximal_check(sys, x, y, cfg)
-    assert v.holds and v.witness["time"] == cfg.horizon
-    assert v.narrative == "identical points stay at distance zero"
-    v = li_yorke_check(sys, x, y, cfg)
-    assert v.refuted and v.witness["tail_max"] == 0.0
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -255,20 +237,19 @@ def test_pair_table_matches_two_point_checks(name, mode):
     if name == "plateau-tent":
         # the balls at the interval's ends hold fewer distinct points
         assert len({len(pool) for pool in table.pools}) > 1
-    kind = fam.space.kind
-    points = dict(zip(table.cols.tolist(), (coord_point(c, kind) for c in table.centers)))
+    # every kept column is a pool point; each pool starts with its center
+    points = {}
     for pool, idx in zip(table.pools, table.pool_cols):
-        points.update(zip(idx.tolist(), (coord_point(c, kind) for c in pool)))
+        points.update(zip(idx.tolist(), pool))
     assert len(points) == len(table.rows)
+    assert [points[c].tobytes() for c in table.pool_cols[:, 0]] == [
+        c.tobytes() for c in table.centers
+    ]
     sources = np.flatnonzero(table.rows >= 0)
-    for predicate, check in (
-        (PairPredicate.PROXIMAL, proximal_check), (PairPredicate.LI_YORKE, li_yorke_check)
-    ):
-        holds, refuted = _pair_outcomes(sys, predicate, table.codes)
-        for s in sources:
-            for c, y in points.items():
-                v = check(sys, points[s], y, cfg)
-                assert (v.holds, v.refuted) == (holds[table.rows[s], c], refuted[table.rows[s], c])
+    for s in sources:
+        for c, y in points.items():
+            code = _pair_code(sys, cfg, np.array([points[s], y]))[0]
+            assert code == table.codes[table.rows[s], c]
 
 
 @st.composite
@@ -307,25 +288,30 @@ def _packed_orbit(sys, word, horizon):
     return [coord_point(c, SpaceKind.BINARY_SEQ) for c in rows[:, 0]]
 
 
+def _limit_view(space, m):
+    """The limit view of the constant family f_n = m."""
+    return SystemView(MapFamily(space, lambda n: m, m, "constant"), Mode.AUTONOMOUS_LIMIT)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_binary_start(), st.integers(1, 70))
 def test_packed_binary_orbits_decode_to_scalar_orbits(start, horizon):
     word, index = start
     space = PhaseSpace.binary_seq(len(word.bits))
     for m in (OdometerAdd(), Delete(index), Compose(OdometerAdd(), Delete(index))):
-        sys = SystemView(autonomous_family(space, m), Mode.AUTONOMOUS_LIMIT)
+        sys = _limit_view(space, m)
         assert _packed_orbit(sys, word, horizon) == _scalar_orbit(sys, word, horizon)
 
 
 def test_packed_binary_edge_cases():
     space = PhaseSpace.binary_seq(4)
-    odometer = SystemView(autonomous_family(space, OdometerAdd()), Mode.AUTONOMOUS_LIMIT)
+    odometer = _limit_view(space, OdometerAdd())
     ones = BinaryWord((1, 1, 1, 1), 3)
     assert _packed_orbit(odometer, ones, 1)[1] == BinaryWord((0, 0, 0, 0), 3)
-    beyond = SystemView(autonomous_family(space, Delete(3)), Mode.AUTONOMOUS_LIMIT)
+    beyond = _limit_view(space, Delete(3))
     word = BinaryWord((1, 0, 1, 1), 2)
     assert _packed_orbit(beyond, word, 2) == [word] * 3
-    first = SystemView(autonomous_family(space, Delete(1)), Mode.AUTONOMOUS_LIMIT)
+    first = _limit_view(space, Delete(1))
     short = BinaryWord((1, 0), 1)
     with pytest.raises(ResolutionError):
         _apply_orbit(first, short, 1)
