@@ -60,10 +60,8 @@ from .bounds import (
     DeviationRecord,
     HypothesisNotMetError,
     collective_convergence_profile,
-    deviation_check,
     deviation_series,
     isometry_bound_check,
-    shifted_deviation_check,
 )
 from .checkers import (
     CheckConfig,
@@ -99,8 +97,7 @@ __all__ = [
     "omega",
     # bounds
     "BoundLedger", "ConvergenceProfile", "DeviationRecord", "HypothesisNotMetError",
-    "collective_convergence_profile", "deviation_check", "deviation_series",
-    "isometry_bound_check", "shifted_deviation_check",
+    "collective_convergence_profile", "deviation_series", "isometry_bound_check",
     # checkers
     "CheckConfig", "Mode", "PairPredicate", "SystemView",
     "check_cofinite_sensitivity", "check_dense_periodicity", "check_equicontinuity",

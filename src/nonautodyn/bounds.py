@@ -1,17 +1,18 @@
 """Quantitative orbit-deviation bounds and the collective-convergence profiler.
 
 The central inequality: when the family commutes with its limit map, the
-orbit of the non-autonomous system deviates from the autonomous orbit by at
-most the summed supremum-metric gaps,
+orbit of the non-autonomous system deviates from the autonomous orbit, over
+the window of k steps after step n, by at most the window's summed
+supremum-metric gaps,
 
-    d(omega_k(x), f^k(x)) <= sum_{i<=k} D(f_i, f),
+    d(omega_{n+k}(x), f^k(omega_n(x))) <= sum_{n<i<=n+k} D(f_i, f).
 
-with the shifted variant bounding d(omega_{n+k}(x), f^k(omega_n(x))) by the
-window sum over i in (n, n+k]. The same right-hand side bounds the windowed
-composition distance D(omega^n_{n+k}, f^k) when the limit is an isometry (or
-merely shrinking), with no commutation needed. The deviation records here do
-not require the hypotheses: they are also how a violated bound is exhibited
-when a hypothesis fails.
+``deviation_series`` measures it for every k up to k_max of one window; n = 0
+is the plain bound d(omega_k(x), f^k(x)) <= sum_{i<=k} D(f_i, f). The same
+right-hand side bounds the windowed composition distance D(omega^n_{n+k}, f^k)
+when the limit is an isometry (or merely shrinking), with no commutation
+needed. The deviation records here do not require the hypotheses: they are
+also how a violated bound is exhibited when a hypothesis fails.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class BoundLedger:
     """Per-index supremum-metric terms D(f_i, f) with prefix sums.
 
     Terms are flagged exact when they come from closed forms; a bound built
-    from any grid-estimated term is itself approximate (a lower bound of the
-    true right-hand side).
+    from any grid-estimated term (on ``family.term``'s grid) is itself
+    approximate (a lower bound of the true right-hand side).
     """
 
     family_label: str
@@ -53,18 +54,17 @@ class BoundLedger:
     prefix_sums: list[float]
 
     _fam: MapFamily | None = None
-    _grid_resolution: int = 256
 
     @classmethod
-    def for_family(cls, fam: MapFamily, upto: int = 0, grid_resolution: int = 256) -> "BoundLedger":
-        ledger = cls(fam.label, [], [], [], fam, grid_resolution)
+    def for_family(cls, fam: MapFamily, upto: int = 0) -> "BoundLedger":
+        ledger = cls(fam.label, [], [], [], fam)
         ledger.extend_to(upto)
         return ledger
 
     def extend_to(self, n: int) -> None:
         while len(self.terms) < n:
             i = len(self.terms) + 1
-            est = term(self._fam, i, self._grid_resolution)
+            est = term(self._fam, i)
             self.terms.append(est.value)
             self.exact_flags.append(est.exact)
             prev = self.prefix_sums[-1] if self.prefix_sums else 0.0
@@ -115,20 +115,6 @@ def _views(fam: MapFamily) -> tuple[SystemView, SystemView]:
     return SystemView(fam, Mode.NON_AUTONOMOUS), SystemView(fam, Mode.AUTONOMOUS_LIMIT)
 
 
-def _coords(fam: MapFamily, points: list[Point]) -> np.ndarray:
-    fam.space.require(*points)
-    return point_coords(points, fam.space.kind)
-
-
-def _window_gaps(
-    sys_F: SystemView, sys_f: SystemView, coords: np.ndarray, n: int, k: int
-) -> np.ndarray:
-    """d(omega^n_{n+j}(x), f^j(x)) for j = 0..k (rows) and every start x in
-    the coordinate array (columns), from one sweep of each system."""
-    window = orbit_matrix(sys_F, coords, k, n)
-    return coord_distances(sys_F.space.kind, window, orbit_matrix(sys_f, coords, k))
-
-
 def _record(
     x: Point, n: int, k: int, measured: float, ledger: BoundLedger, tol: float
 ) -> DeviationRecord:
@@ -144,31 +130,21 @@ def _record(
     )
 
 
-def deviation_check(
-    fam: MapFamily, x: Point, k: int, tol: float = 1e-9, ledger: BoundLedger | None = None
-) -> DeviationRecord:
-    """Compare d(omega_k(x), f^k(x)) against the prefix sum S_k."""
-    if k < 1:
-        raise SpaceError("deviation check needs k >= 1")
-    if ledger is None:
-        ledger = BoundLedger.for_family(fam, k)
-    measured = float(_window_gaps(*_views(fam), _coords(fam, [x]), 0, k)[k, 0])
-    return _record(x, 0, k, measured, ledger, tol)
-
-
-def shifted_deviation_check(
-    fam: MapFamily, x: Point, n: int, k: int, tol: float = 1e-9,
-    ledger: BoundLedger | None = None,
-) -> DeviationRecord:
-    """Compare d(omega_{n+k}(x), f^k(omega_n(x))) against the window sum."""
-    if k < 1 or n < 0:
-        raise SpaceError("shifted deviation check needs k >= 1 and n >= 0")
-    if ledger is None:
-        ledger = BoundLedger.for_family(fam, n + k)
+def deviation_series(
+    fam: MapFamily, x: Point, k_max: int, tol: float = 1e-9, n: int = 0
+) -> list[DeviationRecord]:
+    """Compare d(omega_{n+k}(x), f^k(omega_n(x))) against the window sum over
+    terms n+1..n+k, for every k up to k_max, from one sweep of each system
+    and one ledger of n + k_max terms."""
+    if k_max < 1 or n < 0:
+        raise SpaceError("deviation series needs k_max >= 1 and n >= 0")
+    ledger = BoundLedger.for_family(fam, n + k_max)
     sys_F, sys_f = _views(fam)
-    mid = orbit_matrix(sys_F, _coords(fam, [x]), n)[-1]
-    measured = float(_window_gaps(sys_F, sys_f, mid, n, k)[k, 0])
-    return _record(x, n, k, measured, ledger, tol)
+    fam.space.require(x)
+    window = orbit_matrix(sys_F, point_coords([x], fam.space.kind), n + k_max)[n:]
+    limit = orbit_matrix(sys_f, window[0], k_max)
+    gaps = coord_distances(fam.space.kind, window, limit)[:, 0].tolist()
+    return [_record(x, n, k, gaps[k], ledger, tol) for k in range(1, k_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -257,8 +233,7 @@ def collective_convergence_profile(
 
 
 def isometry_bound_check(
-    fam: MapFamily, n: int, k: int, grid_resolution: int = 64, tol: float = 1e-9,
-    ledger: BoundLedger | None = None,
+    fam: MapFamily, n: int, k: int, grid_resolution: int = 64, tol: float = 1e-9
 ) -> DeviationRecord:
     """Window-sum bound on D(omega^n_{n+k}, f^k) for isometric/shrinking limits.
 
@@ -273,19 +248,11 @@ def isometry_bound_check(
         )
     if k < 1 or n < 0:
         raise SpaceError("isometry bound check needs k >= 1 and n >= 0")
-    if ledger is None:
-        ledger = BoundLedger.for_family(fam, n + k)
+    ledger = BoundLedger.for_family(fam, n + k)
     grid = grid_coords(fam.space, grid_resolution)
-    gaps = _window_gaps(*_views(fam), grid, n, k)[k]
+    sys_F, sys_f = _views(fam)
+    window, limit = orbit_matrix(sys_F, grid, k, n)[k], orbit_matrix(sys_f, grid, k)[k]
+    gaps = coord_distances(fam.space.kind, window, limit)
     worst = int(gaps.argmax())
     return _record(coord_point(grid[worst], fam.space.kind), n, k, float(gaps[worst]), ledger, tol)
-
-
-def deviation_series(
-    fam: MapFamily, x: Point, k_max: int, tol: float = 1e-9
-) -> list[DeviationRecord]:
-    """deviation_check for every k up to k_max, from one sweep and one ledger."""
-    ledger = BoundLedger.for_family(fam, k_max)
-    gaps = _window_gaps(*_views(fam), _coords(fam, [x]), 0, k_max)[:, 0].tolist()
-    return [_record(x, 0, k, gaps[k], ledger, tol) for k in range(1, k_max + 1)]
 

@@ -47,6 +47,7 @@ from .space import (
     grid_coords,
     grid_size,
     grid_window,
+    json_number,
     point_coords,
 )
 from .verdict import Verdict
@@ -128,10 +129,7 @@ class CheckConfig:
             raise SpaceError(f"unknown check config keys: {unknown}")
         for key, value in doc.items():
             # eps, delta and tol take any real number; the rest are integers
-            real = isinstance(defaults[key], float)
-            if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-                what = "a real number" if real else "an integer"
-                raise SpaceError(f"check config {key!r} must be {what}, got {value!r}")
+            json_number(value, f"check config {key!r}", isinstance(defaults[key], float))
         return cls(**doc)
 
 

@@ -4,7 +4,7 @@ Subcommands:
   list                      show the builtin scenario catalog
   run <spec.json>           run a scenario config and emit reports
   reproduce <example-id>    run a builtin scenario with pinned parameters
-  bound <spec.json> --n --k deviation and window-bound checks
+  bound <spec.json> --n --k the deviation record of one window
   check <prop> <spec.json>  run one property in both modes
 
 Exit codes: 0 completed, 2 inconsistency detected, 3 config error (before
@@ -20,7 +20,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .bounds import BoundLedger, deviation_check, shifted_deviation_check
+from .bounds import deviation_series
 from .checkers import CheckConfig, Mode, checker_grid, verdict_record
 from .family import MapFamily
 from .report import (
@@ -141,14 +141,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    """The deviation record of the window of --k steps after step --n."""
+    if args.k < 1 or args.n < 0:
+        raise _ConfigError(f"bound needs --k >= 1 and --n >= 0, got --n {args.n} --k {args.k}")
     spec, fam = _prepared(args)
-    ledger = BoundLedger.for_family(fam, args.n + args.k)
     x0 = coord_point(checker_grid(fam.space, spec.check)[0], fam.space.kind)
-    if args.n == 0:
-        rec = deviation_check(fam, x0, args.k, spec.check.tol, ledger)
-    else:
-        rec = shifted_deviation_check(fam, x0, args.n, args.k, spec.check.tol, ledger)
-    print(json_text(rec.to_json()))
+    print(json_text(deviation_series(fam, x0, args.k, spec.check.tol, args.n)[-1].to_json()))
     return EXIT_OK
 
 

@@ -37,6 +37,7 @@ from .space import (
     coord_distances,
     coord_point,
     grid_coords,
+    json_object,
     low_bits,
     point_coords,
     reduce_angle,
@@ -440,10 +441,11 @@ def descriptor_to_json(m: MapDescriptor) -> dict:
     raise SpaceError(f"not a map descriptor: {m!r}")
 
 
-def descriptor_from_json(doc: dict) -> MapDescriptor:
-    """The descriptor a document describes; a field of the wrong type or
-    shape raises SpaceError naming the descriptor type."""
-    t = doc["type"]
+def descriptor_from_json(doc: dict, field: str = "a map descriptor") -> MapDescriptor:
+    """The descriptor a document describes; a document that is not an object
+    raises SpaceError naming its field, and a field of the wrong type or shape
+    one naming the descriptor type."""
+    t = json_object(doc, field)["type"]
     try:
         if t == "rotation":
             return Rotation(float(doc["amount"]))

@@ -56,6 +56,8 @@ from .space import (
     coord_to_json,
     grid_coords,
     grid_size,
+    json_number,
+    json_object,
 )
 from .verdict import Verdict
 
@@ -99,10 +101,26 @@ def _looks_rational_angle(alpha: float, max_den: int = 64) -> bool:
     return abs(ratio - float(frac)) < 1e-12
 
 
+#: the params each builtin family takes; any other is refused
+BUILTIN_PARAMS = {
+    "alternating-rotation": {"alpha"},
+    "inverse-square-rotation": set(),
+    "perturbed-doubling": set(),
+    "plateau-tent": set(),
+    "odometer-deletion": {"word_length"},
+}
+
+
 def make_builtin_family(name: str, **params) -> MapFamily:
     """Construct one of the builtin example families by scenario id."""
+    if not isinstance(name, str) or name not in BUILTIN_PARAMS:
+        raise SpaceError(f"unknown builtin family: {name!r}")
+    unknown = sorted(set(params) - BUILTIN_PARAMS[name])
+    if unknown:
+        raise SpaceError(f"unknown params for builtin family {name!r}: {unknown}")
     if name == "alternating-rotation":
-        alpha = float(params.get("alpha", 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0))
+        alpha = params.get("alpha", 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0)
+        alpha = float(json_number(alpha, "alpha", real=True))
         if alpha != 0.0 and _looks_rational_angle(alpha):
             warnings.warn(
                 f"alternating-rotation built with alpha={alpha!r}, a rational "
@@ -164,19 +182,15 @@ def make_builtin_family(name: str, **params) -> MapFamily:
             eventually_constant_from=2,
         )
 
-    if name == "odometer-deletion":
-        word_length = int(params.get("word_length", 24))
-
-        return MapFamily(
-            space=PhaseSpace.binary_seq(word_length),
-            generator=lambda n: Compose(OdometerAdd(), Delete(n)),
-            limit=OdometerAdd(),
-            label="odometer-deletion",
-            term_formula=lambda n: 1.0 / n,
-            series_divergent=True,
-        )
-
-    raise SpaceError(f"unknown builtin family: {name!r}")
+    # odometer-deletion, the one name left
+    return MapFamily(
+        space=PhaseSpace.binary_seq(params.get("word_length", 24)),
+        generator=lambda n: Compose(OdometerAdd(), Delete(n)),
+        limit=OdometerAdd(),
+        label="odometer-deletion",
+        term_formula=lambda n: 1.0 / n,
+        series_divergent=True,
+    )
 
 
 def family_from_config(doc: dict) -> MapFamily:
@@ -190,16 +204,17 @@ def family_from_config(doc: dict) -> MapFamily:
     limit map beyond it.
     """
     if "builtin" in doc:
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise SpaceError(f"family params must be an object, got {params!r}")
+        params = json_object(doc.get("params", {}), "family params")
         return make_builtin_family(doc["builtin"], **params)
     if "custom" not in doc:
         raise SpaceError("family config needs 'builtin' or 'custom'")
-    spec = doc["custom"]
+    spec = json_object(doc["custom"], "custom family")
     space = PhaseSpace.from_json(doc["space"])
-    steps = tuple(descriptor_from_json(d) for d in spec.get("steps", ()))
-    limit = descriptor_from_json(spec["limit"])
+    steps = spec.get("steps", [])
+    if not isinstance(steps, list):
+        raise SpaceError(f"custom steps must be a list of map descriptors, got {steps!r}")
+    steps = tuple(descriptor_from_json(d, "each custom step") for d in steps)
+    limit = descriptor_from_json(spec["limit"], "custom limit")
     if limit.space_kind != space.kind or any(s.space_kind != space.kind for s in steps):
         raise SpaceError("custom family maps do not all act on the configured space")
     label = spec.get("label", "custom")

@@ -53,7 +53,7 @@ from .family import (
     family_from_config,
     profile_hypotheses,
 )
-from .space import SpaceError, coord_point, point_to_json
+from .space import SpaceError, coord_point, json_number, json_object, point_to_json
 from .verdict import Outcome, Verdict
 
 
@@ -138,14 +138,6 @@ ALL_PROPERTIES = tuple(rule.name for rule in PROPERTY_RULES)
 FORMATS = ("json", "csv", "plotdata")
 
 
-def _object(value, field: str) -> dict:
-    """value, when it is a JSON object: a spec field of another shape is a
-    config error that names the field."""
-    if not isinstance(value, dict):
-        raise SpaceError(f"{field} must be an object, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Parsed scenario: family, checker config, property list, output paths."""
@@ -160,7 +152,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
-        fam_doc = _object(_object(doc, "a scenario spec")["family"], "family")
+        fam_doc = json_object(json_object(doc, "a scenario spec")["family"], "family")
         if "custom" in fam_doc and "space" not in fam_doc:
             fam_doc = {**fam_doc, "space": doc["space"]}
         props = doc.get("properties", "all")
@@ -173,11 +165,9 @@ class ScenarioSpec:
             if unknown:
                 raise SpaceError(f"unknown properties: {unknown}")
             props = tuple(props)
-        check = CheckConfig.from_json(_object(doc.get("check", {}), "check"))
-        seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise SpaceError(f"seed must be an integer, got {seed!r}")
-        out = _object(doc.get("output", {}), "output")
+        check = CheckConfig.from_json(json_object(doc.get("check", {}), "check"))
+        seed = json_number(doc.get("seed", 0), "seed")
+        out = json_object(doc.get("output", {}), "output")
         formats = out.get("formats", FORMATS[:1])
         if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
             raise SpaceError(f"output formats must be a list of {list(FORMATS)}, got {formats!r}")

@@ -32,6 +32,26 @@ class ResolutionError(SpaceError):
     """A binary-sequence operation needs finer resolution than the word carries."""
 
 
+def json_object(value, field: str) -> dict:
+    """value, when it is a JSON object: a config field of another shape is a
+    config error that names the field."""
+    if not isinstance(value, dict):
+        raise SpaceError(f"{field} must be an object, got {value!r}")
+    return value
+
+
+def json_number(value, field: str, real: bool = False):
+    """value, when it is an integer, or any finite real number when real: a
+    bool, an infinite or NaN float, or a value of another type is a config
+    error that names the field."""
+    kinds = (int, float) if real else int
+    infinite = isinstance(value, float) and not math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, kinds) or infinite:
+        what = "a real number" if real else "an integer"
+        raise SpaceError(f"{field} must be {what}, got {value!r}")
+    return value
+
+
 class SpaceKind(str, Enum):
     CIRCLE = "circle"
     UNIT_INTERVAL = "unit_interval"
@@ -156,7 +176,7 @@ class PhaseSpace:
 
     @classmethod
     def binary_seq(cls, word_length: int = 24) -> "PhaseSpace":
-        if word_length < 1:
+        if json_number(word_length, "word_length") < 1:
             raise SpaceError("word_length must be >= 1")
         return cls(SpaceKind.BINARY_SEQ, 1.0, 1.0 / word_length, word_length)
 
@@ -175,13 +195,13 @@ class PhaseSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PhaseSpace":
-        kind = doc["kind"]
+        kind = json_object(doc, "space")["kind"]
         if kind == SpaceKind.CIRCLE.value:
             return cls.circle()
         if kind == SpaceKind.UNIT_INTERVAL.value:
             return cls.unit_interval()
         if kind == SpaceKind.BINARY_SEQ.value:
-            return cls.binary_seq(int(doc.get("word_length", 24)))
+            return cls.binary_seq(doc.get("word_length", 24))
         raise SpaceError(f"unknown space kind: {kind!r}")
 
 

@@ -10,10 +10,8 @@ from nonautodyn.bounds import (
     ConvergenceProfile,
     HypothesisNotMetError,
     collective_convergence_profile,
-    deviation_check,
     deviation_series,
     isometry_bound_check,
-    shifted_deviation_check,
 )
 from nonautodyn.descriptors import Delete, OdometerAdd, descriptor_to_json
 from nonautodyn.family import (
@@ -29,6 +27,7 @@ from nonautodyn.space import (
     IntervalPoint,
     PhaseSpace,
     ResolutionError,
+    SpaceError,
     SpaceKind,
     coord_distances,
     coord_point,
@@ -65,7 +64,7 @@ class TestLedger:
 
 class TestDeviation:
     def test_alternating_cancellation(self):
-        rec = deviation_check(ALT, CircleAngle(1.2), 2)
+        rec = deviation_series(ALT, CircleAngle(1.2), 2)[-1]
         assert rec.measured == 0.0
         # terms 2/(1+1) and 2/2 both equal 1
         assert rec.bound == pytest.approx(2.0)
@@ -73,11 +72,11 @@ class TestDeviation:
 
     def test_autonomous_family_zero(self):
         fam = TENT_FAMILY
-        rec = deviation_check(fam, IntervalPoint(0.3), 7)
+        rec = deviation_series(fam, IntervalPoint(0.3), 7)[-1]
         assert rec.measured == 0.0 and rec.bound == 0.0 and rec.holds
 
     def test_doubling_violates_bound(self):
-        rec = deviation_check(PD, CircleAngle(0.0), 2)
+        rec = deviation_series(PD, CircleAngle(0.0), 2)[-1]
         assert rec.measured == pytest.approx(2.5)
         assert rec.bound == pytest.approx(1.5)
         assert not rec.holds
@@ -94,13 +93,20 @@ class TestDeviation:
     @pytest.mark.parametrize("name", ["alternating-rotation", "perturbed-doubling",
                                       "plateau-tent", "odometer-deletion"])
     def test_series_matches_single_checks(self, name):
+        # each record of one long sweep equals the last record of a sweep
+        # that stops at its k, for windows from the start and after step 3
         fam = make_builtin_family(name)
         x = coord_point(grid_coords(fam.space, 5)[1], fam.space.kind)
-        ledger = BoundLedger.for_family(fam, 40)
-        series = deviation_series(fam, x, 40)
-        assert [r.k for r in series] == list(range(1, 41))
-        for rec in series:
-            assert rec == deviation_check(fam, x, rec.k, 1e-9, ledger)
+        for n in (0, 3):
+            series = deviation_series(fam, x, 40, n=n)
+            assert [(r.n, r.k) for r in series] == [(n, k) for k in range(1, 41)]
+            for rec in series:
+                assert rec == deviation_series(fam, x, rec.k, n=n)[-1]
+
+    @pytest.mark.parametrize("k_max, n", [(0, 0), (-3, 0), (1, -1), (0, 2)])
+    def test_empty_or_negative_window_is_refused(self, k_max, n):
+        with pytest.raises(SpaceError, match="k_max >= 1 and n >= 0"):
+            deviation_series(INV, CircleAngle(0.0), k_max, n=n)
 
     def test_bound_monotone_in_k(self):
         records = deviation_series(INV, CircleAngle(0.0), 30)
@@ -109,13 +115,8 @@ class TestDeviation:
 
 
 class TestShiftedDeviation:
-    def test_n_zero_reduces_to_deviation(self):
-        a = deviation_check(INV, CircleAngle(0.5), 4)
-        b = shifted_deviation_check(INV, CircleAngle(0.5), 0, 4)
-        assert (a.measured, a.bound, a.holds) == (b.measured, b.bound, b.holds)
-
     def test_inverse_square_equality(self):
-        rec = shifted_deviation_check(INV, CircleAngle(0.0), 10, 5)
+        rec = deviation_series(INV, CircleAngle(0.0), 5, n=10)[-1]
         want = sum(1.0 / i**2 for i in range(11, 16))
         assert rec.measured == pytest.approx(want, abs=1e-12)
         assert rec.measured == pytest.approx(rec.bound, abs=1e-12)
@@ -123,7 +124,7 @@ class TestShiftedDeviation:
 
     def test_alternating_shifted(self):
         # window over steps 2 and 3: perturbations -2/2 and +2/4
-        rec = shifted_deviation_check(ALT, CircleAngle(0.2), 1, 2)
+        rec = deviation_series(ALT, CircleAngle(0.2), 2, n=1)[-1]
         assert rec.measured == pytest.approx(0.5, abs=1e-12)
         assert rec.bound == pytest.approx(1.5)
         assert rec.holds

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from nonautodyn import report
-from nonautodyn.bounds import BoundLedger, shifted_deviation_check
+from nonautodyn.bounds import deviation_series
 from nonautodyn.checkers import checker_grid
 from nonautodyn.cli import (
     EXIT_CHECKER_FAILED,
@@ -203,6 +204,11 @@ def test_properties_as_a_string_names_the_expected_list(spec_file, monkeypatch, 
     assert "a list of property names, got 'sensitivity'" in err and "'s'" not in err
 
 
+#: a custom family on the unit interval whose limit is the tent map
+TENT_DOC = {"type": "piecewise_linear", "breakpoints": [[0, 0], [0.5, 1], [1, 0]]}
+CUSTOM = {"space": {"kind": "unit_interval"}, "family": {"custom": {"limit": TENT_DOC}}}
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -213,8 +219,59 @@ def test_properties_as_a_string_names_the_expected_list(spec_file, monkeypatch, 
         (None, "a scenario spec must be an object, got [1, 2]"),
         ({"family": {"builtin": "plateau-tent", "params": [1]}}, "family params must be an object"),
         ({"check": [1]}, "check must be an object, got [1]"),
+        ({**CUSTOM, "family": {"custom": [1]}}, "custom family must be an object, got [1]"),
+        ({**CUSTOM, "space": "circle"}, "space must be an object, got 'circle'"),
+        (
+            {**CUSTOM, "family": {"custom": {"limit": [1]}}},
+            "custom limit must be an object, got [1]",
+        ),
+        (
+            {**CUSTOM, "family": {"custom": {"steps": {"a": 1}, "limit": TENT_DOC}}},
+            "custom steps must be a list of map descriptors, got {'a': 1}",
+        ),
+        (
+            {
+                "space": {"kind": "binary_seq", "word_length": "x"},
+                "family": {"custom": {"limit": {"type": "odometer_add"}}},
+            },
+            "word_length must be an integer, got 'x'",
+        ),
+        (
+            {"family": {"builtin": "odometer-deletion", "params": {"word_length": "x"}}},
+            "word_length must be an integer, got 'x'",
+        ),
+        (
+            {"family": {"builtin": "odometer-deletion", "params": {"word_length": True}}},
+            "word_length must be an integer, got True",
+        ),
+        (
+            {"family": {"builtin": "alternating-rotation", "params": {"alpha": "1.5"}}},
+            "alpha must be a real number, got '1.5'",
+        ),
+        (
+            {"family": {"builtin": "alternating-rotation", "params": {"alpha": math.inf}}},
+            "alpha must be a real number, got inf",
+        ),
+        # an unknown param is not ignored: a typo would run the default family
+        (
+            {"family": {"builtin": "alternating-rotation", "params": {"beta": 1}}},
+            "unknown params for builtin family 'alternating-rotation': ['beta']",
+        ),
+        (
+            {"family": {"builtin": "alternating-rotation", "params": {"alpah": 1.1}}},
+            "unknown params for builtin family 'alternating-rotation': ['alpah']",
+        ),
+        (
+            {"family": {"builtin": "plateau-tent", "params": {"alpha": 1.1}}},
+            "unknown params for builtin family 'plateau-tent': ['alpha']",
+        ),
     ],
-    ids=["output", "family", "seed", "properties", "top-level", "params", "check"],
+    ids=[
+        "output", "family", "seed", "properties", "top-level", "params", "check",
+        "custom", "space", "limit", "steps", "space-word-length", "builtin-word-length",
+        "bool-word-length", "alpha", "infinite-alpha", "unknown-param", "misspelled-param",
+        "param-of-another-family",
+    ],
 )
 def test_spec_of_the_wrong_shape_exits_3(spec_file, monkeypatch, capsys, fields, message):
     # None stands for a document that is a list, not an object
@@ -238,17 +295,30 @@ def test_reproduce_with_small_overrides(capsys):
 
 
 def test_bound_subcommand(spec_file, capsys):
-    assert main(["bound", str(spec_file), "--n", "1", "--k", "2"]) == EXIT_OK
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert {"measured", "bound", "holds", "n", "k"} <= set(doc)
-    assert doc["n"] == 1 and doc["k"] == 2
-    # the record the subcommand prints, written by json.dumps
     spec = report.ScenarioSpec.from_json(json.loads(spec_file.read_text()))
     fam = spec.build_family()
     x0 = coord_point(checker_grid(fam.space, spec.check)[0], fam.space.kind)
-    rec = shifted_deviation_check(fam, x0, 1, 2, spec.check.tol, BoundLedger.for_family(fam, 3))
-    assert out == json.dumps(rec.to_json(), indent=2, sort_keys=True) + "\n"
+    for n in (0, 1):
+        assert main(["bound", str(spec_file), "--n", str(n), "--k", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert {"measured", "bound", "holds", "n", "k"} <= set(doc)
+        assert doc["n"] == n and doc["k"] == 2
+        # the last record of the window's series, written by json.dumps
+        rec = deviation_series(fam, x0, 2, spec.check.tol, n)[-1]
+        assert out == json.dumps(rec.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "window",
+    [["--k", "0"], ["--k", "-3"], ["--n", "-1"], ["--n", "2", "--k", "0"]],
+    ids=["k0", "k-3", "n-1", "n2-k0"],
+)
+def test_bound_with_an_empty_or_negative_window_exits_3(spec_file, capsys, window):
+    assert main(["bound", str(spec_file), *window]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: bound needs --k >= 1 and --n >= 0" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_check_subcommand(spec_file, capsys):
