@@ -53,7 +53,7 @@ from .family import (
     summability_estimate,
     surjectivity_check,
 )
-from .orbit import omega
+from .orbit import Mode, SystemView, omega
 from .bounds import (
     BoundLedger,
     ConvergenceProfile,
@@ -65,9 +65,7 @@ from .bounds import (
 )
 from .checkers import (
     CheckConfig,
-    Mode,
     PairPredicate,
-    SystemView,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,

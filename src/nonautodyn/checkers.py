@@ -1,9 +1,9 @@
 """Finite-horizon empirical checkers for dynamical properties.
 
 Every checker runs against a SystemView, which is either the non-autonomous
-system (orbit operator omega_n) or its autonomous limit (orbit operator f^n);
-nothing else differs between the modes. Verdicts are three-valued and carry
-reproducible witnesses.
+system (orbit operator omega_n) or its autonomous limit (orbit operator f^n),
+the family with no steps; nothing else differs between the modes. Verdicts
+are three-valued and carry reproducible witnesses.
 
 Semi-decidability policy: Holds verdicts are evidence at the configured
 horizon. Refuted verdicts require either a concrete finite counterexample or
@@ -11,6 +11,10 @@ a symbolic step rule that extends to all times (isometric steps keep pair
 distances and region widths constant; a flat piece collapses an interval to
 a point; a rotation family with a summable displacement tail confines every
 orbit to a computable arc). Pure absence of evidence yields Inconclusive.
+
+Displacement tail rule: with an identity-rotation limit and rotation steps,
+the displacement after step N is 0.0 when the family is constant from a step
+<= N + 1, else at most ``series_tail_bound(N)``; with neither, no rule fires.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .descriptors import (
     compose,
     pl_fixed_points,
 )
-from .orbit import Mode, SystemView, orbit_matrix
+from .orbit import SystemView, orbit_matrix
 from .regions import ball_chains, exact_chains
 from .space import (
     TWO_PI,
@@ -53,7 +57,7 @@ from .space import (
 from .verdict import Verdict
 
 
-def verdict_record(property_name: str, mode: "Mode", cfg: "CheckConfig", verdict: Verdict) -> dict:
+def verdict_record(property_name: str, mode: Enum, cfg: "CheckConfig", verdict: Verdict) -> dict:
     """Standalone serialization of one checker run."""
     return {
         "property": property_name,
@@ -284,25 +288,20 @@ def _rungs(space: PhaseSpace, cfg: CheckConfig, ratio: float, count: int) -> lis
 
 
 def _rotation_displacements(sys: SystemView, horizon: int) -> tuple[np.ndarray, float] | None:
-    """Cumulative rotation displacements d_1..d_N plus a forever-tail bound.
-
-    Returns None unless the limit is the identity rotation and the
-    displacement after the horizon is provably confined: the limit system
-    never moves, and a non-autonomous system needs isometric steps that are
-    all rotations up to the horizon plus a closed-form tail bound.
-    """
-    limit = sys.fam.limit
-    if not isinstance(limit, Rotation) or limit.amount != 0.0:
+    """Cumulative rotation displacements d_1..d_N plus a forever-tail bound,
+    or None unless the displacement tail rule (module docstring) applies."""
+    fam = sys.fam
+    if not isinstance(fam.limit, Rotation) or fam.limit.amount != 0.0 or not fam.steps_isometric:
         return None
-    if sys.mode is Mode.AUTONOMOUS_LIMIT:
-        return np.zeros(horizon), 0.0
-    tail = sys.fam.series_tail_bound
-    if not sys.fam.steps_isometric or tail is None:
+    # steps N+1, N+2, ... are all the identity limit
+    still = fam.eventually_constant_from is not None and fam.eventually_constant_from <= horizon + 1
+    if not still and fam.series_tail_bound is None:
         return None
     steps = sys.steps(horizon)[1 : horizon + 1]
     if not all(isinstance(m, Rotation) for m in steps):
         return None
-    return np.cumsum([m.amount for m in steps]), float(tail(horizon))
+    tail = 0.0 if still else float(fam.series_tail_bound(horizon))
+    return np.cumsum([m.amount for m in steps]), tail
 
 
 def _confinement_gaps(
@@ -537,7 +536,7 @@ def _refute_balls(
                     },
                     f"{what}: the ball collapses to a point at step {step} and stays collapsed",
                 )
-        if sys.steps_isometric:
+        if sys.fam.steps_isometric:
             return V.refuted(
                 {
                     "ball_center": coord_to_json(center, kind),
@@ -557,7 +556,7 @@ def _constant_after_collapse(sys: SystemView, p: float, horizon: int) -> bool:
     every step after the horizon to be the limit map, and p to be a fixed
     point of the limit.
     """
-    cutoff = sys.constant_tail_from()
+    cutoff = sys.fam.eventually_constant_from
     if cutoff is None or horizon < cutoff - 1:
         return False
     kind = sys.space.kind
@@ -723,7 +722,7 @@ def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
         proof = _prove_pair_miss(sys, cfg, ev, u, v)
         if proof is not None:
             return V.refuted({**quad, **proof}, "one leg of the quadruple provably never hits")
-    if sys.steps_isometric:
+    if sys.fam.steps_isometric:
         extreme = _isometric_spacing_witness(sys, cfg, ev)
         if extreme is not None:
             return V.refuted(
@@ -836,7 +835,7 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
                 },
                 "a ball pair provably stops interacting",
             )
-    if sys.steps_isometric:
+    if sys.fam.steps_isometric:
         idx = conv_fail if conv_fail is not None else 0
         return V.refuted(
             {**tests, "rule": "isometric-steps", "ball_center": coord_to_json(ev.centers[idx], kind)},
@@ -884,7 +883,7 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
     uncovered = [(i, int(np.argmax(miss))) for i, miss in enumerate(first < 0) if miss.any()]
 
     # symbolic refutations
-    cutoff = sys.constant_tail_from()
+    cutoff = sys.fam.eventually_constant_from
     for i, t in uncovered:
         x, orb = starts[i], orbits[:, i]
         # eventually-fixed orbit: once the step maps are the constant limit,
@@ -1158,8 +1157,8 @@ def _pair_outcomes(
     same, near, far = ((codes & bit) > 0 for bit in (_SAME, _NEAR, _FAR))
     if predicate is PairPredicate.PROXIMAL:
         # isometric steps keep the pair at its time-0 distance forever
-        return near, ~near & sys.steps_isometric
-    if sys.steps_isometric:
+        return near, ~near & sys.fam.steps_isometric
+    if sys.fam.steps_isometric:
         # a constant pair distance cannot both vanish and exceed delta
         return np.zeros_like(same), np.ones_like(same)
     return near & far, same
@@ -1188,7 +1187,7 @@ def _compute_pair_table(sys: SystemView, cfg: CheckConfig, sweep=None) -> _PairT
     # isometric steps keep every pair distance at its time-0 value, so row 0
     # is then the whole tail window, and their own sweep stops there
     orbits, cols = sweep or _sweep_groups(
-        sys, pools, 0 if sys.steps_isometric else cfg.horizon
+        sys, pools, 0 if sys.fam.steps_isometric else cfg.horizon
     )
     # masks, not np.unique, which imports numpy.ma (half a MiB) on first use
     keep = np.zeros(orbits.shape[1], dtype=bool)
@@ -1198,7 +1197,7 @@ def _compute_pair_table(sys: SystemView, cfg: CheckConfig, sweep=None) -> _PairT
     source = np.zeros(keep.sum(), dtype=bool)
     source[pool_cols[:, :_PAIR_POOL]] = True
     rows = np.where(source, np.cumsum(source) - 1, -1)
-    tail = orbits[:1] if sys.steps_isometric else orbits
+    tail = orbits[:1] if sys.fam.steps_isometric else orbits
     codes = _pair_codes(sys.space.kind, cfg, tail, np.flatnonzero(keep), np.flatnonzero(source))
     return _PairTable(centers, pools, pool_cols, rows, codes)
 
@@ -1246,10 +1245,10 @@ def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicat
     # a cell is refuted when every unfilled ball holds a refuted sample; the
     # first refuted cell is reported, else the first unresolved one
     refutable = covered.all(axis=1) & ~dense
-    g = int(refutable.argmax() if sys.steps_isometric and refutable.any() else dense.argmin())
+    g = int(refutable.argmax() if sys.fam.steps_isometric and refutable.any() else dense.argmin())
     x, point = centers[g : g + 1], coord_to_json(centers[g], kind)
     unfilled = np.flatnonzero(~found[g])
-    if sys.steps_isometric and refutable[g]:
+    if sys.fam.steps_isometric and refutable[g]:
         # the witness is the first refuted sample of the first unfilled ball;
         # isometric steps keep the pair at its time-0 distance, which is not
         # 0: a refuted proximal pair is not near, a refuted Li-Yorke pair
@@ -1323,7 +1322,7 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
         )
     i, j = np.argwhere(missing)[0]
     ball_pair = [coord_to_json(table.centers[k], sys.space.kind) for k in (i, j)]
-    if sys.steps_isometric and refutable[missing].all():
+    if sys.fam.steps_isometric and refutable[missing].all():
         return V.refuted(
             {"ball_pair": ball_pair, "rule": "isometric-steps"},
             "isometric steps keep all sampled cross-ball pairs separated",

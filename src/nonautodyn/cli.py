@@ -7,8 +7,9 @@ Subcommands:
   bound <spec.json> --n --k the deviation record of one window
   check <prop> <spec.json>  run one property in both modes
 
-Exit codes: 0 completed, 2 inconsistency detected, 3 config error (before
-any work), 4 a checker or a later stage of the run failed.
+Only run and reproduce take --out and --format. Exit codes: 0 completed, 2
+inconsistency detected, 3 config or usage error (before any work), 4 a
+checker or a later stage of the run failed.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import deviation_series
-from .checkers import CheckConfig, Mode, checker_grid, verdict_record
+from .checkers import CheckConfig, checker_grid, verdict_record
 from .family import MapFamily
+from .orbit import Mode
 from .report import (
     ALIASES,
     ALL_PROPERTIES,
@@ -66,14 +68,14 @@ def _prepared(args: argparse.Namespace) -> tuple[ScenarioSpec, MapFamily]:
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     check = spec.check.to_json()
-    if getattr(args, "horizon", None) is not None:
+    if args.horizon is not None:
         check["horizon"] = args.horizon
         check["tail_window"] = min(check["tail_window"], args.horizon)
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         check["grid_resolution"] = args.grid
-    if getattr(args, "eps", None) is not None:
+    if args.eps is not None:
         check["eps"] = args.eps
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         check["delta"] = args.delta
     return replace(
         spec,
@@ -152,8 +154,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.property not in PROPERTY_BY_NAME:
-        print(f"unknown property {args.property!r}; known: {', '.join(ALL_PROPERTIES)}")
-        return EXIT_CONFIG
+        known = ", ".join(ALL_PROPERTIES)
+        raise _ConfigError(f"unknown property {args.property!r}; known: {known}")
     spec = replace(_prepared(args)[0], properties=(args.property,))
     report = run_comparison(spec)
     _print_rows(report)
@@ -175,11 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--grid", type=int, default=None)
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
+
+    def add_output(p: argparse.ArgumentParser) -> None:
+        add_overrides(p)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=FORMATS, default=None)
 
@@ -188,33 +193,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a scenario config document")
     p.add_argument("spec")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("reproduce", help="run a builtin scenario")
     p.add_argument("example_id")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bound", help="orbit-deviation bound checks")
     p.add_argument("spec")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
-    add_common(p)
+    add_overrides(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("check", help="run one property in both modes")
     p.add_argument("property")
     p.add_argument("spec")
-    add_common(p)
+    add_overrides(p)
     p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; argparse prints a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except _ConfigError as exc:

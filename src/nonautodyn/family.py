@@ -81,7 +81,7 @@ class MapFamily:
     series_divergent: bool | None = None
     #: bound on sum_{i>N} D(f_i, limit), when known
     series_tail_bound: Callable[[int], float] | None = None
-    #: generator(n) == limit for all n >= this index, when known
+    #: f_n is the limit for all n >= this index, when known (member returns it)
     eventually_constant_from: int | None = None
     #: every step map and the limit are isometries (known symbolically)
     steps_isometric: bool = False
@@ -178,7 +178,6 @@ def make_builtin_family(name: str, **params) -> MapFamily:
             term_formula=lambda n: 1.0 if n == 1 else 0.0,
             series_limit=1.0,
             series_divergent=False,
-            series_tail_bound=lambda n: 1.0 if n < 1 else 0.0,
             eventually_constant_from=2,
         )
 
@@ -193,15 +192,29 @@ def make_builtin_family(name: str, **params) -> MapFamily:
     )
 
 
+def step_table_family(
+    space: PhaseSpace, steps: tuple[MapDescriptor, ...], limit: MapDescriptor, label: str
+) -> MapFamily:
+    """f_n = steps[n-1] for n <= len(steps), then the limit; with no steps
+    this is the autonomous system (X, limit)."""
+    return MapFamily(
+        space=space,
+        generator=lambda n: steps[n - 1],
+        limit=limit,
+        label=label,
+        eventually_constant_from=len(steps) + 1,
+        steps_isometric=all(isinstance(m, (Rotation, OdometerAdd)) for m in (*steps, limit)),
+    )
+
+
 def family_from_config(doc: dict) -> MapFamily:
     """Build a family from a structured config document.
 
     Two shapes are accepted:
       {"builtin": name, "params": {...}}
-      {"space": {...}, "custom": {"steps": [descriptor...], "tail": "limit",
-       "limit": descriptor, "label": str}}
-    Custom generators use the explicit step table for n <= len(steps) and the
-    limit map beyond it.
+      {"space": {...}, "custom": {"steps": [descriptor...], "limit": descriptor,
+       "label": str}}
+    A custom family is ``step_table_family`` of its steps and limit.
     """
     if "builtin" in doc:
         params = json_object(doc.get("params", {}), "family params")
@@ -217,22 +230,7 @@ def family_from_config(doc: dict) -> MapFamily:
     limit = descriptor_from_json(spec["limit"], "custom limit")
     if limit.space_kind != space.kind or any(s.space_kind != space.kind for s in steps):
         raise SpaceError("custom family maps do not all act on the configured space")
-    label = spec.get("label", "custom")
-
-    def gen(n: int) -> MapDescriptor:
-        return steps[n - 1] if n <= len(steps) else limit
-
-    iso = isinstance(limit, (Rotation, OdometerAdd)) and all(
-        isinstance(s, (Rotation, OdometerAdd)) for s in steps
-    )
-    return MapFamily(
-        space=space,
-        generator=gen,
-        limit=limit,
-        label=label,
-        eventually_constant_from=len(steps) + 1,
-        steps_isometric=iso,
-    )
+    return step_table_family(space, steps, limit, spec.get("label", "custom"))
 
 
 # ---------------------------------------------------------------------------

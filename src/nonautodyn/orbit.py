@@ -19,6 +19,8 @@ about log2(horizon) comparisons) and then fills the rows up to the first
 different map with one broadcast (``descriptors.repeat_end``). Bytes, not
 ``==``, so that -0.0 and 0.0 stay apart.
 
+A limit view steps the family with no steps, f, f, f, ....
+
 ``omega``, the one-point orbit operator, sweeps one column through the
 kernel. Binary words are packed (``space.point_coords``), so words longer
 than ``space.MAX_WORD_BITS`` coordinates raise ``SpaceError``.
@@ -31,8 +33,8 @@ from enum import Enum
 
 import numpy as np
 
-from .descriptors import MapDescriptor, OdometerAdd, Rotation, apply_batch, repeat_end
-from .family import MapFamily
+from .descriptors import MapDescriptor, apply_batch, repeat_end
+from .family import MapFamily, step_table_family
 from .space import PhaseSpace, Point, SpaceError, coord_point, point_coords
 
 
@@ -43,7 +45,9 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SystemView:
-    """One of the two systems under comparison: (X, F) or (X, f)."""
+    """One of the two systems under comparison: (X, F) or (X, f). A limit view
+    replaces ``fam`` by the family with no steps (``step_table_family``), so
+    the mode only labels the view."""
 
     fam: MapFamily
     mode: Mode
@@ -51,15 +55,14 @@ class SystemView:
     #: are pure functions of (fam, mode, config), so caching is transparent
     _cache: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.mode is Mode.AUTONOMOUS_LIMIT:
+            fam = self.fam
+            object.__setattr__(self, "fam", step_table_family(fam.space, (), fam.limit, fam.label))
+
     @property
     def space(self) -> PhaseSpace:
         return self.fam.space
-
-    def step_map(self, n: int) -> MapDescriptor:
-        """The map applied at step n (1-based)."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            return self.fam.limit
-        return self.fam.member(n)
 
     def steps(self, horizon: int) -> list[MapDescriptor]:
         """Step table: entry n is the map applied at step n, for n <= horizon.
@@ -69,21 +72,8 @@ class SystemView:
         """
         table = self._cache.setdefault("steps", [None])
         for n in range(len(table), horizon + 1):
-            table.append(self.step_map(n))
+            table.append(self.fam.member(n))
         return table
-
-    @property
-    def steps_isometric(self) -> bool:
-        """Every step map is known to be an isometry (symbolic knowledge)."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            return isinstance(self.fam.limit, (Rotation, OdometerAdd))
-        return self.fam.steps_isometric
-
-    def constant_tail_from(self) -> int | None:
-        """Index from which every step map equals the limit, if known."""
-        if self.mode is Mode.AUTONOMOUS_LIMIT:
-            return 1
-        return self.fam.eventually_constant_from
 
 
 def orbit_matrix(sys: SystemView, coords: np.ndarray, horizon: int, start: int = 0) -> np.ndarray:

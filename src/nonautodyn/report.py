@@ -30,8 +30,6 @@ from .bounds import (
 )
 from .checkers import (
     CheckConfig,
-    Mode,
-    SystemView,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
@@ -53,6 +51,7 @@ from .family import (
     family_from_config,
     profile_hypotheses,
 )
+from .orbit import Mode, SystemView
 from .space import SpaceError, coord_point, json_number, json_object, point_to_json
 from .verdict import Outcome, Verdict
 
@@ -171,13 +170,19 @@ class ScenarioSpec:
         formats = out.get("formats", FORMATS[:1])
         if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
             raise SpaceError(f"output formats must be a list of {list(FORMATS)}, got {formats!r}")
+        out_dir = out.get("dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise SpaceError(f"output dir must be a string, got {out_dir!r}")
+        label = doc.get("label", fam_doc.get("builtin", "custom"))
+        if not isinstance(label, str) or label in ("", ".", "..") or Path(label).name != label:
+            raise SpaceError(f"label must be a file name without a path separator, got {label!r}")
         return cls(
             family_config=fam_doc,
             check=check,
             properties=props,
-            label=doc.get("label", fam_doc.get("builtin", "custom")),
+            label=label,
             seed=seed,
-            output_dir=out.get("dir"),
+            output_dir=out_dir,
             formats=tuple(formats),
         )
 

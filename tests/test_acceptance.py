@@ -19,7 +19,6 @@ from nonautodyn.bounds import (
 )
 from nonautodyn.checkers import (
     CheckConfig,
-    Mode,
     SystemView,
     _periods,
     check_minimality,
@@ -38,7 +37,7 @@ from nonautodyn.family import (
     make_builtin_family,
     summability_estimate,
 )
-from nonautodyn.orbit import omega
+from nonautodyn.orbit import Mode, omega
 from nonautodyn.report import (
     CATALOG,
     PROPERTY_RULES,

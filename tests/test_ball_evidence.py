@@ -13,7 +13,6 @@ from nonautodyn import checkers, regions
 from nonautodyn.checkers import (
     MEMORY_BUDGET,
     CheckConfig,
-    Mode,
     SystemView,
     _ball_evidence,
     _cloud_diam_series,
@@ -27,6 +26,7 @@ from nonautodyn.checkers import (
     checker_grid,
     orbit_matrix,
 )
+from nonautodyn.orbit import Mode
 from nonautodyn.report import CATALOG, run_comparison
 from nonautodyn.space import (
     WORD_DTYPE,

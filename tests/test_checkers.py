@@ -11,7 +11,6 @@ from nonautodyn import checkers
 from nonautodyn import verdict as V
 from nonautodyn.checkers import (
     CheckConfig,
-    Mode,
     PairPredicate,
     SystemView,
     check_cofinite_sensitivity,
@@ -26,9 +25,10 @@ from nonautodyn.checkers import (
     checker_grid,
     orbit_matrix,
 )
-from nonautodyn.descriptors import apply, compose, descriptor_to_json
+from nonautodyn.descriptors import Rotation, apply, compose, descriptor_to_json
 from nonautodyn.family import TENT, family_from_config, make_builtin_family
-from nonautodyn.report import CATALOG, golden_path
+from nonautodyn.orbit import Mode
+from nonautodyn.report import CATALOG, PROPERTY_BY_NAME, golden_path
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -81,7 +81,7 @@ def pair_flags(sys, cfg, predicate, x, ys):
     the codes of one sweep, as the pair table measures them."""
     kind = sys.space.kind
     xy = np.concatenate([point_coords([x], kind), ys])
-    orbits, (cols,) = checkers._sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
+    orbits, (cols,) = checkers._sweep_groups(sys, [xy], 0 if sys.fam.steps_isometric else cfg.horizon)
     codes = checkers._pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), cols[:1])
     return checkers._pair_outcomes(sys, predicate, codes[0, cols[1:]])
 
@@ -363,7 +363,7 @@ class TestProximality:
     def test_rotation_pair_refuted(self):
         # refuted by the isometric-steps rule, the only proximal refutation
         sys = F(ALT)
-        assert sys.steps_isometric
+        assert sys.fam.steps_isometric
         v = self.outcome(sys, SMALL, PairPredicate.PROXIMAL, CircleAngle(0.0), CircleAngle(1.0))
         assert v == (False, True)
 
@@ -453,6 +453,37 @@ class TestModeConsistency:
             assert va.outcome == vb.outcome
             assert va.witness == vb.witness
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_limit_view_is_the_family_with_no_steps(self, name):
+        # (X, f) is the non-autonomous system of f, f, f, ...: every checker
+        # reads the same verdict from either description
+        spec = CATALOG[name]
+        fam = spec.build_family()
+        nostep = family_from_config({
+            "space": fam.space.to_json(),
+            "custom": {"limit": descriptor_to_json(fam.limit)},
+        })
+        a, b = SystemView(fam, Mode.AUTONOMOUS_LIMIT), SystemView(nostep, Mode.NON_AUTONOMOUS)
+        for prop, rule in PROPERTY_BY_NAME.items():
+            va, vb = rule.runner(a, spec.check), rule.runner(b, spec.check)
+            assert va.to_json() == vb.to_json(), prop
+
+    def test_custom_steps_onto_the_identity_get_the_displacement_rules(self):
+        # after step 2 every orbit moves by exactly 0.5, so the tail bound is 0
+        steps = [descriptor_to_json(Rotation(0.3)), descriptor_to_json(Rotation(0.2))]
+        fam = family_from_config({
+            "space": {"kind": "circle"},
+            "custom": {"steps": steps, "limit": descriptor_to_json(Rotation(0.0))},
+        })
+        sys = F(fam)
+        v = check_transitivity(sys, CIRCLE_SMALL)
+        assert v.refuted and v.witness["rule"] == "displacement-confinement"
+        assert v.witness["tail_bound"] == 0.0
+        for checker in (check_periodic_points, check_dense_periodicity):
+            v = checker(sys, CIRCLE_SMALL)
+            assert v.refuted and v.witness["rule"] == "nonzero-displacement"
+            assert v.witness["min_displacement"] == 0.3
+
 
 class TestReproducibilityAndMonotonicity:
     def test_verdicts_reproducible(self):
@@ -539,7 +570,7 @@ def _scalar_periodic(sys, x, cfg):
     P, R = cfg.max_period, cfg.repetitions
     orbit = [x]
     for n in range(1, P * R + 1):
-        orbit.append(apply(sys.step_map(n), orbit[-1]))
+        orbit.append(apply(sys.fam.member(n), orbit[-1]))
     gaps = [distance(sys.space, orbit[n], x) for n in range(1, P + 1)]
     for n in range(1, P + 1):
         revisits = [distance(sys.space, orbit[n * k], x) for k in range(1, R + 1)]

@@ -265,12 +265,23 @@ CUSTOM = {"space": {"kind": "unit_interval"}, "family": {"custom": {"limit": TEN
             {"family": {"builtin": "plateau-tent", "params": {"alpha": 1.1}}},
             "unknown params for builtin family 'plateau-tent': ['alpha']",
         ),
+        ({"output": {"dir": 5}}, "output dir must be a string, got 5"),
+        # the label is the stem of every file the report writes
+        ({"label": [1]}, "label must be a file name without a path separator, got [1]"),
+        ({"label": ""}, "label must be a file name without a path separator, got ''"),
+        ({"label": "."}, "label must be a file name without a path separator, got '.'"),
+        ({"label": ".."}, "label must be a file name without a path separator, got '..'"),
+        (
+            {"label": "a/b", "output": {"dir": "o"}},
+            "label must be a file name without a path separator, got 'a/b'",
+        ),
     ],
     ids=[
         "output", "family", "seed", "properties", "top-level", "params", "check",
         "custom", "space", "limit", "steps", "space-word-length", "builtin-word-length",
         "bool-word-length", "alpha", "infinite-alpha", "unknown-param", "misspelled-param",
-        "param-of-another-family",
+        "param-of-another-family", "output-dir", "label-list", "label-empty", "label-dot",
+        "label-dot-dot", "label-with-separator",
     ],
 )
 def test_spec_of_the_wrong_shape_exits_3(spec_file, monkeypatch, capsys, fields, message):
@@ -328,6 +339,37 @@ def test_check_subcommand(spec_file, capsys):
 
 def test_check_unknown_property(spec_file, capsys):
     assert main(["check", "nope", str(spec_file)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: unknown property 'nope'; known: ")
+    assert not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce", "plateau-tent", "--horizon", "abc"], ["reproduce", "sens", "--bogus"], []],
+    ids=["not-an-integer", "unknown-flag", "no-subcommand"],
+)
+def test_usage_error_exits_3(capsys, argv):
+    # exit 2 means an inconsistent report row, so a usage error is a config error
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "usage: nonautodyn" in captured.err and "error: " in captured.err
+    assert not captured.out
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert "usage: nonautodyn" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["bound", "check"])
+@pytest.mark.parametrize("flag", ["--out", "--format"])
+def test_only_run_and_reproduce_take_output_flags(spec_file, tmp_path, capsys, command, flag):
+    argv = [command, *(["sensitivity"] if command == "check" else []), str(spec_file)]
+    value = str(tmp_path / "out") if flag == "--out" else "csv"
+    assert main([*argv, flag, value]) == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inconsistency_exit_code():

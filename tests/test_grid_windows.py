@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from nonautodyn import checkers
 from nonautodyn.checkers import (
     CheckConfig,
-    Mode,
     SystemView,
     _compute_ball_evidence,
     _sampled_ball_table,
     checker_grid,
 )
+from nonautodyn.orbit import Mode
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
     TWO_PI,

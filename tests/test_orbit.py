@@ -17,9 +17,9 @@ from nonautodyn.descriptors import (
     apply,
     descriptor_to_json,
 )
-from nonautodyn.checkers import Mode, SystemView, orbit_matrix
+from nonautodyn.checkers import SystemView, orbit_matrix
 from nonautodyn.family import TENT, MapFamily, family_from_config, make_builtin_family
-from nonautodyn.orbit import omega
+from nonautodyn.orbit import Mode, omega
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,

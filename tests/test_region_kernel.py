@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonautodyn.checkers import CheckConfig, Mode, SystemView, _exact, orbit_matrix
+from nonautodyn.checkers import CheckConfig, SystemView, _exact, orbit_matrix
 from nonautodyn.descriptors import (
     AffineCircle,
     Compose,
@@ -20,6 +20,7 @@ from nonautodyn.descriptors import (
     circle_canonical,
 )
 from nonautodyn.family import PLATEAU_HEAD, TENT, MapFamily
+from nonautodyn.orbit import Mode
 from nonautodyn.regions import ball_chains, exact_chains, region_chains
 from nonautodyn.report import ALL_PROPERTIES, ScenarioSpec, run_comparison
 from nonautodyn.space import (

@@ -104,7 +104,7 @@ def _old_pair_table(sys, cfg):
     """One sweep of the grid and its eps-pools, codes measured per source."""
     kind, centers = sys.space.kind, checker_grid(sys.space, cfg)
     pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
-    orbits, cols = _sweep_groups(sys, [centers] + pools, 0 if sys.steps_isometric else cfg.horizon)
+    orbits, cols = _sweep_groups(sys, [centers] + pools, 0 if sys.fam.steps_isometric else cfg.horizon)
     pool_cols = np.array([np.resize(c, max(map(len, pools))) for c in cols[1:]])
     # each pool starts with its center: the grid's columns are the pools' first
     assert (pool_cols[:, 0] == cols[0]).all()
@@ -144,7 +144,7 @@ def _old_minimality(sys, cfg):
                 f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
             )
     uncovered = [(i, int(np.argmax(miss))) for i, miss in enumerate(first < 0) if miss.any()]
-    cutoff = sys.constant_tail_from()
+    cutoff = sys.fam.eventually_constant_from
     for i, t in uncovered:
         x, orb = starts[i], orbits[:, i]
         if cutoff is not None:
@@ -306,9 +306,9 @@ def test_isometric_pair_codes_read_row_0_alone(monkeypatch):
     for mode in Mode:
         rows.clear()
         sys = SystemView(spec.build_family(), mode)
-        assert sys.steps_isometric is (mode is Mode.AUTONOMOUS_LIMIT)
+        assert sys.fam.steps_isometric is (mode is Mode.AUTONOMOUS_LIMIT)
         _ball_evidence(sys, spec.check)
-        assert list(rows) == [1 if sys.steps_isometric else spec.check.horizon + 1]
+        assert list(rows) == [1 if sys.fam.steps_isometric else spec.check.horizon + 1]
 
 
 # ---------------------------------------------------------------------------

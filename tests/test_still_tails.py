@@ -269,7 +269,7 @@ def _full_minimality(sys, cfg):
             {"max_cell_visit_time": worst, "starts": len(starts), "targets": len(targets)},
             f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
         )
-    cutoff = sys.constant_tail_from()
+    cutoff = sys.fam.eventually_constant_from
     for i, t in uncovered:
         x, orb = starts[i], orbits[:, i]
         if cutoff is not None:

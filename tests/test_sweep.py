@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonautodyn.checkers import (
-    Mode,
     PairPredicate,
     SystemView,
     _SAME,
@@ -23,6 +22,7 @@ from nonautodyn.checkers import (
 )
 from nonautodyn.descriptors import Compose, Delete, OdometerAdd, apply
 from nonautodyn.family import MapFamily, family_from_config, make_builtin_family
+from nonautodyn.orbit import Mode
 from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     BinaryWord,
@@ -131,7 +131,7 @@ def test_step_table_grows_to_largest_horizon():
     assert len(sys.steps(5)) == 6
     table = sys.steps(12)
     assert len(table) == 13 and sys.steps(3) is table
-    assert all(table[n] == sys.step_map(n) for n in range(1, 13))
+    assert all(table[n] == sys.fam.member(n) for n in range(1, 13))
 
 
 def test_nearest_lookup_report_is_pinned():
@@ -148,7 +148,7 @@ def _pair_code(sys, cfg, xy):
     """The code from xy[0] to xy[1], from a sweep of the two points alone,
     and whether they took separate columns."""
     kind = sys.space.kind
-    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
+    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.fam.steps_isometric else cfg.horizon)
     return _pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), np.array([i]))[0, j], i != j
 
 
@@ -203,11 +203,11 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
             gaps = [distance(fam.space, states[n][0], states[n][j + 1]) for n in tail]
             d0 = distance(fam.space, x, y)
             want = _old_pair_rule(
-                predicate, x == y, sys.steps_isometric, d0, min(gaps), max(gaps), cfg
+                predicate, x == y, sys.fam.steps_isometric, d0, min(gaps), max(gaps), cfg
             )
             assert (bool(holds[j]), bool(refuted[j])) == want, (predicate, y)
             assert bool(codes[j] & _SAME) == (d0 == 0.0)
-            if d0 == 0.0 and not sys.steps_isometric:
+            if d0 == 0.0 and not sys.fam.steps_isometric:
                 assert max(gaps) == 0.0
 
 
@@ -269,7 +269,7 @@ def _apply_orbit(sys, x, horizon):
     """Reference orbit: a plain loop over scalar apply."""
     states = [x]
     for n in range(1, horizon + 1):
-        states.append(apply(sys.step_map(n), states[-1]))
+        states.append(apply(sys.fam.member(n), states[-1]))
     return states
 
 
