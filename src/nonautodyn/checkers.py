@@ -37,7 +37,7 @@ from .descriptors import (
     pl_fixed_points,
 )
 from .orbit import SystemView, orbit_matrix
-from .regions import ball_chains, exact_chains
+from .regions import RegionChains, ball_chains, exact_chains
 from .space import (
     TWO_PI,
     MAX_WORD_BITS,
@@ -147,7 +147,8 @@ def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
     each pair-pool point to each pool point, and dense periodicity's sweep,
     P*R+1 rows of the ball_count samples of every eps-ball, from the
     config's shapes alone. Sampled balls build the pair table from the ball
-    sweep while it is alive; region chains leave it a sweep of the pools."""
+    sweep while it is alive; region chains leave it a sweep of the pools,
+    and build hits a few centers at a time, so the hit term bounds theirs."""
     G = grid_size(space, cfg.grid_resolution)
     itemsize = point_coords([], space.kind).itemsize
     points = G * len(_rungs(space, cfg, 0.25, 3)) * cfg.ball_count
@@ -330,25 +331,27 @@ def _cached(sys: SystemView, key: tuple, build):
 
 @dataclass
 class _BallEvidence:
-    """How the grid balls move, for one view and config. Ball k = u * R + i
-    is grid center u with rung i of _rungs, so ball u * R is the eps-ball
-    around u. It has the diameter series diams[k] for n = 0..N and a
-    collapse step and point (region chains only). The eps-balls alone have
-    hits[u, v, n], image n of ball u within eps of center v, dense[u, n],
-    image n of ball u within eps of every point of the grid (its covering
-    defect below eps), and final_defects[u], how far image N of ball u is
-    from covering the grid. Sampled balls leave what other checks read from
-    their sweep: _separations per rung, the pair table, and first visits of
-    each grid start (sample 0 of its eps-ball) to each cell, with the starts'
-    orbits when a cell is unvisited."""
+    """How the grid balls move, for one view and config, kept as the numbers
+    the checks read. Ball k = u * R + i is grid center u with rung i of
+    _rungs, so ball u * R is the eps-ball around u, and hit n of the pair
+    (u, v) is image n of eps-ball u within eps of center v. Sampled balls
+    leave what other checks read from their sweep: _separations per rung,
+    the pair table, and first visits of each grid start (sample 0 of its
+    eps-ball) to each cell, with the starts' orbits when a cell is unvisited."""
 
     centers: np.ndarray  # coordinates, shape (G,)
     balls: list[tuple[np.ndarray, float]]
-    diams: np.ndarray  # float, shape (G * R, N+1)
-    collapses: list[tuple[int, float] | None]
-    hits: np.ndarray  # bool, shape (G, G, N+1)
-    dense: np.ndarray  # bool, shape (G, N+1)
-    final_defects: np.ndarray  # float, shape (G,)
+    collapses: list[tuple[int, float] | None]  # per ball, its step and point (region chains)
+    diameters: np.ndarray  # ball 0's diameter series, n = 0..N
+    separated_at: np.ndarray  # per ball, the first n >= 1 with diameter above delta, else 0
+    spread_from: np.ndarray  # one past the last n with diameter at most delta, else 1
+    max_diam_after_0: np.ndarray  # the largest diameter for n >= 1
+    max_diam: np.ndarray  # the largest diameter for n >= 0
+    first_hit: np.ndarray  # per pair, the first n >= 1 with a hit, else -1
+    hits_from: np.ndarray  # one past the last miss in n = 1..N, else 1
+    hit_rows: np.ndarray  # the hits for n = 1..N by np.packbits, shape (G, G, ceil(N / 8))
+    dense_from: np.ndarray  # per eps-ball, one past the last n with covering defect >= eps, else 0
+    final_defects: np.ndarray  # how far image N is from covering the grid
     separations: dict | None = None  # rung: (best, at), shapes (G,) and (2, G)
     visits: tuple[np.ndarray, np.ndarray | None] | None = None  # (G, cells), (N+1, G)
     pairs: _PairTable | None = None
@@ -364,12 +367,41 @@ def _ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
 
 def eps_ball_diameters(sys: SystemView, cfg: CheckConfig) -> np.ndarray:
     """Diameter series n = 0..horizon of the eps-ball around checker_grid's first point."""
-    return _ball_evidence(sys, cfg).diams[0]
+    return _ball_evidence(sys, cfg).diameters
+
+
+#: the most hit cells, center pairs times rows, that _summarised takes in one block
+_HIT_BLOCK = 1 << 18
+
+
+def _first(mask: np.ndarray, none: int) -> np.ndarray:
+    """The index of the first True along the last axis of mask, else none."""
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), none)
+
+
+def _summarised(cfg: CheckConfig, centers: np.ndarray, balls, block, **sampled) -> _BallEvidence:
+    """_BallEvidence from block(us), for the centers us: their balls' diameter
+    series, their eps-balls' hits, dense flags and final defects, and their
+    balls' collapses or None, taken _HIT_BLOCK hit cells or one center at a time."""
+    G, N, delta = len(centers), cfg.horizon, cfg.delta
+    kept, collapses, series0 = [], [], None
+    for us in _blocks(G, max(1, _HIT_BLOCK // (G * (N + 1)))):
+        diams, hits, dense, final, collapsed = block(us)
+        series0 = diams[0].copy() if series0 is None else series0
+        kept.append((
+            _first(diams[:, 1:] > delta, -1) + 1, N + 1 - _first(diams[:, ::-1] <= delta, N),
+            diams[:, 1:].max(axis=1), diams.max(axis=1),
+            _first(hits[..., 1:], -2) + 1, N + 1 - _first(~hits[..., :0:-1], N),
+            np.packbits(hits[..., 1:], axis=2), N + 1 - _first(~dense[:, ::-1], N + 1), final,
+        ))
+        collapses += collapsed or [None] * len(diams)
+    summaries = map(np.concatenate, zip(*kept))
+    return _BallEvidence(centers, balls, collapses, series0, *summaries, **sampled)
 
 
 def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
-    """One region chain or one orbit sweep over every ball; only the arrays
-    derived from it are kept, never the sweep."""
+    """One region chain or one orbit sweep over every ball; only the
+    summaries derived from it are kept, never the chains or the sweep."""
     kind, N = sys.space.kind, cfg.horizon
     centers = checker_grid(sys.space, cfg)
     rungs = _rungs(sys.space, cfg, 0.25, 3)
@@ -379,14 +411,18 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     steps = sys.steps(N)[1 : N + 1]
     if exact_chains(kind, steps):
         chains = ball_chains(kind, np.repeat(centers, R), np.tile(rungs, G), steps)
-        hits = np.zeros((G, G, N + 1), dtype=bool)
-        chains.hits(R, centers, cfg.eps, hits)
-        defects = chains.covering_defects()[:, ::R]
-        return _BallEvidence(
-            centers, balls, np.ascontiguousarray(chains.diameters().T),
-            chains.collapses(), hits,
-            np.ascontiguousarray(defects.T < cfg.eps), defects[-1].copy(),
-        )
+
+        def block(us: slice):  # the R chains of each center us; defects of the eps-balls only
+            cols = slice(us.start * R, us.stop * R)
+            ours = RegionChains(kind, chains.a[:, cols], chains.b[:, cols])
+            hits = np.empty((len(centers[us]), G, N + 1), dtype=bool)
+            ours.hits(R, centers, cfg.eps, hits)
+            defects = RegionChains(kind, ours.a[:, ::R], ours.b[:, ::R]).covering_defects()
+            diams = np.ascontiguousarray(ours.diameters().T)
+            dense = np.ascontiguousarray(defects.T < cfg.eps)
+            return diams, hits, dense, defects[-1], ours.collapses()
+
+        return _summarised(cfg, centers, balls, block)
 
     per_rung = [ball_coords(sys.space, centers, r, cfg.ball_count) for r in rungs]
     orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
@@ -394,12 +430,14 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
     starts = np.array([c[0] for c in pools])
     # the pair codes' transients come before the hit table, not on top of it
     pairs = _compute_pair_table(sys, cfg, (orbits, pools))
-    *table, visits = _sampled_ball_table(
+    hits, dense, final, visits = _sampled_ball_table(
         sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, pools
     )
     best, at = _separations(kind, orbits, _padded(cols, 2))
-    return _BallEvidence(
-        centers, balls, _cloud_diam_series(kind, orbits, cols), [None] * (G * R), *table,
+    diams = _cloud_diam_series(kind, orbits, cols)
+    return _summarised(
+        cfg, centers, balls,
+        lambda us: (diams[us.start * R : us.stop * R], hits[us], dense[us], final[us], None),
         separations={r: (best[i::R], at[:, i::R]) for i, r in enumerate(rungs)},
         # the refutation rules read the starts' orbits only when a cell is unvisited
         visits=(visits, orbits[:, starts] if (visits < 0).any() else None),
@@ -411,7 +449,7 @@ def _sampled_ball_table(
     space: PhaseSpace, resolution: int, eps: float, centers: np.ndarray,
     orbits: np.ndarray, cols: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The hits, dense flags and final defects of _BallEvidence for balls
+    """The whole hits, dense flags and final defects _summarised reads, for balls
     whose samples are the orbit columns cols[u], with centers the checker
     grid of grid_coords(space, resolution), which it equals on continuum
     spaces, and the first visits of each ball's first sample to the cells of
@@ -521,8 +559,8 @@ def _refute_balls(
     provably never clears delta."""
     kind = sys.space.kind
     for k in failing:
-        (center, radius), series, collapse = ev.balls[k], ev.diams[k], ev.collapses[k]
-        if float(np.max(series[1:])) > cfg.delta - cfg.tol:
+        (center, radius), collapse = ev.balls[k], ev.collapses[k]
+        if float(ev.max_diam_after_0[k]) > cfg.delta - cfg.tol:
             continue
         if collapse is not None:
             step, p = collapse
@@ -532,7 +570,7 @@ def _refute_balls(
                         "ball_center": coord_to_json(center, kind),
                         "radius": radius,
                         "collapse_step": step,
-                        "max_diameter": float(np.max(series)),
+                        "max_diameter": float(ev.max_diam[k]),
                     },
                     f"{what}: the ball collapses to a point at step {step} and stays collapsed",
                 )
@@ -541,7 +579,7 @@ def _refute_balls(
                 {
                     "ball_center": coord_to_json(center, kind),
                     "radius": radius,
-                    "max_diameter": float(np.max(series)),
+                    "max_diameter": float(ev.max_diam[k]),
                     "rule": "isometric-steps",
                 },
                 f"{what}: isometric steps keep the ball diameter at most {2 * radius:g} forever",
@@ -568,15 +606,13 @@ def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     cfg.validate(sys.space)
     kind = sys.space.kind
     ev = _ball_evidence(sys, cfg)
-    separated = ev.diams[:, 1:] > cfg.delta
-    failing = np.flatnonzero(~separated.any(axis=1))
+    failing = np.flatnonzero(ev.separated_at == 0)
     if not failing.size:
-        first = separated.argmax(axis=1) + 1
         times = [
             {"center": coord_to_json(c, kind), "radius": r, "separation_time": int(t)}
-            for (c, r), t in zip(ev.balls, first)
+            for (c, r), t in zip(ev.balls, ev.separated_at)
         ]
-        worst = int(first.max())
+        worst = int(ev.separated_at.max())
         return V.holds(
             {"separation_times": times, "max_separation_time": worst, "delta": cfg.delta},
             f"every sampled neighborhood reaches diameter {cfg.delta:g} by n={worst}",
@@ -589,7 +625,7 @@ def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         {
             "ball_center": coord_to_json(c, kind),
             "radius": r,
-            "max_diameter": float(np.max(ev.diams[failing[0]])),
+            "max_diameter": float(ev.max_diam[failing[0]]),
             "horizon": cfg.horizon,
         },
         "some sampled neighborhoods never separated and no symbolic rule applies",
@@ -602,9 +638,7 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     cfg.validate(sys.space)
     N, kind = cfg.horizon, sys.space.kind
     ev = _ball_evidence(sys, cfg)
-    # K is one past the last diameter of at most delta, found backwards
-    below = ev.diams[:, ::-1] <= cfg.delta
-    K = np.where(below.any(axis=1), N + 1 - below.argmax(axis=1), 1)
+    K = ev.spread_from
     failing = np.flatnonzero(K > N // 2)
     if not failing.size:
         entries = [
@@ -664,9 +698,8 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     kind = sys.space.kind
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
-    any_hits = ev.hits[:, :, 1:].any(axis=2)
-    first_hit = np.where(any_hits, ev.hits[:, :, 1:].argmax(axis=2) + 1, -1)
-    if any_hits.all():
+    first_hit = ev.first_hit
+    if (first_hit > 0).all():
         return V.holds(
             {
                 "hit_times": first_hit.tolist(),
@@ -675,7 +708,7 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             },
             f"all {G * G} ordered ball pairs interact by n={int(first_hit.max())}",
         )
-    missed = [(u, v) for u in range(G) for v in range(G) if not any_hits[u, v]]
+    missed = [(u, v) for u in range(G) for v in range(G) if first_hit[u, v] < 0]
     for u, v in missed:
         proof = _prove_pair_miss(sys, cfg, ev, u, v)
         if proof is not None:
@@ -705,7 +738,7 @@ def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     cfg.validate(sys.space)
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
-    first, missed = _shared_time_misses(ev.hits.reshape(G * G, -1)[:, 1:])
+    first, missed = _shared_time_misses(ev.hit_rows.reshape(G * G, -1))
     if first is None:
         return V.holds(
             {"pairs": G * G, "grid_resolution": cfg.grid_resolution},
@@ -736,19 +769,19 @@ def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def _shared_time_misses(H: np.ndarray) -> tuple[tuple[int, int] | None, int]:
-    """The ordered pairs of rows of the boolean matrix H that share no True
-    column: the first in row-major order, or None, and their number.
+def _shared_time_misses(packed: np.ndarray) -> tuple[tuple[int, int] | None, int]:
+    """The ordered pairs of rows of a boolean matrix, packed along its rows by
+    np.packbits, that share no True column: the first in row-major order, or
+    None, and their number.
 
     Only the distinct rows are multiplied. Rows are grouped by their packed
     bytes, so a pair of rows misses exactly when their classes do, and the
-    class multiplicities weight the count.
+    class multiplicities weight the count. Padding bits are 0 and share none.
     """
-    packed = np.packbits(H, axis=1)
     _, first, inverse = np.unique(
         packed.view(f"V{packed.shape[1]}").reshape(-1), return_index=True, return_inverse=True
     )
-    rows = H[first].astype(np.float32)
+    rows = np.unpackbits(packed[first], axis=1).astype(np.float32)
     miss = rows @ rows.T < 0.5
     if not miss.any():
         return None, 0
@@ -788,22 +821,16 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
 
-    # (a) hit persistence: for each pair a K with hits at every n in [K, N],
-    # one past its last miss; backwards, the first miss is at n = N - argmin
-    backwards = ev.hits[:, :, :0:-1]
-    K = np.where(backwards.all(axis=2), 1, N + 1 - backwards.argmin(axis=2))
-    late = K > N // 2
+    # (a) hit persistence: for each pair, hits at every n from its hits_from on
+    late = ev.hits_from > N // 2
     persistence_ok = not late.any()
-    worst_K = int(np.where(late, 0, K).max())
+    worst_K = int(np.where(late, 0, ev.hits_from).max())
     miss_pair = None if persistence_ok else divmod(int(late.argmax()), G)
 
-    # (b) cloud convergence: image covering defect below eps from some K on,
-    # one past its last defect of eps or more, found backwards as in (a)
-    bad = ~ev.dense[:, ::-1]
-    K = np.where(bad.any(axis=1), N + 1 - bad.argmax(axis=1), 0)
-    late = K > N // 2
+    # (b) cloud convergence: covering defects below eps from each dense_from on
+    late = ev.dense_from > N // 2
     convergence_ok = not late.any()
-    conv_K = int(np.where(late, 0, K).max())
+    conv_K = int(np.where(late, 0, ev.dense_from).max())
     conv_fail = None if convergence_ok else int(late.argmax())
     defects_final = ev.final_defects.tolist()
 

@@ -8,7 +8,7 @@ clouds whenever the steps allow it: a region of zero width proves a collapse,
 and a region's hits are the grid points within eps of it, a window of grid
 indices read from its ends (the distance rule decides the window's ends).
 Sampled clouds take the same design point by point: each sample's hits are
-decided inside its `space.grid_window`. A region's covering defect is kept
+decided inside its `space.grid_window`. A region's covering defect is read
 as a flag, below eps or not, except on the last step.
 
 Regions are never objects. `region_chains` steps many regions at once from

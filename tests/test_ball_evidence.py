@@ -2,6 +2,8 @@
 per-view pair table and the memory preflight."""
 
 import dataclasses
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +18,13 @@ from nonautodyn.checkers import (
     SystemView,
     _ball_evidence,
     _cloud_diam_series,
+    _compute_ball_evidence,
+    _exact,
     _pair_codes,
+    _rungs,
+    _sampled_ball_table,
     _shared_time_misses,
+    _summarised,
     _sweep_groups,
     check_li_yorke_cell_density,
     check_proximal_cell_density,
@@ -27,7 +34,8 @@ from nonautodyn.checkers import (
     orbit_matrix,
 )
 from nonautodyn.orbit import Mode
-from nonautodyn.report import CATALOG, run_comparison
+from nonautodyn.regions import ball_chains
+from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     WORD_DTYPE,
     BinaryWord,
@@ -60,9 +68,9 @@ def test_weak_mixing_matches_dense_reference(name, mode):
     verdict = check_weak_mixing(sys, cfg)
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
-    H = ev.hits[:, :, 1:].reshape(G * G, -1)
+    H = np.unpackbits(ev.hit_rows.reshape(G * G, -1), axis=1, count=cfg.horizon).astype(bool)
     first, missed = _dense_reference(H)
-    assert _shared_time_misses(H) == (first, missed)
+    assert _shared_time_misses(np.packbits(H, axis=1)) == (first, missed)
     assert verdict.holds == (first is None)
     if first is None:
         return
@@ -97,7 +105,176 @@ def _repeated_rows():
 @example(np.zeros((5, 3), dtype=bool))
 @example(np.array([[True, False], [False, True], [True, False]]))
 def test_shared_time_misses_match_dense_reference(H):
-    assert _shared_time_misses(H) == _dense_reference(H)
+    assert _shared_time_misses(np.packbits(H, axis=1)) == _dense_reference(H)
+
+
+# ---------------------------------------------------------------------------
+# what the ball evidence keeps, against the whole tables it is read from
+
+
+def _tabulated_doc(seed: int) -> dict:
+    """Nearest-rule lookup tables shaped like the tabulated-maps workload: three
+    tent tables of 244 entries with noise 0.05/j on step j, then the tent
+    table; no step has an exact region image, so every ball is sampled."""
+    rng = random.Random(f"ball-evidence/{seed}")
+    tent = [2.0 * x if x <= 0.5 else 2.0 - 2.0 * x for x in (i / 243 for i in range(244))]
+    steps = [
+        {"type": "lookup", "rule": "nearest",
+         "values": [min(1.0, max(0.0, v + 0.05 / j * rng.uniform(-1.0, 1.0))) for v in tent]}
+        for j in range(1, 4)
+    ]
+    return {
+        "space": {"kind": "unit_interval"},
+        "family": {"custom": {
+            "steps": steps, "limit": {"type": "lookup", "rule": "nearest", "values": tent},
+        }},
+        "check": {
+            "horizon": 300, "grid_resolution": 12, "ball_count": 9, "eps": 0.1, "delta": 0.25,
+            "tol": 1e-9, "tail_window": 200, "max_period": 8, "repetitions": 3,
+        },
+        "label": "tabulated-maps",
+    }
+
+
+def _whole_tables(sys, cfg):
+    """Every ball's diameter series, the eps-balls' hit table, dense flags and
+    final defects, and the collapses, each whole, from the region chains or
+    the ball sweep of the view."""
+    space, N = sys.space, cfg.horizon
+    centers = checker_grid(space, cfg)
+    rungs = _rungs(space, cfg, 0.25, 3)
+    G, R = len(centers), len(rungs)
+    if _exact(sys, N):
+        steps = sys.steps(N)[1 : N + 1]
+        chains = ball_chains(space.kind, np.repeat(centers, R), np.tile(rungs, G), steps)
+        hits = np.zeros((G, G, N + 1), dtype=bool)
+        chains.hits(R, centers, cfg.eps, hits)
+        defects = chains.covering_defects()[:, ::R]
+        return chains.diameters().T, hits, (defects < cfg.eps).T, defects[-1], chains.collapses()
+    per_rung = [ball_coords(space, centers, r, cfg.ball_count) for r in rungs]
+    orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
+    hits, dense, final, _ = _sampled_ball_table(
+        space, cfg.grid_resolution, cfg.eps, centers, orbits, cols[::R]
+    )
+    return _cloud_diam_series(space.kind, orbits, cols), hits, dense, final, [None] * (G * R)
+
+
+def _first(mask, none):
+    return int(np.flatnonzero(mask)[0]) if mask.any() else none
+
+
+def _last(mask, none):
+    return int(np.flatnonzero(mask)[-1]) if mask.any() else none
+
+
+SUMMARY_CASES = [(name, mode) for name in sorted(CATALOG) for mode in Mode] + [
+    (f"tabulated-{seed}", mode) for seed in (0, 1) for mode in Mode
+]
+
+
+@pytest.mark.parametrize("hit_block", [None, 0])
+@pytest.mark.parametrize("name,mode", SUMMARY_CASES)
+def test_kept_summaries_equal_the_whole_tables(monkeypatch, name, mode, hit_block):
+    # integers equal and floats bitwise, one center to a block or the default blocks
+    if name.startswith("tabulated-"):
+        spec = ScenarioSpec.from_json(_tabulated_doc(int(name.split("-")[1])))
+    else:
+        spec = CATALOG[name]
+    cfg, N, delta = spec.check, spec.check.horizon, spec.check.delta
+    sys = SystemView(spec.build_family(), mode)
+    if hit_block is not None:
+        monkeypatch.setattr(checkers, "_HIT_BLOCK", hit_block)
+    ev = _compute_ball_evidence(sys, cfg)
+    diams, hits, dense, final, collapses = _whole_tables(sys, cfg)
+    assert ev.diameters.tobytes() == diams[0].tobytes()
+    assert ev.collapses == collapses
+    assert ev.separated_at.tolist() == [_first(d[1:] > delta, -1) + 1 for d in diams]
+    assert ev.spread_from.tolist() == [_last(d <= delta, 0) + 1 for d in diams]
+    assert ev.max_diam_after_0.tobytes() == np.array([d[1:].max() for d in diams]).tobytes()
+    assert ev.max_diam.tobytes() == np.array([d.max() for d in diams]).tobytes()
+    G = len(ev.centers)
+    pairs = [hits[u, v] for u in range(G) for v in range(G)]
+    assert ev.first_hit.reshape(-1).tolist() == [_first(h[1:], -2) + 1 for h in pairs]
+    assert ev.hits_from.reshape(-1).tolist() == [_last(~h[1:], -1) + 2 for h in pairs]
+    assert np.array_equal(np.unpackbits(ev.hit_rows, axis=2, count=N).astype(bool), hits[:, :, 1:])
+    assert ev.dense_from.tolist() == [_last(~row, -1) + 1 for row in dense]
+    assert ev.final_defects.tobytes() == np.ascontiguousarray(final).tobytes()
+
+
+@pytest.mark.parametrize("hit_block", [None, 0])
+def test_summaries_of_ties_and_empty_series(monkeypatch, hit_block):
+    # two centers with two balls each over n = 0..4: diameters equal to delta,
+    # and series with no separation, no hit, no miss and no defect
+    if hit_block is not None:
+        monkeypatch.setattr(checkers, "_HIT_BLOCK", hit_block)
+    cfg = CheckConfig(horizon=4, tail_window=2, delta=0.25)
+    diams = np.array([[0.3, 0.25, 0.3, 0.25, 0.3], [0.25] * 5, [0.5] * 5, [0.0] * 5])
+    hits = np.array([[[0, 1, 1, 0, 1], [1] * 5], [[0] * 5, [1, 0, 0, 1, 1]]], dtype=bool)
+    dense = np.array([[1] * 5, [0, 0, 1, 0, 1]], dtype=bool)
+    final = np.array([0.0, 0.125])
+    ev = _summarised(
+        cfg, np.array([0.0, 1.0]), [],
+        lambda us: (diams[2 * us.start : 2 * us.stop], hits[us], dense[us], final[us], None),
+    )
+    assert ev.diameters.tolist() == diams[0].tolist()
+    assert ev.separated_at.tolist() == [2, 0, 1, 0]
+    assert ev.spread_from.tolist() == [4, 5, 1, 5]
+    assert ev.max_diam_after_0.tolist() == [0.3, 0.25, 0.5, 0.0]
+    assert ev.max_diam.tolist() == [0.3, 0.25, 0.5, 0.0]
+    assert ev.first_hit.tolist() == [[1, 1], [-1, 3]]
+    assert ev.hits_from.tolist() == [[4, 1], [5, 3]]
+    assert np.array_equal(np.unpackbits(ev.hit_rows, axis=2, count=4).astype(bool), hits[:, :, 1:])
+    assert ev.dense_from.tolist() == [0, 4]
+    assert ev.final_defects.tolist() == [0.0, 0.125]
+    assert ev.collapses == [None] * 4
+
+
+def _held_bytes(value) -> int:
+    """Bytes of the numpy arrays that value holds, through dataclasses, dicts,
+    lists and tuples; a view counts the whole array it keeps alive."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        return value.nbytes
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(_held_bytes, value)) if isinstance(value, (list, tuple)) else 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_rotation_ball_evidence_keeps_under_a_mebibyte(mode):
+    # 20 centers, 3 rungs, 5,000 steps: the packed hit rows take
+    # G * G * ceil(N / 8) = 250 kB, ball 0's series 40 kB, and the other
+    # summaries a few numbers per ball or center pair. The 1 MiB allowance
+    # holds those with room to spare, and neither a whole hit table,
+    # G * G * (N+1) bytes = 2.0 MB, nor whole diameter series,
+    # G * R * (N+1) floats = 2.4 MB
+    spec = CATALOG["alternating-rotation"]
+    ev = _ball_evidence(SystemView(spec.build_family(), mode), spec.check)
+    assert _held_bytes(ev) <= 2**20
+
+
+def test_rotation_report_traced_peak_stays_under_11_mib():
+    # the largest arrays alive at once are one view's ball chains,
+    # 2 x 5001 x 60 floats = 4.6 MiB, beside the other view's kept evidence,
+    # or equicontinuity's row blocks, about 5.5 MiB. The 11 MiB allowance
+    # holds either with room to spare, but not the chains together with a
+    # whole hit table, whole diameter series and full-size temporaries of
+    # either, which take 18.3 MiB
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        run_comparison(CATALOG["alternating-rotation"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 11 * 2**20
 
 
 def _per_source_codes(kind, cfg, orbits, sources):

@@ -246,7 +246,14 @@ def test_builtin_hits_match_the_distance_rule(name, mode):
         return
     steps = sys.steps(cfg.horizon)[1 : cfg.horizon + 1]
     chains = ball_chains(sys.space.kind, np.repeat(ev.centers, R), radii, steps)
-    assert np.array_equal(ev.hits, _ref_hits(chains, R, ev.centers, cfg.eps, G))
+    want, N = _ref_hits(chains, R, ev.centers, cfg.eps, G), cfg.horizon
+    # the evidence keeps rows n = 1..N packed, the first hit and the hit-persistence start
+    assert np.array_equal(np.unpackbits(ev.hit_rows, axis=2, count=N).astype(bool), want[:, :, 1:])
+    later, backwards = want[:, :, 1:], want[:, :, :0:-1]
+    assert np.array_equal(ev.first_hit, np.where(later.any(axis=2), later.argmax(axis=2) + 1, -1))
+    assert np.array_equal(
+        ev.hits_from, np.where(backwards.all(axis=2), 1, N + 1 - backwards.argmin(axis=2))
+    )
 
 
 def test_hits_evaluate_the_rule_only_at_window_ends(monkeypatch):
