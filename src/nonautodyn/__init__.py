@@ -50,10 +50,11 @@ from .family import (
     isometry_shrinking_check,
     make_builtin_family,
     profile_hypotheses,
+    step_table_family,
     summability_estimate,
     surjectivity_check,
 )
-from .orbit import Mode, SystemView, omega
+from .orbit import omega
 from .bounds import (
     BoundLedger,
     ConvergenceProfile,
@@ -90,14 +91,14 @@ __all__ = [
     "HypothesisProfile", "MapFamily", "SummabilityReport", "TENT", "PLATEAU_HEAD",
     "commutes_with_limit", "family_from_config",
     "feeble_open_check", "isometry_shrinking_check", "make_builtin_family",
-    "profile_hypotheses", "summability_estimate", "surjectivity_check",
+    "profile_hypotheses", "step_table_family", "summability_estimate", "surjectivity_check",
     # orbit
     "omega",
     # bounds
     "BoundLedger", "ConvergenceProfile", "DeviationRecord", "HypothesisNotMetError",
     "collective_convergence_profile", "deviation_series", "isometry_bound_check",
     # checkers
-    "CheckConfig", "Mode", "PairPredicate", "SystemView",
+    "CheckConfig", "PairPredicate",
     "check_cofinite_sensitivity", "check_dense_periodicity", "check_equicontinuity",
     "check_minimality", "check_sensitivity", "check_topological_mixing",
     "check_transitivity", "check_weak_mixing",

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import apply_batch
-from .family import MapFamily, isometry_shrinking_check, term
-from .orbit import Mode, SystemView, orbit_matrix
+from .family import MapFamily, isometry_shrinking_check, step_table_family, term
+from .orbit import orbit_matrix
 from .space import (
     Point,
     SpaceError,
@@ -111,8 +111,9 @@ class DeviationRecord:
         }
 
 
-def _views(fam: MapFamily) -> tuple[SystemView, SystemView]:
-    return SystemView(fam, Mode.NON_AUTONOMOUS), SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+def _limit(fam: MapFamily) -> MapFamily:
+    """The limit system (X, f): the family with no steps."""
+    return step_table_family(fam.space, (), fam.limit, fam.label)
 
 
 def _record(
@@ -139,10 +140,9 @@ def deviation_series(
     if k_max < 1 or n < 0:
         raise SpaceError("deviation series needs k_max >= 1 and n >= 0")
     ledger = BoundLedger.for_family(fam, n + k_max)
-    sys_F, sys_f = _views(fam)
     fam.space.require(x)
-    window = orbit_matrix(sys_F, point_coords([x], fam.space.kind), n + k_max)[n:]
-    limit = orbit_matrix(sys_f, window[0], k_max)
+    window = orbit_matrix(fam, point_coords([x], fam.space.kind), n + k_max)[n:]
+    limit = orbit_matrix(_limit(fam), window[0], k_max)
     gaps = coord_distances(fam.space.kind, window, limit)[:, 0].tolist()
     return [_record(x, n, k, gaps[k], ledger, tol) for k in range(1, k_max + 1)]
 
@@ -197,12 +197,11 @@ def collective_convergence_profile(
     if n_max < 1 or k_max < 1:
         raise SpaceError("profile needs n_max >= 1 and k_max >= 1")
     coords = grid_coords(fam.space, grid_resolution)
-    sys_F, sys_f = _views(fam)
     ledger = BoundLedger.for_family(fam, n_max + k_max)
     n_values = tuple(range(1, n_max + 1))
     k_values = tuple(range(1, k_max + 1))
-    kind, steps = fam.space.kind, sys_F.steps(n_max + k_max)
-    limit = orbit_matrix(sys_f, coords, k_max)
+    kind, steps = fam.space.kind, fam.steps(n_max + k_max)
+    limit = orbit_matrix(_limit(fam), coords, k_max)
     windows = np.repeat(coords[None], n_max, axis=0)  # row n - 1: window n
     worst = np.empty((n_max, k_max))
     for t in range(2, n_max + k_max + 1):
@@ -250,8 +249,7 @@ def isometry_bound_check(
         raise SpaceError("isometry bound check needs k >= 1 and n >= 0")
     ledger = BoundLedger.for_family(fam, n + k)
     grid = grid_coords(fam.space, grid_resolution)
-    sys_F, sys_f = _views(fam)
-    window, limit = orbit_matrix(sys_F, grid, k, n)[k], orbit_matrix(sys_f, grid, k)[k]
+    window, limit = orbit_matrix(fam, grid, k, n)[k], orbit_matrix(_limit(fam), grid, k)[k]
     gaps = coord_distances(fam.space.kind, window, limit)
     worst = int(gaps.argmax())
     return _record(coord_point(grid[worst], fam.space.kind), n, k, float(gaps[worst]), ledger, tol)

@@ -1,9 +1,9 @@
 """Finite-horizon empirical checkers for dynamical properties.
 
-Every checker runs against a SystemView, which is either the non-autonomous
-system (orbit operator omega_n) or its autonomous limit (orbit operator f^n),
-the family with no steps; nothing else differs between the modes. Verdicts
-are three-valued and carry reproducible witnesses.
+Every checker takes a MapFamily: the non-autonomous system (orbit operator
+omega_n) or its autonomous limit (orbit operator f^n), the family with no
+steps, and memoizes what it builds on it. Verdicts are three-valued and
+carry reproducible witnesses.
 
 Semi-decidability policy: Holds verdicts are evidence at the configured
 horizon. Refuted verdicts require either a concrete finite counterexample or
@@ -36,7 +36,8 @@ from .descriptors import (
     compose,
     pl_fixed_points,
 )
-from .orbit import SystemView, orbit_matrix
+from .family import MapFamily
+from .orbit import orbit_matrix
 from .regions import RegionChains, ball_chains, exact_chains
 from .space import (
     TWO_PI,
@@ -57,11 +58,11 @@ from .space import (
 from .verdict import Verdict
 
 
-def verdict_record(property_name: str, mode: Enum, cfg: "CheckConfig", verdict: Verdict) -> dict:
-    """Standalone serialization of one checker run."""
+def verdict_record(property_name: str, mode: str, cfg: "CheckConfig", verdict: Verdict) -> dict:
+    """One checker run, mode "non_autonomous" or "autonomous_limit"."""
     return {
         "property": property_name,
-        "mode": mode.value,
+        "mode": mode,
         "outcome": verdict.outcome.value,
         "witness": verdict.witness,
         "config": cfg.to_json(),
@@ -177,7 +178,7 @@ def _blocks(n: int, step: int) -> list[slice]:
 
 
 def _sweep_groups(
-    sys: SystemView, groups: list[np.ndarray], horizon: int
+    fam: MapFamily, groups: list[np.ndarray], horizon: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One orbit sweep over the distinct start coordinates of several groups.
 
@@ -190,7 +191,7 @@ def _sweep_groups(
     _, first, inverse = np.unique(
         coords.view(f"V{coords.dtype.itemsize}"), return_index=True, return_inverse=True
     )
-    orbits = orbit_matrix(sys, coords[first], horizon)
+    orbits = orbit_matrix(fam, coords[first], horizon)
     return orbits, np.split(inverse.reshape(-1), np.cumsum([len(g) for g in groups])[:-1])
 
 
@@ -198,22 +199,22 @@ def _sweep_groups(
 _FIRST_BLOCK = 16
 
 
-def _row_blocks(sys: SystemView, coords: np.ndarray, horizon: int):
-    """orbit_matrix(sys, coords, horizon) in blocks of rows, yielded as (t, block)
+def _row_blocks(fam: MapFamily, coords: np.ndarray, horizon: int):
+    """orbit_matrix(fam, coords, horizon) in blocks of rows, yielded as (t, block)
     with block[0] row t. Each block starts from the last row of the one before,
     which the semigroup identity makes bit-exact, and is twice as long."""
     t, k = 0, _FIRST_BLOCK
     while t < horizon:
         k = min(k, horizon - t)
-        block = orbit_matrix(sys, coords, k, start=t)
+        block = orbit_matrix(fam, coords, k, start=t)
         yield t, block
         t, k, coords = t + k, 2 * k, block[-1]
 
 
-def _exact(sys: SystemView, horizon: int) -> bool:
-    """Whether the view's balls take exact region chains through steps
+def _exact(fam: MapFamily, horizon: int) -> bool:
+    """Whether the family's balls take exact region chains through steps
     1..horizon, which alone decide it; else their samples are swept."""
-    return exact_chains(sys.space.kind, sys.steps(horizon)[1 : horizon + 1])
+    return exact_chains(fam.space.kind, fam.steps(horizon)[1 : horizon + 1])
 
 
 #: the most distances _cloud_diam_series and check_equicontinuity measure at
@@ -288,17 +289,16 @@ def _rungs(space: PhaseSpace, cfg: CheckConfig, ratio: float, count: int) -> lis
     return rungs
 
 
-def _rotation_displacements(sys: SystemView, horizon: int) -> tuple[np.ndarray, float] | None:
+def _rotation_displacements(fam: MapFamily, horizon: int) -> tuple[np.ndarray, float] | None:
     """Cumulative rotation displacements d_1..d_N plus a forever-tail bound,
     or None unless the displacement tail rule (module docstring) applies."""
-    fam = sys.fam
     if not isinstance(fam.limit, Rotation) or fam.limit.amount != 0.0 or not fam.steps_isometric:
         return None
     # steps N+1, N+2, ... are all the identity limit
     still = fam.eventually_constant_from is not None and fam.eventually_constant_from <= horizon + 1
     if not still and fam.series_tail_bound is None:
         return None
-    steps = sys.steps(horizon)[1 : horizon + 1]
+    steps = fam.steps(horizon)[1 : horizon + 1]
     if not all(isinstance(m, Rotation) for m in steps):
         return None
     tail = 0.0 if still else float(fam.series_tail_bound(horizon))
@@ -306,13 +306,13 @@ def _rotation_displacements(sys: SystemView, horizon: int) -> tuple[np.ndarray, 
 
 
 def _confinement_gaps(
-    sys: SystemView, horizon: int, source: float, target: float
+    fam: MapFamily, horizon: int, source: float, target: float
 ) -> tuple[float, float, float] | None:
     """Displacement confinement of a rotation system: how close the orbit
     of angle source comes to angle target. Returns the least gap up to the
     horizon, a lower bound on every later gap, and the displacement tail
     bound; None unless _rotation_displacements confines the displacement."""
-    conf = _rotation_displacements(sys, horizon)
+    conf = _rotation_displacements(fam, horizon)
     if conf is None:
         return None
     disp, tail = conf
@@ -321,17 +321,17 @@ def _confinement_gaps(
     return float(gaps.min()), max(0.0, float(gaps[-1]) - tail), tail
 
 
-def _cached(sys: SystemView, key: tuple, build):
-    """build(), run once per view and key; what it builds is a pure function
-    of the view and the key's config, so caching is transparent."""
-    if key not in sys._cache:
-        sys._cache[key] = build()
-    return sys._cache[key]
+def _cached(fam: MapFamily, key: tuple, build):
+    """build(), run once per family and key; what it builds is a pure function
+    of the family and the key's config, so caching is transparent."""
+    if key not in fam._cache:
+        fam._cache[key] = build()
+    return fam._cache[key]
 
 
 @dataclass
 class _BallEvidence:
-    """How the grid balls move, for one view and config, kept as the numbers
+    """How the grid balls move, for one family and config, kept as the numbers
     the checks read. Ball k = u * R + i is grid center u with rung i of
     _rungs, so ball u * R is the eps-ball around u, and hit n of the pair
     (u, v) is image n of eps-ball u within eps of center v. Sampled balls
@@ -361,13 +361,13 @@ class _BallEvidence:
         return self.collapses[u * (len(self.balls) // len(self.centers))]
 
 
-def _ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
-    return _cached(sys, ("ball_evidence", cfg), lambda: _compute_ball_evidence(sys, cfg))
+def _ball_evidence(fam: MapFamily, cfg: CheckConfig) -> _BallEvidence:
+    return _cached(fam, ("ball_evidence", cfg), lambda: _compute_ball_evidence(fam, cfg))
 
 
-def eps_ball_diameters(sys: SystemView, cfg: CheckConfig) -> np.ndarray:
+def eps_ball_diameters(fam: MapFamily, cfg: CheckConfig) -> np.ndarray:
     """Diameter series n = 0..horizon of the eps-ball around checker_grid's first point."""
-    return _ball_evidence(sys, cfg).diameters
+    return _ball_evidence(fam, cfg).diameters
 
 
 #: the most hit cells, center pairs times rows, that _summarised takes in one block
@@ -399,16 +399,16 @@ def _summarised(cfg: CheckConfig, centers: np.ndarray, balls, block, **sampled) 
     return _BallEvidence(centers, balls, collapses, series0, *summaries, **sampled)
 
 
-def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
+def _compute_ball_evidence(fam: MapFamily, cfg: CheckConfig) -> _BallEvidence:
     """One region chain or one orbit sweep over every ball; only the
     summaries derived from it are kept, never the chains or the sweep."""
-    kind, N = sys.space.kind, cfg.horizon
-    centers = checker_grid(sys.space, cfg)
-    rungs = _rungs(sys.space, cfg, 0.25, 3)
+    kind, N = fam.space.kind, cfg.horizon
+    centers = checker_grid(fam.space, cfg)
+    rungs = _rungs(fam.space, cfg, 0.25, 3)
     G, R = len(centers), len(rungs)
     balls = [(c, r) for c in centers for r in rungs]
 
-    steps = sys.steps(N)[1 : N + 1]
+    steps = fam.steps(N)[1 : N + 1]
     if exact_chains(kind, steps):
         chains = ball_chains(kind, np.repeat(centers, R), np.tile(rungs, G), steps)
 
@@ -424,14 +424,14 @@ def _compute_ball_evidence(sys: SystemView, cfg: CheckConfig) -> _BallEvidence:
 
         return _summarised(cfg, centers, balls, block)
 
-    per_rung = [ball_coords(sys.space, centers, r, cfg.ball_count) for r in rungs]
-    orbits, cols = _sweep_groups(sys, [cloud for u in zip(*per_rung) for cloud in u], N)
+    per_rung = [ball_coords(fam.space, centers, r, cfg.ball_count) for r in rungs]
+    orbits, cols = _sweep_groups(fam, [cloud for u in zip(*per_rung) for cloud in u], N)
     pools = cols[::R]  # the first rung is eps: the pair pools, each starting at its center
     starts = np.array([c[0] for c in pools])
     # the pair codes' transients come before the hit table, not on top of it
-    pairs = _compute_pair_table(sys, cfg, (orbits, pools))
+    pairs = _compute_pair_table(fam, cfg, (orbits, pools))
     hits, dense, final, visits = _sampled_ball_table(
-        sys.space, cfg.grid_resolution, cfg.eps, centers, orbits, pools
+        fam.space, cfg.grid_resolution, cfg.eps, centers, orbits, pools
     )
     best, at = _separations(kind, orbits, _padded(cols, 2))
     diams = _cloud_diam_series(kind, orbits, cols)
@@ -494,7 +494,7 @@ def _sampled_ball_table(
 # ---------------------------------------------------------------------------
 # pointwise checkers
 
-def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_equicontinuity(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Search a ladder of pair separations delta' for one that keeps all
     sampled pairs within eps for every time up to the horizon.
 
@@ -503,12 +503,12 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     rung other than the last stops at the first block with a separation
     above eps, since only its failure is read; a rung that holds, and the
     last rung, cover the whole horizon."""
-    cfg.validate(sys.space)
-    space = sys.space
+    cfg.validate(fam.space)
+    space = fam.space
     N = cfg.horizon
     rungs = _rungs(space, cfg, 0.5, 5)
     centers = checker_grid(space, cfg)
-    shared = {} if _exact(sys, N) else _ball_evidence(sys, cfg).separations
+    shared = {} if _exact(fam, N) else _ball_evidence(fam, cfg).separations
 
     worst_for_smallest: tuple[np.ndarray, np.ndarray, int, float] | None = None
     for rung in rungs:
@@ -519,9 +519,9 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         if rung in shared:
             best, at = shared[rung]
         else:
-            starts, cols = _sweep_groups(sys, samples, 0)
+            starts, cols = _sweep_groups(fam, samples, 0)
             idx, best, at = _padded(cols, 2), None, None
-            for t0, orbits in _row_blocks(sys, starts[0], N):
+            for t0, orbits in _row_blocks(fam, starts[0], N):
                 best, at = _separations(space.kind, orbits, idx, t0, best, at)
                 if rung != rungs[-1] and best.max() > cfg.eps:
                     break
@@ -553,18 +553,18 @@ def check_equicontinuity(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
 
 def _refute_balls(
-    sys: SystemView, cfg: CheckConfig, ev: _BallEvidence, failing: np.ndarray, what: str
+    fam: MapFamily, cfg: CheckConfig, ev: _BallEvidence, failing: np.ndarray, what: str
 ) -> Verdict | None:
     """Symbolic refutation from the first of the failing balls whose diameter
     provably never clears delta."""
-    kind = sys.space.kind
+    kind = fam.space.kind
     for k in failing:
         (center, radius), collapse = ev.balls[k], ev.collapses[k]
         if float(ev.max_diam_after_0[k]) > cfg.delta - cfg.tol:
             continue
         if collapse is not None:
             step, p = collapse
-            if _constant_after_collapse(sys, p, cfg.horizon):
+            if _constant_after_collapse(fam, p, cfg.horizon):
                 return V.refuted(
                     {
                         "ball_center": coord_to_json(center, kind),
@@ -574,7 +574,7 @@ def _refute_balls(
                     },
                     f"{what}: the ball collapses to a point at step {step} and stays collapsed",
                 )
-        if sys.fam.steps_isometric:
+        if fam.steps_isometric:
             return V.refuted(
                 {
                     "ball_center": coord_to_json(center, kind),
@@ -587,25 +587,25 @@ def _refute_balls(
     return None
 
 
-def _constant_after_collapse(sys: SystemView, p: float, horizon: int) -> bool:
+def _constant_after_collapse(fam: MapFamily, p: float, horizon: int) -> bool:
     """True when the point p a region chain collapsed to provably stays put.
 
     The chain already witnesses collapse up to the horizon; forever needs
     every step after the horizon to be the limit map, and p to be a fixed
     point of the limit.
     """
-    cutoff = sys.fam.eventually_constant_from
+    cutoff = fam.eventually_constant_from
     if cutoff is None or horizon < cutoff - 1:
         return False
-    kind = sys.space.kind
-    return canonical_coord(apply_batch(sys.fam.limit, np.array([p]), kind)[0], kind) == p
+    kind = fam.space.kind
+    return canonical_coord(apply_batch(fam.limit, np.array([p]), kind)[0], kind) == p
 
 
-def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_sensitivity(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Every grid point, every ladder radius: some time with ball diameter > delta."""
-    cfg.validate(sys.space)
-    kind = sys.space.kind
-    ev = _ball_evidence(sys, cfg)
+    cfg.validate(fam.space)
+    kind = fam.space.kind
+    ev = _ball_evidence(fam, cfg)
     failing = np.flatnonzero(ev.separated_at == 0)
     if not failing.size:
         times = [
@@ -617,7 +617,7 @@ def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             {"separation_times": times, "max_separation_time": worst, "delta": cfg.delta},
             f"every sampled neighborhood reaches diameter {cfg.delta:g} by n={worst}",
         )
-    refutation = _refute_balls(sys, cfg, ev, failing, "sensitivity")
+    refutation = _refute_balls(fam, cfg, ev, failing, "sensitivity")
     if refutation is not None:
         return refutation
     c, r = ev.balls[failing[0]]
@@ -632,12 +632,12 @@ def check_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_cofinite_sensitivity(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Sensitivity with persistence: diameters stay above delta from some
     K <= horizon/2 onward, for every sampled ball."""
-    cfg.validate(sys.space)
-    N, kind = cfg.horizon, sys.space.kind
-    ev = _ball_evidence(sys, cfg)
+    cfg.validate(fam.space)
+    N, kind = cfg.horizon, fam.space.kind
+    ev = _ball_evidence(fam, cfg)
     K = ev.spread_from
     failing = np.flatnonzero(K > N // 2)
     if not failing.size:
@@ -650,7 +650,7 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
             {"persistence_starts": entries, "max_K": worst, "delta": cfg.delta},
             f"every sampled ball stays spread past delta from K <= {worst}",
         )
-    refutation = _refute_balls(sys, cfg, ev, failing, "cofinite sensitivity")
+    refutation = _refute_balls(fam, cfg, ev, failing, "cofinite sensitivity")
     if refutation is not None:
         return refutation
     c, r = ev.balls[failing[0]]
@@ -664,16 +664,16 @@ def check_cofinite_sensitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
 # open-set checkers (transitivity family)
 
 def _prove_pair_miss(
-    sys: SystemView, cfg: CheckConfig, ev: _BallEvidence, u: int, v: int
+    fam: MapFamily, cfg: CheckConfig, ev: _BallEvidence, u: int, v: int
 ) -> dict | None:
     """Proof that the eps-ball around center u can never meet the eps-ball
     around center v."""
-    kind, uc, vc = sys.space.kind, ev.centers[u], ev.centers[v]
+    kind, uc, vc = fam.space.kind, ev.centers[u], ev.centers[v]
     # collapse rule: the ball degenerates to an eventually fixed point
     collapse = ev.collapse(u)
     if collapse is not None:
         step, p = collapse
-        if _constant_after_collapse(sys, p, cfg.horizon):
+        if _constant_after_collapse(fam, p, cfg.horizon):
             gap = float(coord_distances(kind, np.array([p]), vc)[0])
             if gap >= cfg.eps:
                 return {
@@ -683,7 +683,7 @@ def _prove_pair_miss(
                     "gap": gap,
                 }
     # displacement confinement for rotation families with a summable tail
-    conf = _confinement_gaps(sys, cfg.horizon, uc, vc)
+    conf = _confinement_gaps(fam, cfg.horizon, uc, vc)
     if conf is not None:
         min_gap, future, tail = conf
         need = cfg.eps + cfg.eps + cfg.tol
@@ -692,11 +692,11 @@ def _prove_pair_miss(
     return None
 
 
-def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_transitivity(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Every ordered pair of grid balls interacts at some time <= horizon."""
-    cfg.validate(sys.space)
-    kind = sys.space.kind
-    ev = _ball_evidence(sys, cfg)
+    cfg.validate(fam.space)
+    kind = fam.space.kind
+    ev = _ball_evidence(fam, cfg)
     G = len(ev.centers)
     first_hit = ev.first_hit
     if (first_hit > 0).all():
@@ -710,7 +710,7 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
         )
     missed = [(u, v) for u in range(G) for v in range(G) if first_hit[u, v] < 0]
     for u, v in missed:
-        proof = _prove_pair_miss(sys, cfg, ev, u, v)
+        proof = _prove_pair_miss(fam, cfg, ev, u, v)
         if proof is not None:
             return V.refuted(
                 {
@@ -733,10 +733,10 @@ def check_transitivity(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_weak_mixing(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Pairs of ball pairs must interact simultaneously at a single time."""
-    cfg.validate(sys.space)
-    ev = _ball_evidence(sys, cfg)
+    cfg.validate(fam.space)
+    ev = _ball_evidence(fam, cfg)
     G = len(ev.centers)
     first, missed = _shared_time_misses(ev.hit_rows.reshape(G * G, -1))
     if first is None:
@@ -748,15 +748,15 @@ def check_weak_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     u1, v1 = divmod(p1, G)
     u2, v2 = divmod(p2, G)
     quad = {
-        name: coord_to_json(ev.centers[u], sys.space.kind)
+        name: coord_to_json(ev.centers[u], fam.space.kind)
         for name, u in (("U1", u1), ("V1", v1), ("U2", u2), ("V2", v2))
     }
     for u, v in ((u1, v1), (u2, v2)):
-        proof = _prove_pair_miss(sys, cfg, ev, u, v)
+        proof = _prove_pair_miss(fam, cfg, ev, u, v)
         if proof is not None:
             return V.refuted({**quad, **proof}, "one leg of the quadruple provably never hits")
-    if sys.fam.steps_isometric:
-        extreme = _isometric_spacing_witness(sys, cfg, ev)
+    if fam.steps_isometric:
+        extreme = _isometric_spacing_witness(fam, cfg, ev)
         if extreme is not None:
             return V.refuted(
                 extreme,
@@ -791,11 +791,11 @@ def _shared_time_misses(packed: np.ndarray) -> tuple[tuple[int, int] | None, int
     return (p1, p2), int(mult @ miss.astype(np.int64) @ mult)
 
 
-def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, ev: _BallEvidence) -> dict | None:
+def _isometric_spacing_witness(fam: MapFamily, cfg: CheckConfig, ev: _BallEvidence) -> dict | None:
     """A quadruple whose source/target spacings differ too much for any
     isometry to reconcile: take sources at maximal spacing and targets at
     minimal spacing."""
-    centers, kind = ev.centers, sys.space.kind
+    centers, kind = ev.centers, fam.space.kind
     G = len(centers)
     slack = 2.0 * (cfg.eps + cfg.eps) + cfg.tol
     dmat = coord_distances(kind, centers[:, None], centers)
@@ -814,11 +814,11 @@ def _isometric_spacing_witness(sys: SystemView, cfg: CheckConfig, ev: _BallEvide
     }
 
 
-def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_topological_mixing(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Two tests, both reported: hit persistence and cloud convergence."""
-    cfg.validate(sys.space)
-    N, kind = cfg.horizon, sys.space.kind
-    ev = _ball_evidence(sys, cfg)
+    cfg.validate(fam.space)
+    N, kind = cfg.horizon, fam.space.kind
+    ev = _ball_evidence(fam, cfg)
     G = len(ev.centers)
 
     # (a) hit persistence: for each pair, hits at every n from its hits_from on
@@ -850,7 +850,7 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
         )
     # symbolic refutations
     if miss_pair is not None:
-        proof = _prove_pair_miss(sys, cfg, ev, *miss_pair)
+        proof = _prove_pair_miss(fam, cfg, ev, *miss_pair)
         if proof is not None:
             u, v = miss_pair
             return V.refuted(
@@ -862,7 +862,7 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
                 },
                 "a ball pair provably stops interacting",
             )
-    if sys.fam.steps_isometric:
+    if fam.steps_isometric:
         idx = conv_fail if conv_fail is not None else 0
         return V.refuted(
             {**tests, "rule": "isometric-steps", "ball_center": coord_to_json(ev.centers[idx], kind)},
@@ -873,14 +873,14 @@ def check_topological_mixing(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_minimality(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Dense-orbit surrogate: every grid start visits every grid cell within eps.
 
     The orbits are swept in row blocks, one start at a time, and the verdict
     holds as soon as every start has visited every target; otherwise the
     sweep reaches the horizon and the refutation rules read the whole orbits."""
-    cfg.validate(sys.space)
-    space = sys.space
+    cfg.validate(fam.space)
+    space = fam.space
     N = cfg.horizon
     kind = space.kind
     starts = checker_grid(space, cfg)
@@ -888,11 +888,11 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
 
     # first[i, t]: the first time start i visits target t, or -1; sampled
     # balls read it and the orbits from the ball sweep and sweep no row
-    visits = None if _exact(sys, N) else _ball_evidence(sys, cfg).visits
+    visits = None if _exact(fam, N) else _ball_evidence(fam, cfg).visits
     first, orbits = visits or (
         np.full((len(starts), len(targets)), -1), np.empty((N + 1, len(starts)), dtype=starts.dtype)
     )
-    for t0, block in _row_blocks(sys, starts, 0 if visits else N):
+    for t0, block in _row_blocks(fam, starts, 0 if visits else N):
         orbits[t0 : t0 + len(block)] = block
         for i in np.flatnonzero((first < 0).any(axis=1)):
             ok = coord_distances(kind, block[:, i, None], targets) <= cfg.eps
@@ -910,14 +910,14 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
     uncovered = [(i, int(np.argmax(miss))) for i, miss in enumerate(first < 0) if miss.any()]
 
     # symbolic refutations
-    cutoff = sys.fam.eventually_constant_from
+    cutoff = fam.eventually_constant_from
     for i, t in uncovered:
         x, orb = starts[i], orbits[:, i]
         # eventually-fixed orbit: once the step maps are the constant limit,
         # an orbit that lands on a fixed point of the limit stays there forever
         if cutoff is not None:
             lo = max(0, cutoff - 1)
-            fixed = np.flatnonzero(apply_batch(sys.fam.limit, orb[lo:], kind) == orb[lo:])
+            fixed = np.flatnonzero(apply_batch(fam.limit, orb[lo:], kind) == orb[lo:])
             if fixed.size:
                 m = lo + int(fixed[0])
                 gap = float(coord_distances(kind, orb[: m + 1], targets[t : t + 1]).min())
@@ -933,7 +933,7 @@ def check_minimality(sys: SystemView, cfg: CheckConfig) -> Verdict:
                         },
                         "an orbit freezes at a fixed point and misses a cell forever",
                     )
-        conf = _confinement_gaps(sys, N, x, targets[t])
+        conf = _confinement_gaps(fam, N, x, targets[t])
         if conf is not None:
             min_gap, future, tail = conf
             if min_gap > cfg.eps + cfg.tol and future > cfg.eps + cfg.tol:
@@ -996,11 +996,11 @@ def _periodic_verdict(
 
 
 def _refute_periodicity(
-    sys: SystemView, cfg: CheckConfig, P: int, R: int, **witness
+    fam: MapFamily, cfg: CheckConfig, P: int, R: int, **witness
 ) -> Verdict | None:
     """No point is periodic with period <= P: a rotation system whose window
     displacements stay away from zero. The witness gains any extra keys."""
-    conf = _rotation_displacements(sys, P * R)
+    conf = _rotation_displacements(fam, P * R)
     if conf is None:
         return None
     disp, tail = conf
@@ -1013,16 +1013,16 @@ def _refute_periodicity(
     )
 
 
-def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_periodic_points(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Existence of periodic points, sampled over the grid in one sweep."""
-    cfg.validate(sys.space)
+    cfg.validate(fam.space)
     P, R = cfg.max_period, cfg.repetitions
-    refutation = _refute_periodicity(sys, cfg, P, R)
+    refutation = _refute_periodicity(fam, cfg, P, R)
     if refutation is not None:
         return refutation
-    kind = sys.space.kind
-    grid = checker_grid(sys.space, cfg)
-    orbits = orbit_matrix(sys, grid, P * R)
+    kind = fam.space.kind
+    grid = checker_grid(fam.space, cfg)
+    orbits = orbit_matrix(fam, grid, P * R)
     periods = _periods(kind, orbits, P, R, cfg.tol)
     if periods.any():
         j = int(np.flatnonzero(periods)[0])
@@ -1040,15 +1040,15 @@ def check_periodic_points(sys: SystemView, cfg: CheckConfig) -> Verdict:
     )
 
 
-def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> np.ndarray | None:
+def _periodic_candidates(fam: MapFamily, cfg: CheckConfig, P: int) -> np.ndarray | None:
     """Solve omega_n(x) = x symbolically for n <= P, as coordinates; None
     when unsupported. Window n is map n composed after window n-1, built once."""
-    space = sys.space
+    space = fam.space
     if space.kind is SpaceKind.BINARY_SEQ:
         return None
     candidates: list[np.ndarray] = []
     window: MapDescriptor | None = None
-    for step in sys.steps(P)[1 : P + 1]:
+    for step in fam.steps(P)[1 : P + 1]:
         window = step if window is None else compose(step, window)
         if space.kind is SpaceKind.CIRCLE:
             canon = circle_canonical(window)
@@ -1067,25 +1067,25 @@ def _periodic_candidates(sys: SystemView, cfg: CheckConfig, P: int) -> np.ndarra
     return coords[np.sort(first)]
 
 
-def check_dense_periodicity(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_dense_periodicity(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Every eps-ball on the grid contains a verified periodic point."""
-    cfg.validate(sys.space)
+    cfg.validate(fam.space)
     P, R = cfg.max_period, cfg.repetitions
 
-    refutation = _refute_periodicity(sys, cfg, P, R, max_period=P)
+    refutation = _refute_periodicity(fam, cfg, P, R, max_period=P)
     if refutation is not None:
         return refutation
 
-    kind = sys.space.kind
-    candidates = _periodic_candidates(sys, cfg, P)
-    centers = checker_grid(sys.space, cfg)
-    pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
+    kind = fam.space.kind
+    candidates = _periodic_candidates(fam, cfg, P)
+    centers = checker_grid(fam.space, cfg)
+    pools = ball_coords(fam.space, centers, cfg.eps, cfg.ball_count)
     if candidates is not None:
         near = coord_distances(kind, centers[:, None], candidates) < cfg.eps
         pools = [np.concatenate([candidates[n], pool]) for n, pool in zip(near, pools)]
     # one sweep of the distinct points of every pool; _estimated_bytes counts
     # its sampled points
-    orbits, cols = _sweep_groups(sys, pools, P * R)
+    orbits, cols = _sweep_groups(fam, pools, P * R)
     periods = _periods(kind, orbits, P, R, cfg.tol)
     witnesses: list[dict] = []
     unfilled: list[int] = []
@@ -1176,7 +1176,7 @@ def _pair_codes(
 
 
 def _pair_outcomes(
-    sys: SystemView, predicate: PairPredicate, codes: np.ndarray
+    fam: MapFamily, predicate: PairPredicate, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rule of each pair predicate: the (holds, refuted) flags of every
     pair, from its code; neither flag means inconclusive. A pair with x == y
@@ -1184,8 +1184,8 @@ def _pair_outcomes(
     same, near, far = ((codes & bit) > 0 for bit in (_SAME, _NEAR, _FAR))
     if predicate is PairPredicate.PROXIMAL:
         # isometric steps keep the pair at its time-0 distance forever
-        return near, ~near & sys.fam.steps_isometric
-    if sys.fam.steps_isometric:
+        return near, ~near & fam.steps_isometric
+    if fam.steps_isometric:
         # a constant pair distance cannot both vanish and exceed delta
         return np.zeros_like(same), np.ones_like(same)
     return near & far, same
@@ -1206,15 +1206,15 @@ class _PairTable(NamedTuple):
     codes: np.ndarray  # uint8, shape (sources, columns)
 
 
-def _compute_pair_table(sys: SystemView, cfg: CheckConfig, sweep=None) -> _PairTable:
+def _compute_pair_table(fam: MapFamily, cfg: CheckConfig, sweep=None) -> _PairTable:
     """The pair table of the grid. It reads sweep, an orbit matrix and the
     columns of each pool in it, when given."""
-    centers = checker_grid(sys.space, cfg)
-    pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
+    centers = checker_grid(fam.space, cfg)
+    pools = ball_coords(fam.space, centers, cfg.eps, cfg.ball_count)
     # isometric steps keep every pair distance at its time-0 value, so row 0
     # is then the whole tail window, and their own sweep stops there
     orbits, cols = sweep or _sweep_groups(
-        sys, pools, 0 if sys.fam.steps_isometric else cfg.horizon
+        fam, pools, 0 if fam.steps_isometric else cfg.horizon
     )
     # masks, not np.unique, which imports numpy.ma (half a MiB) on first use
     keep = np.zeros(orbits.shape[1], dtype=bool)
@@ -1224,27 +1224,27 @@ def _compute_pair_table(sys: SystemView, cfg: CheckConfig, sweep=None) -> _PairT
     source = np.zeros(keep.sum(), dtype=bool)
     source[pool_cols[:, :_PAIR_POOL]] = True
     rows = np.where(source, np.cumsum(source) - 1, -1)
-    tail = orbits[:1] if sys.fam.steps_isometric else orbits
-    codes = _pair_codes(sys.space.kind, cfg, tail, np.flatnonzero(keep), np.flatnonzero(source))
+    tail = orbits[:1] if fam.steps_isometric else orbits
+    codes = _pair_codes(fam.space.kind, cfg, tail, np.flatnonzero(keep), np.flatnonzero(source))
     return _PairTable(centers, pools, pool_cols, rows, codes)
 
 
-def _pair_table(sys: SystemView, cfg: CheckConfig) -> _PairTable:
-    """The pair table of the grid, built once per view and config, from the
+def _pair_table(fam: MapFamily, cfg: CheckConfig) -> _PairTable:
+    """The pair table of the grid, built once per family and config, from the
     ball-table sweep on sampled balls; the proximal pairs, proximal cell and
     Li-Yorke cell checks all read it."""
-    if not _exact(sys, cfg.horizon):
-        return _ball_evidence(sys, cfg).pairs
-    return _cached(sys, ("pair_table", cfg), lambda: _compute_pair_table(sys, cfg))
+    if not _exact(fam, cfg.horizon):
+        return _ball_evidence(fam, cfg).pairs
+    return _cached(fam, ("pair_table", cfg), lambda: _compute_pair_table(fam, cfg))
 
 
 def _cell_outcomes(
-    sys: SystemView, predicate: PairPredicate, table: _PairTable, xs: slice
+    fam: MapFamily, predicate: PairPredicate, table: _PairTable, xs: slice
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (holds, refuted) flags of the grid points xs names with sample j
     of pool k, at [i, k, j] for the i-th of them."""
     codes = table.codes[table.rows[table.pool_cols[xs, 0]][:, None, None], table.pool_cols]
-    holds, refuted = _pair_outcomes(sys, predicate, codes)
+    holds, refuted = _pair_outcomes(fam, predicate, codes)
     if predicate is PairPredicate.LI_YORKE:
         # x is no Li-Yorke partner of itself, so it is skipped
         other = (codes & _SAME) == 0
@@ -1252,16 +1252,16 @@ def _cell_outcomes(
     return holds, refuted
 
 
-def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
+def _cell_density_all(fam: MapFamily, cfg: CheckConfig, predicate: PairPredicate) -> Verdict:
     """Cell density of every grid point under the predicate, decided from the
     pair table in blocks of points; only the cell reported is formatted."""
-    cfg.validate(sys.space)
-    table = _pair_table(sys, cfg)
-    kind, centers, pools = sys.space.kind, table.centers, table.pools
+    cfg.validate(fam.space)
+    table = _pair_table(fam, cfg)
+    kind, centers, pools = fam.space.kind, table.centers, table.pools
     # per point and ball: a sample holds; a sample holds or is refuted
     found, covered = (np.empty((len(pools), len(pools)), dtype=bool) for _ in range(2))
     for xs in _blocks(len(pools), max(1, _BLOCK // table.pool_cols.size)):
-        holds, refuted = _cell_outcomes(sys, predicate, table, xs)
+        holds, refuted = _cell_outcomes(fam, predicate, table, xs)
         found[xs], covered[xs] = holds.any(axis=2), (holds | refuted).any(axis=2)
     dense = found.all(axis=1)
     if dense.all():
@@ -1272,16 +1272,16 @@ def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicat
     # a cell is refuted when every unfilled ball holds a refuted sample; the
     # first refuted cell is reported, else the first unresolved one
     refutable = covered.all(axis=1) & ~dense
-    g = int(refutable.argmax() if sys.fam.steps_isometric and refutable.any() else dense.argmin())
+    g = int(refutable.argmax() if fam.steps_isometric and refutable.any() else dense.argmin())
     x, point = centers[g : g + 1], coord_to_json(centers[g], kind)
     unfilled = np.flatnonzero(~found[g])
-    if sys.fam.steps_isometric and refutable[g]:
+    if fam.steps_isometric and refutable[g]:
         # the witness is the first refuted sample of the first unfilled ball;
         # isometric steps keep the pair at its time-0 distance, which is not
         # 0: a refuted proximal pair is not near, a refuted Li-Yorke pair
         # not the same point
         k = unfilled[0]
-        j = _cell_outcomes(sys, predicate, table, slice(g, g + 1))[1][0, k].argmax()
+        j = _cell_outcomes(fam, predicate, table, slice(g, g + 1))[1][0, k].argmax()
         y = pools[k][j : j + 1]
         sample = V.refuted(
             {
@@ -1319,20 +1319,20 @@ def _cell_density_all(sys: SystemView, cfg: CheckConfig, predicate: PairPredicat
     )
 
 
-def check_proximal_cell_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_proximal_cell_density(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Every sampled point has a dense proximal cell."""
-    return _cell_density_all(sys, cfg, PairPredicate.PROXIMAL)
+    return _cell_density_all(fam, cfg, PairPredicate.PROXIMAL)
 
 
-def check_li_yorke_cell_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_li_yorke_cell_density(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Every sampled point has a dense Li-Yorke cell."""
-    return _cell_density_all(sys, cfg, PairPredicate.LI_YORKE)
+    return _cell_density_all(fam, cfg, PairPredicate.LI_YORKE)
 
 
-def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
+def check_proximal_pairs_density(fam: MapFamily, cfg: CheckConfig) -> Verdict:
     """Dense proximal pairs: every ordered pair of grid balls holds one."""
-    cfg.validate(sys.space)
-    table = _pair_table(sys, cfg)
+    cfg.validate(fam.space)
+    table = _pair_table(fam, cfg)
     pools = table.pool_cols[:, :_PAIR_POOL]
     # a ball pair needs one proximal pair; it is refutable when every
     # sampled pair is refuted
@@ -1340,7 +1340,7 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
     for i in _blocks(len(pools), max(1, _BLOCK // (pools.size * pools.shape[1]))):
         # the code of sample a of ball i with sample b of ball j, at [i, a, j, b]
         codes = table.codes[table.rows[pools[i]][:, :, None, None], pools]
-        holds, refuted = _pair_outcomes(sys, PairPredicate.PROXIMAL, codes)
+        holds, refuted = _pair_outcomes(fam, PairPredicate.PROXIMAL, codes)
         missing[i], refutable[i] = ~holds.any(axis=(1, 3)), refuted.all(axis=(1, 3))
     if not missing.any():
         return V.holds(
@@ -1348,8 +1348,8 @@ def check_proximal_pairs_density(sys: SystemView, cfg: CheckConfig) -> Verdict:
             "every sampled pair of balls contains a proximal pair",
         )
     i, j = np.argwhere(missing)[0]
-    ball_pair = [coord_to_json(table.centers[k], sys.space.kind) for k in (i, j)]
-    if sys.fam.steps_isometric and refutable[missing].all():
+    ball_pair = [coord_to_json(table.centers[k], fam.space.kind) for k in (i, j)]
+    if fam.steps_isometric and refutable[missing].all():
         return V.refuted(
             {"ball_pair": ball_pair, "rule": "isometric-steps"},
             "isometric steps keep all sampled cross-ball pairs separated",

@@ -24,7 +24,6 @@ from pathlib import Path
 from .bounds import deviation_series
 from .checkers import CheckConfig, checker_grid, verdict_record
 from .family import MapFamily
-from .orbit import Mode
 from .report import (
     ALIASES,
     ALL_PROPERTIES,
@@ -160,12 +159,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = run_comparison(spec)
     _print_rows(report)
     row = report.rows[0]
-    for mode, verdict in (
-        (Mode.NON_AUTONOMOUS, row.verdict_nonautonomous),
-        (Mode.AUTONOMOUS_LIMIT, row.verdict_limit),
-    ):
-        print(json.dumps(verdict_record(row.property, mode, spec.check, verdict),
-                         sort_keys=True))
+    modes = {"non_autonomous": row.verdict_nonautonomous, "autonomous_limit": row.verdict_limit}
+    for mode, verdict in modes.items():
+        print(json.dumps(verdict_record(row.property, mode, spec.check, verdict), sort_keys=True))
     return _exit_code(report)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -67,7 +67,8 @@ PLATEAU_HEAD = PiecewiseLinear(((0.0, 1.0), (0.5, 1.0), (1.0, 0.0)))
 
 @dataclass(frozen=True, eq=False)
 class MapFamily:
-    """An indexed sequence n -> f_n (1-based) plus its uniform limit."""
+    """An indexed sequence n -> f_n (1-based) plus its uniform limit; the
+    limit system (X, f) is ``step_table_family(space, (), limit, label)``."""
 
     space: PhaseSpace
     generator: Callable[[int], MapDescriptor]
@@ -85,6 +86,8 @@ class MapFamily:
     eventually_constant_from: int | None = None
     #: every step map and the limit are isometries (known symbolically)
     steps_isometric: bool = False
+    #: memo of the step table and checker tables, pure functions of (family, config)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def member(self, n: int) -> MapDescriptor:
         if n < 1:
@@ -92,6 +95,14 @@ class MapFamily:
         if self.eventually_constant_from is not None and n >= self.eventually_constant_from:
             return self.limit
         return self.generator(n)
+
+    def steps(self, horizon: int) -> list[MapDescriptor]:
+        """Step table: entry n is f_n for 1 <= n <= horizon (entry 0 unused),
+        built once per family and grown to the largest horizon asked for."""
+        table = self._cache.setdefault("steps", [None])
+        for n in range(len(table), horizon + 1):
+            table.append(self.member(n))
+        return table
 
 
 def _looks_rational_angle(alpha: float, max_den: int = 64) -> bool:
@@ -230,7 +241,10 @@ def family_from_config(doc: dict) -> MapFamily:
     limit = descriptor_from_json(spec["limit"], "custom limit")
     if limit.space_kind != space.kind or any(s.space_kind != space.kind for s in steps):
         raise SpaceError("custom family maps do not all act on the configured space")
-    return step_table_family(space, steps, limit, spec.get("label", "custom"))
+    label = spec.get("label", "custom")
+    if not isinstance(label, str):
+        raise SpaceError(f"custom family label must be a string, got {label!r}")
+    return step_table_family(space, steps, limit, label)
 
 
 # ---------------------------------------------------------------------------

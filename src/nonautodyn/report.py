@@ -50,8 +50,8 @@ from .family import (
     MapFamily,
     family_from_config,
     profile_hypotheses,
+    step_table_family,
 )
-from .orbit import Mode, SystemView
 from .space import SpaceError, coord_point, json_number, json_object, point_to_json
 from .verdict import Outcome, Verdict
 
@@ -65,7 +65,7 @@ class PropertyRule:
 
     name: str
     rule_id: str
-    runner: Callable[[SystemView, CheckConfig], Verdict]
+    runner: Callable[[MapFamily, CheckConfig], Verdict]
     needs_commuting: bool = False
     needs_summable: bool = False
     needs_feeble_open: bool = False
@@ -380,17 +380,16 @@ def run_comparison(spec: ScenarioSpec) -> ComparisonReport:
         max_index=16,
         eps=cfg.eps,
     )
-    sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
-    sys_f = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+    limit = step_table_family(fam.space, (), fam.limit, fam.label)
 
     rows = []
     for name in spec.properties:
         rule = PROPERTY_BY_NAME[name]
         applicable, why = _applicable(rule, profile)
         verdicts = {}
-        for key, sys in (("F", sys_F), ("f", sys_f)):
+        for key, system in (("F", fam), ("f", limit)):
             try:
-                verdicts[key] = rule.runner(sys, cfg)
+                verdicts[key] = rule.runner(system, cfg)
             except Exception as exc:  # recorded per row, never aborts the report
                 verdicts[key] = Verdict(
                     Outcome.ERROR, {"error": f"{type(exc).__name__}: {exc}"}, "checker failed"
@@ -408,7 +407,7 @@ def run_comparison(spec: ScenarioSpec) -> ComparisonReport:
             )
         )
 
-    bound_summary, plot_series = _bound_summary(fam, spec, sys_F)
+    bound_summary, plot_series = _bound_summary(fam, spec)
     return ComparisonReport(
         label=spec.label,
         spec=spec,
@@ -419,7 +418,7 @@ def run_comparison(spec: ScenarioSpec) -> ComparisonReport:
     )
 
 
-def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tuple[dict, dict]:
+def _bound_summary(fam: MapFamily, spec: ScenarioSpec) -> tuple[dict, dict]:
     cfg = spec.check
     grid = checker_grid(fam.space, cfg)
     x0 = coord_point(grid[0], fam.space.kind)
@@ -431,7 +430,7 @@ def _bound_summary(fam: MapFamily, spec: ScenarioSpec, sys_F: SystemView) -> tup
         fam, profile_n, profile_k, grid_resolution=min(cfg.grid_resolution, 32), eps=cfg.eps
     )
     diam_horizon = min(cfg.horizon, 400)
-    series = eps_ball_diameters(sys_F, cfg)[: diam_horizon + 1]
+    series = eps_ball_diameters(fam, cfg)[: diam_horizon + 1]
     summary = {
         "deviation_x": point_to_json(x0),
         "deviation_records": [r.to_json() for r in records],

@@ -155,30 +155,34 @@ Point = Union[CircleAngle, IntervalPoint, BinaryWord]
 
 @dataclass(frozen=True)
 class PhaseSpace:
-    """A compact metric space with a diameter and a resolution floor.
-
-    ``resolution_floor`` is the finest trustworthy distance: 1/word_length
-    for binary sequence space, effectively zero for the continuum spaces.
-    """
+    """A compact metric space, whose kind and word length fix its diameter and
+    its resolution floor: the finest trustworthy distance, 1/word_length for
+    binary sequence space and effectively zero for the continuum spaces."""
 
     kind: SpaceKind
-    diameter: float
-    resolution_floor: float
     word_length: int | None = None
+
+    @property
+    def diameter(self) -> float:
+        return math.pi if self.kind is SpaceKind.CIRCLE else 1.0
+
+    @property
+    def resolution_floor(self) -> float:
+        return 1.0 / self.word_length if self.kind is SpaceKind.BINARY_SEQ else 1e-12
 
     @classmethod
     def circle(cls) -> "PhaseSpace":
-        return cls(SpaceKind.CIRCLE, math.pi, 1e-12)
+        return cls(SpaceKind.CIRCLE)
 
     @classmethod
     def unit_interval(cls) -> "PhaseSpace":
-        return cls(SpaceKind.UNIT_INTERVAL, 1.0, 1e-12)
+        return cls(SpaceKind.UNIT_INTERVAL)
 
     @classmethod
     def binary_seq(cls, word_length: int = 24) -> "PhaseSpace":
         if json_number(word_length, "word_length") < 1:
             raise SpaceError("word_length must be >= 1")
-        return cls(SpaceKind.BINARY_SEQ, 1.0, 1.0 / word_length, word_length)
+        return cls(SpaceKind.BINARY_SEQ, word_length)
 
     def require(self, *points: Point) -> None:
         for p in points:

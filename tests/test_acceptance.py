@@ -19,7 +19,6 @@ from nonautodyn.bounds import (
 )
 from nonautodyn.checkers import (
     CheckConfig,
-    SystemView,
     _periods,
     check_minimality,
     check_sensitivity,
@@ -35,9 +34,10 @@ from nonautodyn.family import (
     family_from_config,
     feeble_open_check,
     make_builtin_family,
+    step_table_family,
     summability_estimate,
 )
-from nonautodyn.orbit import Mode, omega
+from nonautodyn.orbit import omega
 from nonautodyn.report import (
     CATALOG,
     PROPERTY_RULES,
@@ -58,6 +58,11 @@ from nonautodyn.space import (
 )
 
 GOLDEN_ALPHA = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _limit(fam):
+    """The limit system (X, f): the family with no steps."""
+    return step_table_family(fam.space, (), fam.limit, fam.label)
 
 
 class _Clock:
@@ -89,8 +94,8 @@ def test_criterion_01_deviation_bound_suite():
         for fam in families:
             ledger = BoundLedger.for_family(fam, 200)
             grid = grid_coords(fam.space, 100)
-            states = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), grid, 200)
-            lim = orbit_matrix(SystemView(fam, Mode.AUTONOMOUS_LIMIT), grid, 200)
+            states = orbit_matrix(fam, grid, 200)
+            lim = orbit_matrix(_limit(fam), grid, 200)
             # row k: d(omega_k(x), f^k(x)) for every grid point x
             measured = coord_distances(fam.space.kind, states, lim)
             for k in range(1, 201):
@@ -132,8 +137,8 @@ def test_criterion_03_inverse_square_scenario():
         thetas = grid_coords(fam.space, 50)
         assert len(thetas) == 50
         P, R = cfg.max_period, cfg.repetitions
-        for mode, want in ((Mode.NON_AUTONOMOUS, 0), (Mode.AUTONOMOUS_LIMIT, 1)):
-            orbits = orbit_matrix(SystemView(fam, mode), thetas, P * R)
+        for system, want in ((fam, 0), (_limit(fam), 1)):
+            orbits = orbit_matrix(system, thetas, P * R)
             # 0 is no period up to P, a refuted periodic point
             assert (_periods(fam.space.kind, orbits, P, R, cfg.tol) == want).all()
 
@@ -143,7 +148,7 @@ def test_criterion_04_alternating_rotation_scenario():
     with _Clock(60.0, "4 alternating-rotation-scenario"):
         fam = make_builtin_family("alternating-rotation", alpha=GOLDEN_ALPHA)
         th = 0.8128
-        states = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), np.array([th]), 2000)
+        states = orbit_matrix(fam, np.array([th]), 2000)
         for n in range(1, 1001):
             want = (th + 2 * n * GOLDEN_ALPHA) % (2 * math.pi)
             got = states[2 * n, 0]
@@ -153,8 +158,8 @@ def test_criterion_04_alternating_rotation_scenario():
             horizon=5000, grid_resolution=20, ball_count=9, eps=0.05, delta=0.25,
             tol=1e-9, tail_window=2000, max_period=8, repetitions=3,
         )
-        assert check_minimality(SystemView(fam, Mode.NON_AUTONOMOUS), cfg).holds
-        assert check_minimality(SystemView(fam, Mode.AUTONOMOUS_LIMIT), cfg).holds
+        assert check_minimality(fam, cfg).holds
+        assert check_minimality(_limit(fam), cfg).holds
         flag = summability_estimate(fam, 64).flag
         assert flag.startswith("divergent")
 
@@ -167,11 +172,10 @@ def test_criterion_05_plateau_tent_scenario():
             horizon=500, grid_resolution=20, ball_count=9, eps=0.1, delta=0.25,
             tol=1e-9, tail_window=200, max_period=8, repetitions=3,
         )
-        sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
-        sys_f = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+        limit = _limit(fam)
         for checker in (check_sensitivity, check_transitivity, check_topological_mixing):
-            assert checker(sys_F, cfg).refuted
-            assert checker(sys_f, cfg).holds
+            assert checker(fam, cfg).refuted
+            assert checker(limit, cfg).holds
         v = feeble_open_check(PLATEAU_HEAD)
         assert v.refuted
         assert v.witness["flat_piece"] == [0.0, 0.5]
@@ -189,11 +193,10 @@ def test_criterion_06_mode_consistency_all_checkers():
             horizon=400, grid_resolution=12, ball_count=7, eps=0.1, delta=0.25,
             tol=1e-9, tail_window=150, max_period=6, repetitions=2,
         )
-        a = SystemView(fam, Mode.NON_AUTONOMOUS)
-        b = SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+        limit = _limit(fam)
         assert len(PROPERTY_RULES) == 12
         for rule in PROPERTY_RULES:
-            va, vb = rule.runner(a, cfg), rule.runner(b, cfg)
+            va, vb = rule.runner(fam, cfg), rule.runner(limit, cfg)
             assert va.outcome == vb.outcome, rule.name
             assert va.witness == vb.witness, rule.name
 
@@ -220,7 +223,7 @@ def test_criterion_07_semigroup_identity():
                 x = BinaryWord(tuple(rng.randint(0, 1) for _ in range(24)), 24)
             # the sweep of omega_n(x) through steps n+1..n+k
             y = point_coords([omega(fam, x, n)], fam.space.kind)
-            window = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), y, k, start=n)
+            window = orbit_matrix(fam, y, k, start=n)
             assert omega(fam, x, n + k) == coord_point(window[-1, 0], fam.space.kind)
 
 
@@ -250,8 +253,8 @@ def test_criterion_09_periodic_transfer_direction():
             tol=1e-9, tail_window=50, max_period=8, repetitions=3,
         )
         grid, P, R = checker_grid(fam.space, cfg), cfg.max_period, cfg.repetitions
-        for mode, want in ((Mode.NON_AUTONOMOUS, 2), (Mode.AUTONOMOUS_LIMIT, 1)):
-            orbits = orbit_matrix(SystemView(fam, mode), grid, P * R)
+        for system, want in ((fam, 2), (_limit(fam), 1)):
+            orbits = orbit_matrix(system, grid, P * R)
             assert (_periods(fam.space.kind, orbits, P, R, cfg.tol) == want).all()
         spec = ScenarioSpec(
             family_config={"builtin": "alternating-rotation", "params": {"alpha": 0.0}},

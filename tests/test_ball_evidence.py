@@ -1,5 +1,5 @@
-"""The per-view ball-evidence table, weak mixing over distinct hit rows, the
-per-view pair table and the memory preflight."""
+"""The per-system ball-evidence table, weak mixing over distinct hit rows, the
+per-system pair table and the memory preflight."""
 
 import dataclasses
 import random
@@ -15,7 +15,6 @@ from nonautodyn import checkers, regions
 from nonautodyn.checkers import (
     MEMORY_BUDGET,
     CheckConfig,
-    SystemView,
     _ball_evidence,
     _cloud_diam_series,
     _compute_ball_evidence,
@@ -33,7 +32,7 @@ from nonautodyn.checkers import (
     checker_grid,
     orbit_matrix,
 )
-from nonautodyn.orbit import Mode
+from nonautodyn.family import MapFamily, step_table_family
 from nonautodyn.regions import ball_chains
 from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
@@ -48,6 +47,21 @@ from nonautodyn.space import (
 )
 
 
+MODES = ("non_autonomous", "autonomous_limit")
+
+
+def _system(fam: MapFamily, mode: str) -> MapFamily:
+    """The family itself, or its limit system (X, f): the family with no steps."""
+    if mode == "autonomous_limit":
+        return step_table_family(fam.space, (), fam.limit, fam.label)
+    return fam
+
+
+def _mode(fam: MapFamily) -> str:
+    """The mode of a builtin's system: only its limit system is constant from step 1."""
+    return "autonomous_limit" if fam.eventually_constant_from == 1 else "non_autonomous"
+
+
 def _dense_reference(H: np.ndarray):
     """The first ordered row pair sharing no True column, in row-major
     order, and the number of such pairs, from the full product; float32
@@ -59,12 +73,12 @@ def _dense_reference(H: np.ndarray):
     return divmod(int(np.argmin(sim)), len(H)), int(sim.size - sim.sum())
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_weak_mixing_matches_dense_reference(name, mode):
     spec = CATALOG[name]
     cfg = spec.check
-    sys = SystemView(spec.build_family(), mode)
+    sys = _system(spec.build_family(), mode)
     verdict = check_weak_mixing(sys, cfg)
     ev = _ball_evidence(sys, cfg)
     G = len(ev.centers)
@@ -139,7 +153,7 @@ def _tabulated_doc(seed: int) -> dict:
 def _whole_tables(sys, cfg):
     """Every ball's diameter series, the eps-balls' hit table, dense flags and
     final defects, and the collapses, each whole, from the region chains or
-    the ball sweep of the view."""
+    the ball sweep of the system."""
     space, N = sys.space, cfg.horizon
     centers = checker_grid(space, cfg)
     rungs = _rungs(space, cfg, 0.25, 3)
@@ -167,8 +181,8 @@ def _last(mask, none):
     return int(np.flatnonzero(mask)[-1]) if mask.any() else none
 
 
-SUMMARY_CASES = [(name, mode) for name in sorted(CATALOG) for mode in Mode] + [
-    (f"tabulated-{seed}", mode) for seed in (0, 1) for mode in Mode
+SUMMARY_CASES = [(name, mode) for name in sorted(CATALOG) for mode in MODES] + [
+    (f"tabulated-{seed}", mode) for seed in (0, 1) for mode in MODES
 ]
 
 
@@ -181,7 +195,7 @@ def test_kept_summaries_equal_the_whole_tables(monkeypatch, name, mode, hit_bloc
     else:
         spec = CATALOG[name]
     cfg, N, delta = spec.check, spec.check.horizon, spec.check.delta
-    sys = SystemView(spec.build_family(), mode)
+    sys = _system(spec.build_family(), mode)
     if hit_block is not None:
         monkeypatch.setattr(checkers, "_HIT_BLOCK", hit_block)
     ev = _compute_ball_evidence(sys, cfg)
@@ -231,7 +245,7 @@ def test_summaries_of_ties_and_empty_series(monkeypatch, hit_block):
 
 def _held_bytes(value) -> int:
     """Bytes of the numpy arrays that value holds, through dataclasses, dicts,
-    lists and tuples; a view counts the whole array it keeps alive."""
+    lists and tuples; an array view counts the whole array it keeps alive."""
     if isinstance(value, np.ndarray):
         while isinstance(value.base, np.ndarray):
             value = value.base
@@ -243,7 +257,7 @@ def _held_bytes(value) -> int:
     return sum(map(_held_bytes, value)) if isinstance(value, (list, tuple)) else 0
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 def test_rotation_ball_evidence_keeps_under_a_mebibyte(mode):
     # 20 centers, 3 rungs, 5,000 steps: the packed hit rows take
     # G * G * ceil(N / 8) = 250 kB, ball 0's series 40 kB, and the other
@@ -252,13 +266,13 @@ def test_rotation_ball_evidence_keeps_under_a_mebibyte(mode):
     # G * G * (N+1) bytes = 2.0 MB, nor whole diameter series,
     # G * R * (N+1) floats = 2.4 MB
     spec = CATALOG["alternating-rotation"]
-    ev = _ball_evidence(SystemView(spec.build_family(), mode), spec.check)
+    ev = _ball_evidence(_system(spec.build_family(), mode), spec.check)
     assert _held_bytes(ev) <= 2**20
 
 
 def test_rotation_report_traced_peak_stays_under_11_mib():
-    # the largest arrays alive at once are one view's ball chains,
-    # 2 x 5001 x 60 floats = 4.6 MiB, beside the other view's kept evidence,
+    # the largest arrays alive at once are one system's ball chains,
+    # 2 x 5001 x 60 floats = 4.6 MiB, beside the other system's kept evidence,
     # or equicontinuity's row blocks, about 5.5 MiB. The 11 MiB allowance
     # holds either with room to spare, but not the chains together with a
     # whole hit table, whole diameter series and full-size temporaries of
@@ -336,12 +350,12 @@ def test_one_alternating_rotation_report_steps_each_view_once(monkeypatch):
     monkeypatch.setattr(checkers, "ball_chains", counted(regions.ball_chains, "chains"))
     monkeypatch.setattr(regions, "_step_arcs", counted(regions._step_arcs, "arcs"))
     run_comparison(CATALOG["alternating-rotation"])
-    # one ball table per view, which the tracked ball reads too; every step is
+    # one ball table per system, which the tracked ball reads too; every step is
     # a rotation of arcs that are not full, so a slope-1 run
     assert calls == {"chains": 2, "arcs": 0}
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion"])
 def test_cell_evidence_is_swept_once_per_view(name, mode, monkeypatch):
     spec = CATALOG[name]
@@ -351,12 +365,12 @@ def test_cell_evidence_is_swept_once_per_view(name, mode, monkeypatch):
     monkeypatch.setattr(
         checkers, "_compute_pair_table", lambda *a: calls.append(1) or build(*a)
     )
-    sys = SystemView(spec.build_family(), mode)
+    sys = _system(spec.build_family(), mode)
     rows = (check_proximal_pairs_density, check_proximal_cell_density, check_li_yorke_cell_density)
     for check in rows:
-        fresh = check(SystemView(spec.build_family(), mode), cfg)
+        fresh = check(_system(spec.build_family(), mode), cfg)
         assert check(sys, cfg).to_json() == fresh.to_json()
-    assert len(calls) == 4  # one per fresh view, one for the shared view
+    assert len(calls) == 4  # one per fresh family, one for the shared one
 
 
 def test_pair_rows_sweep_one_table_per_view(monkeypatch):
@@ -366,28 +380,28 @@ def test_pair_rows_sweep_one_table_per_view(monkeypatch):
     sweep = checkers.orbit_matrix
 
     def counted(sys, coords, *args):
-        widths.append((sys.mode, len(coords)))
+        widths.append((_mode(sys), len(coords)))
         return sweep(sys, coords, *args)
 
     builds = []
     build = checkers._compute_pair_table
     monkeypatch.setattr(
-        checkers, "_compute_pair_table", lambda *a: builds.append(a[0].mode) or build(*a)
+        checkers, "_compute_pair_table", lambda *a: builds.append(_mode(a[0])) or build(*a)
     )
     spec = CATALOG["odometer-deletion"]
-    for mode in Mode:
-        sys = SystemView(spec.build_family(), mode)
+    for mode in MODES:
+        sys = _system(spec.build_family(), mode)
         monkeypatch.setattr(checkers, "orbit_matrix", counted)
         for check in (
             check_proximal_pairs_density, check_proximal_cell_density, check_li_yorke_cell_density
         ):
             check(sys, spec.check)
         monkeypatch.setattr(checkers, "orbit_matrix", sweep)
-    assert builds == list(Mode)
-    assert [mode for mode, _ in widths] == list(Mode)
+    assert builds == list(MODES)
+    assert [mode for mode, _ in widths] == list(MODES)
     builds.clear()
     run_comparison(spec)
-    assert sorted(builds) == sorted(Mode)
+    assert sorted(builds) == sorted(MODES)
 
 
 @pytest.mark.parametrize("name", ["perturbed-doubling", "odometer-deletion"])
@@ -395,11 +409,10 @@ def test_cloud_diameters_match_pairwise_loop(name):
     spec = CATALOG[name]
     fam = spec.build_family()
     kind = fam.space.kind
-    sys = SystemView(fam, Mode.NON_AUTONOMOUS)
     center = checker_grid(fam.space, spec.check)[3:4]
     for count in (1, 2, 5, 9):
         (cloud,) = ball_coords(fam.space, center, spec.check.eps, count)
-        orbits = orbit_matrix(sys, cloud, 50)
+        orbits = orbit_matrix(fam, cloud, 50)
         want = np.zeros(51)
         for i in range(len(cloud)):
             for j in range(i + 1, len(cloud)):
@@ -462,7 +475,7 @@ def test_batched_cloud_diameters_match_one_ball_at_a_time(monkeypatch, name, blo
         c for count in (1, 2, 5, 9)
         for c in ball_coords(fam.space, centers[::3], spec.check.eps, count)
     ][::-1]
-    orbits, cols = _sweep_groups(SystemView(fam, Mode.AUTONOMOUS_LIMIT), clouds, 40)
+    orbits, cols = _sweep_groups(_system(fam, "autonomous_limit"), clouds, 40)
     monkeypatch.setattr(checkers, "_DIAM_BLOCK", block)
     batched = _cloud_diam_series(kind, orbits, cols)
     for k, idx in enumerate(cols):

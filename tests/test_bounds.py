@@ -19,8 +19,9 @@ from nonautodyn.family import (
     MapFamily,
     family_from_config,
     make_builtin_family,
+    step_table_family,
 )
-from nonautodyn.orbit import Mode, SystemView, orbit_matrix
+from nonautodyn.orbit import orbit_matrix
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
     CircleAngle,
@@ -164,13 +165,13 @@ class TestCollectiveProfile:
 def _per_window_profile(fam, n_max, k_max, grid_resolution, eps=0.05, tol=1e-9):
     """The profile from one sweep of each window and one limit sweep per window."""
     coords = grid_coords(fam.space, grid_resolution)
-    sys_F, sys_f = SystemView(fam, Mode.NON_AUTONOMOUS), SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+    limit = step_table_family(fam.space, (), fam.limit, fam.label)
     ledger = BoundLedger.for_family(fam, n_max + k_max)
     n_values, k_values = tuple(range(1, n_max + 1)), tuple(range(1, k_max + 1))
     matrix, bounds, holds = [], [], []
     for n in n_values:
-        window = orbit_matrix(sys_F, coords, k_max, n)
-        gaps = coord_distances(fam.space.kind, window, orbit_matrix(sys_f, coords, k_max))
+        window = orbit_matrix(fam, coords, k_max, n)
+        gaps = coord_distances(fam.space.kind, window, orbit_matrix(limit, coords, k_max))
         worst = gaps[1:].max(axis=1).tolist()
         bound = [ledger.window_sum(n, k) for k in k_values]
         matrix.append(tuple(worst))

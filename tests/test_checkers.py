@@ -12,7 +12,6 @@ from nonautodyn import verdict as V
 from nonautodyn.checkers import (
     CheckConfig,
     PairPredicate,
-    SystemView,
     check_cofinite_sensitivity,
     check_dense_periodicity,
     check_equicontinuity,
@@ -26,9 +25,8 @@ from nonautodyn.checkers import (
     orbit_matrix,
 )
 from nonautodyn.descriptors import Rotation, apply, compose, descriptor_to_json
-from nonautodyn.family import TENT, family_from_config, make_builtin_family
-from nonautodyn.orbit import Mode
-from nonautodyn.report import CATALOG, PROPERTY_BY_NAME, golden_path
+from nonautodyn.family import TENT, family_from_config, make_builtin_family, step_table_family
+from nonautodyn.report import CATALOG, PROPERTY_BY_NAME, golden_path, run_comparison
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -61,12 +59,9 @@ CIRCLE_SMALL = CheckConfig(
 )
 
 
-def F(fam):
-    return SystemView(fam, Mode.NON_AUTONOMOUS)
-
-
 def limit(fam):
-    return SystemView(fam, Mode.AUTONOMOUS_LIMIT)
+    """The limit system (X, f): the family with no steps."""
+    return step_table_family(fam.space, (), fam.limit, fam.label)
 
 
 def period(sys, x, cfg):
@@ -81,7 +76,7 @@ def pair_flags(sys, cfg, predicate, x, ys):
     the codes of one sweep, as the pair table measures them."""
     kind = sys.space.kind
     xy = np.concatenate([point_coords([x], kind), ys])
-    orbits, (cols,) = checkers._sweep_groups(sys, [xy], 0 if sys.fam.steps_isometric else cfg.horizon)
+    orbits, (cols,) = checkers._sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
     codes = checkers._pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), cols[:1])
     return checkers._pair_outcomes(sys, predicate, codes[0, cols[1:]])
 
@@ -144,12 +139,12 @@ class TestConfigValidation:
             cfg.validate(PhaseSpace.unit_interval())
         for checker in (check_periodic_points, check_dense_periodicity):
             with pytest.raises(SpaceError, match=key):
-                checker(F(PLAT), cfg)
+                checker(PLAT, cfg)
 
 
 class TestEquicontinuity:
     def test_alternating_rotations_hold(self):
-        v = check_equicontinuity(F(ALT), SMALL)
+        v = check_equicontinuity(ALT, SMALL)
         assert v.holds
         assert v.witness["max_separation"] <= SMALL.eps
 
@@ -164,7 +159,7 @@ class TestEquicontinuity:
 
 class TestSensitivity:
     def test_plateau_family_refuted_by_collapse(self):
-        v = check_sensitivity(F(PLAT), SMALL)
+        v = check_sensitivity(PLAT, SMALL)
         assert v.refuted
         assert v.witness.get("collapse_step") == 1
 
@@ -174,22 +169,22 @@ class TestSensitivity:
         assert v.witness["max_separation_time"] <= SMALL.horizon
 
     def test_rotation_family_refuted_by_isometry(self):
-        v = check_sensitivity(F(INV), SMALL)
+        v = check_sensitivity(INV, SMALL)
         assert v.refuted
         assert v.witness["rule"] == "isometric-steps"
 
 
 class TestCofiniteSensitivity:
     def test_doubling_family_holds(self):
-        v = check_cofinite_sensitivity(F(PD), CIRCLE_SMALL)
+        v = check_cofinite_sensitivity(PD, CIRCLE_SMALL)
         assert v.holds
         assert v.witness["max_K"] <= CIRCLE_SMALL.horizon // 2
 
     def test_plateau_family_refuted(self):
-        assert check_cofinite_sensitivity(F(PLAT), SMALL).refuted
+        assert check_cofinite_sensitivity(PLAT, SMALL).refuted
 
     def test_rotation_family_refuted(self):
-        assert check_cofinite_sensitivity(F(ALT), SMALL).refuted
+        assert check_cofinite_sensitivity(ALT, SMALL).refuted
 
 
 class TestTransitivity:
@@ -203,7 +198,7 @@ class TestTransitivity:
         assert v.witness["max_hit_time"] <= 200
 
     def test_plateau_family_refuted_by_collapse(self):
-        v = check_transitivity(F(PLAT), SMALL)
+        v = check_transitivity(PLAT, SMALL)
         assert v.refuted
         assert v.witness["rule"] == "collapse"
 
@@ -212,10 +207,10 @@ class TestTransitivity:
             horizon=2000, grid_resolution=12, ball_count=7, eps=0.2, delta=0.25,
             tail_window=500, max_period=8, repetitions=3,
         )
-        assert check_transitivity(F(ALT), cfg).holds
+        assert check_transitivity(ALT, cfg).holds
 
     def test_inverse_square_family_refuted_by_confinement(self):
-        v = check_transitivity(F(INV), SMALL)
+        v = check_transitivity(INV, SMALL)
         assert v.refuted
         assert v.witness["rule"] == "displacement-confinement"
 
@@ -243,33 +238,33 @@ class TestTransitivity:
                 horizon=horizon, grid_resolution=5, ball_count=5, eps=0.1,
                 delta=0.25, tail_window=horizon,
             )
-            v = check_transitivity(F(fam), cfg)
+            v = check_transitivity(fam, cfg)
             assert not v.refuted, v.witness
 
 
 class TestWeakMixing:
     def test_doubling_holds_both_modes(self):
-        for sys in (F(PD), limit(PD)):
+        for sys in (PD, limit(PD)):
             assert check_weak_mixing(sys, CIRCLE_SMALL).holds
 
     def test_rotation_family_refuted_by_spacing(self):
-        v = check_weak_mixing(F(ALT), CIRCLE_SMALL)
+        v = check_weak_mixing(ALT, CIRCLE_SMALL)
         assert v.refuted
         assert v.witness["rule"] == "isometric-spacing"
 
     def test_plateau_family_refuted(self):
-        assert check_weak_mixing(F(PLAT), SMALL).refuted
+        assert check_weak_mixing(PLAT, SMALL).refuted
 
 
 class TestTopologicalMixing:
     def test_doubling_family_holds(self):
-        v = check_topological_mixing(F(PD), CIRCLE_SMALL)
+        v = check_topological_mixing(PD, CIRCLE_SMALL)
         assert v.holds
         assert v.witness["hit_persistence"]["passed"]
         assert v.witness["cloud_convergence"]["passed"]
 
     def test_alternating_family_refuted(self):
-        v = check_topological_mixing(F(ALT), CIRCLE_SMALL)
+        v = check_topological_mixing(ALT, CIRCLE_SMALL)
         assert v.refuted
 
     def test_tent_limit_holds(self):
@@ -282,11 +277,11 @@ class TestMinimality:
             horizon=3000, grid_resolution=12, ball_count=7, eps=0.1, delta=0.25,
             tail_window=1000, max_period=8, repetitions=3,
         )
-        assert check_minimality(F(ALT), cfg).holds
+        assert check_minimality(ALT, cfg).holds
         assert check_minimality(limit(ALT), cfg).holds
 
     def test_inverse_square_family_confined(self):
-        v = check_minimality(F(INV), SMALL)
+        v = check_minimality(INV, SMALL)
         assert v.refuted
         assert v.witness["rule"] == "displacement-confinement"
 
@@ -299,7 +294,7 @@ class TestMinimality:
     def test_inconclusive_narrative_counts_starts(self):
         # uncovered_count counts grid starts, each missing at least one cell
         cfg = dataclasses.replace(SMALL, horizon=5, tail_window=5)
-        v = check_minimality(F(ALT), cfg)
+        v = check_minimality(ALT, cfg)
         assert v.inconclusive
         assert v.narrative == (
             f"{v.witness['uncovered_count']} of 12 grid starts left some cell "
@@ -310,7 +305,7 @@ class TestMinimality:
 class TestPeriodic:
     def test_inverse_square_family_never_returns(self):
         cfg = dataclasses.replace(SMALL, max_period=20, repetitions=3)
-        p, orbit = period(F(INV), CircleAngle(0.9), cfg)
+        p, orbit = period(INV, CircleAngle(0.9), cfg)
         assert p == 0
         # displacement first reaches 1 and never returns near the start
         assert coord_distances(INV.space.kind, orbit[1:21], orbit[0]).min() > 0.3
@@ -320,7 +315,7 @@ class TestPeriodic:
 
     def test_alternating_zero_alpha_period_two(self):
         fam = make_builtin_family("alternating-rotation", alpha=0.0)
-        assert period(F(fam), CircleAngle(0.9), SMALL)[0] == 2
+        assert period(fam, CircleAngle(0.9), SMALL)[0] == 2
         assert period(limit(fam), CircleAngle(0.9), SMALL)[0] == 1
 
 
@@ -330,7 +325,7 @@ class TestDensePeriodicity:
         assert v.holds
 
     def test_inverse_square_family_refuted(self):
-        v = check_dense_periodicity(F(INV), SMALL)
+        v = check_dense_periodicity(INV, SMALL)
         assert v.refuted
         assert v.witness["rule"] == "nonzero-displacement"
 
@@ -343,7 +338,7 @@ class TestDensePeriodicity:
         assert v.holds
 
     def test_plateau_family_refuted_off_the_fixed_points(self):
-        v = check_dense_periodicity(F(PLAT), SMALL)
+        v = check_dense_periodicity(PLAT, SMALL)
         assert v.refuted
         assert v.witness["rule"] == "no-candidate-solutions"
         # witness ball sits inside the collapsing half
@@ -358,25 +353,25 @@ class TestProximality:
 
     def test_identical_points_proximal(self):
         x = CircleAngle(0.4)
-        assert self.outcome(F(ALT), SMALL, PairPredicate.PROXIMAL, x, x) == (True, False)
+        assert self.outcome(ALT, SMALL, PairPredicate.PROXIMAL, x, x) == (True, False)
 
     def test_rotation_pair_refuted(self):
         # refuted by the isometric-steps rule, the only proximal refutation
-        sys = F(ALT)
-        assert sys.fam.steps_isometric
+        sys = ALT
+        assert sys.steps_isometric
         v = self.outcome(sys, SMALL, PairPredicate.PROXIMAL, CircleAngle(0.0), CircleAngle(1.0))
         assert v == (False, True)
 
     def test_plateau_collapse_pair(self):
         x, y = IntervalPoint(0.1), IntervalPoint(0.3)
-        assert self.outcome(F(PLAT), SMALL, PairPredicate.PROXIMAL, x, y) == (True, False)
+        assert self.outcome(PLAT, SMALL, PairPredicate.PROXIMAL, x, y) == (True, False)
 
     def test_li_yorke_identical_refuted(self):
         x = IntervalPoint(0.2)
         assert self.outcome(limit(PLAT), SMALL, PairPredicate.LI_YORKE, x, x)[1]
 
     def test_li_yorke_rotation_refuted(self):
-        v = self.outcome(F(ALT), SMALL, PairPredicate.LI_YORKE, CircleAngle(0.0), CircleAngle(1.0))
+        v = self.outcome(ALT, SMALL, PairPredicate.LI_YORKE, CircleAngle(0.0), CircleAngle(1.0))
         assert v[1]
 
     def test_li_yorke_doubling_witness(self):
@@ -394,7 +389,7 @@ class TestCellDensity:
             horizon=500, grid_resolution=10, ball_count=7, eps=0.1, delta=0.25,
             tail_window=200, max_period=8, repetitions=3,
         )
-        sys = F(PLAT)
+        sys = PLAT
         x = IntervalPoint(0.2)
         holds, _ = cell_flags(sys, cfg, PairPredicate.PROXIMAL, x)
         dense = all(h.any() for h in holds)
@@ -422,7 +417,7 @@ class TestCellDensity:
 
     def test_rotation_cells_refuted(self):
         # some ball holds no partner, and every such ball a refuted sample
-        holds, refuted = cell_flags(F(ALT), SMALL, PairPredicate.PROXIMAL, CircleAngle(0.0))
+        holds, refuted = cell_flags(ALT, SMALL, PairPredicate.PROXIMAL, CircleAngle(0.0))
         unfilled = [k for k, h in enumerate(holds) if not h.any()]
         assert unfilled and all(refuted[k].any() for k in unfilled)
 
@@ -447,26 +442,26 @@ class TestModeConsistency:
             horizon=300, grid_resolution=10, ball_count=7, eps=0.1, delta=0.25,
             tail_window=100, max_period=6, repetitions=2,
         )
-        a, b = SystemView(fam, Mode.NON_AUTONOMOUS), SystemView(fam, Mode.AUTONOMOUS_LIMIT)
         for checker in (check_sensitivity, check_transitivity, check_minimality):
-            va, vb = checker(a, cfg), checker(b, cfg)
+            va, vb = checker(fam, cfg), checker(limit(fam), cfg)
             assert va.outcome == vb.outcome
             assert va.witness == vb.witness
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_limit_view_is_the_family_with_no_steps(self, name):
-        # (X, f) is the non-autonomous system of f, f, f, ...: every checker
-        # reads the same verdict from either description
+        # (X, f) is the non-autonomous system of f, f, f, ...: each report
+        # row's limit verdict is the verdict on a custom no-step family
         spec = CATALOG[name]
         fam = spec.build_family()
         nostep = family_from_config({
             "space": fam.space.to_json(),
             "custom": {"limit": descriptor_to_json(fam.limit)},
         })
-        a, b = SystemView(fam, Mode.AUTONOMOUS_LIMIT), SystemView(nostep, Mode.NON_AUTONOMOUS)
-        for prop, rule in PROPERTY_BY_NAME.items():
-            va, vb = rule.runner(a, spec.check), rule.runner(b, spec.check)
-            assert va.to_json() == vb.to_json(), prop
+        rows = run_comparison(spec).rows
+        assert [r.property for r in rows] == list(PROPERTY_BY_NAME)
+        for row in rows:
+            got = PROPERTY_BY_NAME[row.property].runner(nostep, spec.check)
+            assert row.verdict_limit.to_json() == got.to_json(), row.property
 
     def test_custom_steps_onto_the_identity_get_the_displacement_rules(self):
         # after step 2 every orbit moves by exactly 0.5, so the tail bound is 0
@@ -475,7 +470,7 @@ class TestModeConsistency:
             "space": {"kind": "circle"},
             "custom": {"steps": steps, "limit": descriptor_to_json(Rotation(0.0))},
         })
-        sys = F(fam)
+        sys = fam
         v = check_transitivity(sys, CIRCLE_SMALL)
         assert v.refuted and v.witness["rule"] == "displacement-confinement"
         assert v.witness["tail_bound"] == 0.0
@@ -488,8 +483,9 @@ class TestModeConsistency:
 class TestReproducibilityAndMonotonicity:
     def test_verdicts_reproducible(self):
         for checker in (check_sensitivity, check_transitivity):
-            v1 = checker(F(PLAT), SMALL)
-            v2 = checker(SystemView(PLAT, Mode.NON_AUTONOMOUS), SMALL)
+            # two families, so that nothing one run memoizes serves the other
+            v1 = checker(make_builtin_family("plateau-tent"), SMALL)
+            v2 = checker(make_builtin_family("plateau-tent"), SMALL)
             assert v1 == v2
 
     def test_holds_survive_longer_horizons(self):
@@ -513,7 +509,7 @@ class TestReproducibilityAndMonotonicity:
             check_transitivity, check_weak_mixing, check_topological_mixing,
             check_minimality,
         ):
-            for sys in (F(PLAT), limit(PLAT)):
+            for sys in (PLAT, limit(PLAT)):
                 v = checker(sys, SMALL)
                 json.dumps(v.to_json())
 
@@ -523,8 +519,8 @@ def test_verdict_record_shape():
 
     from nonautodyn.checkers import verdict_record
 
-    v = check_sensitivity(F(PLAT), SMALL)
-    rec = verdict_record("sensitivity", Mode.NON_AUTONOMOUS, SMALL, v)
+    v = check_sensitivity(PLAT, SMALL)
+    rec = verdict_record("sensitivity", "non_autonomous", SMALL, v)
     assert set(rec) == {"property", "mode", "outcome", "witness", "config", "narrative"}
     assert rec["mode"] == "non_autonomous"
     json.dumps(rec)
@@ -558,7 +554,7 @@ class TestBinaryGrid:
         cfg = CheckConfig(
             horizon=50, grid_resolution=4, ball_count=5, eps=0.06, delta=0.5, tail_window=20
         )
-        v = check_equicontinuity(SystemView(fam, Mode.AUTONOMOUS_LIMIT), cfg)
+        v = check_equicontinuity(limit(fam), cfg)
         assert v.holds
         assert v.witness["max_separation"] <= cfg.eps
 
@@ -570,7 +566,7 @@ def _scalar_periodic(sys, x, cfg):
     P, R = cfg.max_period, cfg.repetitions
     orbit = [x]
     for n in range(1, P * R + 1):
-        orbit.append(apply(sys.fam.member(n), orbit[-1]))
+        orbit.append(apply(sys.member(n), orbit[-1]))
     gaps = [distance(sys.space, orbit[n], x) for n in range(1, P + 1)]
     for n in range(1, P + 1):
         revisits = [distance(sys.space, orbit[n * k], x) for k in range(1, R + 1)]
@@ -603,11 +599,13 @@ def _scalar_periodic_points(sys, cfg):
     )
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", ["non_autonomous", "autonomous_limit"])
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_batched_periodic_verdicts_match_scalar_loop(name, mode):
     spec = CATALOG[name]
-    sys, cfg = SystemView(spec.build_family(), mode), spec.check
+    sys, cfg = spec.build_family(), spec.check
+    if mode == "autonomous_limit":
+        sys = limit(sys)
     kind, P, R = sys.space.kind, cfg.max_period, cfg.repetitions
     grid = checker_grid(sys.space, cfg)
     coords = np.concatenate([grid, *ball_coords(sys.space, grid[1:2], cfg.eps, 5)])
@@ -627,7 +625,7 @@ def test_dense_periodicity_composes_each_window_once(monkeypatch):
     spec = CATALOG["inverse-square-rotation"]
     calls = []
     monkeypatch.setattr(checkers, "compose", lambda *a: calls.append(1) or compose(*a))
-    check_dense_periodicity(SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT), spec.check)
+    check_dense_periodicity(limit(spec.build_family()), spec.check)
     assert len(calls) == spec.check.max_period - 1
 
 
@@ -643,7 +641,7 @@ def test_dense_periodicity_sweeps_each_candidate_once(monkeypatch):
     monkeypatch.setattr(
         checkers, "orbit_matrix", lambda sys, c, *a: widths.append(len(c)) or sweep(sys, c, *a)
     )
-    v = check_dense_periodicity(SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT), spec.check)
+    v = check_dense_periodicity(limit(spec.build_family()), spec.check)
     assert widths == [spec.check.ball_count * spec.check.grid_resolution]
     row = next(r for r in json.loads(golden_path(spec.label).read_text())["rows"]
                if r["property"] == "dense_periodicity")

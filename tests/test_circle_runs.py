@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nonautodyn.descriptors import AffineCircle, Compose, Rotation, apply_batch, circle_canonical
 from nonautodyn.family import MapFamily
-from nonautodyn.orbit import Mode, SystemView, orbit_matrix
+from nonautodyn.orbit import orbit_matrix
 from nonautodyn.regions import region_chains
 from nonautodyn.space import TWO_PI, PhaseSpace, SpaceKind
 
@@ -143,7 +143,7 @@ def test_arc_starts_are_sweep_columns_until_full(runs, arcs):
     steps = [m for m, length in runs for _ in range(length)]
     a0, b0 = (np.array(v) for v in zip(*arcs))
     fam = MapFamily(PhaseSpace.circle(), lambda n: steps[n - 1], steps[-1], "circle maps")
-    rows = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), a0, len(steps))
+    rows = orbit_matrix(fam, a0, len(steps))
     chains = region_chains(SpaceKind.CIRCLE, a0, b0, steps)
     # the row in which each arc is first full, else the last row
     full = chains.b >= TWO_PI

@@ -149,6 +149,22 @@ def test_malformed_map_document_is_config_error(tmp_path, capsys, limit):
     assert f"malformed {limit['type']!r} descriptor" in capsys.readouterr().err
 
 
+# before, these labels ran with exit 0 and were written into the report as given
+@pytest.mark.parametrize("label", [7, ["a"], None])
+def test_custom_family_label_that_is_not_a_string_is_config_error(tmp_path, capsys, label):
+    tent = {"type": "piecewise_linear", "breakpoints": [[0, 0], [0.5, 1], [1, 0]]}
+    doc = {
+        "space": {"kind": "unit_interval"},
+        "family": {"custom": {"limit": tent, "label": label}},
+        "check": {"horizon": 20, "grid_resolution": 4, "tail_window": 10},
+        "properties": ["sensitivity"],
+    }
+    path = tmp_path / "bad-label.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"custom family label must be a string, got {label!r}" in capsys.readouterr().err
+
+
 def test_config_over_memory_budget_is_refused_before_any_work(monkeypatch, capsys):
     # 4,096 centers would ask for about 3.4 GB of hits; the hypothesis
     # profile is the first work a report does, so it must never start
@@ -335,6 +351,13 @@ def test_bound_with_an_empty_or_negative_window_exits_3(spec_file, capsys, windo
 def test_check_subcommand(spec_file, capsys):
     assert main(["check", "equicontinuity", str(spec_file)]) == EXIT_OK
     assert "equicontinuity" in capsys.readouterr().out
+
+
+def test_check_prints_one_record_per_system(spec_file, capsys):
+    assert main(["check", "sensitivity", str(spec_file)]) == EXIT_OK
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[-2:]]
+    assert [r["mode"] for r in records] == ["non_autonomous", "autonomous_limit"]
+    assert all(r["property"] == "sensitivity" for r in records)
 
 
 def test_check_unknown_property(spec_file, capsys):

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from nonautodyn import checkers
 from nonautodyn.checkers import (
     CheckConfig,
-    SystemView,
     _compute_ball_evidence,
     _sampled_ball_table,
     checker_grid,
 )
-from nonautodyn.orbit import Mode
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
     TWO_PI,
@@ -187,7 +185,7 @@ def test_odometer_ball_table_measures_only_window_candidates(monkeypatch):
         return coord_distances(kind, a, b)
 
     monkeypatch.setattr(checkers, "coord_distances", counting)
-    _compute_ball_evidence(SystemView(spec.build_family(), Mode.NON_AUTONOMOUS), cfg)
+    _compute_ball_evidence(spec.build_family(), cfg)
     # hits, dense flags and the grid starts' first visits over the windows of
     # every row, the last row densely; every sample against every grid point
     # would be 2 * (N+1) * S * G. The evidence also measures its balls'

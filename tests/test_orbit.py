@@ -17,9 +17,20 @@ from nonautodyn.descriptors import (
     apply,
     descriptor_to_json,
 )
-from nonautodyn.checkers import SystemView, orbit_matrix
-from nonautodyn.family import TENT, MapFamily, family_from_config, make_builtin_family
-from nonautodyn.orbit import Mode, omega
+from nonautodyn.bounds import (
+    collective_convergence_profile,
+    deviation_series,
+    isometry_bound_check,
+)
+from nonautodyn.checkers import orbit_matrix
+from nonautodyn.family import (
+    TENT,
+    MapFamily,
+    family_from_config,
+    make_builtin_family,
+    step_table_family,
+)
+from nonautodyn.orbit import omega
 from nonautodyn.space import (
     BinaryWord,
     CircleAngle,
@@ -47,10 +58,13 @@ def random_point(fam, rng):
     return BinaryWord(tuple(rng.randint(0, 1) for _ in range(24)), 24)
 
 
-def states(fam, x, horizon, mode=Mode.NON_AUTONOMOUS, start=0):
-    """The orbit_matrix column of x as points: entry n after steps start+1..start+n."""
+def states(fam, x, horizon, limit=False, start=0):
+    """The orbit_matrix column of x as points: entry n after steps start+1..start+n,
+    of the family or, with limit, of its limit system."""
     kind = fam.space.kind
-    rows = orbit_matrix(SystemView(fam, mode), point_coords([x], kind), horizon, start)
+    if limit:
+        fam = step_table_family(fam.space, (), fam.limit, fam.label)
+    rows = orbit_matrix(fam, point_coords([x], kind), horizon, start)
     return [coord_point(c, kind) for c in rows[:, 0]]
 
 
@@ -89,16 +103,16 @@ class TestWindow:
 
 class TestLimitIterate:
     def test_doubling_powers(self):
-        got = states(PD, CircleAngle(0.1), 3, Mode.AUTONOMOUS_LIMIT)[-1]
+        got = states(PD, CircleAngle(0.1), 3, limit=True)[-1]
         assert got.theta == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_iterations(self):
         x = IntervalPoint(0.9)
-        assert states(PLAT, x, 0, Mode.AUTONOMOUS_LIMIT) == [x]
+        assert states(PLAT, x, 0, limit=True) == [x]
 
     def test_identity_limit(self):
         x = CircleAngle(2.5)
-        assert states(INV, x, 17, Mode.AUTONOMOUS_LIMIT)[-1] == x
+        assert states(INV, x, 17, limit=True)[-1] == x
 
 
 class TestTrajectory:
@@ -127,15 +141,37 @@ class TestTrajectory:
             {"space": {"kind": "unit_interval"}, "custom": {"limit": descriptor_to_json(TENT)}}
         )
         x = IntervalPoint(0.3123)
-        limit = states(fam, x, 9, Mode.AUTONOMOUS_LIMIT)
+        limit = states(fam, x, 9, limit=True)
         for n in range(10):
             assert omega(fam, x, n) == limit[n]
 
     def test_limit_trajectory_matches_limit_iterate(self):
         x = CircleAngle(1.9)
-        column = states(PD, x, 8, Mode.AUTONOMOUS_LIMIT)
+        column = states(PD, x, 8, limit=True)
         for n in range(9):
-            assert column[n] == states(PD, x, n, Mode.AUTONOMOUS_LIMIT)[-1]
+            assert column[n] == states(PD, x, n, limit=True)[-1]
+
+
+def test_sweeps_of_one_family_share_one_step_table():
+    # every sweep reads the family's own step table, so each map f_n is built
+    # once, however many sweeps and bounds read it
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return Rotation(1.0 / n)
+
+    fam = MapFamily(
+        PhaseSpace.circle(), counted, Rotation(0.0), "counted", term_formula=lambda n: 1.0 / n
+    )
+    x = CircleAngle(0.3)
+    orbit_matrix(fam, point_coords([x], SpaceKind.CIRCLE), 10)
+    omega(fam, x, 15)
+    deviation_series(fam, x, 12, n=8)
+    collective_convergence_profile(fam, n_max=4, k_max=3, grid_resolution=8)
+    isometry_bound_check(fam, n=3, k=4, grid_resolution=8)
+    orbit_matrix(fam, point_coords([x], SpaceKind.CIRCLE), 5, start=20)
+    assert calls == list(range(1, 26))
 
 
 class TestWrapperLimits:
@@ -205,7 +241,7 @@ def _steps(draw):
 def test_kernel_rows_match_scalar_apply(case, horizon):
     space, steps, starts = case
     fam = MapFamily(space, lambda n: steps[(n - 1) % len(steps)], steps[0], "drawn")
-    rows = orbit_matrix(SystemView(fam, Mode.NON_AUTONOMOUS), point_coords(starts, space.kind), horizon)
+    rows = orbit_matrix(fam, point_coords(starts, space.kind), horizon)
     for n in range(1, horizon + 1):
         m = steps[(n - 1) % len(steps)]
         for j in range(len(starts)):

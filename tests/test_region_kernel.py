@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonautodyn.checkers import CheckConfig, SystemView, _exact, orbit_matrix
+from nonautodyn.checkers import CheckConfig, _exact, orbit_matrix
 from nonautodyn.descriptors import (
     AffineCircle,
     Compose,
@@ -19,8 +19,7 @@ from nonautodyn.descriptors import (
     as_piecewise_linear,
     circle_canonical,
 )
-from nonautodyn.family import PLATEAU_HEAD, TENT, MapFamily
-from nonautodyn.orbit import Mode
+from nonautodyn.family import PLATEAU_HEAD, TENT, MapFamily, step_table_family
 from nonautodyn.regions import ball_chains, exact_chains, region_chains
 from nonautodyn.report import ALL_PROPERTIES, ScenarioSpec, run_comparison
 from nonautodyn.space import (
@@ -257,10 +256,9 @@ def _interval_points(region, pl):
 def test_swept_points_stay_in_their_region_chains(starts, steps):
     chains = _chains(starts, steps)
     fam = MapFamily(PhaseSpace.unit_interval(), lambda n: steps[n - 1], steps[-1], "drawn")
-    sys = SystemView(fam, Mode.NON_AUTONOMOUS)
     first = as_piecewise_linear(steps[0])
     for j, region in enumerate(starts):
-        rows = orbit_matrix(sys, _interval_points(region, first), len(steps))
+        rows = orbit_matrix(fam, _interval_points(region, first), len(steps))
         assert (chains.a[:, j, None] <= rows).all() and (rows <= chains.b[:, j, None]).all()
 
 
@@ -289,7 +287,7 @@ def test_nearest_lookup_step_has_no_image():
 
 
 # A family whose step 70 has no exact image: its steps refuse exact chains,
-# and every checker falls back to sampling in the non-autonomous mode.
+# and every checker falls back to sampling in the non-autonomous system.
 NEAREST = Lookup(tuple(min(1.0, 2 * i / 16, 2 - 2 * i / 16) for i in range(17)), "nearest")
 
 
@@ -321,11 +319,11 @@ LATE_SPEC = _LateNearestSpec(
 
 
 def test_late_nearest_step_falls_back_to_sampling():
-    sys_F = SystemView(LATE_NEAREST, Mode.NON_AUTONOMOUS)
-    assert not exact_chains(SpaceKind.UNIT_INTERVAL, sys_F.steps(100)[1:101])
-    assert exact_chains(SpaceKind.UNIT_INTERVAL, sys_F.steps(69)[1:70])
-    sys_f = SystemView(LATE_NEAREST, Mode.AUTONOMOUS_LIMIT)
-    assert exact_chains(SpaceKind.UNIT_INTERVAL, sys_f.steps(100)[1:101])
+    fam = LATE_NEAREST
+    assert not exact_chains(SpaceKind.UNIT_INTERVAL, fam.steps(100)[1:101])
+    assert exact_chains(SpaceKind.UNIT_INTERVAL, fam.steps(69)[1:70])
+    limit = step_table_family(fam.space, (), fam.limit, fam.label)
+    assert exact_chains(SpaceKind.UNIT_INTERVAL, limit.steps(100)[1:101])
 
 
 def test_steps_alone_decide_exact_chains():
@@ -339,10 +337,9 @@ def test_steps_alone_decide_exact_chains():
     balls = [(IntervalPoint(0.3), 0.1), (IntervalPoint(0.9), 0.025)]
     centers = point_coords([c for c, _ in balls], fam.space.kind)
     radii = np.array([r for _, r in balls])
-    sys_F = SystemView(fam, Mode.NON_AUTONOMOUS)
-    assert _exact(sys_F, 50)
-    assert ball_chains(fam.space.kind, centers, radii, sys_F.steps(50)[1:51]).a.shape == (51, 2)
-    assert not _exact(SystemView(fam, Mode.AUTONOMOUS_LIMIT), 50)
+    assert _exact(fam, 50)
+    assert ball_chains(fam.space.kind, centers, radii, fam.steps(50)[1:51]).a.shape == (51, 2)
+    assert not _exact(step_table_family(fam.space, (), fam.limit, fam.label), 50)
 
 
 def test_late_nearest_report_is_pinned():

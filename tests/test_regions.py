@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from nonautodyn import regions
 from nonautodyn.checkers import _ball_evidence, _compute_ball_evidence, _exact, _rungs
 from nonautodyn.descriptors import AffineCircle, Rotation, apply
-from nonautodyn.family import PLATEAU_HEAD, TENT
-from nonautodyn.orbit import Mode, SystemView
+from nonautodyn.family import PLATEAU_HEAD, TENT, step_table_family
 from nonautodyn.regions import RegionChains, ball_chains, exact_chains, region_chains
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
@@ -232,11 +231,13 @@ def test_hits_match_the_distance_rule(case):
     assert np.array_equal(_hits(chains, 1, grid, eps, count), want)
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", ["non_autonomous", "autonomous_limit"])
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_builtin_hits_match_the_distance_rule(name, mode):
     spec = CATALOG[name]
-    sys = SystemView(spec.build_family(), mode)
+    sys = spec.build_family()
+    if mode == "autonomous_limit":
+        sys = step_table_family(sys.space, (), sys.limit, sys.label)
     cfg = spec.check
     ev = _ball_evidence(sys, cfg)
     G, R = len(ev.centers), len(ev.balls) // len(ev.centers)
@@ -271,6 +272,6 @@ def test_hits_evaluate_the_rule_only_at_window_ends(monkeypatch):
 
     monkeypatch.setattr(regions, "np", CountingNumpy())
     spec = CATALOG["alternating-rotation"]
-    ev = _compute_ball_evidence(SystemView(spec.build_family(), Mode.NON_AUTONOMOUS), spec.check)
+    ev = _compute_ball_evidence(spec.build_family(), spec.check)
     G, N = len(ev.centers), spec.check.horizon
     assert sum(mods) / 2 <= 4 * G * (N + 1)

@@ -1,4 +1,4 @@
-"""One sampled sweep per view: on balls with no exact region image, the
+"""One sampled sweep per system: on balls with no exact region image, the
 ball-table sweep also yields the pair table, equicontinuity's rungs that are
 ball rungs, and minimality's first visits.
 
@@ -6,7 +6,7 @@ The oracles below are the separate sweeps those tables came from before:
 equicontinuity's row-block ladder over every rung, the pair table's own
 sweep of the grid and its eps-pools, and minimality's row-block loop. Every
 verdict they give must be byte-identical to the report's. So must each
-property's verdict when it runs alone on a fresh view, and on the region
+property's verdict when it runs alone on a fresh family, and on the region
 path a property that reads no ball table builds none.
 """
 
@@ -40,12 +40,20 @@ from nonautodyn.checkers import (
     checker_grid,
 )
 from nonautodyn.descriptors import apply_batch
-from nonautodyn.orbit import Mode, SystemView
+from nonautodyn.family import step_table_family
 from nonautodyn.report import CATALOG, PROPERTY_BY_NAME, ScenarioSpec, run_comparison
 from nonautodyn.space import SpaceKind, ball_coords, coord_distances, coord_to_json, grid_coords
 
 PAIR_ROWS = (check_proximal_cell_density, check_proximal_pairs_density, check_li_yorke_cell_density)
 ORACLE_ROWS = ("equicontinuity", "minimality") + tuple(c.__name__[6:] for c in PAIR_ROWS)
+MODES = ("non_autonomous", "autonomous_limit")
+
+
+def _system(fam, mode):
+    """The family itself, or its limit system (X, f): the family with no steps."""
+    if mode == "autonomous_limit":
+        return step_table_family(fam.space, (), fam.limit, fam.label)
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +112,7 @@ def _old_pair_table(sys, cfg):
     """One sweep of the grid and its eps-pools, codes measured per source."""
     kind, centers = sys.space.kind, checker_grid(sys.space, cfg)
     pools = ball_coords(sys.space, centers, cfg.eps, cfg.ball_count)
-    orbits, cols = _sweep_groups(sys, [centers] + pools, 0 if sys.fam.steps_isometric else cfg.horizon)
+    orbits, cols = _sweep_groups(sys, [centers] + pools, 0 if sys.steps_isometric else cfg.horizon)
     pool_cols = np.array([np.resize(c, max(map(len, pools))) for c in cols[1:]])
     # each pool starts with its center: the grid's columns are the pools' first
     assert (pool_cols[:, 0] == cols[0]).all()
@@ -144,12 +152,12 @@ def _old_minimality(sys, cfg):
                 f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
             )
     uncovered = [(i, int(np.argmax(miss))) for i, miss in enumerate(first < 0) if miss.any()]
-    cutoff = sys.fam.eventually_constant_from
+    cutoff = sys.eventually_constant_from
     for i, t in uncovered:
         x, orb = starts[i], orbits[:, i]
         if cutoff is not None:
             lo = max(0, cutoff - 1)
-            fixed = np.flatnonzero(apply_batch(sys.fam.limit, orb[lo:], kind) == orb[lo:])
+            fixed = np.flatnonzero(apply_batch(sys.limit, orb[lo:], kind) == orb[lo:])
             if fixed.size:
                 m = lo + int(fixed[0])
                 gap = float(coord_distances(kind, orb[: m + 1], targets[t : t + 1]).min())
@@ -196,18 +204,18 @@ def _text(verdict) -> str:
 
 def _oracle(fam, mode, cfg) -> list[str]:
     """The verdict texts of ORACLE_ROWS from the separate sweeps."""
-    sys = SystemView(fam, mode)
+    sys = _system(fam, mode)
     table = _old_pair_table(sys, cfg)
     with mock.patch.object(checkers, "_pair_table", lambda s, c: table):
         pairs = [check(sys, cfg) for check in PAIR_ROWS]
     return [_text(v) for v in (_old_equicontinuity(sys, cfg), _old_minimality(sys, cfg), *pairs)]
 
 
-def _report_texts(spec: ScenarioSpec) -> dict[Mode, list[str]]:
+def _report_texts(spec: ScenarioSpec) -> dict[str, list[str]]:
     rows = {r.property: r for r in run_comparison(spec).rows}
     return {
-        Mode.NON_AUTONOMOUS: [_text(rows[p].verdict_nonautonomous) for p in ORACLE_ROWS],
-        Mode.AUTONOMOUS_LIMIT: [_text(rows[p].verdict_limit) for p in ORACLE_ROWS],
+        "non_autonomous": [_text(rows[p].verdict_nonautonomous) for p in ORACLE_ROWS],
+        "autonomous_limit": [_text(rows[p].verdict_limit) for p in ORACLE_ROWS],
     }
 
 
@@ -257,22 +265,24 @@ def test_each_view_sweeps_its_balls_once(monkeypatch):
     sweep = checkers.orbit_matrix
 
     def counted(sys, coords, horizon, start=0):
-        sweeps.append((sys.mode, len(coords), horizon, start))
+        sweeps.append((sys, len(coords), horizon, start))
         return sweep(sys, coords, horizon, start)
 
     monkeypatch.setattr(checkers, "orbit_matrix", counted)
     run_comparison(spec)
-    for mode in Mode:
-        full = [w for m, w, h, s in sweeps if m is mode and w > 2 and (h, s) == (N, 0)]
-        assert len(full) == 1, (mode, full)
+    systems = {id(sys): sys for sys, *_ in sweeps}.values()
+    assert len(systems) == 2
+    for system in systems:
+        full = [w for m, w, h, s in sweeps if m is system and w > 2 and (h, s) == (N, 0)]
+        assert len(full) == 1, (system.eventually_constant_from, full)
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 def test_sampled_minimality_and_pair_rows_sweep_nothing(monkeypatch, mode):
     # once the ball evidence is built, only equicontinuity's rungs eps/2 and
     # eps/8, which are no ball rungs, are swept, each from row 0
     spec = ScenarioSpec.from_json(_tabulated_doc(1))
-    sys = SystemView(spec.build_family(), mode)
+    sys = _system(spec.build_family(), mode)
     evidence = _ball_evidence(sys, spec.check)
     assert sorted(evidence.separations) == _rungs(sys.space, spec.check, 0.25, 3)[::-1]
     sweeps = []
@@ -293,7 +303,7 @@ def test_sampled_minimality_and_pair_rows_sweep_nothing(monkeypatch, mode):
 def test_isometric_pair_codes_read_row_0_alone(monkeypatch):
     # odometer additions are exact isometries of the word metric, so every
     # tail row gives the pair codes of row 0, and only row 0 is read; the
-    # non-autonomous view deletes coordinates and reads its tail window
+    # non-autonomous family deletes coordinates and reads its tail window
     spec = CATALOG["odometer-deletion"]
     rows = {}
     codes = checkers._pair_codes
@@ -303,12 +313,12 @@ def test_isometric_pair_codes_read_row_0_alone(monkeypatch):
         return codes(kind, cfg, orbits, *args)
 
     monkeypatch.setattr(checkers, "_pair_codes", counted)
-    for mode in Mode:
+    for mode in MODES:
         rows.clear()
-        sys = SystemView(spec.build_family(), mode)
-        assert sys.fam.steps_isometric is (mode is Mode.AUTONOMOUS_LIMIT)
+        sys = _system(spec.build_family(), mode)
+        assert sys.steps_isometric is (mode == "autonomous_limit")
         _ball_evidence(sys, spec.check)
-        assert list(rows) == [1 if sys.fam.steps_isometric else spec.check.horizon + 1]
+        assert list(rows) == [1 if sys.steps_isometric else spec.check.horizon + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +380,10 @@ def _lookup_families(draw):
 @given(_lookup_families())
 def test_lookup_verdicts_match_the_separate_sweeps(spec):
     fam, cfg = spec.build_family(), spec.check
-    for mode in Mode:
-        # the report's order on one view: equicontinuity builds the evidence
-        sys = SystemView(fam, mode)
+    for mode in MODES:
+        # the report's order on one system: equicontinuity builds the
+        # evidence; a second family, so that the oracle memoizes apart
+        sys = _system(spec.build_family(), mode)
         checks = (check_equicontinuity, check_minimality, *PAIR_ROWS)
         assert [_text(check(sys, cfg)) for check in checks] == _oracle(fam, mode, cfg)
 
@@ -395,11 +406,11 @@ SHORT_SPECS = [_short(spec) for spec in CATALOG.values()]
     "spec", SHORT_SPECS + [ScenarioSpec.from_json(_tabulated_doc(0))], ids=lambda s: s.label
 )
 def test_single_property_verdicts_equal_the_report_rows(spec):
-    fam = spec.build_family()
     for row in run_comparison(spec).rows:
         runner = PROPERTY_BY_NAME[row.property].runner
-        for mode, verdict in zip(Mode, (row.verdict_nonautonomous, row.verdict_limit)):
-            alone = runner(SystemView(fam, mode), spec.check)
+        for mode, verdict in zip(MODES, (row.verdict_nonautonomous, row.verdict_limit)):
+            # a family of its own, so that no other row's memo serves it
+            alone = runner(_system(spec.build_family(), mode), spec.check)
             assert _text(alone) == _text(verdict), (row.property, mode)
 
 
@@ -416,9 +427,9 @@ def test_single_region_properties_build_no_ball_chains(monkeypatch, name):
         return real(*args)
 
     monkeypatch.setattr(checkers, "ball_chains", counted)
-    for mode in Mode:
+    for mode in MODES:
         for check in (check_equicontinuity, check_minimality, *PAIR_ROWS):
-            check(SystemView(spec.build_family(), mode), spec.check)
+            check(_system(spec.build_family(), mode), spec.check)
     assert chains == []
 
 

@@ -31,6 +31,18 @@ INTERVAL = PhaseSpace.unit_interval()
 BIN8 = PhaseSpace.binary_seq(8)
 
 
+def test_diameter_and_resolution_floor_follow_the_kind():
+    assert (CIRCLE.diameter, CIRCLE.resolution_floor) == (math.pi, 1e-12)
+    assert (INTERVAL.diameter, INTERVAL.resolution_floor) == (1.0, 1e-12)
+    assert (BIN8.diameter, BIN8.resolution_floor) == (1.0, 1 / 8)
+    # neither can be given apart from the kind, so no space contradicts its kind
+    with pytest.raises(TypeError):
+        PhaseSpace(SpaceKind.CIRCLE, 7.0, 0.5)
+    for space in (CIRCLE, INTERVAL, BIN8):
+        assert PhaseSpace.from_json(space.to_json()) == space
+    assert PhaseSpace.binary_seq(8) != PhaseSpace.binary_seq(9) and CIRCLE != INTERVAL
+
+
 class TestDistance:
     def test_circle_wraparound(self):
         d = distance(CIRCLE, CircleAngle(0.1), CircleAngle(TWO_PI - 0.1))

@@ -2,6 +2,7 @@
 equicontinuity and minimality: each against a plain full-horizon copy of the
 rule, plus the step counts the shortcuts save."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,8 +31,14 @@ from nonautodyn.descriptors import (
     circle_canonical,
     pl_image_batch,
 )
-from nonautodyn.family import PLATEAU_HEAD, TENT, MapFamily, family_from_config
-from nonautodyn.orbit import Mode, SystemView, orbit_matrix
+from nonautodyn.family import (
+    PLATEAU_HEAD,
+    TENT,
+    MapFamily,
+    family_from_config,
+    step_table_family,
+)
+from nonautodyn.orbit import orbit_matrix
 from nonautodyn.regions import _pl_factors, _step_arcs, region_chains
 from nonautodyn.report import CATALOG
 from nonautodyn.space import (
@@ -78,9 +85,18 @@ def _table(pool, runs) -> list:
     return [pool[i] for i, length in runs for _ in range(length)]
 
 
-def _view(space: PhaseSpace, steps: list) -> SystemView:
-    fam = MapFamily(space, lambda n: steps[n - 1], steps[-1], "steps")
-    return SystemView(fam, Mode.NON_AUTONOMOUS)
+def _family(space: PhaseSpace, steps: list) -> MapFamily:
+    return MapFamily(space, lambda n: steps[n - 1], steps[-1], "steps")
+
+
+MODES = ("non_autonomous", "autonomous_limit")
+
+
+def _system(fam: MapFamily, mode: str) -> MapFamily:
+    """A copy of the family with a memo of its own, or its limit system (X, f)."""
+    if mode == "autonomous_limit":
+        return step_table_family(fam.space, (), fam.limit, fam.label)
+    return dataclasses.replace(fam)
 
 
 def _plain_orbit(kind, coords, steps, start):
@@ -123,7 +139,7 @@ def test_circle_orbits_match_a_plain_loop(runs, angles, start):
     steps = _table(CIRCLE_MAPS, runs)
     start = min(start, len(steps) - 1)
     coords = np.array(angles)
-    got = orbit_matrix(_view(PhaseSpace.circle(), steps), coords, len(steps) - start, start)
+    got = orbit_matrix(_family(PhaseSpace.circle(), steps), coords, len(steps) - start, start)
     assert got.tobytes() == _plain_orbit(SpaceKind.CIRCLE, coords, steps, start).tobytes()
 
 
@@ -136,7 +152,7 @@ def test_circle_orbits_match_a_plain_loop(runs, angles, start):
 def test_interval_orbits_match_a_plain_loop(runs, xs):
     steps = _table(INTERVAL_MAPS, runs)
     coords = np.array(xs)
-    got = orbit_matrix(_view(PhaseSpace.unit_interval(), steps), coords, len(steps))
+    got = orbit_matrix(_family(PhaseSpace.unit_interval(), steps), coords, len(steps))
     assert got.tobytes() == _plain_orbit(SpaceKind.UNIT_INTERVAL, coords, steps, 0).tobytes()
 
 
@@ -151,7 +167,7 @@ def test_interval_orbits_match_a_plain_loop(runs, xs):
 def test_binary_orbits_match_a_plain_loop(runs, words):
     steps = _table(BINARY_MAPS, runs)
     coords = np.array([(v, 24, eff) for v, eff in words], dtype=WORD_DTYPE)
-    got = orbit_matrix(_view(PhaseSpace.binary_seq(24), steps), coords, len(steps))
+    got = orbit_matrix(_family(PhaseSpace.binary_seq(24), steps), coords, len(steps))
     assert got.tobytes() == _plain_orbit(SpaceKind.BINARY_SEQ, coords, steps, 0).tobytes()
 
 
@@ -269,12 +285,12 @@ def _full_minimality(sys, cfg):
             {"max_cell_visit_time": worst, "starts": len(starts), "targets": len(targets)},
             f"every grid orbit is {cfg.eps:g}-dense by n={worst}",
         )
-    cutoff = sys.fam.eventually_constant_from
+    cutoff = sys.eventually_constant_from
     for i, t in uncovered:
         x, orb = starts[i], orbits[:, i]
         if cutoff is not None:
             lo = max(0, cutoff - 1)
-            fixed = np.flatnonzero(apply_batch(sys.fam.limit, orb[lo:], kind) == orb[lo:])
+            fixed = np.flatnonzero(apply_batch(sys.limit, orb[lo:], kind) == orb[lo:])
             if fixed.size:
                 m = lo + int(fixed[0])
                 gap = float(coord_distances(kind, orb[: m + 1], targets[t : t + 1]).min())
@@ -351,21 +367,22 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_early_exits_match_full_horizon_rules(name, mode):
     fam, cfg = CASES[name]
     for early, full in ((check_equicontinuity, _full_equicontinuity),
                         (check_minimality, _full_minimality)):
-        got = early(SystemView(fam, mode), cfg).to_json()
-        assert got == full(SystemView(fam, mode), cfg).to_json(), early.__name__
+        # two systems, so that nothing the early rule memoizes serves the full one
+        got = early(_system(fam, mode), cfg).to_json()
+        assert got == full(_system(fam, mode), cfg).to_json(), early.__name__
 
 
 def test_the_cycle_family_ties_in_time_partner_and_ball():
     # the last rung's largest separation is reached at several times of one
     # ball, by several partners at one time, and by several balls
     fam, cfg = CASES["nearest-cycle"]
-    sys = SystemView(fam, Mode.NON_AUTONOMOUS)
+    sys = _system(fam, "non_autonomous")
     rung = checkers._rungs(fam.space, cfg, 0.5, 5)[-1]
     pools = [g for g in ball_coords(fam.space, checker_grid(fam.space, cfg), rung, 9) if len(g) > 1]
     orbits, cols = checkers._sweep_groups(sys, pools, cfg.horizon)
@@ -394,11 +411,11 @@ def _counting(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["perturbed-doubling", "plateau-tent"])
 def test_expanding_ball_chains_stop_stepping(monkeypatch, name, mode):
     spec = CATALOG[name]
-    sys = SystemView(spec.build_family(), mode)
+    sys = _system(spec.build_family(), mode)
     stepper = "_step_arcs" if name == "perturbed-doubling" else "pl_image_batch"
     steps = _counting(monkeypatch, regions, stepper)
     centers = checker_grid(sys.space, spec.check)
@@ -411,19 +428,19 @@ def test_expanding_ball_chains_stop_stepping(monkeypatch, name, mode):
 
 def test_identity_limit_sweep_is_one_step(monkeypatch):
     spec = CATALOG["inverse-square-rotation"]
-    sys = SystemView(spec.build_family(), Mode.AUTONOMOUS_LIMIT)
+    sys = _system(spec.build_family(), "autonomous_limit")
     steps = _counting(monkeypatch, orbit, "apply_batch")
     rows = orbit_matrix(sys, checker_grid(sys.space, spec.check), spec.check.horizon)
     assert len(steps) == 1 and (rows == rows[0]).all()
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["perturbed-doubling", "plateau-tent"])
 def test_failing_equicontinuity_rungs_stop_early(monkeypatch, name, mode):
     spec = CATALOG[name]
     N = spec.check.horizon
     sweeps = _counting(monkeypatch, checkers, "orbit_matrix")
-    assert check_equicontinuity(SystemView(spec.build_family(), mode), spec.check).refuted
+    assert check_equicontinuity(_system(spec.build_family(), mode), spec.check).refuted
     # each rung first sweeps row 0 of its distinct starts, then row blocks
     rungs = []
     for _, _, horizon, *_ in sweeps:
@@ -438,7 +455,7 @@ def test_failing_equicontinuity_rungs_stop_early(monkeypatch, name, mode):
 def test_minimality_stops_once_every_cell_is_visited(monkeypatch):
     spec = CATALOG["alternating-rotation"]
     sweeps = _counting(monkeypatch, checkers, "orbit_matrix")
-    verdict = check_minimality(SystemView(spec.build_family(), Mode.NON_AUTONOMOUS), spec.check)
+    verdict = check_minimality(spec.build_family(), spec.check)
     assert verdict.holds
     rows = sum(horizon for _, _, horizon, *_ in sweeps)
     assert rows < 2 * verdict.witness["max_cell_visit_time"] + 16 < spec.check.horizon

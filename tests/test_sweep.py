@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nonautodyn.checkers import (
     PairPredicate,
-    SystemView,
     _SAME,
     _pair_codes,
     _pair_outcomes,
@@ -21,8 +20,12 @@ from nonautodyn.checkers import (
     orbit_matrix,
 )
 from nonautodyn.descriptors import Compose, Delete, OdometerAdd, apply
-from nonautodyn.family import MapFamily, family_from_config, make_builtin_family
-from nonautodyn.orbit import Mode
+from nonautodyn.family import (
+    MapFamily,
+    family_from_config,
+    make_builtin_family,
+    step_table_family,
+)
 from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     BinaryWord,
@@ -38,6 +41,14 @@ from nonautodyn.space import (
 )
 
 HORIZON = 200
+MODES = ("non_autonomous", "autonomous_limit")
+
+
+def _system(fam: MapFamily, mode: str) -> MapFamily:
+    """A copy of the family with a memo of its own, or its limit system (X, f)."""
+    if mode == "autonomous_limit":
+        return step_table_family(fam.space, (), fam.limit, fam.label)
+    return dataclasses.replace(fam)
 
 
 def _tent_table(size: int, wiggle: float, k: int) -> list[float]:
@@ -103,10 +114,10 @@ def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_batched_sweep_matches_single_columns(name, mode):
-    sys = SystemView(FAMILIES[name], mode)
+    sys = _system(FAMILIES[name], mode)
     groups = _groups(FAMILIES[name])
     orbits, cols = _sweep_groups(sys, [point_coords(g, sys.space.kind) for g in groups], HORIZON)
     starts = [point_coords(g, sys.space.kind) for g in groups]
@@ -114,12 +125,12 @@ def test_batched_sweep_matches_single_columns(name, mode):
     for coords, idx in zip(starts, cols):
         assert len(idx) == len(coords)
         for c, j in zip(coords, idx):
-            alone = orbit_matrix(SystemView(FAMILIES[name], mode), np.array([c]), HORIZON)
+            alone = orbit_matrix(_system(FAMILIES[name], mode), np.array([c]), HORIZON)
             assert _bits(orbits[:, j]) == _bits(alone[:, 0])
 
 
 def test_signed_zeros_keep_separate_columns():
-    sys = SystemView(FAMILIES["plateau-tent"], Mode.NON_AUTONOMOUS)
+    sys = _system(FAMILIES["plateau-tent"], "non_autonomous")
     zeros = point_coords([IntervalPoint(0.0), IntervalPoint(-0.0)], SpaceKind.UNIT_INTERVAL)
     orbits, (cols,) = _sweep_groups(sys, [zeros], 3)
     assert cols[0] != cols[1]
@@ -127,11 +138,11 @@ def test_signed_zeros_keep_separate_columns():
 
 
 def test_step_table_grows_to_largest_horizon():
-    sys = SystemView(FAMILIES["perturbed-doubling"], Mode.NON_AUTONOMOUS)
+    sys = _system(FAMILIES["perturbed-doubling"], "non_autonomous")
     assert len(sys.steps(5)) == 6
     table = sys.steps(12)
     assert len(table) == 13 and sys.steps(3) is table
-    assert all(table[n] == sys.fam.member(n) for n in range(1, 13))
+    assert all(table[n] == sys.member(n) for n in range(1, 13))
 
 
 def test_nearest_lookup_report_is_pinned():
@@ -148,7 +159,7 @@ def _pair_code(sys, cfg, xy):
     """The code from xy[0] to xy[1], from a sweep of the two points alone,
     and whether they took separate columns."""
     kind = sys.space.kind
-    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.fam.steps_isometric else cfg.horizon)
+    orbits, ((i, j),) = _sweep_groups(sys, [xy], 0 if sys.steps_isometric else cfg.horizon)
     return _pair_codes(kind, cfg, orbits, np.arange(orbits.shape[1]), np.array([i]))[0, j], i != j
 
 
@@ -171,7 +182,7 @@ PAIR_SPECS = {
 }
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(PAIR_SPECS))
 def test_pair_outcomes_match_plain_python_rules(name, mode):
     spec = PAIR_SPECS[name]
@@ -179,7 +190,7 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
     cfg = dataclasses.replace(
         spec.check, horizon=HORIZON, tail_window=min(spec.check.tail_window, HORIZON // 2)
     )
-    sys = SystemView(fam, mode)
+    sys = _system(fam, mode)
     kind = fam.space.kind
     grid = checker_grid(fam.space, cfg)
     x = coord_point(grid[1], kind)
@@ -203,18 +214,18 @@ def test_pair_outcomes_match_plain_python_rules(name, mode):
             gaps = [distance(fam.space, states[n][0], states[n][j + 1]) for n in tail]
             d0 = distance(fam.space, x, y)
             want = _old_pair_rule(
-                predicate, x == y, sys.fam.steps_isometric, d0, min(gaps), max(gaps), cfg
+                predicate, x == y, sys.steps_isometric, d0, min(gaps), max(gaps), cfg
             )
             assert (bool(holds[j]), bool(refuted[j])) == want, (predicate, y)
             assert bool(codes[j] & _SAME) == (d0 == 0.0)
-            if d0 == 0.0 and not sys.fam.steps_isometric:
+            if d0 == 0.0 and not sys.steps_isometric:
                 assert max(gaps) == 0.0
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 def test_pair_at_distance_zero_is_one_point(mode):
     # 0.0 and -0.0 take separate sweep columns, yet they are one point
-    sys = SystemView(FAMILIES["plateau-tent"], mode)
+    sys = _system(FAMILIES["plateau-tent"], mode)
     cfg = dataclasses.replace(CATALOG["plateau-tent"].check, horizon=50, tail_window=20)
     code, separate = _pair_code(sys, cfg, np.array([0.0, -0.0]))
     assert separate
@@ -223,7 +234,7 @@ def test_pair_at_distance_zero_is_one_point(mode):
     assert [bool(f) for f in _pair_outcomes(sys, PairPredicate.LI_YORKE, code)] == [False, True]
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(PAIR_SPECS))
 def test_pair_table_matches_two_point_checks(name, mode):
     spec = PAIR_SPECS[name]
@@ -232,7 +243,7 @@ def test_pair_table_matches_two_point_checks(name, mode):
     cfg = dataclasses.replace(
         spec.check, horizon=30, tail_window=15, grid_resolution=2 if binary else 4
     )
-    sys = SystemView(fam, mode)
+    sys = _system(fam, mode)
     table = _pair_table(sys, cfg)
     if name == "plateau-tent":
         # the balls at the interval's ends hold fewer distinct points
@@ -269,7 +280,7 @@ def _apply_orbit(sys, x, horizon):
     """Reference orbit: a plain loop over scalar apply."""
     states = [x]
     for n in range(1, horizon + 1):
-        states.append(apply(sys.fam.member(n), states[-1]))
+        states.append(apply(sys.member(n), states[-1]))
     return states
 
 
@@ -288,9 +299,9 @@ def _packed_orbit(sys, word, horizon):
     return [coord_point(c, SpaceKind.BINARY_SEQ) for c in rows[:, 0]]
 
 
-def _limit_view(space, m):
-    """The limit view of the constant family f_n = m."""
-    return SystemView(MapFamily(space, lambda n: m, m, "constant"), Mode.AUTONOMOUS_LIMIT)
+def _limit_system(space, m):
+    """The limit system of the constant family f_n = m."""
+    return step_table_family(space, (), m, "constant")
 
 
 @settings(max_examples=150, deadline=None)
@@ -299,19 +310,19 @@ def test_packed_binary_orbits_decode_to_scalar_orbits(start, horizon):
     word, index = start
     space = PhaseSpace.binary_seq(len(word.bits))
     for m in (OdometerAdd(), Delete(index), Compose(OdometerAdd(), Delete(index))):
-        sys = _limit_view(space, m)
+        sys = _limit_system(space, m)
         assert _packed_orbit(sys, word, horizon) == _scalar_orbit(sys, word, horizon)
 
 
 def test_packed_binary_edge_cases():
     space = PhaseSpace.binary_seq(4)
-    odometer = _limit_view(space, OdometerAdd())
+    odometer = _limit_system(space, OdometerAdd())
     ones = BinaryWord((1, 1, 1, 1), 3)
     assert _packed_orbit(odometer, ones, 1)[1] == BinaryWord((0, 0, 0, 0), 3)
-    beyond = _limit_view(space, Delete(3))
+    beyond = _limit_system(space, Delete(3))
     word = BinaryWord((1, 0, 1, 1), 2)
     assert _packed_orbit(beyond, word, 2) == [word] * 3
-    first = _limit_view(space, Delete(1))
+    first = _limit_system(space, Delete(1))
     short = BinaryWord((1, 0), 1)
     with pytest.raises(ResolutionError):
         _apply_orbit(first, short, 1)
@@ -319,10 +330,10 @@ def test_packed_binary_edge_cases():
         orbit_matrix(first, point_coords([short], SpaceKind.BINARY_SEQ), 1)
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", MODES)
 def test_odometer_deletion_packed_sweep_matches_scalar_orbits(mode):
     fam = make_builtin_family("odometer-deletion", word_length=24)
-    sys = SystemView(fam, mode)
+    sys = _system(fam, mode)
     words = [BinaryWord(tuple((v >> j) & 1 for j in range(24)), 24) for v in (0, 5, 2**24 - 1)]
     orbits, (cols,) = _sweep_groups(sys, [point_coords(words + words[:1], SpaceKind.BINARY_SEQ)], 60)
     assert orbits.shape == (61, 3) and cols[0] == cols[3]
