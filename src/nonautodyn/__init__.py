@@ -56,13 +56,10 @@ from .family import (
 )
 from .orbit import omega
 from .bounds import (
-    BoundLedger,
     ConvergenceProfile,
     DeviationRecord,
-    HypothesisNotMetError,
     collective_convergence_profile,
     deviation_series,
-    isometry_bound_check,
 )
 from .checkers import (
     CheckConfig,
@@ -95,8 +92,8 @@ __all__ = [
     # orbit
     "omega",
     # bounds
-    "BoundLedger", "ConvergenceProfile", "DeviationRecord", "HypothesisNotMetError",
-    "collective_convergence_profile", "deviation_series", "isometry_bound_check",
+    "ConvergenceProfile", "DeviationRecord", "collective_convergence_profile",
+    "deviation_series",
     # checkers
     "CheckConfig", "PairPredicate",
     "check_cofinite_sensitivity", "check_dense_periodicity", "check_equicontinuity",

@@ -37,6 +37,7 @@ from .space import (
     coord_distances,
     coord_point,
     grid_coords,
+    json_number,
     json_object,
     low_bits,
     point_coords,
@@ -93,7 +94,7 @@ class PiecewiseLinear:
         xs = [x for x, _ in bps]
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise SpaceError("breakpoints must span [0, 1]")
-        if any(x1 - x0 <= 0 for x0, x1 in zip(xs, xs[1:])):
+        if any(not (x1 > x0) for x0, x1 in zip(xs, xs[1:])):
             raise SpaceError("breakpoint x values must be strictly increasing")
         if any(not (0.0 <= y <= 1.0) for _, y in bps):
             raise SpaceError("breakpoint y values must lie in [0, 1]")
@@ -444,21 +445,31 @@ def descriptor_to_json(m: MapDescriptor) -> dict:
 def descriptor_from_json(doc: dict, field: str = "a map descriptor") -> MapDescriptor:
     """The descriptor a document describes; a document that is not an object
     raises SpaceError naming its field, and a field of the wrong type or shape
-    one naming the descriptor type."""
+    one naming the descriptor type. Slopes and indices are integers, every
+    other number a finite real (``space.json_number``)."""
     t = json_object(doc, field)["type"]
+
+    def number(value, name: str, real: bool = True):
+        return json_number(value, f"malformed {t!r} descriptor: {name}", real)
+
     try:
         if t == "rotation":
-            return Rotation(float(doc["amount"]))
+            return Rotation(number(doc["amount"], "amount"))
         if t == "affine_circle":
-            return AffineCircle(int(doc["slope"]), float(doc["offset"]))
+            slope = number(doc["slope"], "slope", real=False)
+            return AffineCircle(slope, number(doc["offset"], "offset"))
         if t == "piecewise_linear":
-            return PiecewiseLinear(tuple((float(x), float(y)) for x, y in doc["breakpoints"]))
+            pairs = doc["breakpoints"]
+            return PiecewiseLinear(
+                tuple((number(x, "breakpoint x"), number(y, "breakpoint y")) for x, y in pairs)
+            )
         if t == "lookup":
-            return Lookup(tuple(float(v) for v in doc["values"]), doc.get("rule", "linear"))
+            values = tuple(number(v, "value") for v in doc["values"])
+            return Lookup(values, doc.get("rule", "linear"))
         if t == "odometer_add":
             return OdometerAdd()
         if t == "delete":
-            return Delete(int(doc["index"]))
+            return Delete(number(doc["index"], "index", real=False))
         if t == "compose":
             return Compose(descriptor_from_json(doc["outer"]), descriptor_from_json(doc["inner"]))
     except SpaceError:

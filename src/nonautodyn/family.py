@@ -24,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -67,8 +68,7 @@ PLATEAU_HEAD = PiecewiseLinear(((0.0, 1.0), (0.5, 1.0), (1.0, 0.0)))
 
 @dataclass(frozen=True, eq=False)
 class MapFamily:
-    """An indexed sequence n -> f_n (1-based) plus its uniform limit; the
-    limit system (X, f) is ``step_table_family(space, (), limit, label)``."""
+    """An indexed sequence n -> f_n (1-based) plus its uniform limit."""
 
     space: PhaseSpace
     generator: Callable[[int], MapDescriptor]
@@ -86,7 +86,8 @@ class MapFamily:
     eventually_constant_from: int | None = None
     #: every step map and the limit are isometries (known symbolically)
     steps_isometric: bool = False
-    #: memo of the step table and checker tables, pure functions of (family, config)
+    #: memo of the step table, the limit system and checker tables, pure
+    #: functions of (family, config)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def member(self, n: int) -> MapDescriptor:
@@ -103,6 +104,12 @@ class MapFamily:
         for n in range(len(table), horizon + 1):
             table.append(self.member(n))
         return table
+
+    def limit_system(self) -> "MapFamily":
+        """The limit system (X, f): the family with no steps, built once."""
+        if "limit" not in self._cache:
+            self._cache["limit"] = step_table_family(self.space, (), self.limit, self.label)
+        return self._cache["limit"]
 
 
 def _looks_rational_angle(alpha: float, max_den: int = 64) -> bool:
@@ -257,6 +264,17 @@ def term(fam: MapFamily, n: int, grid_resolution: int = 256) -> SupEstimate:
     return sup_metric(fam.space, fam.member(n), fam.limit, grid_resolution)
 
 
+def term_sums(
+    fam: MapFamily, n: int, grid_resolution: int = 256
+) -> tuple[list[float], list[float], list[bool]]:
+    """The terms D(f_i, limit) for i = 1..n, the partial sums S_0 = 0.0, S_1,
+    ..., S_n, and each term's exactness. The window over terms n+1..n+k sums
+    to sums[n + k] - sums[n]."""
+    estimates = [term(fam, i, grid_resolution) for i in range(1, n + 1)]
+    terms = [float(e.value) for e in estimates]
+    return terms, [0.0, *accumulate(terms)], [e.exact for e in estimates]
+
+
 def commutes_with_limit(
     fam: MapFamily, grid_resolution: int = 128, tol: float = 1e-9, max_index: int = 16
 ) -> Verdict:
@@ -374,8 +392,7 @@ def summability_estimate(fam: MapFamily, horizon: int = 64, grid_resolution: int
     """Partial sums S_1..S_N of D(f_n, limit) with a summability heuristic."""
     if horizon < 2:
         raise SpaceError("summability horizon must be >= 2")
-    terms = [term(fam, n, grid_resolution).value for n in range(1, horizon + 1)]
-    sums = list(np.cumsum(terms))
+    terms, sums, _ = term_sums(fam, horizon, grid_resolution)
 
     fitted: float | None = None
     if fam.series_limit is not None and fam.series_divergent is False:
@@ -402,8 +419,8 @@ def summability_estimate(fam: MapFamily, horizon: int = 64, grid_resolution: int
                 rationale = f"tail fits C/n^p with p = {fitted:.3f} <= 1"
 
     return SummabilityReport(
-        partial_sums=tuple(float(s) for s in sums),
-        terms=tuple(float(t) for t in terms),
+        partial_sums=tuple(sums[1:]),
+        terms=tuple(terms),
         flag=flag,
         rationale=rationale,
         exact=exact,

@@ -24,10 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    collective_convergence_profile,
-    deviation_series,
-)
+from .bounds import collective_convergence_profile, deviation_series
 from .checkers import (
     CheckConfig,
     check_cofinite_sensitivity,
@@ -50,7 +47,6 @@ from .family import (
     MapFamily,
     family_from_config,
     profile_hypotheses,
-    step_table_family,
 )
 from .space import SpaceError, coord_point, json_number, json_object, point_to_json
 from .verdict import Outcome, Verdict
@@ -380,7 +376,7 @@ def run_comparison(spec: ScenarioSpec) -> ComparisonReport:
         max_index=16,
         eps=cfg.eps,
     )
-    limit = step_table_family(fam.space, (), fam.limit, fam.label)
+    limit = fam.limit_system()
 
     rows = []
     for name in spec.properties:

@@ -59,7 +59,9 @@ class SpaceKind(str, Enum):
 
 
 def reduce_angle(theta: float) -> float:
-    """Reduce a radian value into [0, 2pi)."""
+    """Reduce a radian value into [0, 2pi); a NaN or infinite angle is refused."""
+    if not math.isfinite(theta):
+        raise SpaceError(f"angle must be finite, got {theta!r}")
     r = math.fmod(theta, TWO_PI)
     if r < 0.0:
         r += TWO_PI
@@ -107,7 +109,7 @@ class IntervalPoint:
 
     def __post_init__(self):
         v = float(self.x)
-        if v < -1e-12 or v > 1.0 + 1e-12:
+        if not (-1e-12 <= v <= 1.0 + 1e-12):
             raise SpaceError(f"interval point out of range: {v}")
         object.__setattr__(self, "x", canonical_coord(v, SpaceKind.UNIT_INTERVAL))
 

@@ -19,17 +19,11 @@ TESTS = Path(__file__).resolve().parent
 # the tests find the golden reports through this function
 ALLOWED = {("report", "golden_path")}
 
-ALLOWED_MEMBERS = {
-    # the acceptance suite reads the ledger's partial sums through it
-    ("bounds", "BoundLedger", "prefix"),
-}
-
 #: the public names that nothing in src/ reads, each with why it stays
 KEPT_PUBLIC = {
     "apply": "a map on one point, the scalar reference for apply_batch",
     "distance": "the metric on two points, without coordinate arrays",
     "omega": "the paper's orbit operator omega_n on one point",
-    "isometry_bound_check": "the paper's deviation bound under an isometric or shrinking limit",
     "reproduce": "a builtin scenario's report in one call, as `nonautodyn reproduce` makes it",
 }
 
@@ -118,7 +112,6 @@ def test_no_method_or_property_is_used_only_by_tests():
         for module, cls, fn in members
         # a member's references to itself do not count as uses
         if uses.get(fn.name, 0) == len(_attributes(fn, fn.name))
-        and (module, cls, fn.name) not in ALLOWED_MEMBERS
     ]
     assert not unused, f"methods in src/ used by nothing there: {unused}"
 

@@ -1,4 +1,4 @@
-"""Deviation bounds, ledgers, and the collective-convergence profiler."""
+"""Deviation bounds, the term series, and the collective-convergence profiler."""
 
 import dataclasses
 import math
@@ -6,12 +6,9 @@ import math
 import pytest
 
 from nonautodyn.bounds import (
-    BoundLedger,
     ConvergenceProfile,
-    HypothesisNotMetError,
     collective_convergence_profile,
     deviation_series,
-    isometry_bound_check,
 )
 from nonautodyn.descriptors import Delete, OdometerAdd, descriptor_to_json
 from nonautodyn.family import (
@@ -20,6 +17,8 @@ from nonautodyn.family import (
     family_from_config,
     make_builtin_family,
     step_table_family,
+    summability_estimate,
+    term_sums,
 )
 from nonautodyn.orbit import orbit_matrix
 from nonautodyn.report import CATALOG
@@ -46,21 +45,21 @@ TENT_FAMILY = family_from_config(
 
 
 class TestLedger:
+    """The term series of ``term_sums``: terms, partial sums, exactness."""
+
     def test_prefix_sums_non_decreasing(self):
-        ledger = BoundLedger.for_family(INV, 32)
-        sums = ledger.prefix_sums
-        assert all(t >= 0 for t in ledger.terms)
+        terms, sums, _ = term_sums(INV, 32)
+        assert all(t >= 0 for t in terms)
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
     def test_window_sum(self):
-        ledger = BoundLedger.for_family(INV, 20)
+        _, sums, _ = term_sums(INV, 20)
         want = sum(1.0 / i**2 for i in range(11, 16))
-        assert ledger.window_sum(10, 5) == pytest.approx(want, abs=1e-15)
+        assert sums[10 + 5] - sums[10] == pytest.approx(want, abs=1e-15)
 
     def test_exact_flags(self):
-        ledger = BoundLedger.for_family(INV, 4)
-        assert all(ledger.exact_flags)
-        assert ledger.window_exact(0, 4)
+        _, _, exact = term_sums(INV, 4)
+        assert len(exact) == 4 and all(exact)
 
 
 class TestDeviation:
@@ -166,14 +165,14 @@ def _per_window_profile(fam, n_max, k_max, grid_resolution, eps=0.05, tol=1e-9):
     """The profile from one sweep of each window and one limit sweep per window."""
     coords = grid_coords(fam.space, grid_resolution)
     limit = step_table_family(fam.space, (), fam.limit, fam.label)
-    ledger = BoundLedger.for_family(fam, n_max + k_max)
+    _, sums, _ = term_sums(fam, n_max + k_max)
     n_values, k_values = tuple(range(1, n_max + 1)), tuple(range(1, k_max + 1))
     matrix, bounds, holds = [], [], []
     for n in n_values:
         window = orbit_matrix(fam, coords, k_max, n)
         gaps = coord_distances(fam.space.kind, window, orbit_matrix(limit, coords, k_max))
         worst = gaps[1:].max(axis=1).tolist()
-        bound = [ledger.window_sum(n, k) for k in k_values]
+        bound = [sums[n + k] - sums[n] for k in k_values]
         matrix.append(tuple(worst))
         bounds.append(tuple(bound))
         holds.append(tuple(e <= b + tol for e, b in zip(worst, bound)))
@@ -215,6 +214,15 @@ def test_profile_equals_a_sweep_per_window(name, shape):
         assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
 
 
+@pytest.mark.parametrize("name", sorted(PROFILE_FAMILIES))
+def test_summability_reads_the_term_series(name):
+    # one series of D(f_n, f): summability's partial sums are term_sums' own
+    fam = PROFILE_FAMILIES[name]
+    resolution = 6 if fam.space.kind is SpaceKind.BINARY_SEQ else 48
+    report = summability_estimate(fam, 64, resolution)
+    assert repr(report.partial_sums) == repr(tuple(term_sums(fam, 64, resolution)[1][1:]))
+
+
 def test_profile_that_runs_out_of_resolution_raises_as_a_sweep_per_window():
     # each step deletes the first coordinate, so 4-bit grid words run out
     fam = MapFamily(PhaseSpace.binary_seq(8), lambda n: Delete(1), OdometerAdd(), "deletions")
@@ -225,15 +233,16 @@ def test_profile_that_runs_out_of_resolution_raises_as_a_sweep_per_window():
 
 
 class TestIsometryBound:
+    """The window-sum bound on D(omega^n_{n+k}, f^k) under an isometric
+    limit, on every cell of the profile."""
+
     def test_inverse_square_equality(self):
-        rec = isometry_bound_check(INV, n=5, k=3, grid_resolution=16)
-        assert rec.holds
-        assert rec.measured == pytest.approx(rec.bound, abs=1e-12)
+        prof = collective_convergence_profile(INV, 5, 3, grid_resolution=16)
+        assert all(h for row in prof.holds for h in row)
+        for erow, brow in zip(prof.matrix, prof.bounds):
+            for e, b in zip(erow, brow):
+                assert e == pytest.approx(b, abs=1e-12)
 
     def test_alternating_holds(self):
-        rec = isometry_bound_check(ALT, n=2, k=2, grid_resolution=16)
-        assert rec.holds
-
-    def test_doubling_refused(self):
-        with pytest.raises(HypothesisNotMetError):
-            isometry_bound_check(PD, n=1, k=1)
+        prof = collective_convergence_profile(ALT, 2, 2, grid_resolution=16)
+        assert all(h for row in prof.holds for h in row)

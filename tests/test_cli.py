@@ -149,6 +149,51 @@ def test_malformed_map_document_is_config_error(tmp_path, capsys, limit):
     assert f"malformed {limit['type']!r} descriptor" in capsys.readouterr().err
 
 
+# before, a slope of 2.5 ran as 2, true as 1, an index of 1.9 as 1, a string
+# amount as its float, a NaN amount or offset to a report of NaNs, a NaN
+# breakpoint to a traceback, and an infinite amount exited 3 with "math domain
+# error"
+@pytest.mark.parametrize(
+    "kind, step, message",
+    [
+        ("circle", {"type": "affine_circle", "slope": 2.5, "offset": 0}, "slope must be an integer, got 2.5"),
+        ("circle", {"type": "affine_circle", "slope": True, "offset": 0}, "slope must be an integer, got True"),
+        ("circle", {"type": "rotation", "amount": "0.5"}, "amount must be a real number, got '0.5'"),
+        ("circle", {"type": "rotation", "amount": math.nan}, "amount must be a real number, got nan"),
+        ("circle", {"type": "rotation", "amount": math.inf}, "amount must be a real number, got inf"),
+        ("circle", {"type": "affine_circle", "slope": 2, "offset": math.nan}, "offset must be a real number, got nan"),
+        ("binary_seq", {"type": "delete", "index": 1.9}, "index must be an integer, got 1.9"),
+        (
+            "unit_interval",
+            {"type": "piecewise_linear", "breakpoints": [[0, 0], [math.nan, 1], [1, 0]]},
+            "breakpoint x must be a real number, got nan",
+        ),
+        ("unit_interval", {"type": "lookup", "values": ["0.5", 1]}, "value must be a real number, got '0.5'"),
+    ],
+    ids=[
+        "fractional-slope", "bool-slope", "string-amount", "nan-amount", "infinite-amount",
+        "nan-offset", "fractional-index", "nan-breakpoint", "string-lookup-value",
+    ],
+)
+def test_map_document_number_of_the_wrong_kind_exits_3(tmp_path, capsys, kind, step, message):
+    limits = {
+        "circle": {"type": "rotation", "amount": 0.5},
+        "unit_interval": {"type": "piecewise_linear", "breakpoints": [[0, 0], [0.5, 1], [1, 0]]},
+        "binary_seq": {"type": "odometer_add"},
+    }
+    doc = {
+        "space": {"kind": kind},
+        "family": {"custom": {"steps": [step], "limit": limits[kind]}},
+        "check": {"horizon": 20, "grid_resolution": 4, "tail_window": 10},
+        "properties": ["sensitivity"],
+    }
+    path = tmp_path / "bad-number.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"malformed {step['type']!r} descriptor: {message}" in err and "Traceback" not in err
+
+
 # before, these labels ran with exit 0 and were written into the report as given
 @pytest.mark.parametrize("label", [7, ["a"], None])
 def test_custom_family_label_that_is_not_a_string_is_config_error(tmp_path, capsys, label):

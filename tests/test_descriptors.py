@@ -309,3 +309,24 @@ def test_descriptor_json_round_trip():
     ]
     for m in descriptors:
         assert descriptor_from_json(descriptor_to_json(m)) == m
+
+
+# before, each of these was accepted: NaN passed the breakpoint order check
+# and reduce_angle returned NaN for NaN (and raised "math domain error" for
+# an infinite angle)
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_piecewise_linear_refuses_a_non_finite_breakpoint(x):
+    with pytest.raises(SpaceError, match="strictly increasing"):
+        PiecewiseLinear(((0.0, 0.0), (x, 1.0), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+def test_rotation_refuses_a_non_finite_amount(amount):
+    with pytest.raises(SpaceError, match="angle must be finite"):
+        Rotation(amount)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_affine_circle_refuses_a_non_finite_offset(offset):
+    with pytest.raises(SpaceError, match="angle must be finite"):
+        AffineCircle(2, offset)

@@ -17,11 +17,7 @@ from nonautodyn.descriptors import (
     apply,
     descriptor_to_json,
 )
-from nonautodyn.bounds import (
-    collective_convergence_profile,
-    deviation_series,
-    isometry_bound_check,
-)
+from nonautodyn.bounds import collective_convergence_profile, deviation_series
 from nonautodyn.checkers import orbit_matrix
 from nonautodyn.family import (
     TENT,
@@ -169,7 +165,6 @@ def test_sweeps_of_one_family_share_one_step_table():
     omega(fam, x, 15)
     deviation_series(fam, x, 12, n=8)
     collective_convergence_profile(fam, n_max=4, k_max=3, grid_resolution=8)
-    isometry_bound_check(fam, n=3, k=4, grid_resolution=8)
     orbit_matrix(fam, point_coords([x], SpaceKind.CIRCLE), 5, start=20)
     assert calls == list(range(1, 26))
 

@@ -79,6 +79,17 @@ class TestDistance:
         with pytest.raises(SpaceError):
             IntervalPoint(1.5)
 
+    # before, NaN passed both range comparisons and CircleAngle(NaN) kept NaN
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_interval_point_refuses_a_non_finite_value(self, v):
+        with pytest.raises(SpaceError, match="out of range"):
+            IntervalPoint(v)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_circle_angle_refuses_a_non_finite_angle(self, theta):
+        with pytest.raises(SpaceError, match="angle must be finite"):
+            CircleAngle(theta)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
