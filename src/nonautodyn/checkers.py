@@ -149,7 +149,9 @@ def _estimated_bytes(cfg: CheckConfig, space: PhaseSpace) -> int:
     P*R+1 rows of the ball_count samples of every eps-ball, from the
     config's shapes alone. Sampled balls build the pair table from the ball
     sweep while it is alive; region chains leave it a sweep of the pools,
-    and build hits a few centers at a time, so the hit term bounds theirs."""
+    and build hits a few centers at a time, so the hit term bounds theirs.
+    The ball-sweep term bounds the chains themselves, two floats a row for
+    each of G + R - 1 arcs or G * R intervals, once ball_count >= 2."""
     G = grid_size(space, cfg.grid_resolution)
     itemsize = point_coords([], space.kind).itemsize
     points = G * len(_rungs(space, cfg, 0.25, 3)) * cfg.ball_count
@@ -198,17 +200,22 @@ def _sweep_groups(
 #: rows in the first block of a sweep that may stop early; each later block doubles
 _FIRST_BLOCK = 16
 
+#: the most elements a block of rows or of hit cells grows to: _row_blocks stops
+#: doubling at it, and _summarised takes at most this many hit cells or one center
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _row_blocks(fam: MapFamily, coords: np.ndarray, horizon: int):
     """orbit_matrix(fam, coords, horizon) in blocks of rows, yielded as (t, block)
     with block[0] row t. Each block starts from the last row of the one before,
-    which the semigroup identity makes bit-exact, and is twice as long."""
+    which the semigroup identity makes bit-exact, and is twice as long until
+    one holds _BLOCK_ELEMENTS."""
     t, k = 0, _FIRST_BLOCK
     while t < horizon:
         k = min(k, horizon - t)
         block = orbit_matrix(fam, coords, k, start=t)
         yield t, block
-        t, k, coords = t + k, 2 * k, block[-1]
+        t, k, coords = t + k, k if block.size >= _BLOCK_ELEMENTS else 2 * k, block[-1]
 
 
 def _exact(fam: MapFamily, horizon: int) -> bool:
@@ -370,10 +377,6 @@ def eps_ball_diameters(fam: MapFamily, cfg: CheckConfig) -> np.ndarray:
     return _ball_evidence(fam, cfg).diameters
 
 
-#: the most hit cells, center pairs times rows, that _summarised takes in one block
-_HIT_BLOCK = 1 << 18
-
-
 def _first(mask: np.ndarray, none: int) -> np.ndarray:
     """The index of the first True along the last axis of mask, else none."""
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), none)
@@ -382,17 +385,18 @@ def _first(mask: np.ndarray, none: int) -> np.ndarray:
 def _summarised(cfg: CheckConfig, centers: np.ndarray, balls, block, **sampled) -> _BallEvidence:
     """_BallEvidence from block(us), for the centers us: their balls' diameter
     series, their eps-balls' hits, dense flags and final defects, and their
-    balls' collapses or None, taken _HIT_BLOCK hit cells or one center at a time."""
+    balls' collapses or None, taken _BLOCK_ELEMENTS hit cells or one center at a time."""
     G, N, delta = len(centers), cfg.horizon, cfg.delta
     kept, collapses, series0 = [], [], None
-    for us in _blocks(G, max(1, _HIT_BLOCK // (G * (N + 1)))):
+    for us in _blocks(G, max(1, _BLOCK_ELEMENTS // (G * (N + 1)))):
         diams, hits, dense, final, collapsed = block(us)
         series0 = diams[0].copy() if series0 is None else series0
         kept.append((
             _first(diams[:, 1:] > delta, -1) + 1, N + 1 - _first(diams[:, ::-1] <= delta, N),
             diams[:, 1:].max(axis=1), diams.max(axis=1),
             _first(hits[..., 1:], -2) + 1, N + 1 - _first(~hits[..., :0:-1], N),
-            np.packbits(hits[..., 1:], axis=2), N + 1 - _first(~dense[:, ::-1], N + 1), final,
+            np.packbits(hits[..., 1:], axis=2), N + 1 - _first(~dense[:, ::-1], N + 1),
+            final.copy(),  # a row of a block's defects keeps the whole block alive
         ))
         collapses += collapsed or [None] * len(diams)
     summaries = map(np.concatenate, zip(*kept))
@@ -410,16 +414,22 @@ def _compute_ball_evidence(fam: MapFamily, cfg: CheckConfig) -> _BallEvidence:
 
     steps = fam.steps(N)[1 : N + 1]
     if exact_chains(kind, steps):
-        chains = ball_chains(kind, np.repeat(centers, R), np.tile(rungs, G), steps)
+        # ball u * R + i takes chain col[u, i]; an arc's length depends on its radius and
+        # the slopes alone, so the circle's rungs past eps are stepped on center 0 only
+        col = np.arange(G * R).reshape(G, R)
+        if kind is SpaceKind.CIRCLE:
+            col = np.c_[np.arange(G), np.broadcast_to(np.arange(G, G + R - 1), (G, R - 1))]
+        k = np.unique(col, return_index=True)[1]
+        chains = ball_chains(kind, centers[k // R], np.array(rungs)[k % R], steps)
 
-        def block(us: slice):  # the R chains of each center us; defects of the eps-balls only
-            cols = slice(us.start * R, us.stop * R)
-            ours = RegionChains(kind, chains.a[:, cols], chains.b[:, cols])
+        def block(us: slice):  # the balls of each center us; defects of the eps-balls only
+            ours = RegionChains(kind, chains.a[:, col[us].ravel()], chains.b[:, col[us].ravel()])
             hits = np.empty((len(centers[us]), G, N + 1), dtype=bool)
             ours.hits(R, centers, cfg.eps, hits)
             defects = RegionChains(kind, ours.a[:, ::R], ours.b[:, ::R]).covering_defects()
             diams = np.ascontiguousarray(ours.diameters().T)
             dense = np.ascontiguousarray(defects.T < cfg.eps)
+            # arcs never collapse: lengths start at 2r > 0 and circle slopes are integers >= 1
             return diams, hits, dense, defects[-1], ours.collapses()
 
         return _summarised(cfg, centers, balls, block)

@@ -444,10 +444,12 @@ def descriptor_to_json(m: MapDescriptor) -> dict:
 
 def descriptor_from_json(doc: dict, field: str = "a map descriptor") -> MapDescriptor:
     """The descriptor a document describes; a document that is not an object
-    raises SpaceError naming its field, and a field of the wrong type or shape
-    one naming the descriptor type. Slopes and indices are integers, every
-    other number a finite real (``space.json_number``)."""
-    t = json_object(doc, field)["type"]
+    or has no type raises SpaceError naming its field, and a field missing or
+    of the wrong type or shape one naming the descriptor type. Slopes and
+    indices are integers, every other number a finite real (``space.json_number``)."""
+    if "type" not in json_object(doc, field):
+        raise SpaceError(f"{field} has no field 'type'")
+    t = doc["type"]
 
     def number(value, name: str, real: bool = True):
         return json_number(value, f"malformed {t!r} descriptor: {name}", real)
@@ -474,6 +476,8 @@ def descriptor_from_json(doc: dict, field: str = "a map descriptor") -> MapDescr
             return Compose(descriptor_from_json(doc["outer"]), descriptor_from_json(doc["inner"]))
     except SpaceError:
         raise
+    except KeyError as exc:
+        raise SpaceError(f"malformed {t!r} descriptor: missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise SpaceError(f"malformed {t!r} descriptor: {exc}") from exc
     raise SpaceError(f"unknown descriptor type: {t!r}")

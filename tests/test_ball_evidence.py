@@ -4,6 +4,7 @@ per-system pair table and the memory preflight."""
 import dataclasses
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from nonautodyn.checkers import (
     _shared_time_misses,
     _summarised,
     _sweep_groups,
+    check_equicontinuity,
     check_li_yorke_cell_density,
     check_proximal_cell_density,
     check_proximal_pairs_density,
@@ -32,12 +34,14 @@ from nonautodyn.checkers import (
     checker_grid,
     orbit_matrix,
 )
+from nonautodyn.descriptors import AffineCircle, Compose, Rotation
 from nonautodyn.family import MapFamily, step_table_family
 from nonautodyn.regions import ball_chains
 from nonautodyn.report import CATALOG, ScenarioSpec, run_comparison
 from nonautodyn.space import (
     WORD_DTYPE,
     BinaryWord,
+    PhaseSpace,
     SpaceError,
     SpaceKind,
     ball_coords,
@@ -197,7 +201,7 @@ def test_kept_summaries_equal_the_whole_tables(monkeypatch, name, mode, hit_bloc
     cfg, N, delta = spec.check, spec.check.horizon, spec.check.delta
     sys = _system(spec.build_family(), mode)
     if hit_block is not None:
-        monkeypatch.setattr(checkers, "_HIT_BLOCK", hit_block)
+        monkeypatch.setattr(checkers, "_BLOCK_ELEMENTS", hit_block)
     ev = _compute_ball_evidence(sys, cfg)
     diams, hits, dense, final, collapses = _whole_tables(sys, cfg)
     assert ev.diameters.tobytes() == diams[0].tobytes()
@@ -220,7 +224,7 @@ def test_summaries_of_ties_and_empty_series(monkeypatch, hit_block):
     # two centers with two balls each over n = 0..4: diameters equal to delta,
     # and series with no separation, no hit, no miss and no defect
     if hit_block is not None:
-        monkeypatch.setattr(checkers, "_HIT_BLOCK", hit_block)
+        monkeypatch.setattr(checkers, "_BLOCK_ELEMENTS", hit_block)
     cfg = CheckConfig(horizon=4, tail_window=2, delta=0.25)
     diams = np.array([[0.3, 0.25, 0.3, 0.25, 0.3], [0.25] * 5, [0.5] * 5, [0.0] * 5])
     hits = np.array([[[0, 1, 1, 0, 1], [1] * 5], [[0] * 5, [1, 0, 0, 1, 1]]], dtype=bool)
@@ -241,6 +245,64 @@ def test_summaries_of_ties_and_empty_series(monkeypatch, hit_block):
     assert ev.dense_from.tolist() == [0, 4]
     assert ev.final_defects.tolist() == [0.0, 0.125]
     assert ev.collapses == [None] * 4
+
+
+@st.composite
+def _circle_step_tables(draw):
+    """A circle family whose steps are runs of a few map objects: rotations,
+    the still Rotation(0.0), affine maps of slope 2 or 3, which make arcs
+    full, and compositions of them; with a horizon within or past the table,
+    a small grid and an eps up to 2.5."""
+    angles = st.floats(0.0, 7.0, allow_nan=False)
+    leaf = st.one_of(
+        st.just(Rotation(0.0)), angles.map(Rotation),
+        st.builds(AffineCircle, st.integers(2, 3), angles),
+    )
+    pool = draw(st.lists(st.one_of(leaf, st.builds(Compose, leaf, leaf)), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 12)), max_size=8))
+    steps = tuple(m for m, length in runs for _ in range(length))
+    limit = draw(st.sampled_from([*pool, Rotation(0.0)]))
+    fam = step_table_family(PhaseSpace.circle(), steps, limit, "drawn")
+    eps = draw(st.sampled_from([0.05, 0.4, 1.3, 2.5]))
+    cfg = CheckConfig(
+        horizon=draw(st.integers(1, 70)), grid_resolution=draw(st.integers(2, 9)), eps=eps,
+        delta=draw(st.sampled_from([d for d in (0.3, 1.0, 3.0) if d > eps])), tail_window=1,
+    )
+    return fam, cfg, draw(st.sampled_from([None, 0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circle_step_tables())
+@example((step_table_family(PhaseSpace.circle(), (), Rotation(0.0), "still"), CheckConfig(
+    horizon=37, grid_resolution=5, eps=0.4, delta=1.0, tail_window=1), None))
+@example((step_table_family(
+    PhaseSpace.circle(), (AffineCircle(2, 0.3),) * 3 + (Rotation(1.0),) * 6, Rotation(0.0), "full"
+), CheckConfig(horizon=45, grid_resolution=7, eps=1.3, delta=3.0, tail_window=1), 0))
+def test_circle_evidence_from_shared_rungs_equals_one_chain_per_ball(case):
+    # the evidence from G + R - 1 arcs, every field byte for byte, against the
+    # evidence from the G * R arcs of ball_chains over every ball, one center to
+    # a block or the default blocks
+    fam, cfg, hit_block = case
+    diams, hits, dense, final, collapses = _whole_tables(fam, cfg)
+    centers = checker_grid(fam.space, cfg)
+    rungs = _rungs(fam.space, cfg, 0.25, 3)
+    R = len(rungs)
+    block = checkers._BLOCK_ELEMENTS if hit_block is None else hit_block
+    with mock.patch.object(checkers, "_BLOCK_ELEMENTS", block):
+        ev = _compute_ball_evidence(fam, cfg)
+        want = _summarised(cfg, centers, [(c, r) for c in centers for r in rungs], lambda us: (
+            diams[us.start * R : us.stop * R], hits[us], dense[us], final[us],
+            collapses[us.start * R : us.stop * R],
+        ))
+    for field in dataclasses.fields(ev):
+        got, ref = getattr(ev, field.name), getattr(want, field.name)
+        if isinstance(got, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+        elif field.name == "balls":
+            assert [(c.tobytes(), r) for c, r in got] == [(c.tobytes(), r) for c, r in ref]
+        else:
+            assert got == ref, field.name
+    assert collapses == [None] * len(collapses)  # arcs never collapse
 
 
 def _held_bytes(value) -> int:
@@ -270,25 +332,46 @@ def test_rotation_ball_evidence_keeps_under_a_mebibyte(mode):
     assert _held_bytes(ev) <= 2**20
 
 
-def test_rotation_report_traced_peak_stays_under_11_mib():
-    # the largest arrays alive at once are one system's ball chains,
-    # 2 x 5001 x 60 floats = 4.6 MiB, beside the other system's kept evidence,
-    # or equicontinuity's row blocks, about 5.5 MiB. The 11 MiB allowance
-    # holds either with room to spare, but not the chains together with a
-    # whole hit table, whole diameter series and full-size temporaries of
-    # either, which take 18.3 MiB
+def _traced_peak(fn) -> int:
+    """The most bytes traced while fn() runs, above those traced before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        run_comparison(CATALOG["alternating-rotation"])
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 11 * 2**20
+
+
+def test_rotation_report_traced_peak_stays_under_11_mib():
+    # the largest arrays alive at once are one system's ball chains,
+    # 2 x 5001 x 22 floats = 1.7 MiB, beside the other system's kept evidence,
+    # or equicontinuity's row blocks. The 11 MiB allowance holds either with
+    # room to spare, but not chains of every ball together with a whole hit
+    # table, whole diameter series and full-size temporaries of either, which
+    # take 18.3 MiB
+    assert _traced_peak(lambda: run_comparison(CATALOG["alternating-rotation"])) <= 11 * 2**20
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rotation_chains_and_row_blocks_stay_small(mode):
+    # alternating-rotation at its builtin config: 20 centers, 3 rungs, 5,000
+    # steps, and 180 sample columns for equicontinuity. The ball evidence
+    # steps G + R - 1 = 22 arcs, 2 x 5001 x 22 floats = 1.7 MiB, where one arc
+    # per ball took 4.6 MiB and peaks of 6.8-7.3 MiB; equicontinuity's row
+    # blocks stop doubling at 512 rows, 0.7 MiB, where blocks of 1,024 and
+    # 2,048 rows took peaks of 5.0-5.5 MiB. Each fresh system builds its step
+    # table inside the traced call
+    spec = CATALOG["alternating-rotation"]
+    cfg = spec.check
+    build = _traced_peak(lambda: _compute_ball_evidence(_system(spec.build_family(), mode), cfg))
+    assert build < 5 * 2**20
+    rows = _traced_peak(lambda: check_equicontinuity(_system(spec.build_family(), mode), cfg))
+    assert rows < 2.5 * 2**20
 
 
 def _per_source_codes(kind, cfg, orbits, sources):

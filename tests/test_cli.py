@@ -268,6 +268,9 @@ def test_properties_as_a_string_names_the_expected_list(spec_file, monkeypatch, 
 #: a custom family on the unit interval whose limit is the tent map
 TENT_DOC = {"type": "piecewise_linear", "breakpoints": [[0, 0], [0.5, 1], [1, 0]]}
 CUSTOM = {"space": {"kind": "unit_interval"}, "family": {"custom": {"limit": TENT_DOC}}}
+#: the half-turn rotation, for custom families on the circle
+HALF = {"type": "rotation", "amount": math.pi}
+ON_CIRCLE = {"space": {"kind": "circle"}}
 
 
 @pytest.mark.parametrize(
@@ -336,13 +339,27 @@ CUSTOM = {"space": {"kind": "unit_interval"}, "family": {"custom": {"limit": TEN
             {"label": "a/b", "output": {"dir": "o"}},
             "label must be a file name without a path separator, got 'a/b'",
         ),
+        # a missing descriptor field once exited 3 with only "config error: 'amount'"
+        (
+            {**ON_CIRCLE, "family": {"custom": {"steps": [{"type": "rotation"}], "limit": HALF}}},
+            "malformed 'rotation' descriptor: missing field 'amount'",
+        ),
+        (
+            {**ON_CIRCLE, "family": {"custom": {"steps": [{"amount": 0.5}], "limit": HALF}}},
+            "each custom step has no field 'type'",
+        ),
+        (
+            {**ON_CIRCLE, "family": {"custom": {"limit": {"type": "compose", "outer": HALF}}}},
+            "malformed 'compose' descriptor: missing field 'inner'",
+        ),
     ],
     ids=[
         "output", "family", "seed", "properties", "top-level", "params", "check",
         "custom", "space", "limit", "steps", "space-word-length", "builtin-word-length",
         "bool-word-length", "alpha", "infinite-alpha", "unknown-param", "misspelled-param",
         "param-of-another-family", "output-dir", "label-list", "label-empty", "label-dot",
-        "label-dot-dot", "label-with-separator",
+        "label-dot-dot", "label-with-separator", "step-missing-amount", "step-missing-type",
+        "compose-missing-operand",
     ],
 )
 def test_spec_of_the_wrong_shape_exits_3(spec_file, monkeypatch, capsys, fields, message):

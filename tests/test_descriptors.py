@@ -311,6 +311,33 @@ def test_descriptor_json_round_trip():
         assert descriptor_from_json(descriptor_to_json(m)) == m
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"type": "rotation"}, "malformed 'rotation' descriptor: missing field 'amount'"),
+        (
+            {"type": "affine_circle", "slope": 2},
+            "malformed 'affine_circle' descriptor: missing field 'offset'",
+        ),
+        ({"type": "delete"}, "malformed 'delete' descriptor: missing field 'index'"),
+        (
+            {"type": "compose", "inner": {"type": "odometer_add"}},
+            "malformed 'compose' descriptor: missing field 'outer'",
+        ),
+        (  # an operand's own field is named with the operand's type
+            {"type": "compose", "outer": {"type": "rotation"}, "inner": {"type": "odometer_add"}},
+            "malformed 'rotation' descriptor: missing field 'amount'",
+        ),
+        ({"amount": 0.5}, "a map descriptor has no field 'type'"),
+    ],
+)
+def test_a_missing_field_is_named(doc, message):
+    # a KeyError once reached the command line with only the key: "'amount'"
+    with pytest.raises(SpaceError) as info:
+        descriptor_from_json(doc)
+    assert str(info.value) == message
+
+
 # before, each of these was accepted: NaN passed the breakpoint order check
 # and reduce_angle returned NaN for NaN (and raised "math domain error" for
 # an infinite angle)
